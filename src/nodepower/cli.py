@@ -193,10 +193,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     form = model.ModelForm.from_string(args.form)
     config = fitmod.FitConfig(exclusions=exclusions)
     result = fitmod.two_stage_fit(dataset, form, config)
+    sha = dataset.sha256()
     fitted = fitmod.to_fitted_model(
         result,
         dataset=dataset,
-        dataset_sha256=dataset.sha256(),
+        dataset_sha256=sha,
         created_utc=args.pin_timestamp,
     )
 
@@ -205,7 +206,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     model_path = out / f"model-{form.value}.json"
     model.save_model(fitted, model_path)
 
-    report = _fit_report_text(result, config, dataset.sha256(), fitted)
+    report = _fit_report_text(result, config, sha, fitted)
     (out / "fit-report.txt").write_text(report, encoding="utf-8")
 
     machine_rows = []

@@ -13,6 +13,17 @@ The estimation pipeline mirrors how the shipped presets were produced:
   cluster: observations within a run are long stretches of the same machine
   state and are anything but independent.
 
+The estimator runs on one row per workload, not on every power sample.
+Within a workload the intensity and architecture are constant and the
+weights sum to one, so the weighted SSE is the unweighted SSE of the
+workload means plus the constant sum_g SS_g / n_g (SS_g the within-workload
+sum of squares), the Gauss-Newton normal equations are those of the means,
+and each cluster's sandwich score is grad f(x_g) * (mean_g - f(x_g)): the
+grouped-data regression result (Angrist & Pischke, *Mostly Harmless
+Econometrics*, section 3.1). Estimates, standard errors and the reported
+weighted SSE are those of the per-observation definition; ``build_weights``
+keeps that definition, and the tests check the grouped fit against it.
+
 With at most two free parameters per stage, the optimizer is a damped
 Gauss-Newton with analytic Jacobians and a fixed multi-start grid over the
 shape parameters (the objective has a mild ridge; restarts are cheaper than
@@ -30,13 +41,13 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 from scipy import stats
 from scipy.special import expit
 
-from .ingest import RegressionDataset
+from .ingest import RegressionDataset, WorkloadTable
 from .model import FittedModel, ModelForm, PowerParams
 from .reference import (
     Architecture_LLM,
@@ -88,6 +99,9 @@ _MAGNITUDE_PARAMS: dict[ModelForm, tuple[str, ...]] = {
     # steepness is re-estimated alongside the magnitude in stage 2
     ModelForm.SIGMOID: ("beta_comp_kw", "k"),
 }
+
+
+_Data = TypeVar("_Data", RegressionDataset, WorkloadTable)
 
 
 class DegenerateDataError(ValueError):
@@ -171,7 +185,11 @@ class LoocvReport:
 # ---------------------------------------------------------------------------
 
 def build_weights(dataset: RegressionDataset) -> np.ndarray:
-    """Per-observation weights 1/n_workload; each workload sums to one."""
+    """Per-observation weights 1/n_workload; each workload sums to one.
+
+    The fit itself works on per-workload means (see the module docstring);
+    this is the per-observation definition it reproduces.
+    """
     w = np.empty(dataset.n_observations, dtype=float)
     for _, idx in dataset.cluster_index().items():
         w[idx] = 1.0 / idx.size
@@ -179,10 +197,13 @@ def build_weights(dataset: RegressionDataset) -> np.ndarray:
 
 
 def apply_exclusions(
-    dataset: RegressionDataset,
+    dataset: _Data,
     policy: Sequence[tuple[str, str]],
-) -> RegressionDataset:
+) -> _Data:
     """Drop the workloads named by an exclusion policy.
+
+    ``dataset`` is a per-observation dataset or a workload table; the
+    result is of the same kind.
 
     The policy is a sequence of (workload_id, reason) pairs with reasons in
     {outlier, leakage, manual}; naming a workload the dataset does not have
@@ -401,7 +422,7 @@ def _golden_section(
 def _default_starts(
     form: ModelForm,
     free: tuple[str, ...],
-    dataset: RegressionDataset,
+    table: WorkloadTable,
 ) -> list[dict[str, float]]:
     if set(free) >= {"x0", "k"}:
         return [
@@ -409,9 +430,11 @@ def _default_starts(
             for m in (9.0, 11.0, 13.0, 15.0, 17.0)
             for kk in (0.1, 1.0)
         ]
+    # quantiles over observations, not over workloads
+    x_rows = np.repeat(table.x, table.n)
     if "alpha" in free:
         if form is ModelForm.SIMPLE_ASYMPTOTIC:
-            qs = np.percentile(dataset.x, [10, 30, 50, 70, 90])
+            qs = np.percentile(x_rows, [10, 30, 50, 70, 90])
             alphas = [10.0 ** float(q) for q in qs]
         else:
             alphas = [1.0, 3.0, 5.0, 8.0, 12.0]
@@ -427,12 +450,12 @@ def _default_starts(
     return [{
         "p_idle_kw": 1.8, "beta_comp_kw": 6.6, "beta_llm_kw": 6.6,
         "beta_cnn_kw": 6.6, "alpha": 5.0,
-        "x0": float(np.median(dataset.x)), "k": 1.0,
+        "x0": float(np.median(x_rows)), "k": 1.0,
     }]
 
 
 def wnls_fit(
-    dataset: RegressionDataset,
+    dataset: RegressionDataset | WorkloadTable,
     form: ModelForm,
     fixed_params: Mapping[str, float],
     free_params: Sequence[str],
@@ -447,7 +470,8 @@ def wnls_fit(
 
     Parameters
     ----------
-    dataset : RegressionDataset
+    dataset : RegressionDataset or WorkloadTable
+        A per-observation dataset is fitted through its workload table.
     form : ModelForm
     fixed_params : mapping
         Parameter values held constant (user scale).
@@ -472,6 +496,8 @@ def wnls_fit(
         with no observations of that architecture).
     NonConvergenceError
         No start point converged within ``max_iterations``.
+    ValueError
+        The intensity or architecture varies within a workload.
     """
     free = tuple(free_params)
     if len(free) == 0:
@@ -493,21 +519,26 @@ def wnls_fit(
         raise ValueError(
             f"parameters neither free nor fixed: {missing}"
         )
-    if np.unique(dataset.x).size < 2:
+    table = (
+        dataset.workload_table
+        if isinstance(dataset, RegressionDataset)
+        else dataset
+    )
+    if np.unique(table.x).size < 2:
         raise DegenerateDataError(
             "need at least two distinct intensity values"
         )
 
-    y = dataset.power_kw
-    x = dataset.x
-    is_llm = dataset.arch == Architecture_LLM
+    y = table.mean_kw
+    x = table.x
+    is_llm = table.arch == Architecture_LLM
     if form is ModelForm.LOG_ASYMPTOTIC_ARCH_FE:
         if "beta_llm_kw" in free and not np.any(is_llm):
             raise DegenerateDataError("no LLM observations to identify beta_llm_kw")
         if "beta_cnn_kw" in free and not np.any(~is_llm):
             raise DegenerateDataError("no CNN observations to identify beta_cnn_kw")
-    w = build_weights(dataset)
-    sqrt_w = np.sqrt(w)
+    # the weighted SSE's part that no curve can explain
+    within = float(np.sum(table.within_ss / table.n))
 
     fixed_internal = {
         n: _internal_value(form, n, float(v)) for n, v in fixed_params.items()
@@ -520,20 +551,20 @@ def wnls_fit(
         return p
 
     def residual_fn(theta: np.ndarray) -> np.ndarray:
-        return (y - _predict(form, unpack(theta), x, is_llm)) * sqrt_w
+        return y - _predict(form, unpack(theta), x, is_llm)
 
     def sse_fn(theta: np.ndarray) -> float:
         r = residual_fn(theta)
-        return float(r @ r)
+        return float(r @ r) + within
 
     def jacobian_fn(theta: np.ndarray) -> np.ndarray:
         p = unpack(theta)
         cols = [_partial(form, p, x, is_llm, n) for n in free]
-        return np.column_stack(cols) * sqrt_w[:, None]
+        return np.column_stack(cols)
 
     lower = np.array([_lower_bound(form, n) for n in free])
     if starts is None:
-        start_maps = _default_starts(form, free, dataset)
+        start_maps = _default_starts(form, free, table)
     else:
         start_maps = [dict(s) for s in starts]
     start_vectors = [
@@ -578,15 +609,12 @@ def wnls_fit(
     t_value: dict[str, float] = {}
     p_value: dict[str, float] = {}
     covariance: tuple[tuple[float, ...], ...] | None = None
-    clusters = len(dataset.workloads())
+    clusters = len(table.workload_ids)
     if compute_se:
-        p_at_opt = unpack(theta)
-        raw_resid = y - _predict(form, p_at_opt, x, is_llm)
-        jac = np.column_stack(
-            [_partial(form, p_at_opt, x, is_llm, n) for n in free]
-        )
+        # one row per cluster, unit weights: the per-observation sandwich
         cov = cluster_robust_covariance(
-            jac, raw_resid, w, dataset.workload_ids
+            jacobian_fn(theta), residual_fn(theta), np.ones(clusters),
+            table.workload_ids,
         )
         # translate to the reported parameter scale (delta method)
         scale = np.array([
@@ -611,7 +639,7 @@ def wnls_fit(
         t_value=t_value,
         p_value=p_value,
         clusters=clusters,
-        observations=dataset.n_observations,
+        observations=table.n_observations,
         weighted_sse=sse,
         converged=converged,
         exclusions=exclusions,
@@ -684,7 +712,7 @@ def cluster_robust_covariance(
 # ---------------------------------------------------------------------------
 
 def _stage1(
-    dataset: RegressionDataset, form: ModelForm, config: FitConfig
+    table: WorkloadTable, form: ModelForm, config: FitConfig
 ) -> FitResult:
     """Shape estimation with magnitudes pinned to the measured anchors."""
     fixed = {
@@ -699,13 +727,12 @@ def _stage1(
         else form
     )
     free = _SHAPE_PARAMS[stage_form]
-    result = wnls_fit(
-        dataset, stage_form, fixed, free,
+    return wnls_fit(
+        table, stage_form, fixed, free,
         convergence_tol=config.convergence_tol,
         max_iterations=config.max_iterations,
         compute_se=config.compute_se,
     )
-    return result
 
 
 def two_stage_fit(
@@ -723,7 +750,7 @@ def two_stage_fit(
     recorded.
     """
     config = config or FitConfig()
-    data = apply_exclusions(dataset, config.exclusions)
+    data = apply_exclusions(dataset.workload_table, config.exclusions)
 
     stage1_result: FitResult | None = None
     if config.shape_override is not None:
@@ -775,7 +802,8 @@ def loocv(
     holdout per parameter.
     """
     config = config or FitConfig()
-    workloads = dataset.workloads()
+    table = dataset.workload_table
+    workloads = table.workloads()
     if len(workloads) < 3:
         raise DegenerateDataError(
             "leave-one-out needs at least three workloads"
@@ -783,7 +811,7 @@ def loocv(
     quiet = replace(config, compute_se=False)
     per_holdout: dict[str, dict[str, float]] = {}
     for wid in workloads:
-        held = _stage1(dataset.drop([wid]), form, quiet)
+        held = _stage1(table.drop([wid]), form, quiet)
         per_holdout[wid] = dict(held.estimates)
     stage_form = (
         ModelForm.LOG_ASYMPTOTIC

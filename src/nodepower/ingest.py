@@ -24,6 +24,7 @@ import configparser
 import csv
 import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -40,6 +41,7 @@ __all__ = [
     "WorkloadRecord",
     "WorkloadSummary",
     "RegressionDataset",
+    "WorkloadTable",
     "parse_trace_file",
     "write_trace_file",
     "allocate_interconnect",
@@ -356,11 +358,45 @@ def with_compute(record: WorkloadRecord) -> WorkloadRecord:
 
 
 @dataclass(frozen=True)
+class WorkloadTable:
+    """One row per workload, in first-appearance order: the fit's view.
+
+    Within a workload the intensity and architecture are constant and the
+    fit's weights 1/n sum to one, so the weighted squared error of any curve
+    f is ``sum_g (mean_kw_g - f(x_g))**2 + sum_g within_ss_g / n_g``: the
+    estimator needs only these columns, not the power samples.
+    """
+
+    workload_ids: np.ndarray
+    arch: np.ndarray
+    x: np.ndarray
+    mean_kw: np.ndarray
+    n: np.ndarray
+    within_ss: np.ndarray  # sum of squared deviations from mean_kw
+
+    @property
+    def n_observations(self) -> int:
+        return int(self.n.sum())
+
+    def workloads(self) -> tuple[str, ...]:
+        return tuple(self.workload_ids.tolist())
+
+    def drop(self, workload_ids: Iterable[str]) -> "WorkloadTable":
+        keep = ~np.isin(self.workload_ids, list(workload_ids))
+        return WorkloadTable(
+            self.workload_ids[keep], self.arch[keep], self.x[keep],
+            self.mean_kw[keep], self.n[keep], self.within_ss[keep],
+        )
+
+
+@dataclass(frozen=True)
 class RegressionDataset:
     """Flat per-observation arrays: the regression's view of the data.
 
     One row per power sample, tagged with its workload (the cluster id for
     robust inference), node, architecture, and the workload's log intensity.
+    The columns are treated as immutable: ``workload_table`` is computed
+    from them once and cached.
     """
 
     workload_ids: np.ndarray
@@ -379,12 +415,45 @@ class RegressionDataset:
     def n_observations(self) -> int:
         return int(len(self.power_kw))
 
+    @cached_property
+    def workload_table(self) -> WorkloadTable:
+        """Per-workload means and within-workload sums of squares.
+
+        Raises
+        ------
+        ValueError
+            The intensity or the architecture varies within a workload.
+        """
+        ids, first, inverse, counts = np.unique(
+            self.workload_ids, return_index=True, return_inverse=True,
+            return_counts=True,
+        )
+        order = np.argsort(first)  # sorted ids -> first-appearance order
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        group = rank[inverse]
+        n = counts[order]
+        mean = np.bincount(group, weights=self.power_kw) / n
+        dev = self.power_kw - mean[group]
+        within_ss = np.bincount(group, weights=dev * dev)
+        head = first[order]
+        wids = ids[order]
+        for name, column in (
+            ("intensity x", self.x), ("architecture", self.arch),
+        ):
+            varies = np.flatnonzero(column != column[head][group])
+            if varies.size:
+                raise ValueError(
+                    f"workload {str(wids[group[varies[0]]])!r}: {name} "
+                    "varies within the workload"
+                )
+        return WorkloadTable(
+            wids, self.arch[head], self.x[head], mean, n, within_ss
+        )
+
     def workloads(self) -> tuple[str, ...]:
         """Unique workload ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for wid in self.workload_ids:
-            seen.setdefault(str(wid), None)
-        return tuple(seen)
+        return self.workload_table.workloads()
 
     def cluster_index(self) -> dict[str, np.ndarray]:
         """Observation indices per workload."""
@@ -394,8 +463,12 @@ class RegressionDataset:
         }
 
     def subset(self, workload_ids: Iterable[str]) -> "RegressionDataset":
-        wanted = list(workload_ids)
-        mask = np.isin(self.workload_ids, wanted)
+        return self._rows(np.isin(self.workload_ids, list(workload_ids)))
+
+    def drop(self, workload_ids: Iterable[str]) -> "RegressionDataset":
+        return self._rows(~np.isin(self.workload_ids, list(workload_ids)))
+
+    def _rows(self, mask: np.ndarray) -> "RegressionDataset":
         return RegressionDataset(
             self.workload_ids[mask],
             self.node_ids[mask],
@@ -403,11 +476,6 @@ class RegressionDataset:
             self.x[mask],
             self.arch[mask],
         )
-
-    def drop(self, workload_ids: Iterable[str]) -> "RegressionDataset":
-        unwanted = set(workload_ids)
-        keep = [w for w in self.workloads() if w not in unwanted]
-        return self.subset(keep)
 
     def iter_rows(self) -> Iterator[tuple[str, str, float, float, str]]:
         for i in range(self.n_observations):

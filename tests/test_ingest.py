@@ -225,6 +225,28 @@ class TestDataset:
         for _, rows in ds.cluster_index().items():
             assert np.unique(ds.x[rows]).size == 1
 
+    def test_workload_table_in_first_appearance_order(self):
+        ds = ingest.RegressionDataset(
+            workload_ids=np.array(["b", "a", "b", "c", "a"]),
+            node_ids=np.array(["n1", "n1", "n2", "n1", "n2"]),
+            power_kw=np.array([5.0, 2.0, 7.0, 3.0, 4.0]),
+            x=np.array([14.0, 12.0, 14.0, 16.0, 12.0]),
+            arch=np.array([
+                Architecture_LLM, Architecture_CNN, Architecture_LLM,
+                Architecture_CNN, Architecture_CNN,
+            ]),
+        )
+        t = ds.workload_table
+        assert t.workloads() == ds.workloads() == ("b", "a", "c")
+        np.testing.assert_array_equal(t.n, [2, 2, 1])
+        np.testing.assert_array_equal(t.x, [14.0, 12.0, 16.0])
+        np.testing.assert_array_equal(
+            t.arch, [Architecture_LLM, Architecture_CNN, Architecture_CNN]
+        )
+        np.testing.assert_allclose(t.mean_kw, [6.0, 3.0, 3.0], rtol=1e-15)
+        np.testing.assert_allclose(t.within_ss, [2.0, 2.0, 0.0], atol=1e-15)
+        assert t.drop(["a"]).workloads() == ("b", "c")
+
     def test_drop_and_subset(self):
         ds = self._dataset()
         only_w2 = ds.drop(["w1"])
