@@ -460,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclusions",
                    help="CSV exclusion policy (workload_id, reason)")
     p.add_argument("--form", default="arch-fe",
-                   choices=["simple", "asymptotic", "arch-fe", "sigmoid"])
+                   choices=[f.value for f in model.ModelForm])
     p.add_argument("--out", default=".",
                    help="output directory (default: current directory)")
     p.add_argument("--pin-timestamp", metavar="ISO8601",
@@ -501,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclusions",
                    help="drop these workloads before the holdout scan")
     p.add_argument("--form", default="asymptotic",
-                   choices=["simple", "asymptotic", "arch-fe", "sigmoid"])
+                   choices=[f.value for f in model.ModelForm])
     p.add_argument("--out", help="directory for machine-readable tables")
     p.set_defaults(func=cmd_loocv)
 

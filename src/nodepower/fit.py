@@ -31,9 +31,12 @@ cleverness). A golden-section scan backs up the one-parameter stages in the
 unlikely event Gauss-Newton stalls. Everything is deterministic: same data
 in, same estimates out, to the last bit.
 
-The raw-operations variant is fitted through log10(alpha) internally; its
-scale spans six decades and Newton steps on the raw axis are useless.
-Reported estimates and standard errors are for alpha itself (delta method).
+Every curve, gradient and parameter role comes from the form table,
+``nodepower.model.FORMS``; this module holds no formula of its own and
+treats every form alike. Parameters the table marks as log10-scale (the
+raw-operations variant's alpha, whose scale spans six decades) are fitted
+as log10 of the value; reported estimates and standard errors are for the
+value itself.
 """
 
 from __future__ import annotations
@@ -44,11 +47,10 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
-from scipy import stats
-from scipy.special import expit
+from scipy.special import stdtr
 
 from .ingest import RegressionDataset, WorkloadTable
-from .model import FittedModel, ModelForm, PowerParams
+from .model import FORMS, FittedModel, ModelForm, PowerParams
 from .reference import (
     Architecture_LLM,
     BURN_POWER_KW,
@@ -71,35 +73,6 @@ __all__ = [
     "loocv",
     "to_fitted_model",
 ]
-
-K_FLOOR = 1e-3       # sigmoid steepness bound: stops collapse to a step
-ALPHA_FLOOR = 1e-6   # positivity guard for the log-scale saturation constant
-
-# free-parameter menu per form; order is the canonical reporting order
-_FORM_PARAMS: dict[ModelForm, tuple[str, ...]] = {
-    ModelForm.SIMPLE_ASYMPTOTIC: ("p_idle_kw", "beta_comp_kw", "alpha"),
-    ModelForm.LOG_ASYMPTOTIC: ("p_idle_kw", "beta_comp_kw", "alpha"),
-    ModelForm.LOG_ASYMPTOTIC_ARCH_FE: (
-        "p_idle_kw", "beta_llm_kw", "beta_cnn_kw", "alpha",
-    ),
-    ModelForm.SIGMOID: ("p_idle_kw", "beta_comp_kw", "x0", "k"),
-}
-
-_SHAPE_PARAMS: dict[ModelForm, tuple[str, ...]] = {
-    ModelForm.SIMPLE_ASYMPTOTIC: ("alpha",),
-    ModelForm.LOG_ASYMPTOTIC: ("alpha",),
-    ModelForm.LOG_ASYMPTOTIC_ARCH_FE: ("alpha",),
-    ModelForm.SIGMOID: ("x0", "k"),
-}
-
-_MAGNITUDE_PARAMS: dict[ModelForm, tuple[str, ...]] = {
-    ModelForm.SIMPLE_ASYMPTOTIC: ("beta_comp_kw",),
-    ModelForm.LOG_ASYMPTOTIC: ("beta_comp_kw",),
-    ModelForm.LOG_ASYMPTOTIC_ARCH_FE: ("beta_llm_kw", "beta_cnn_kw"),
-    # steepness is re-estimated alongside the magnitude in stage 2
-    ModelForm.SIGMOID: ("beta_comp_kw", "k"),
-}
-
 
 _Data = TypeVar("_Data", RegressionDataset, WorkloadTable)
 
@@ -228,117 +201,6 @@ def apply_exclusions(
 
 
 # ---------------------------------------------------------------------------
-# model evaluation on the fit's internal parameter scale
-# ---------------------------------------------------------------------------
-# Internally the simple form's `alpha` is carried as log10(alpha); the
-# helpers below translate between user-facing names/values and the internal
-# vector the optimizer sees.
-
-def _internal_value(form: ModelForm, name: str, value: float) -> float:
-    if form is ModelForm.SIMPLE_ASYMPTOTIC and name == "alpha":
-        if not value > 0:
-            raise ValueError("alpha must be positive")
-        return math.log10(value)
-    return value
-
-
-def _external_value(form: ModelForm, name: str, value: float) -> float:
-    if form is ModelForm.SIMPLE_ASYMPTOTIC and name == "alpha":
-        return 10.0 ** value
-    return value
-
-
-def _dexternal_dinternal(form: ModelForm, name: str, internal: float) -> float:
-    """Derivative of the reported parameter w.r.t. the internal one."""
-    if form is ModelForm.SIMPLE_ASYMPTOTIC and name == "alpha":
-        return (10.0 ** internal) * math.log(10.0)
-    return 1.0
-
-
-def _lower_bound(form: ModelForm, name: str) -> float:
-    if name == "k":
-        return K_FLOOR
-    if name == "alpha" and form is not ModelForm.SIMPLE_ASYMPTOTIC:
-        return ALPHA_FLOOR
-    return -np.inf
-
-
-def _predict(
-    form: ModelForm,
-    params: Mapping[str, float],
-    x: np.ndarray,
-    is_llm: np.ndarray,
-) -> np.ndarray:
-    """Fitted values given internal-scale parameters."""
-    p_idle = params["p_idle_kw"]
-    if form is ModelForm.SIGMOID:
-        z = (x - params["x0"]) / params["k"]
-        return p_idle + params["beta_comp_kw"] * expit(z)
-    if form is ModelForm.SIMPLE_ASYMPTOTIC:
-        r = np.power(10.0, x)
-        a = 10.0 ** params["alpha"]  # internal scale is log10(alpha)
-        return p_idle + params["beta_comp_kw"] * r / (a + r)
-    if form is ModelForm.LOG_ASYMPTOTIC_ARCH_FE:
-        beta = np.where(
-            is_llm, params["beta_llm_kw"], params["beta_cnn_kw"]
-        )
-    else:
-        beta = params["beta_comp_kw"]
-    return p_idle + beta * x / (params["alpha"] + x)
-
-
-def _partial(
-    form: ModelForm,
-    params: Mapping[str, float],
-    x: np.ndarray,
-    is_llm: np.ndarray,
-    name: str,
-) -> np.ndarray:
-    """d predict / d params[name] on the internal scale."""
-    ones = np.ones_like(x)
-    if name == "p_idle_kw":
-        return ones
-    if form is ModelForm.SIGMOID:
-        beta, x0, k = (
-            params["beta_comp_kw"], params["x0"], params["k"],
-        )
-        s = expit((x - x0) / k)
-        if name == "beta_comp_kw":
-            return s
-        if name == "x0":
-            return -beta * s * (1.0 - s) / k
-        if name == "k":
-            return -beta * s * (1.0 - s) * (x - x0) / (k * k)
-    elif form is ModelForm.SIMPLE_ASYMPTOTIC:
-        r = np.power(10.0, x)
-        a = 10.0 ** params["alpha"]
-        if name == "beta_comp_kw":
-            return r / (a + r)
-        if name == "alpha":  # internal: log10(alpha)
-            return (
-                -params["beta_comp_kw"] * r * a * math.log(10.0)
-                / np.square(a + r)
-            )
-    else:
-        alpha = params["alpha"]
-        g = x / (alpha + x)
-        if name == "beta_comp_kw":
-            return g
-        if name == "beta_llm_kw":
-            return np.where(is_llm, g, 0.0)
-        if name == "beta_cnn_kw":
-            return np.where(is_llm, 0.0, g)
-        if name == "alpha":
-            beta = (
-                np.where(is_llm, params["beta_llm_kw"], params["beta_cnn_kw"])
-                if form is ModelForm.LOG_ASYMPTOTIC_ARCH_FE
-                else params["beta_comp_kw"]
-            )
-            return -beta * x / np.square(alpha + x)
-    raise ValueError(f"{form.value} model has no parameter {name!r}")
-
-
-# ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------
 
@@ -419,41 +281,6 @@ def _golden_section(
 # the weighted fit
 # ---------------------------------------------------------------------------
 
-def _default_starts(
-    form: ModelForm,
-    free: tuple[str, ...],
-    table: WorkloadTable,
-) -> list[dict[str, float]]:
-    if set(free) >= {"x0", "k"}:
-        return [
-            {"x0": m, "k": kk, "beta_comp_kw": 6.6, "p_idle_kw": 1.8}
-            for m in (9.0, 11.0, 13.0, 15.0, 17.0)
-            for kk in (0.1, 1.0)
-        ]
-    # quantiles over observations, not over workloads
-    x_rows = np.repeat(table.x, table.n)
-    if "alpha" in free:
-        if form is ModelForm.SIMPLE_ASYMPTOTIC:
-            qs = np.percentile(x_rows, [10, 30, 50, 70, 90])
-            alphas = [10.0 ** float(q) for q in qs]
-        else:
-            alphas = [1.0, 3.0, 5.0, 8.0, 12.0]
-        return [
-            {
-                "alpha": a, "beta_comp_kw": 6.6, "beta_llm_kw": 6.6,
-                "beta_cnn_kw": 6.6, "p_idle_kw": 1.8, "x0": 11.0, "k": 1.0,
-            }
-            for a in alphas
-        ]
-    # magnitude-style parameters: the problem is linear (or nearly so) in
-    # them, a single generic start is enough
-    return [{
-        "p_idle_kw": 1.8, "beta_comp_kw": 6.6, "beta_llm_kw": 6.6,
-        "beta_cnn_kw": 6.6, "alpha": 5.0,
-        "x0": float(np.median(x_rows)), "k": 1.0,
-    }]
-
-
 def wnls_fit(
     dataset: RegressionDataset | WorkloadTable,
     form: ModelForm,
@@ -478,8 +305,11 @@ def wnls_fit(
     free_params : sequence of str
         Names to estimate; at most two.
     starts : sequence of mappings, optional
-        Start points (user scale). Defaults to the fixed multi-start grid
-        for shape parameters and a single generic start otherwise.
+        Start points (user scale). Defaults to the form table's start
+        points taken on the free parameters, duplicates dropped: the
+        multi-start grid when the shape is free, one start otherwise.
+        Of the starts that reach the lowest SSE (within 1e-12 relative),
+        the first wins.
     compute_se : bool
         Attach cluster-robust standard errors. Point estimates are
         independent of this flag.
@@ -506,14 +336,14 @@ def wnls_fit(
         raise ValueError(
             f"at most two free parameters per stage, got {len(free)}"
         )
-    allowed = _FORM_PARAMS[form]
+    spec = FORMS[form]
     for name in (*free, *fixed_params):
-        if name not in allowed:
+        if name not in spec.params:
             raise ValueError(
                 f"{form.value} model has no parameter {name!r}"
             )
     missing = [
-        n for n in allowed if n not in free and n not in fixed_params
+        n for n in spec.params if n not in free and n not in fixed_params
     ]
     if missing:
         raise ValueError(
@@ -528,62 +358,82 @@ def wnls_fit(
         raise DegenerateDataError(
             "need at least two distinct intensity values"
         )
+    for name in free:
+        arch = spec.per_arch.get(name)
+        if arch is not None and not np.any(table.arch == arch):
+            raise DegenerateDataError(
+                f"no {arch.upper()} observations to identify {name}"
+            )
 
     y = table.mean_kw
     x = table.x
     is_llm = table.arch == Architecture_LLM
-    if form is ModelForm.LOG_ASYMPTOTIC_ARCH_FE:
-        if "beta_llm_kw" in free and not np.any(is_llm):
-            raise DegenerateDataError("no LLM observations to identify beta_llm_kw")
-        if "beta_cnn_kw" in free and not np.any(~is_llm):
-            raise DegenerateDataError("no CNN observations to identify beta_cnn_kw")
     # the weighted SSE's part that no curve can explain
     within = float(np.sum(table.within_ss / table.n))
 
-    fixed_internal = {
-        n: _internal_value(form, n, float(v)) for n, v in fixed_params.items()
-    }
+    # the optimizer sees log10 of each log10-scale parameter
+    on_log10 = [n in spec.log10 for n in free]
 
-    def unpack(theta: np.ndarray) -> dict[str, float]:
-        p = dict(fixed_internal)
-        for n, v in zip(free, theta):
-            p[n] = float(v)
+    def internal(name: str, value: float) -> float:
+        if name not in spec.log10:
+            return float(value)
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+        return math.log10(value)
+
+    fixed = {n: float(v) for n, v in fixed_params.items()}
+    for n, v in fixed.items():
+        internal(n, v)  # rejects a non-positive log10-scale value
+
+    def params_at(theta: np.ndarray) -> dict[str, float]:
+        p = dict(fixed)
+        for n, v, log in zip(free, theta, on_log10):
+            p[n] = 10.0 ** float(v) if log else float(v)
         return p
 
     def residual_fn(theta: np.ndarray) -> np.ndarray:
-        return y - _predict(form, unpack(theta), x, is_llm)
+        return y - spec.curve(params_at(theta), x, is_llm)
 
     def sse_fn(theta: np.ndarray) -> float:
         r = residual_fn(theta)
         return float(r @ r) + within
 
+    def gradient_fn(theta: np.ndarray) -> np.ndarray:
+        """Jacobian with respect to the user-scale parameters."""
+        grad = spec.gradient(params_at(theta), x, is_llm)
+        return np.column_stack([grad[n] for n in free])
+
     def jacobian_fn(theta: np.ndarray) -> np.ndarray:
-        p = unpack(theta)
-        cols = [_partial(form, p, x, is_llm, n) for n in free]
-        return np.column_stack(cols)
+        # d value / d log10(value) = value * ln 10
+        chain = [
+            10.0 ** float(v) * math.log(10.0) if log else 1.0
+            for v, log in zip(theta, on_log10)
+        ]
+        return gradient_fn(theta) * chain
 
-    lower = np.array([_lower_bound(form, n) for n in free])
-    if starts is None:
-        start_maps = _default_starts(form, free, table)
-    else:
-        start_maps = [dict(s) for s in starts]
-    start_vectors = [
-        np.array([
-            _internal_value(form, n, float(s[n])) for n in free
-        ])
-        for s in start_maps
-    ]
-
-    best: tuple[np.ndarray, float, bool] | None = None
-    for theta0 in start_vectors:
-        theta, sse, converged = _gauss_newton(
-            sse_fn, residual_fn, jacobian_fn, theta0, lower,
+    lower = np.array([
+        internal(n, spec.lower[n]) if n in spec.lower else -np.inf
+        for n in free
+    ])
+    # one start per distinct point on the free parameters
+    points = dict.fromkeys(
+        tuple(internal(n, s[n]) for n in free)
+        for s in (spec.starts(table.x) if starts is None else starts)
+    )
+    runs = [
+        _gauss_newton(
+            sse_fn, residual_fn, jacobian_fn, np.array(theta0), lower,
             convergence_tol, max_iterations,
         )
-        if best is None or sse < best[1]:
-            best = (theta, sse, converged)
-    assert best is not None
-    theta, sse, converged = best
+        for theta0 in points
+    ]
+    # starts that reach one optimum differ in SSE only by rounding: take
+    # the first, in start order, within rounding of the lowest SSE, so
+    # that the winner does not depend on summation order
+    lowest = min(sse for _, sse, _ in runs)
+    theta, sse, converged = next(
+        run for run in runs if not run[1] > lowest * (1.0 + 1e-12)
+    )
 
     if not converged and len(free) == 1:
         # fall back to a bracketing scan around the best point found
@@ -601,9 +451,8 @@ def wnls_fit(
             f"{max_iterations} iterations from any start point"
         )
 
-    estimates = {
-        n: _external_value(form, n, float(v)) for n, v in zip(free, theta)
-    }
+    optimum = params_at(theta)
+    estimates = {n: optimum[n] for n in free}
 
     robust_se: dict[str, float] = {}
     t_value: dict[str, float] = {}
@@ -611,17 +460,12 @@ def wnls_fit(
     covariance: tuple[tuple[float, ...], ...] | None = None
     clusters = len(table.workload_ids)
     if compute_se:
-        # one row per cluster, unit weights: the per-observation sandwich
+        # one row per cluster, unit weights: the per-observation sandwich,
+        # on the reported parameter scale
         cov = cluster_robust_covariance(
-            jacobian_fn(theta), residual_fn(theta), np.ones(clusters),
+            gradient_fn(theta), residual_fn(theta), np.ones(clusters),
             table.workload_ids,
         )
-        # translate to the reported parameter scale (delta method)
-        scale = np.array([
-            _dexternal_dinternal(form, n, float(v))
-            for n, v in zip(free, theta)
-        ])
-        cov = cov * np.outer(scale, scale)
         covariance = tuple(tuple(float(v) for v in row) for row in cov)
         df = clusters - 1
         for i, n in enumerate(free):
@@ -629,7 +473,7 @@ def wnls_fit(
             robust_se[n] = se
             t = estimates[n] / se if se > 0 else math.inf
             t_value[n] = t
-            p_value[n] = float(2.0 * stats.t.sf(abs(t), df))
+            p_value[n] = float(2.0 * stdtr(df, -abs(t)))
 
     return FitResult(
         form=form,
@@ -715,20 +559,13 @@ def _stage1(
     table: WorkloadTable, form: ModelForm, config: FitConfig
 ) -> FitResult:
     """Shape estimation with magnitudes pinned to the measured anchors."""
-    fixed = {
-        "p_idle_kw": config.stage1_p_idle_kw,
-        "beta_comp_kw": config.stage1_beta_kw,
-    }
-    # the pooled shape stage treats both architectures identically, so the
-    # arch-FE variant shares the single-magnitude form here
-    stage_form = (
-        ModelForm.LOG_ASYMPTOTIC
-        if form is ModelForm.LOG_ASYMPTOTIC_ARCH_FE
-        else form
-    )
-    free = _SHAPE_PARAMS[stage_form]
+    spec = FORMS[form]
+    fixed = {"p_idle_kw": config.stage1_p_idle_kw}
+    for name in FORMS[spec.stage1_form].params:
+        if name not in fixed and name not in spec.shape:
+            fixed[name] = config.stage1_beta_kw
     return wnls_fit(
-        table, stage_form, fixed, free,
+        table, spec.stage1_form, fixed, spec.shape,
         convergence_tol=config.convergence_tol,
         max_iterations=config.max_iterations,
         compute_se=config.compute_se,
@@ -750,31 +587,24 @@ def two_stage_fit(
     recorded.
     """
     config = config or FitConfig()
+    spec = FORMS[form]
     data = apply_exclusions(dataset.workload_table, config.exclusions)
 
     stage1_result: FitResult | None = None
     if config.shape_override is not None:
-        shape = {
-            n: float(config.shape_override[n]) for n in _SHAPE_PARAMS[form]
-        }
+        shape = {n: float(config.shape_override[n]) for n in spec.shape}
     else:
         stage1_result = _stage1(data, form, config)
-        shape = {
-            n: stage1_result.estimates[n] for n in stage1_result.param_order
-        }
+        shape = dict(stage1_result.estimates)
 
-    free = _MAGNITUDE_PARAMS[form]
+    free = spec.stage2_free
     fixed: dict[str, float] = {"p_idle_kw": config.stage2_p_idle_kw}
     for name, value in shape.items():
-        if name not in free:  # sigmoid k moves to the free set in stage 2
+        if name not in free:  # a shape parameter may stay free in stage 2
             fixed[name] = value
-    start: dict[str, float] = {
-        "beta_comp_kw": config.stage1_beta_kw,
-        "beta_llm_kw": config.stage1_beta_kw,
-        "beta_cnn_kw": config.stage1_beta_kw,
-    }
-    if form is ModelForm.SIGMOID:
-        start["k"] = shape.get("k", 1.0)
+    # magnitudes start at the stage-1 anchor, shape parameters where
+    # stage 1 left them
+    start = {n: shape.get(n, config.stage1_beta_kw) for n in free}
     result = wnls_fit(
         data, form, fixed, free,
         starts=[start],
@@ -813,12 +643,7 @@ def loocv(
     for wid in workloads:
         held = _stage1(table.drop([wid]), form, quiet)
         per_holdout[wid] = dict(held.estimates)
-    stage_form = (
-        ModelForm.LOG_ASYMPTOTIC
-        if form is ModelForm.LOG_ASYMPTOTIC_ARCH_FE
-        else form
-    )
-    parameters = _SHAPE_PARAMS[stage_form]
+    parameters = FORMS[form].shape
     mean: dict[str, float] = {}
     sd: dict[str, float] = {}
     cov_percent: dict[str, float] = {}
@@ -867,8 +692,9 @@ def to_fitted_model(
     it; fits are otherwise identical across reruns).
     """
     params_all = result.all_params()
-    names = _FORM_PARAMS[result.form]
-    params = PowerParams(**{n: params_all[n] for n in names})
+    params = PowerParams(
+        **{n: params_all[n] for n in FORMS[result.form].params}
+    )
     params.validate_for(result.form)
     if dataset_sha256 is None and dataset is not None:
         dataset_sha256 = dataset.sha256()

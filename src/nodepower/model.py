@@ -8,6 +8,12 @@ average node power in kW:
 * ``sigmoid``      p_idle + beta * logistic((x - x0) / k)
 * ``simple``       p_idle + beta * r / (alpha + r) on raw operations r = 10^x
 
+``FORMS`` is the one place a form is defined: per form it holds the curve,
+its analytic gradient, the parameter names in reporting order, which
+parameters each fit stage estimates, the parameters fitted on a log10
+scale, the lower bounds and the default start points. ``predict_power``,
+parameter validation, the fit in ``nodepower.fit`` and the CLI all read it.
+
 The simple raw-scale variant is kept for completeness but has no calibrated
 preset: the published shape values only make sense on the log scale. Every
 variant is strictly increasing in x and strictly inside
@@ -23,9 +29,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import IO, Any, Mapping
+from typing import IO, Any, Callable, Mapping
 
 import numpy as np
 from scipy.special import expit
@@ -35,6 +41,8 @@ from .reference import Architecture_CNN, Architecture_LLM
 
 __all__ = [
     "ModelForm",
+    "FormSpec",
+    "FORMS",
     "PowerParams",
     "TdpConfig",
     "FittedModel",
@@ -70,22 +78,6 @@ class ModelForm(enum.Enum):
         )
 
 
-# fields each variant populates (everything else must stay None)
-_REQUIRED_FIELDS: dict[ModelForm, tuple[str, ...]] = {
-    ModelForm.SIMPLE_ASYMPTOTIC: ("p_idle_kw", "beta_comp_kw", "alpha"),
-    ModelForm.LOG_ASYMPTOTIC: ("p_idle_kw", "beta_comp_kw", "alpha"),
-    ModelForm.LOG_ASYMPTOTIC_ARCH_FE: (
-        "p_idle_kw", "beta_llm_kw", "beta_cnn_kw", "alpha",
-    ),
-    ModelForm.SIGMOID: ("p_idle_kw", "beta_comp_kw", "x0", "k"),
-}
-
-_ALL_PARAM_FIELDS = (
-    "p_idle_kw", "beta_comp_kw", "beta_llm_kw", "beta_cnn_kw",
-    "alpha", "x0", "k",
-)
-
-
 @dataclass(frozen=True)
 class PowerParams:
     """Parameter set for one model variant.
@@ -103,15 +95,15 @@ class PowerParams:
     k: float | None = None
 
     def validate_for(self, form: ModelForm) -> None:
-        required = _REQUIRED_FIELDS[form]
-        for name in _ALL_PARAM_FIELDS:
-            value = getattr(self, name)
-            if name in required:
+        required = FORMS[form].params
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in required:
                 if value is None:
-                    raise ValueError(f"{form.value} model requires {name}")
+                    raise ValueError(f"{form.value} model requires {f.name}")
             elif value is not None:
                 raise ValueError(
-                    f"{form.value} model does not use {name} (got {value!r})"
+                    f"{form.value} model does not use {f.name} (got {value!r})"
                 )
         if not self.p_idle_kw > 0:
             raise ValueError("p_idle_kw must be positive")
@@ -127,23 +119,191 @@ class PowerParams:
     def as_dict(self) -> dict[str, float]:
         """Populated fields only, in declaration order."""
         return {
-            name: getattr(self, name)
-            for name in _ALL_PARAM_FIELDS
-            if getattr(self, name) is not None
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if getattr(self, f.name) is not None
         }
 
 
-def _magnitude(form: ModelForm, params: PowerParams, arch: str | None) -> float:
-    if form is ModelForm.LOG_ASYMPTOTIC_ARCH_FE:
-        if arch == Architecture_LLM:
-            return params.beta_llm_kw  # type: ignore[return-value]
-        if arch == Architecture_CNN:
-            return params.beta_cnn_kw  # type: ignore[return-value]
-        raise ValueError(
-            "the architecture-fixed-effect form needs arch='llm' or 'cnn', "
-            f"got {arch!r}"
-        )
-    return params.beta_comp_kw  # type: ignore[return-value]
+# ---------------------------------------------------------------------------
+# the form table: each curve, its gradient and its parameter roles
+# ---------------------------------------------------------------------------
+# Every curve and gradient below takes the parameters on the user scale as a
+# mapping, log10 intensities x and an LLM mask that broadcasts against x
+# (read by the architecture-fixed-effect form only).
+
+K_FLOOR = 1e-3       # sigmoid steepness bound: stops collapse to a step
+ALPHA_FLOOR = 1e-6   # positivity guard for the log-scale saturation constant
+
+
+def _asymptotic(p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
+    # the saturation ratio is computed before scaling by beta so that the
+    # half-power point lands exactly on x = alpha
+    return p["p_idle_kw"] + p["beta_comp_kw"] * (x / (p["alpha"] + x))
+
+
+def _asymptotic_gradient(
+    p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
+) -> dict[str, np.ndarray]:
+    alpha = p["alpha"]
+    return {
+        "p_idle_kw": np.ones_like(x),
+        "beta_comp_kw": x / (alpha + x),
+        "alpha": -p["beta_comp_kw"] * x / np.square(alpha + x),
+    }
+
+
+def _as_asymptotic(p: Mapping[str, Any], is_llm: np.ndarray) -> dict[str, Any]:
+    """Arch-FE parameters as the asymptotic form's, one magnitude per row."""
+    return {
+        "p_idle_kw": p["p_idle_kw"],
+        "beta_comp_kw": np.where(is_llm, p["beta_llm_kw"], p["beta_cnn_kw"]),
+        "alpha": p["alpha"],
+    }
+
+
+def _arch_fe(p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
+    return _asymptotic(_as_asymptotic(p, is_llm), x, is_llm)
+
+
+def _arch_fe_gradient(
+    p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
+) -> dict[str, np.ndarray]:
+    grad = _asymptotic_gradient(_as_asymptotic(p, is_llm), x, is_llm)
+    ratio = grad.pop("beta_comp_kw")
+    grad["beta_llm_kw"] = np.where(is_llm, ratio, 0.0)
+    grad["beta_cnn_kw"] = np.where(is_llm, 0.0, ratio)
+    return grad
+
+
+def _simple(p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
+    return _asymptotic(p, np.power(10.0, x), is_llm)
+
+
+def _simple_gradient(
+    p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
+) -> dict[str, np.ndarray]:
+    return _asymptotic_gradient(p, np.power(10.0, x), is_llm)
+
+
+def _sigmoid(p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
+    return p["p_idle_kw"] + p["beta_comp_kw"] * expit((x - p["x0"]) / p["k"])
+
+
+def _sigmoid_gradient(
+    p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
+) -> dict[str, np.ndarray]:
+    x0, k = p["x0"], p["k"]
+    s = expit((x - x0) / k)
+    slope = -p["beta_comp_kw"] * s * (1.0 - s)
+    return {
+        "p_idle_kw": np.ones_like(x),
+        "beta_comp_kw": s,
+        "x0": slope / k,
+        "k": slope * (x - x0) / (k * k),
+    }
+
+
+# start magnitudes for every start point: the measured idle and about the
+# stress-ceiling span
+_START_KW = {
+    "p_idle_kw": 1.8, "beta_comp_kw": 6.6, "beta_llm_kw": 6.6,
+    "beta_cnn_kw": 6.6,
+}
+
+
+def _log_alpha_starts(x: np.ndarray) -> list[dict[str, float]]:
+    return [{**_START_KW, "alpha": a} for a in (1.0, 3.0, 5.0, 8.0, 12.0)]
+
+
+def _raw_alpha_starts(x: np.ndarray) -> list[dict[str, float]]:
+    # alpha is on the raw-operations scale: start at the workloads' own
+    # intensities (one per workload, however densely each was sampled)
+    qs = np.percentile(x, [10, 30, 50, 70, 90])
+    return [{**_START_KW, "alpha": 10.0 ** float(q)} for q in qs]
+
+
+def _sigmoid_starts(x: np.ndarray) -> list[dict[str, float]]:
+    return [
+        {**_START_KW, "x0": m, "k": kk}
+        for m in (9.0, 11.0, 13.0, 15.0, 17.0)
+        for kk in (0.1, 1.0)
+    ]
+
+
+@dataclass(frozen=True)
+class FormSpec:
+    """One functional form: its curve, gradient and parameter roles.
+
+    This is the only place a curve is defined; prediction, parameter
+    validation, the two-stage fit and the CLI all read ``FORMS``.
+    """
+
+    params: tuple[str, ...]        # every parameter, in reporting order
+    shape: tuple[str, ...]         # estimated in stage 1
+    stage2_free: tuple[str, ...]   # estimated in stage 2
+    stage1_form: ModelForm         # the form stage 1 fits
+    # curve(params, x, is_llm) -> power in kW
+    curve: Callable[..., Any]
+    # gradient(params, x, is_llm) -> {name: d curve / d params[name]}
+    gradient: Callable[..., dict[str, np.ndarray]]
+    # starts(x) -> start points on the user scale, from the workloads'
+    # intensities x (one per workload)
+    starts: Callable[[np.ndarray], list[dict[str, float]]]
+    log10: tuple[str, ...] = ()    # fitted as log10 of the value
+    lower: Mapping[str, float] = field(default_factory=dict)  # user scale
+    # magnitudes that only one architecture's rows identify
+    per_arch: Mapping[str, str] = field(default_factory=dict)
+
+
+FORMS: dict[ModelForm, FormSpec] = {
+    ModelForm.SIMPLE_ASYMPTOTIC: FormSpec(
+        params=("p_idle_kw", "beta_comp_kw", "alpha"),
+        shape=("alpha",),
+        stage2_free=("beta_comp_kw",),
+        stage1_form=ModelForm.SIMPLE_ASYMPTOTIC,
+        curve=_simple,
+        gradient=_simple_gradient,
+        starts=_raw_alpha_starts,
+        # alpha spans six decades: Newton steps on the raw axis are useless
+        log10=("alpha",),
+    ),
+    ModelForm.LOG_ASYMPTOTIC: FormSpec(
+        params=("p_idle_kw", "beta_comp_kw", "alpha"),
+        shape=("alpha",),
+        stage2_free=("beta_comp_kw",),
+        stage1_form=ModelForm.LOG_ASYMPTOTIC,
+        curve=_asymptotic,
+        gradient=_asymptotic_gradient,
+        starts=_log_alpha_starts,
+        lower={"alpha": ALPHA_FLOOR},
+    ),
+    ModelForm.LOG_ASYMPTOTIC_ARCH_FE: FormSpec(
+        params=("p_idle_kw", "beta_llm_kw", "beta_cnn_kw", "alpha"),
+        shape=("alpha",),
+        stage2_free=("beta_llm_kw", "beta_cnn_kw"),
+        # the pooled shape stage treats both architectures identically
+        stage1_form=ModelForm.LOG_ASYMPTOTIC,
+        curve=_arch_fe,
+        gradient=_arch_fe_gradient,
+        starts=_log_alpha_starts,
+        lower={"alpha": ALPHA_FLOOR},
+        per_arch={
+            "beta_llm_kw": Architecture_LLM, "beta_cnn_kw": Architecture_CNN,
+        },
+    ),
+    ModelForm.SIGMOID: FormSpec(
+        params=("p_idle_kw", "beta_comp_kw", "x0", "k"),
+        shape=("x0", "k"),
+        # steepness is re-estimated alongside the magnitude in stage 2
+        stage2_free=("beta_comp_kw", "k"),
+        stage1_form=ModelForm.SIGMOID,
+        curve=_sigmoid,
+        gradient=_sigmoid_gradient,
+        starts=_sigmoid_starts,
+        lower={"k": K_FLOOR},
+    ),
+}
 
 
 def predict_power(
@@ -172,27 +332,20 @@ def predict_power(
     float or ndarray, matching the shape of ``x``.
     """
     params.validate_for(form)
-    beta = _magnitude(form, params, arch)
+    spec = FORMS[form]
+    if spec.per_arch and arch not in (Architecture_LLM, Architecture_CNN):
+        raise ValueError(
+            "the architecture-fixed-effect form needs arch='llm' or 'cnn', "
+            f"got {arch!r}"
+        )
     xv = np.asarray(x, dtype=float)
-    scalar = xv.ndim == 0
-
-    if form is ModelForm.SIGMOID:
-        out = params.p_idle_kw + beta * expit((xv - params.x0) / params.k)
-    else:
-        if np.any(xv <= 0):
-            raise ValueError(
-                "asymptotic forms are defined for x > 0 "
-                "(log10 intensity above one operation per node)"
-            )
-        # the saturation ratio is computed before scaling by beta so that
-        # the half-power point lands exactly on x = alpha
-        if form is ModelForm.SIMPLE_ASYMPTOTIC:
-            r = np.power(10.0, xv)
-            out = params.p_idle_kw + beta * (r / (params.alpha + r))
-        else:
-            out = params.p_idle_kw + beta * (xv / (params.alpha + xv))
-
-    return float(out) if scalar else out
+    if form is not ModelForm.SIGMOID and np.any(xv <= 0):
+        raise ValueError(
+            "asymptotic forms are defined for x > 0 "
+            "(log10 intensity above one operation per node)"
+        )
+    out = spec.curve(params.as_dict(), xv, arch == Architecture_LLM)
+    return float(out) if xv.ndim == 0 else out
 
 
 def predict_energy(

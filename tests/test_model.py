@@ -125,6 +125,34 @@ class TestPowerParams:
         }
 
 
+class TestFormTable:
+    @pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
+    def test_gradient_matches_central_difference_of_curve(self, form):
+        spec = model.FORMS[form]
+        params = {
+            ModelForm.SIMPLE_ASYMPTOTIC: SIMPLE,
+            ModelForm.LOG_ASYMPTOTIC: ASYM,
+            ModelForm.LOG_ASYMPTOTIC_ARCH_FE: FE,
+            ModelForm.SIGMOID: SIG,
+        }[form].as_dict()
+        assert tuple(params) == spec.params
+        x = np.linspace(5.0, 20.0, 61)
+        for is_llm in (np.ones_like(x, bool), np.zeros_like(x, bool)):
+            grad = spec.gradient(params, x, is_llm)
+            for name in spec.params:
+                h = 1e-6 * abs(params[name])
+                up = spec.curve({**params, name: params[name] + h}, x, is_llm)
+                down = spec.curve(
+                    {**params, name: params[name] - h}, x, is_llm
+                )
+                numeric = (up - down) / (2.0 * h)
+                scale = np.max(np.abs(numeric))
+                np.testing.assert_allclose(
+                    grad[name], numeric, rtol=1e-6, atol=1e-8 * scale,
+                    err_msg=f"{form.value} d/d{name}",
+                )
+
+
 class TestTdp:
     def test_bounds_arithmetic(self):
         tdp = TdpConfig(chip_tdp_kw=0.7)
