@@ -53,7 +53,6 @@ from .fit import (
 )
 from .ingest import (
     NodeTrace,
-    PowerSample,
     RegressionDataset,
     WorkloadRecord,
     WorkloadSummary,
@@ -95,9 +94,8 @@ __all__ = [
     "FitConfig", "FitResult", "LoocvReport", "loocv", "two_stage_fit",
     "wnls_fit",
     # ingest
-    "NodeTrace", "PowerSample", "RegressionDataset", "WorkloadRecord",
-    "WorkloadSummary", "load_and_assemble", "load_workload",
-    "summarize_workload",
+    "NodeTrace", "RegressionDataset", "WorkloadRecord", "WorkloadSummary",
+    "load_and_assemble", "load_workload", "summarize_workload",
     # evaluate
     "EnergyComparison", "EvalWorkload", "MapeReport", "compare_energy",
     "in_sample_report", "mape", "validation_report",

@@ -27,9 +27,11 @@ keeps that definition, and the tests check the grouped fit against it.
 With at most two free parameters per stage, the optimizer is a damped
 Gauss-Newton with analytic Jacobians and a fixed multi-start grid over the
 shape parameters (the objective has a mild ridge; restarts are cheaper than
-cleverness). A golden-section scan backs up the one-parameter stages in the
-unlikely event Gauss-Newton stalls. Everything is deterministic: same data
-in, same estimates out, to the last bit.
+cleverness); a small final step counts as convergence only at a full-rank
+Jacobian and a relative offset of at most 1e-3. A golden-section scan backs
+up the one-parameter stages in the unlikely event Gauss-Newton stalls.
+Everything is deterministic: same data in, same estimates out, to the last
+bit.
 
 Every curve, gradient and parameter role comes from the form table,
 ``nodepower.model.FORMS``; this module holds no formula of its own and
@@ -82,7 +84,7 @@ class DegenerateDataError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """No start point converged within the iteration budget."""
+    """The best start point did not reach an optimum."""
 
 
 class UnknownWorkloadError(KeyError):
@@ -204,9 +206,32 @@ def apply_exclusions(
 # optimizers
 # ---------------------------------------------------------------------------
 
+OFFSET_TOL = 1e-3  # Bates & Watts' suggested relative-offset threshold
+
+
 def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     scale = np.maximum(np.abs(old), 1e-12)
     return float(np.max(np.abs(new - old) / scale))
+
+
+def _relative_offset(r: np.ndarray, J: np.ndarray, floor: float) -> float:
+    """Bates & Watts (1981, *Technometrics* 23:2): ``||Q1' r|| / sqrt(p)``
+    over ``||r - Q1 Q1' r|| / sqrt(n - p)``, Q1 an orthonormal basis of J's
+    columns; zero at a stationary point. A residual scale below ``floor``
+    counts as ``floor`` (n == p, or noise-free data). A rank-deficient J,
+    where the parameters are not identified, reads as infinite."""
+    n, p = J.shape
+    norms = np.linalg.norm(J, axis=0)  # the rank test ignores column scale
+    if not np.all(norms > 0):
+        return math.inf
+    q, R = np.linalg.qr(J / norms)
+    # with unit columns (at most two here) |R_ii| is 1 or a sine
+    if not np.min(np.abs(np.diag(R))) > np.finfo(float).eps * n:
+        return math.inf
+    qtr = q.T @ r
+    orth = r - q @ qtr
+    scale = math.sqrt(float(orth @ orth) / (n - p)) if n > p else 0.0
+    return math.sqrt(float(qtr @ qtr) / p) / max(scale, floor, 1e-300)
 
 
 def _gauss_newton(
@@ -325,7 +350,7 @@ def wnls_fit(
         identify the free parameters (for example an architecture magnitude
         with no observations of that architecture).
     NonConvergenceError
-        No start point converged within ``max_iterations``.
+        The lowest-SSE start did not reach an optimum.
     ValueError
         The intensity or architecture varies within a workload.
     """
@@ -434,6 +459,13 @@ def wnls_fit(
     theta, sse, converged = next(
         run for run in runs if not run[1] > lowest * (1.0 + 1e-12)
     )
+    # a run that creeps along a ridge also stops on a small step (a sigmoid
+    # off to x0 -> -inf, k -> +inf is flat over the data: its Jacobian has
+    # rank 1); residuals below sqrt(eps) of the data's RMS are rounding
+    converged = converged and _relative_offset(
+        residual_fn(theta), jacobian_fn(theta),
+        math.sqrt(np.finfo(float).eps * float(np.mean(y * y))),
+    ) <= OFFSET_TOL
 
     if not converged and len(free) == 1:
         # fall back to a bracketing scan around the best point found
@@ -447,8 +479,9 @@ def wnls_fit(
             converged = True
     if not converged:
         raise NonConvergenceError(
-            f"{form.value} fit did not converge within "
-            f"{max_iterations} iterations from any start point"
+            f"{form.value} fit did not converge within {max_iterations} "
+            "iterations, or stopped at a rank-deficient Jacobian or a "
+            f"relative offset above {OFFSET_TOL:g}"
         )
 
     optimum = params_at(theta)

@@ -23,10 +23,11 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .reference import Architecture_CNN, Architecture_LLM
 __all__ = [
     "TraceFormatError",
     "ConfigError",
-    "PowerSample",
     "NodeTrace",
     "WorkloadRecord",
     "WorkloadSummary",
@@ -65,36 +65,30 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class PowerSample:
-    elapsed_s: float
-    power_kw: float
-
-    def __post_init__(self) -> None:
-        if self.elapsed_s < 0:
-            raise ValueError(f"elapsed_s must be >= 0, got {self.elapsed_s}")
-        if not self.power_kw > 0:
-            raise ValueError(f"power_kw must be positive, got {self.power_kw}")
-
-
-@dataclass(frozen=True)
 class NodeTrace:
-    """Time-ordered power samples for one node of one workload."""
+    """One node's power samples for one workload, in increasing time."""
 
     workload_id: str
     node_id: str
-    samples: tuple[PowerSample, ...]
+    elapsed_s: np.ndarray
+    power_kw: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.samples:
-            raise ValueError(
-                f"trace {self.workload_id}/{self.node_id} is empty"
-            )
-        times = [s.elapsed_s for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(
-                f"trace {self.workload_id}/{self.node_id} is not strictly "
-                "increasing in elapsed_s"
-            )
+        elapsed = np.asarray(self.elapsed_s, dtype=float)
+        power = np.asarray(self.power_kw, dtype=float)
+        object.__setattr__(self, "elapsed_s", elapsed)
+        object.__setattr__(self, "power_kw", power)
+        name = f"trace {self.workload_id}/{self.node_id}"
+        if elapsed.ndim != 1 or elapsed.shape != power.shape:
+            raise ValueError(f"{name}: columns must be 1-D, of equal length")
+        if not elapsed.size:
+            raise ValueError(f"{name} is empty")
+        if np.any(np.diff(elapsed) <= 0):
+            raise ValueError(f"{name} is not strictly increasing in elapsed_s")
+        if np.any(elapsed < 0):
+            raise ValueError(f"{name}: elapsed_s must be >= 0")
+        if not np.all(power > 0):
+            raise ValueError(f"{name}: power_kw must be positive")
 
 
 @dataclass(frozen=True)
@@ -164,10 +158,13 @@ class WorkloadSummary:
 _TRACE_HEADER = ("workload_id", "node_id", "elapsed_s", "power_kw")
 
 
-def _open_text(path_or_stream: str | Path | IO[str]) -> tuple[IO[str], bool]:
-    if hasattr(path_or_stream, "read"):
-        return path_or_stream, False  # type: ignore[return-value]
-    return open(path_or_stream, "r", encoding="utf-8", newline=""), True
+def _open_text(
+    path_or_stream: str | Path | IO[str], mode: str = "r"
+) -> tuple[IO[str], bool]:
+    """A stream, or the named file opened; True if the caller must close."""
+    if not isinstance(path_or_stream, (str, os.PathLike)):
+        return path_or_stream, False
+    return open(path_or_stream, mode, encoding="utf-8", newline=""), True
 
 
 def parse_trace_file(
@@ -185,8 +182,8 @@ def parse_trace_file(
     Returns
     -------
     tuple of NodeTrace
-        One per distinct node_id, in first-appearance order, samples sorted
-        by elapsed_s.
+        One per distinct node_id, in first-appearance order, columns
+        sorted by elapsed_s.
 
     Raises
     ------
@@ -207,7 +204,7 @@ def parse_trace_file(
                 f"line 1: expected header {','.join(_TRACE_HEADER)!r}, "
                 f"got {','.join(header)!r}"
             )
-        by_node: dict[str, list[PowerSample]] = {}
+        by_node: dict[str, tuple[list[float], list[float]]] = {}
         seen: set[tuple[str, float]] = set()
         for row in reader:
             line = reader.line_num
@@ -247,22 +244,22 @@ def parse_trace_file(
                     f"at elapsed_s={elapsed}"
                 )
             seen.add(key)
-            by_node.setdefault(node_id, []).append(
-                PowerSample(elapsed, power)
-            )
+            times, powers = by_node.setdefault(node_id, ([], []))
+            times.append(elapsed)
+            powers.append(power)
     finally:
         if owned:
             fh.close()
     if not by_node:
         raise TraceFormatError("trace file has a header but no data rows")
-    return tuple(
-        NodeTrace(
-            workload_id,
-            node_id,
-            tuple(sorted(samples, key=lambda s: s.elapsed_s)),
-        )
-        for node_id, samples in by_node.items()
-    )
+    traces = []
+    for node_id, (times, powers) in by_node.items():
+        elapsed = np.array(times)
+        order = np.argsort(elapsed, kind="stable")
+        traces.append(NodeTrace(
+            workload_id, node_id, elapsed[order], np.array(powers)[order]
+        ))
+    return tuple(traces)
 
 
 def write_trace_file(
@@ -273,21 +270,17 @@ def write_trace_file(
     Floats are written with their shortest exact decimal representation, so
     parse -> write -> parse is lossless for (node_id, elapsed_s, power_kw).
     """
-    if hasattr(path_or_stream, "write"):
-        fh: IO[str] = path_or_stream  # type: ignore[assignment]
-        owned = False
-    else:
-        fh = open(path_or_stream, "w", encoding="utf-8", newline="")
-        owned = True
+    fh, owned = _open_text(path_or_stream, "w")
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_TRACE_HEADER)
         for trace in traces:
-            for s in trace.samples:
-                writer.writerow(
-                    (trace.workload_id, trace.node_id,
-                     repr(s.elapsed_s), repr(s.power_kw))
-                )
+            # repr of Python floats: numpy's repr would add np.float64(...)
+            times, powers = trace.elapsed_s.tolist(), trace.power_kw.tolist()
+            writer.writerows(
+                (trace.workload_id, trace.node_id, repr(t), repr(p))
+                for t, p in zip(times, powers)
+            )
     finally:
         if owned:
             fh.close()
@@ -314,9 +307,7 @@ def summarize_workload(record: WorkloadRecord) -> WorkloadSummary:
     """
     if not record.traces:
         raise ValueError(f"{record.workload_id}: no traces to summarize")
-    powers = np.concatenate(
-        [np.array([s.power_kw for s in t.samples]) for t in record.traces]
-    )
+    powers = np.concatenate([t.power_kw for t in record.traces])
     increment = allocate_interconnect(record)
     p_avg = float(powers.mean()) + increment
     p_max = float(powers.max()) + increment
@@ -477,21 +468,20 @@ class RegressionDataset:
             self.arch[mask],
         )
 
-    def iter_rows(self) -> Iterator[tuple[str, str, float, float, str]]:
-        for i in range(self.n_observations):
-            yield (
-                str(self.workload_ids[i]),
-                str(self.node_ids[i]),
-                float(self.power_kw[i]),
-                float(self.x[i]),
-                str(self.arch[i]),
-            )
-
     def sha256(self) -> str:
-        """Canonical content hash (used in fit provenance)."""
-        h = hashlib.sha256()
-        for wid, nid, p, x, arch in self.iter_rows():
-            h.update(f"{wid},{nid},{p!r},{x!r},{arch}\n".encode())
+        """Canonical content hash (used in fit provenance): the row count,
+        each text column as UCS-4 at its longest value's width (so not
+        dtype-dependent), then the number columns as little-endian float64.
+        """
+        h = hashlib.sha256(
+            f"nodepower-dataset/2 {self.n_observations}\n".encode()
+        )
+        for text in (self.workload_ids, self.node_ids, self.arch):
+            width = max(int(np.char.str_len(text).max(initial=0)), 1)
+            h.update(f"{width}\n".encode())
+            h.update(text.astype(f"<U{width}", copy=False).tobytes())
+        for number in (self.power_kw, self.x):
+            h.update(number.astype("<f8", copy=False).tobytes())
         return h.hexdigest()
 
 
@@ -501,11 +491,7 @@ def assemble_dataset(records: Iterable[WorkloadRecord]) -> RegressionDataset:
     Every record must already carry a ComputeEstimate (see with_compute);
     cardinality is preserved exactly: one observation per power sample.
     """
-    wids: list[str] = []
-    nids: list[str] = []
-    powers: list[float] = []
-    xs: list[float] = []
-    archs: list[str] = []
+    parts = []
     for record in records:
         if record.compute is None:
             raise ValueError(
@@ -514,21 +500,17 @@ def assemble_dataset(records: Iterable[WorkloadRecord]) -> RegressionDataset:
             )
         increment = allocate_interconnect(record)
         for trace in record.traces:
-            for s in trace.samples:
-                wids.append(record.workload_id)
-                nids.append(trace.node_id)
-                powers.append(s.power_kw + increment)
-                xs.append(record.compute.log_intensity)
-                archs.append(record.architecture)
-    if not wids:
+            n = trace.power_kw.size
+            parts.append((
+                np.full(n, record.workload_id),
+                np.full(n, trace.node_id),
+                trace.power_kw + increment,
+                np.full(n, record.compute.log_intensity),
+                np.full(n, record.architecture),
+            ))
+    if not parts:
         raise ValueError("no observations: records had no traces")
-    return RegressionDataset(
-        np.array(wids),
-        np.array(nids),
-        np.array(powers, dtype=float),
-        np.array(xs, dtype=float),
-        np.array(archs),
-    )
+    return RegressionDataset(*(np.concatenate(c) for c in zip(*parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -658,24 +640,21 @@ def load_workload(
     return replace(record, traces=traces)
 
 
-def load_manifest(path: str | Path) -> tuple[WorkloadRecord, ...]:
-    """Load every (config, trace) pair named by a manifest file.
-
-    Paths inside the manifest resolve relative to the manifest's directory.
-    """
-    path = Path(path)
-    base = path.parent
-    records: list[WorkloadRecord] = []
+def _read_pairs(
+    path: Path, header: tuple[str, str], kind: str
+) -> list[tuple[str, str]]:
+    """The stripped rows of a two-column CSV file that starts with header."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
-        raise ConfigError(f"{path}: cannot read manifest ({exc})") from exc
+        raise ConfigError(f"{path}: cannot read {kind} ({exc})") from exc
+    pairs: list[tuple[str, str]] = []
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["config", "trace"]:
+        first = next(reader, None)
+        if first is None or tuple(h.strip() for h in first) != header:
             raise ConfigError(
-                f"{path}: manifest must start with header 'config,trace'"
+                f"{path}: {kind} must start with header {','.join(header)!r}"
             )
         for row in reader:
             if not row:
@@ -684,13 +663,23 @@ def load_manifest(path: str | Path) -> tuple[WorkloadRecord, ...]:
                 raise ConfigError(
                     f"{path}: line {reader.line_num}: expected 2 fields"
                 )
-            config_rel, trace_rel = (f.strip() for f in row)
-            records.append(
-                load_workload(base / config_rel, base / trace_rel)
-            )
+            pairs.append((row[0].strip(), row[1].strip()))
+    return pairs
+
+
+def load_manifest(path: str | Path) -> tuple[WorkloadRecord, ...]:
+    """Load every (config, trace) pair named by a manifest file.
+
+    Paths inside the manifest resolve relative to the manifest's directory.
+    """
+    path = Path(path)
+    records = tuple(
+        load_workload(path.parent / config, path.parent / trace)
+        for config, trace in _read_pairs(path, ("config", "trace"), "manifest")
+    )
     if not records:
         raise ConfigError(f"{path}: manifest lists no workloads")
-    return tuple(records)
+    return records
 
 
 def load_and_assemble(
@@ -703,24 +692,6 @@ def load_and_assemble(
 
 def load_exclusions(path: str | Path) -> tuple[tuple[str, str], ...]:
     """Read an exclusion policy file: CSV of workload_id,reason rows."""
-    path = Path(path)
-    pairs: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "workload_id", "reason",
-        ]:
-            raise ConfigError(
-                f"{path}: exclusion file must start with header "
-                "'workload_id,reason'"
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ConfigError(
-                    f"{path}: line {reader.line_num}: expected 2 fields"
-                )
-            pairs.append((row[0].strip(), row[1].strip()))
-    return tuple(pairs)
+    return tuple(
+        _read_pairs(Path(path), ("workload_id", "reason"), "exclusion file")
+    )

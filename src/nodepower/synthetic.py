@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reference
-from .ingest import NodeTrace, PowerSample, write_trace_file
+from .ingest import NodeTrace, write_trace_file
 from .reference import ReferenceWorkload
 
 __all__ = [
@@ -138,22 +138,18 @@ def synthesize_trace(
     """
     interval = sample_interval_s(row.source)
     n = samples_per_node(row.duration_h, interval)
+    elapsed = np.arange(n) * interval
     traces = []
     for node_idx in range(row.nodes):
         draws = rng.normal(row.p_avg_kw, row.p_sd_kw, size=n)
         draws = np.clip(draws, 1e-4, row.p_max_kw)
-        samples = tuple(
-            PowerSample(
-                elapsed_s=float(i) * interval,
-                power_kw=round(float(v), 4),
-            )
-            for i, v in enumerate(draws)
-        )
         traces.append(
             NodeTrace(
                 workload_id=row.workload_id,
                 node_id=f"node{node_idx:03d}",
-                samples=samples,
+                elapsed_s=elapsed,
+                # Python's round: correctly rounded, unlike np.round
+                power_kw=np.array([round(v, 4) for v in draws.tolist()]),
             )
         )
     return traces
@@ -209,7 +205,7 @@ def generate(
         )
         traces = synthesize_trace(row, rng)
         write_trace_file(traces, root / trace_name)
-        total_rows += sum(len(t.samples) for t in traces)
+        total_rows += sum(t.power_kw.size for t in traces)
         manifest_rows.append((config_name, trace_name))
 
     manifest = root / "manifest.csv"

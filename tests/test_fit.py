@@ -18,9 +18,11 @@ import pytest
 from scipy.special import expit
 
 import nodepower
+import nodepower.fit as fitmod
 from nodepower.fit import (
     DegenerateDataError,
     FitConfig,
+    NonConvergenceError,
     UnknownWorkloadError,
     apply_exclusions,
     build_weights,
@@ -688,16 +690,84 @@ class TestMultiStart:
         form = ModelForm.SIGMOID
         fixed = {"p_idle_kw": 1.8, "beta_comp_kw": 6.6}
         shape = FORMS[form].shape
-        single = [
-            wnls_fit(table, form, fixed, shape, starts=[s], compute_se=False)
-            for s in FORMS[form].starts(table.x)
-        ]
+        single = []
+        for s in FORMS[form].starts(table.x):
+            try:
+                single.append(wnls_fit(
+                    table, form, fixed, shape, starts=[s], compute_se=False
+                ))
+            except NonConvergenceError:
+                continue  # stopped off the optimum (see TestRelativeOffset)
         lowest = min(r.weighted_sse for r in single)
         first = next(
             r for r in single if r.weighted_sse <= lowest * (1.0 + 1e-12)
         )
         multi = wnls_fit(table, form, fixed, shape, compute_se=False)
         assert multi.estimates == first.estimates
+
+
+class TestRelativeOffset:
+    """A run that stops on a small step must also stop near an optimum."""
+
+    def test_ridge_run_off_is_not_converged(
+        self, desk_dataset, desk_exclusion_policy
+    ):
+        # from this start the sigmoid shape creeps along a ridge to
+        # x0 ~ -2e26, k ~ 2e26 (weighted SSE 9.06, optimum 7.42) until the
+        # relative step falls below the tolerance; the curve is flat over
+        # the data there, and the Jacobian has rank 1
+        table = apply_exclusions(
+            desk_dataset.workload_table, desk_exclusion_policy
+        )
+        with pytest.raises(NonConvergenceError, match="rank-deficient"):
+            wnls_fit(
+                table, ModelForm.SIGMOID,
+                {"p_idle_kw": 1.8, "beta_comp_kw": 6.6}, ("x0", "k"),
+                starts=[{"x0": 9.0, "k": 0.1}],
+            )
+
+    def test_early_stop_off_the_optimum_is_not_converged(
+        self, desk_dataset, desk_exclusion_policy
+    ):
+        # with a loose step tolerance the run stops after a step of under
+        # 10%, where the relative offset still reads about 0.02
+        table = apply_exclusions(
+            desk_dataset.workload_table, desk_exclusion_policy
+        )
+        with pytest.raises(NonConvergenceError, match="relative offset"):
+            wnls_fit(
+                table, ModelForm.SIGMOID,
+                {"p_idle_kw": 1.8, "beta_comp_kw": 6.6}, ("x0", "k"),
+                starts=[{"x0": 13.0, "k": 2.0}], convergence_tol=0.1,
+            )
+
+    def test_offset_is_zero_at_a_stationary_point(self):
+        rng = np.random.default_rng(3)
+        J = rng.normal(size=(7, 2))
+        r = rng.normal(size=7)
+        q, _ = np.linalg.qr(J)
+        r_perp = r - q @ (q.T @ r)
+        assert fitmod._relative_offset(r_perp, J, 0.0) < 1e-14
+        # a residual along J's columns is all offset
+        assert fitmod._relative_offset(J @ [1.0, 2.0], J, 1e-6) > 1e3
+
+    def test_rank_deficient_jacobian_reads_infinite(self):
+        r = np.array([0.1, -0.2, 0.3, 0.0])
+        flat = np.ones((4, 2)) * [1e-27, 2e-27]  # two constant columns
+        assert fitmod._relative_offset(r, flat, 1e-8) == np.inf
+        zero = np.column_stack([np.ones(4), np.zeros(4)])
+        assert fitmod._relative_offset(r, zero, 1e-8) == np.inf
+        # column scale alone is not rank deficiency
+        scaled = np.column_stack([np.arange(4.0), np.ones(4)]) * [1e-20, 1.0]
+        assert np.isfinite(fitmod._relative_offset(r, scaled, 1e-8))
+
+    def test_no_residual_degrees_of_freedom(self):
+        # n == p: the scale is the floor, with no division by zero
+        J = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert fitmod._relative_offset(np.zeros(2), J, 0.0) == 0.0
+        assert fitmod._relative_offset(
+            np.array([3e-4, 4e-4]), J, 0.1
+        ) == pytest.approx(5e-4 / np.sqrt(2) / 0.1, rel=1e-12)
 
 
 def test_import_does_not_load_scipy_stats():

@@ -14,7 +14,6 @@ from nodepower import flops, ingest
 from nodepower.ingest import (
     ConfigError,
     NodeTrace,
-    PowerSample,
     TraceFormatError,
     WorkloadRecord,
     parse_trace_file,
@@ -25,11 +24,10 @@ from nodepower.reference import Architecture_CNN, Architecture_LLM
 
 
 def _trace(wid="w1", node="n1", values=(5.0, 6.0, 7.0), dt=2.0):
-    samples = tuple(
-        PowerSample(elapsed_s=i * dt, power_kw=v)
-        for i, v in enumerate(values)
+    return NodeTrace(
+        workload_id=wid, node_id=node,
+        elapsed_s=np.arange(len(values)) * dt, power_kw=np.array(values),
     )
-    return NodeTrace(workload_id=wid, node_id=node, samples=samples)
 
 
 def _record(traces, wid="w1", nodes=None, arch=Architecture_LLM,
@@ -71,7 +69,25 @@ class TestParse:
     def test_groups_by_node_in_first_appearance_order(self):
         traces = parse_trace_file(io.StringIO(TRACE_TEXT), "w1")
         assert [t.node_id for t in traces] == ["n1", "n2"]
-        assert [s.power_kw for s in traces[0].samples] == [5.5, 6.0]
+        assert traces[0].power_kw.tolist() == [5.5, 6.0]
+
+    def test_rows_out_of_time_order_are_sorted_per_node(self):
+        text = textwrap.dedent(
+            """\
+            workload_id,node_id,elapsed_s,power_kw
+            w1,n1,4.0,5.4
+            w1,n2,2.0,7.2
+            w1,n1,0.0,5.0
+            w1,n2,0.0,7.0
+            w1,n1,2.0,5.2
+            """
+        )
+        n1, n2 = parse_trace_file(io.StringIO(text), "w1")
+        assert (n1.node_id, n2.node_id) == ("n1", "n2")
+        assert n1.elapsed_s.tolist() == [0.0, 2.0, 4.0]
+        assert n1.power_kw.tolist() == [5.0, 5.2, 5.4]
+        assert n2.elapsed_s.tolist() == [0.0, 2.0]
+        assert n2.power_kw.tolist() == [7.0, 7.2]
 
     def test_header_required(self):
         with pytest.raises(TraceFormatError, match="header"):
@@ -127,29 +143,42 @@ def test_parse_write_round_trip_random(values, n_nodes):
     assert len(back) == n_nodes
     for orig, parsed in zip(traces, back):
         assert parsed.node_id == orig.node_id
-        assert [s.power_kw for s in parsed.samples] == list(values)
+        assert parsed.power_kw.tolist() == list(values)
+        assert parsed.elapsed_s.tolist() == orig.elapsed_s.tolist()
+
+
+def _node_trace(elapsed, power):
+    return NodeTrace(
+        workload_id="w", node_id="n", elapsed_s=elapsed, power_kw=power
+    )
 
 
 class TestTraceTypes:
     def test_samples_must_increase(self):
-        with pytest.raises(ValueError):
-            NodeTrace(
-                workload_id="w", node_id="n",
-                samples=(
-                    PowerSample(elapsed_s=2.0, power_kw=5.0),
-                    PowerSample(elapsed_s=1.0, power_kw=5.0),
-                ),
-            )
+        with pytest.raises(ValueError, match="increasing"):
+            _node_trace([2.0, 1.0], [5.0, 5.0])
+        with pytest.raises(ValueError, match="increasing"):
+            _node_trace([1.0, 1.0], [5.0, 5.0])
 
     def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            NodeTrace(workload_id="w", node_id="n", samples=())
+        with pytest.raises(ValueError, match="empty"):
+            _node_trace([], [])
 
     def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            PowerSample(elapsed_s=-1.0, power_kw=5.0)
-        with pytest.raises(ValueError):
-            PowerSample(elapsed_s=0.0, power_kw=0.0)
+        with pytest.raises(ValueError, match="elapsed_s"):
+            _node_trace([-1.0], [5.0])
+        with pytest.raises(ValueError, match="power_kw"):
+            _node_trace([0.0], [0.0])
+        with pytest.raises(ValueError, match="power_kw"):
+            _node_trace([0.0, 2.0], [5.0, -1.0])
+
+    def test_columns_must_align(self):
+        with pytest.raises(ValueError, match="equal length"):
+            _node_trace([0.0, 2.0], [5.0])
+
+    def test_columns_are_float_arrays(self):
+        t = _node_trace((0, 2), (5, 6))
+        assert t.elapsed_s.dtype == t.power_kw.dtype == np.float64
 
 
 class TestSummary:
@@ -260,6 +289,43 @@ class TestDataset:
         h1 = ds.sha256()
         assert h1 == ds.sha256()  # stable
         assert ds.drop(["w1"]).sha256() != h1
+
+    @staticmethod
+    def _rows(wids, nids, power):
+        n = len(power)
+        return ingest.RegressionDataset(
+            workload_ids=np.array(wids), node_ids=np.array(nids),
+            power_kw=np.array(power, dtype=float), x=np.full(n, 14.0),
+            arch=np.full(n, Architecture_LLM),
+        )
+
+    def test_sha256_ignores_string_dtype_width(self):
+        ds = self._dataset()
+        wide = ingest.RegressionDataset(
+            workload_ids=ds.workload_ids.astype("<U40"),
+            node_ids=ds.node_ids.astype("<U17"),
+            power_kw=ds.power_kw, x=ds.x, arch=ds.arch.astype("<U9"),
+        )
+        assert wide.sha256() == ds.sha256()
+        short = self._rows(["a", "a"], ["n1", "n2"], [5.0, 6.0])
+        # drop() keeps the wider dtype of the ids it removed
+        dropped = self._rows(
+            ["a", "a", "longer-id"], ["n1", "n2", "n3"], [5.0, 6.0, 7.0]
+        ).drop(["longer-id"])
+        assert dropped.workload_ids.dtype.itemsize > (
+            short.workload_ids.dtype.itemsize
+        )
+        assert dropped.sha256() == short.sha256()
+
+    def test_sha256_encoding_is_unambiguous(self):
+        split_late = self._rows(["w", "w"], ["a", "b\nc"], [5.0, 6.0])
+        split_early = self._rows(["w", "w"], ["a\nb", "c"], [5.0, 6.0])
+        assert split_late.sha256() != split_early.sha256()
+        ulp = self._rows(
+            ["w", "w"], ["a", "b"], [5.0, np.nextafter(6.0, np.inf)]
+        )
+        base = self._rows(["w", "w"], ["a", "b"], [5.0, 6.0])
+        assert ulp.sha256() != base.sha256()
 
     def test_assemble_requires_compute(self):
         with pytest.raises(ValueError):
@@ -383,6 +449,13 @@ class TestDeskDataset:
     def test_shape(self, desk_dataset):
         assert desk_dataset.n_observations == 7450
         assert len(desk_dataset.workloads()) == 9
+
+    def test_sha256_format_is_pinned(self, desk_dataset):
+        # fit provenance records this value; a new value is a file-format
+        # change and belongs in the changelog
+        assert desk_dataset.sha256() == (
+            "fb75d18ca39fc763e21ca382c410ef82fee04bb8fb1ed302d75f52ad9ae9333e"
+        )
 
     def test_intensities_match_published_flops(self, desk_records):
         # config-derived x must agree with the published per-node counts to

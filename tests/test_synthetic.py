@@ -65,8 +65,7 @@ class TestTraceShape:
             desk_dir() / "traces" / f"{workload_id}.csv", workload_id
         )
         for trace in traces:
-            elapsed = np.array([s.elapsed_s for s in trace.samples])
-            assert np.allclose(np.diff(elapsed), interval)
+            assert np.allclose(np.diff(trace.elapsed_s), interval)
 
     def test_samples_respect_published_ceiling(self):
         by_id = {w.workload_id: w for w in REFERENCE_WORKLOADS}
@@ -76,9 +75,7 @@ class TestTraceShape:
                 row.workload_id,
             )
             assert len(traces) == row.nodes
-            values = np.array(
-                [s.power_kw for t in traces for s in t.samples]
-            )
+            values = np.concatenate([t.power_kw for t in traces])
             assert values.min() > 0
             assert values.max() <= by_id[row.workload_id].p_max_kw + 1e-9
 
@@ -88,10 +85,10 @@ class TestTraceShape:
             desk_dir() / "traces" / "bnl-resnet-2-1.csv", "bnl-resnet-2-1"
         )
         assert all(
-            len(t.samples) >= synthetic.MIN_SAMPLES_PER_NODE for t in traces
+            t.power_kw.size >= synthetic.MIN_SAMPLES_PER_NODE for t in traces
         )
         assert all(
-            len(t.samples) <= synthetic.MAX_SAMPLES_PER_NODE for t in traces
+            t.power_kw.size <= synthetic.MAX_SAMPLES_PER_NODE for t in traces
         )
 
 
