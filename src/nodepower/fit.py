@@ -49,7 +49,6 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
-from scipy.special import stdtr
 
 from .ingest import RegressionDataset, WorkloadTable
 from .model import FORMS, FittedModel, ModelForm, PowerParams
@@ -493,6 +492,9 @@ def wnls_fit(
     covariance: tuple[tuple[float, ...], ...] | None = None
     clusters = len(table.workload_ids)
     if compute_se:
+        # imported here so that only fits that report p-values load scipy
+        from scipy.special import stdtr
+
         # one row per cluster, unit weights: the per-observation sandwich,
         # on the reported parameter scale
         cov = cluster_robust_covariance(

@@ -23,11 +23,13 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
+import io
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -89,6 +91,8 @@ class NodeTrace:
             raise ValueError(f"{name}: elapsed_s must be >= 0")
         if not np.all(power > 0):
             raise ValueError(f"{name}: power_kw must be positive")
+        if not (np.isfinite(elapsed).all() and np.isfinite(power).all()):
+            raise ValueError(f"{name}: elapsed_s and power_kw must be finite")
 
 
 @dataclass(frozen=True)
@@ -167,14 +171,115 @@ def _open_text(
     return open(path_or_stream, mode, encoding="utf-8", newline=""), True
 
 
+def _read_text(path_or_stream: str | Path | IO[str]) -> str:
+    fh, owned = _open_text(path_or_stream)
+    try:
+        return fh.read()
+    finally:
+        if owned:
+            fh.close()
+
+
+# str.translate deletes these: every ASCII character but the separators
+_NOT_SEPARATOR = str.maketrans(
+    "", "", "".join(chr(c) for c in range(128) if chr(c) not in ",\n")
+)
+
+
+def _regular_rows(text: str) -> int | None:
+    """The number of data rows, if every line of the text has exactly four
+    fields (three commas) and fits the csv field size limit; else None.
+    Text with a character beyond ASCII reads as irregular."""
+    lines = text.count("\n") + (not text.endswith("\n"))
+    expected = ",,,\n" * lines
+    if not text.endswith("\n"):
+        expected = expected[:-1]
+    skeleton = text.translate(_NOT_SEPARATOR)
+    if skeleton != expected:
+        return None
+    # when every aligned block of this many characters holds a newline, no
+    # line reaches 2 * block - 1 characters, so every field fits the limit
+    limit = csv.field_size_limit()
+    block = max(limit // 2, 1)
+    if len(text) > limit and any(
+        text.find("\n", i, i + block) < 0
+        for i in range(0, len(text) - block + 1, block)
+    ):
+        return None
+    return lines - 1
+
+
+def _tokenize(
+    text: str, workload_id: str
+) -> tuple[list[str], Sequence[int], list[Sequence[str]], Exception | None]:
+    """Split trace text into its header, the data rows' line numbers, four
+    raw field columns, and the error that cut the rows short (or None).
+
+    The result is what ``csv.reader`` yields for the text read from a file
+    opened with ``newline=""``, blank rows left out. ASCII text without
+    quotes or carriage returns, whose every line has four fields that fit
+    the csv field size limit, is split with ``str.split``; anything else
+    goes through ``csv.reader``. The line numbers are csv's 1-based
+    ``line_num``: they count blank lines and the lines inside quoted
+    fields.
+    """
+    rows = None if '"' in text or "\r" in text else _regular_rows(text)
+    if rows is not None:
+        text = text.removesuffix("\n")
+        # When every row starts with the expected id (an id without a comma,
+        # so it is one whole field), that column is not split into strings:
+        # "\n<id>," becomes one separator. This keeps the parse's peak
+        # memory near one string per number and node.
+        prefix = "\n" + workload_id + ","
+        known = "," not in workload_id and text.count(prefix) == rows
+        joined = text.replace(prefix if known else "\n", ",")
+        del text
+        flat = joined.split(",")
+        del joined
+        wids = [workload_id] * rows if known else flat[4::4]
+        first, width = (4, 3) if known else (5, 4)
+        columns = [wids] + [flat[first + i::width] for i in range(3)]
+        return flat[:4], range(2, rows + 2), columns, None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise TraceFormatError("line 1: empty trace file")
+    data: list[list[str]] = []
+    lines: list[int] = []
+    error: Exception | None = None
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                error = TraceFormatError(
+                    f"line {reader.line_num}: expected 4 fields, "
+                    f"got {len(row)}"
+                )
+                break
+            data.append(row)
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        error = exc
+    return header, lines, list(zip(*data)) or [()] * 4, error
+
+
 def parse_trace_file(
     path_or_stream: str | Path | IO[str], workload_id: str
 ) -> tuple[NodeTrace, ...]:
     """Parse one workload's trace file into per-node traces.
 
+    The text is read once and each column is checked as a whole. On bad
+    input the error names the first offending row in file order; within a
+    row the checks run in the order: field count, workload id, node id,
+    numbers, negative elapsed time, power, non-finite value, duplicate.
+
     Parameters
     ----------
     path_or_stream : path or readable text stream
+        A stream is read as is; a named file is opened with ``newline=""``
+        so that csv sees its line endings (a stream with bare carriage
+        returns is tokenized the same way).
     workload_id : str
         Every row must carry this id; a row for a different workload is a
         format error (trace files are per-workload).
@@ -189,77 +294,105 @@ def parse_trace_file(
     ------
     TraceFormatError
         On a malformed row, a non-positive power, a negative elapsed time,
-        or a duplicate (node_id, elapsed_s) pair; the message names the
-        offending 1-based line number.
+        a non-finite number, or a duplicate (node_id, elapsed_s) pair; the
+        message names the offending 1-based line number.
     """
-    fh, owned = _open_text(path_or_stream)
+    # the text is handed on, not kept here, so that _tokenize can free it
+    # once it is split
+    header, lines, columns, error = _tokenize(
+        _read_text(path_or_stream), workload_id
+    )
+    if tuple(h.strip() for h in header) != _TRACE_HEADER:
+        raise TraceFormatError(
+            f"line 1: expected header {','.join(_TRACE_HEADER)!r}, "
+            f"got {','.join(header)!r}"
+        )
+    wids, node_text, elapsed_text, power_text = columns
+    del columns
+    n = len(wids)  # rows [0, n) passed every check so far
+
+    def fail(row: int, message: str) -> None:
+        # each check sees only the rows before the earliest failure so far,
+        # so the error that stands at the end is the first in file order
+        nonlocal n, error
+        n, error = row, TraceFormatError(f"line {lines[row]}: {message}")
+
+    # identity checks run once per distinct raw value; index() finds the
+    # first row that carries it
+    wrong = [wids.index(w) for w in dict.fromkeys(islice(wids, n))
+             if w.strip() != workload_id]
+    if wrong:
+        row = min(wrong)
+        fail(row, f"row belongs to workload {wids[row].strip()!r}, "
+                  f"expected {workload_id!r}")
+    empty = [node_text.index(v) for v in dict.fromkeys(islice(node_text, n))
+             if not v.strip()]
+    if empty:
+        fail(min(empty), "empty node_id")
     try:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError("line 1: empty trace file") from None
-        if tuple(h.strip() for h in header) != _TRACE_HEADER:
-            raise TraceFormatError(
-                f"line 1: expected header {','.join(_TRACE_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        by_node: dict[str, tuple[list[float], list[float]]] = {}
-        seen: set[tuple[str, float]] = set()
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue  # blank trailing line
-            if len(row) != 4:
-                raise TraceFormatError(
-                    f"line {line}: expected 4 fields, got {len(row)}"
-                )
-            wid, node_id, elapsed_text, power_text = (f.strip() for f in row)
-            if wid != workload_id:
-                raise TraceFormatError(
-                    f"line {line}: row belongs to workload {wid!r}, "
-                    f"expected {workload_id!r}"
-                )
-            if not node_id:
-                raise TraceFormatError(f"line {line}: empty node_id")
-            try:
-                elapsed = float(elapsed_text)
-                power = float(power_text)
-            except ValueError:
-                raise TraceFormatError(
-                    f"line {line}: non-numeric elapsed_s or power_kw"
-                ) from None
-            if elapsed < 0:
-                raise TraceFormatError(
-                    f"line {line}: negative elapsed_s ({elapsed})"
-                )
-            if not power > 0:
-                raise TraceFormatError(
-                    f"line {line}: non-positive power_kw ({power})"
-                )
-            key = (node_id, elapsed)
-            if key in seen:
-                raise TraceFormatError(
-                    f"line {line}: duplicate sample for node {node_id!r} "
-                    f"at elapsed_s={elapsed}"
-                )
-            seen.add(key)
-            times, powers = by_node.setdefault(node_id, ([], []))
-            times.append(elapsed)
-            powers.append(power)
-    finally:
-        if owned:
-            fh.close()
-    if not by_node:
+        elapsed, power = _floats(elapsed_text, n), _floats(power_text, n)
+    except ValueError:
+        fail(next(i for i in range(n) if not (
+            _is_float(elapsed_text[i]) and _is_float(power_text[i])
+        )), "non-numeric elapsed_s or power_kw")
+        elapsed, power = _floats(elapsed_text, n), _floats(power_text, n)
+    del elapsed_text, power_text  # the largest columns: free them early
+    bad = elapsed[:n] < 0
+    if bad.any():
+        row = int(bad.argmax())
+        fail(row, f"negative elapsed_s ({float(elapsed[row])})")
+    bad = ~(power[:n] > 0)
+    if bad.any():
+        row = int(bad.argmax())
+        fail(row, f"non-positive power_kw ({float(power[row])})")
+    bad_elapsed = ~np.isfinite(elapsed[:n])
+    bad = bad_elapsed | ~np.isfinite(power[:n])
+    if bad.any():
+        row = int(bad.argmax())
+        name, value = (
+            ("elapsed_s", elapsed) if bad_elapsed[row] else ("power_kw", power)
+        )
+        fail(row, f"non-finite {name} ({float(value[row])})")
+    # stripped node id -> code, in first-appearance order
+    node_ids: dict[str, int] = {}
+    code_of = {
+        v: node_ids.setdefault(v.strip(), len(node_ids))
+        for v in dict.fromkeys(islice(node_text, n))
+    }
+    codes = np.fromiter(
+        map(code_of.__getitem__, islice(node_text, n)), np.intp, n
+    )
+    order = np.lexsort((elapsed[:n], codes))  # stable: file order on ties
+    codes, times, powers = codes[order], elapsed[order], power[order]
+    same = (codes[1:] == codes[:-1]) & (times[1:] == times[:-1])
+    if same.any():
+        row = int(order[1:][same].min())
+        fail(row, f"duplicate sample for node {node_text[row].strip()!r} "
+                  f"at elapsed_s={float(elapsed[row])}")
+    if error is not None:
+        raise error
+    if not n:
         raise TraceFormatError("trace file has a header but no data rows")
-    traces = []
-    for node_id, (times, powers) in by_node.items():
-        elapsed = np.array(times)
-        order = np.argsort(elapsed, kind="stable")
-        traces.append(NodeTrace(
-            workload_id, node_id, elapsed[order], np.array(powers)[order]
-        ))
-    return tuple(traces)
+    ends = np.cumsum(np.bincount(codes, minlength=len(node_ids))).tolist()
+    # each trace owns a copy: slices would keep the file's whole sorted
+    # columns alive, one large block per file, which fragments the heap
+    return tuple(
+        NodeTrace(workload_id, node_id, times[a:b].copy(), powers[a:b].copy())
+        for node_id, a, b in zip(node_ids, [0] + ends, ends)
+    )
+
+
+def _floats(texts: Sequence[str], n: int) -> np.ndarray:
+    """The first n texts as float64, parsed by ``float``."""
+    return np.fromiter(map(float, islice(texts, n)), float, n)
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def write_trace_file(

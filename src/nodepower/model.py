@@ -28,13 +28,13 @@ node count and duration gives the energy estimate used across the toolkit.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Any, Callable, Mapping
 
 import numpy as np
-from scipy.special import expit
 
 from . import reference
 from .reference import Architecture_CNN, Architecture_LLM
@@ -186,15 +186,26 @@ def _simple_gradient(
     return _asymptotic_gradient(p, np.power(10.0, x), is_llm)
 
 
+@functools.cache
+def _expit() -> Callable[[np.ndarray], np.ndarray]:
+    """scipy's logistic function, imported on first use: importing the
+    package (scenario, predict, evaluate) does not load scipy. The cache
+    keeps the import statement out of the fit's inner loop."""
+    from scipy.special import expit
+
+    return expit
+
+
 def _sigmoid(p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
-    return p["p_idle_kw"] + p["beta_comp_kw"] * expit((x - p["x0"]) / p["k"])
+    z = (x - p["x0"]) / p["k"]
+    return p["p_idle_kw"] + p["beta_comp_kw"] * _expit()(z)
 
 
 def _sigmoid_gradient(
     p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
 ) -> dict[str, np.ndarray]:
     x0, k = p["x0"], p["k"]
-    s = expit((x - x0) / k)
+    s = _expit()((x - x0) / k)
     slope = -p["beta_comp_kw"] * s * (1.0 - s)
     return {
         "p_idle_kw": np.ones_like(x),

@@ -5,10 +5,13 @@ from __future__ import annotations
 import csv
 import filecmp
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nodepower
 from nodepower.cli import main
 from nodepower.data import desk_dir, desk_exclusions, desk_manifest
 from nodepower.model import load_model, preset, save_model
@@ -236,3 +239,21 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+
+def test_scenario_and_preset_prediction_do_not_load_scipy():
+    src = str(Path(nodepower.__file__).resolve().parents[1])
+    fleet = Path(__file__).resolve().parents[1] / "demos" / "fleet.ini"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from nodepower.cli import main; "
+        "from nodepower.model import preset; "
+        "rc = main(['scenario', '--spec', sys.argv[2]]); "
+        "preset('arch-fe').power_kw(15.0, 'llm'); "
+        "print(rc, 'scipy.special' in sys.modules, file=sys.stderr)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src, str(fleet)],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stderr.strip().splitlines()[-1] == "0 False"

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import io
+import itertools
 import math
 import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nodepower import flops, ingest
 from nodepower.ingest import (
@@ -89,6 +91,20 @@ class TestParse:
         assert n2.elapsed_s.tolist() == [0.0, 2.0]
         assert n2.power_kw.tolist() == [7.0, 7.2]
 
+    def test_non_ascii_text_parses_as_csv_does(self):
+        text = TRACE_TEXT.replace("n2", "nœud-2")
+        assert _outcome(parse_trace_file, text) == (
+            _outcome(_reference_parse, text)
+        )
+        assert [t.node_id for t in parse_trace_file(io.StringIO(text), "w1")
+                ] == ["n1", "nœud-2"]
+
+    def test_traces_own_their_columns(self):
+        # a view would keep the whole file's columns alive with any trace
+        for trace in parse_trace_file(io.StringIO(TRACE_TEXT), "w1"):
+            assert trace.elapsed_s.base is None
+            assert trace.power_kw.base is None
+
     def test_header_required(self):
         with pytest.raises(TraceFormatError, match="header"):
             parse_trace_file(io.StringIO("a,b,c,d\nw1,n1,0,5\n"), "w1")
@@ -125,6 +141,72 @@ class TestParse:
                 "w1",
             )
 
+    def test_short_row_then_long_row_reports_the_short_one(self):
+        # the two rows' field counts sum to eight: only a per-line count
+        # catches them
+        bad = TRACE_TEXT.replace("w1,n1,2.0,6.0", "w1,n1,2.0").replace(
+            "w1,n2,0.0,5.0", "w1,n2,0.0,5.0,x"
+        )
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace_file(io.StringIO(bad), "w1")
+        assert str(err.value) == "line 3: expected 4 fields, got 3"
+
+    def test_carriage_return_ends_a_line_as_in_csv(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(
+            TRACE_TEXT.replace("w1,n2,0.0,5.0", "w1,n\r2,0.0,5.0").encode()
+        )
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace_file(path, "w1")
+        assert str(err.value) == "line 4: expected 4 fields, got 2"
+
+    @pytest.mark.parametrize("quote", ['"', ""])
+    def test_csv_errors_keep_their_place_in_file_order(self, quote):
+        # a field over csv's size limit raises csv.Error, as csv.reader
+        # does, unless an earlier row is at fault
+        node = quote + "n" * (csv.field_size_limit() + 1) + quote
+        long_row = f"w1,{node},0.0,5.0\n"
+        with pytest.raises(csv.Error, match="field limit"):
+            parse_trace_file(io.StringIO(TRACE_TEXT + long_row), "w1")
+        bad = TRACE_TEXT.replace("w1,n1,2.0,6.0", "w2,n1,2.0,6.0")
+        with pytest.raises(TraceFormatError, match="^line 3: row belongs"):
+            parse_trace_file(io.StringIO(bad + long_row), "w1")
+
+    @pytest.mark.parametrize("workload_id, text", [
+        (" w1", TRACE_TEXT.replace("\nw1,", "\n w1,")),
+        ("w1,n1", "workload_id,node_id,elapsed_s,power_kw\nw1,n1,0.0,5.5\n"),
+    ])
+    def test_workload_id_is_compared_to_the_stripped_field(
+        self, workload_id, text
+    ):
+        # every row's text starts with the expected id, yet the stripped
+        # first field is "w1"
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace_file(io.StringIO(text), workload_id)
+        assert str(err.value) == (
+            f"line 2: row belongs to workload 'w1', expected {workload_id!r}"
+        )
+
+    @pytest.mark.parametrize("row, message", [
+        ("w1,n2,nan,5.0", "line 4: non-finite elapsed_s (nan)"),
+        ("w1,n2,inf,5.0", "line 4: non-finite elapsed_s (inf)"),
+        ("w1,n2,0.0,inf", "line 4: non-finite power_kw (inf)"),
+    ])
+    def test_non_finite_value_rejected_with_line_number(self, row, message):
+        bad = TRACE_TEXT.replace("w1,n2,0.0,5.0", row)
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace_file(io.StringIO(bad), "w1")
+        assert str(err.value) == message
+
+    def test_first_offending_row_in_file_order_is_reported(self):
+        # line 3 has the later check (power), line 5 the earlier (workload)
+        bad = TRACE_TEXT.replace("w1,n1,2.0,6.0", "w1,n1,2.0,0.0") + (
+            "other,n3,0.0,5.0\n"
+        )
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace_file(io.StringIO(bad), "w1")
+        assert str(err.value) == "line 3: non-positive power_kw (0.0)"
+
 
 @given(
     st.lists(
@@ -145,6 +227,195 @@ def test_parse_write_round_trip_random(values, n_nodes):
         assert parsed.node_id == orig.node_id
         assert parsed.power_kw.tolist() == list(values)
         assert parsed.elapsed_s.tolist() == orig.elapsed_s.tolist()
+
+
+def _reference_parse(fh, workload_id):
+    """The row-by-row csv loop that the bulk parser replaced, with the
+    non-finite check added: (node_id, elapsed_s, power_kw) per node."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceFormatError("line 1: empty trace file") from None
+    if tuple(h.strip() for h in header) != ingest._TRACE_HEADER:
+        raise TraceFormatError(
+            f"line 1: expected header {','.join(ingest._TRACE_HEADER)!r}, "
+            f"got {','.join(header)!r}"
+        )
+    by_node = {}
+    seen = set()
+    for row in reader:
+        line = reader.line_num
+        if not row:
+            continue
+        if len(row) != 4:
+            raise TraceFormatError(
+                f"line {line}: expected 4 fields, got {len(row)}"
+            )
+        wid, node_id, elapsed_text, power_text = (f.strip() for f in row)
+        if wid != workload_id:
+            raise TraceFormatError(
+                f"line {line}: row belongs to workload {wid!r}, "
+                f"expected {workload_id!r}"
+            )
+        if not node_id:
+            raise TraceFormatError(f"line {line}: empty node_id")
+        try:
+            elapsed = float(elapsed_text)
+            power = float(power_text)
+        except ValueError:
+            raise TraceFormatError(
+                f"line {line}: non-numeric elapsed_s or power_kw"
+            ) from None
+        if elapsed < 0:
+            raise TraceFormatError(
+                f"line {line}: negative elapsed_s ({elapsed})"
+            )
+        if not power > 0:
+            raise TraceFormatError(
+                f"line {line}: non-positive power_kw ({power})"
+            )
+        if not math.isfinite(elapsed):
+            raise TraceFormatError(
+                f"line {line}: non-finite elapsed_s ({elapsed})"
+            )
+        if not math.isfinite(power):
+            raise TraceFormatError(
+                f"line {line}: non-finite power_kw ({power})"
+            )
+        key = (node_id, elapsed)
+        if key in seen:
+            raise TraceFormatError(
+                f"line {line}: duplicate sample for node {node_id!r} "
+                f"at elapsed_s={elapsed}"
+            )
+        seen.add(key)
+        times, powers = by_node.setdefault(node_id, ([], []))
+        times.append(elapsed)
+        powers.append(power)
+    if not by_node:
+        raise TraceFormatError("trace file has a header but no data rows")
+    out = []
+    for node_id, (times, powers) in by_node.items():
+        order = np.argsort(np.array(times), kind="stable")
+        out.append(
+            (node_id, np.array(times)[order], np.array(powers)[order])
+        )
+    return out
+
+
+_DEFECTS = (
+    "non-finite", "duplicate", "power", "negative", "numeric", "node",
+    "workload", "fields",
+)
+
+
+@st.composite
+def _trace_texts(draw):
+    """Trace text with blank lines, padded and quoted fields, CRLF or CR
+    line endings, rows out of time order, and up to two injected defects.
+    About half the examples use none of quotes, CR or blank lines, so that
+    both of the parser's tokenizers see every defect."""
+    plain = draw(st.booleans())
+    nodes = ("n1", " n1\t", "n2") if plain else ("n1", "n2", "node,3", "n\n4")
+    n = draw(st.integers(0, 8))
+    times = draw(st.permutations(range(n)))
+    rows = [
+        [
+            draw(st.sampled_from(["w1", "w1 "])),
+            draw(st.sampled_from(nodes)),
+            draw(st.sampled_from([f"{t}", f"{t}.0", f"{2 * t}e-1"])),
+            repr(draw(st.floats(0.5, 12.0))),
+        ]
+        for t in times
+    ]
+    defects = draw(st.lists(
+        st.tuples(st.sampled_from(_DEFECTS), st.integers(0, max(n - 1, 0))),
+        max_size=2 if n else 0,
+    ))
+    # a changed field count last, so that the other defects find their field
+    for kind, i in sorted(defects, key=lambda d: d[0] == "fields"):
+        row = rows[i]
+        if kind == "fields":
+            row.append("x") if draw(st.booleans()) else row.pop()
+        elif kind == "workload":
+            row[0] = "w2"
+        elif kind == "node":
+            row[1] = draw(st.sampled_from(["", " "]))
+        elif kind == "numeric":
+            row[draw(st.sampled_from([2, 3]))] = "seven"
+        elif kind == "negative":
+            row[2] = draw(st.sampled_from(["-1.5", "-inf"]))
+        elif kind == "power":
+            row[3] = draw(st.sampled_from(["0", "-2.5", "nan", "-0.0"]))
+        elif kind == "non-finite":
+            column, value = draw(st.sampled_from(
+                [(2, "nan"), (2, "inf"), (3, "inf"), (3, "Infinity")]
+            ))
+            row[column] = value
+        elif n > 1:  # duplicate: another row's node and time
+            j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+            row[1:3] = rows[j][1:3]
+
+    def field(value):
+        if plain:
+            return value
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        value = pad + value + pad
+        if any(c in value for c in ',\n"') or draw(st.booleans()):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
+    lines = [",".join(map(field, ingest._TRACE_HEADER))]
+    lines += [",".join(map(field, row)) for row in rows]
+    if not plain:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(1, len(lines))), "")
+    eol = "\n" if plain else draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _outcome(parse, text):
+    """The error message, or each trace's node id and column bytes."""
+    try:
+        traces = parse(io.StringIO(text, newline=""), "w1")
+    except TraceFormatError as exc:
+        return str(exc)
+    return [
+        (node, elapsed.dtype, elapsed.tobytes(), power.tobytes())
+        for node, elapsed, power in (
+            (t.node_id, t.elapsed_s, t.power_kw) if isinstance(t, NodeTrace)
+            else t for t in traces
+        )
+    ]
+
+
+# one row per defect kind, each bad on its own after "w1,n1,0.0,5.5"
+_DEFECT_ROWS = {
+    "fields": "w1,n2,0.0",
+    "workload": "w2,n2,0.0,5.0",
+    "node": "w1, ,0.0,5.0",
+    "numeric": "w1,n2,zero,5.0",
+    "negative": "w1,n2,-1.0,5.0",
+    "power": "w1,n2,0.0,0.0",
+    "non-finite": "w1,n2,0.0,inf",
+    "duplicate": "w1,n1,0.0,5.0",
+}
+
+
+def test_every_pair_of_defects_reports_the_earlier_row():
+    header = "workload_id,node_id,elapsed_s,power_kw\nw1,n1,0.0,5.5\n"
+    for a, b in itertools.product(_DEFECT_ROWS.values(), repeat=2):
+        text = f"{header}{a}\n{b}\n"
+        expected = _outcome(_reference_parse, text)
+        assert expected.startswith("line 3: ")
+        assert _outcome(parse_trace_file, text) == expected, text
+
+
+@settings(max_examples=300)
+@given(_trace_texts())
+def test_bulk_parse_matches_row_by_row_reference(text):
+    assert _outcome(parse_trace_file, text) == _outcome(_reference_parse, text)
 
 
 def _node_trace(elapsed, power):
@@ -175,6 +446,15 @@ class TestTraceTypes:
     def test_columns_must_align(self):
         with pytest.raises(ValueError, match="equal length"):
             _node_trace([0.0, 2.0], [5.0])
+
+    @pytest.mark.parametrize("elapsed, power", [
+        ([0.0, np.nan], [5.0, 5.0]),
+        ([0.0, np.inf], [5.0, 5.0]),
+        ([0.0, 2.0], [5.0, np.inf]),
+    ])
+    def test_non_finite_values_rejected(self, elapsed, power):
+        with pytest.raises(ValueError, match="finite"):
+            _node_trace(elapsed, power)
 
     def test_columns_are_float_arrays(self):
         t = _node_trace((0, 2), (5, 6))
