@@ -27,11 +27,17 @@ keeps that definition, and the tests check the grouped fit against it.
 With at most two free parameters per stage, the optimizer is a damped
 Gauss-Newton with analytic Jacobians and a fixed multi-start grid over the
 shape parameters (the objective has a mild ridge; restarts are cheaper than
-cleverness); a small final step counts as convergence only at a full-rank
-Jacobian and a relative offset of at most 1e-3. A golden-section scan backs
-up the one-parameter stages in the unlikely event Gauss-Newton stalls.
-Everything is deterministic: same data in, same estimates out, to the last
-bit.
+cleverness). All starts of a fit, and in ``loocv`` every start of every
+holdout, iterate together as one array problem: the parameters of B
+problems form a (B, p) array, each problem halves its own step and stops on
+its own, and the least-squares step is solved in closed form. A batch
+larger than ``BATCH_ELEMENTS`` problems x workloads runs in slices, which
+bounds its memory. Every reduction runs along one problem's row, so each
+problem is bit-identical to a run on its own. A small final step counts as
+convergence only at a full-rank Jacobian and a relative offset of at most
+1e-3. A golden-section scan backs up the one-parameter stages in the
+unlikely event Gauss-Newton stalls. Everything is deterministic: same data
+in, same estimates out, to the last bit.
 
 Every curve, gradient and parameter role comes from the form table,
 ``nodepower.model.FORMS``; this module holds no formula of its own and
@@ -51,7 +57,7 @@ from typing import Any, Callable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .ingest import RegressionDataset, WorkloadTable
-from .model import FORMS, FittedModel, ModelForm, PowerParams
+from .model import FORMS, FittedModel, FormSpec, ModelForm, PowerParams
 from .reference import (
     Architecture_LLM,
     BURN_POWER_KW,
@@ -206,11 +212,16 @@ def apply_exclusions(
 # ---------------------------------------------------------------------------
 
 OFFSET_TOL = 1e-3  # Bates & Watts' suggested relative-offset threshold
+MAX_HALVINGS = 40  # step halvings per iteration before a problem stops
+BATCH_ELEMENTS = 8192  # problems x workloads per Gauss-Newton batch
+_LN10 = math.log(10.0)
+_EPS = float(np.finfo(float).eps)
 
 
-def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
+def _relative_change(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Largest relative parameter change of each problem (row)."""
     scale = np.maximum(np.abs(old), 1e-12)
-    return float(np.max(np.abs(new - old) / scale))
+    return (np.abs(new - old) / scale).max(axis=-1)
 
 
 def _relative_offset(r: np.ndarray, J: np.ndarray, floor: float) -> float:
@@ -225,7 +236,7 @@ def _relative_offset(r: np.ndarray, J: np.ndarray, floor: float) -> float:
         return math.inf
     q, R = np.linalg.qr(J / norms)
     # with unit columns (at most two here) |R_ii| is 1 or a sine
-    if not np.min(np.abs(np.diag(R))) > np.finfo(float).eps * n:
+    if not np.min(np.abs(np.diag(R))) > _EPS * n:
         return math.inf
     qtr = q.T @ r
     orth = r - q @ qtr
@@ -233,42 +244,211 @@ def _relative_offset(r: np.ndarray, J: np.ndarray, floor: float) -> float:
     return math.sqrt(float(qtr @ qtr) / p) / max(scale, floor, 1e-300)
 
 
+def _internal(spec: FormSpec, name: str, value: float) -> float:
+    """A parameter value on the optimizer's scale: log10 of a log10-scale
+    parameter, the value itself otherwise."""
+    if name not in spec.log10:
+        return float(value)
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
+    return math.log10(value)
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum along the last axis: one problem's row at a time, pairwise,
+    never a BLAS dot, so a problem's sums do not depend on its batch."""
+    return np.add.reduce(a, axis=-1)
+
+
+class _Objective:
+    """One fit stage's weighted SSE on T tables of n workloads each.
+
+    Table t holds the rows ``keep[t]`` of a workload table. B problems are
+    solved at once: their free parameters, on the optimizer's scale, are
+    the rows of a (B, p) array ``theta``, and ``rows`` (B,) names each
+    problem's table. With one table every problem reads its columns as they
+    are, broadcast. Every step is elementwise or a sum along the last axis,
+    so a problem's numbers do not depend on the batch it runs in.
+    """
+
+    def __init__(
+        self,
+        spec: FormSpec,
+        fixed: Mapping[str, float],
+        free: tuple[str, ...],
+        table: WorkloadTable,
+        keep: np.ndarray,
+    ) -> None:
+        self.spec = spec
+        self.fixed = dict(fixed)
+        self.free = free
+        self.log10_cols = [i for i, n in enumerate(free) if n in spec.log10]
+        self.lower = np.array([
+            _internal(spec, n, spec.lower[n]) if n in spec.lower else -np.inf
+            for n in free
+        ])
+        self.x = table.x[keep]
+        self.arch = table.arch[keep]
+        self.is_llm = self.arch == Architecture_LLM
+        self.y = table.mean_kw[keep]
+        # the weighted SSE's part that no curve can explain
+        self.within = _row_sum((table.within_ss / table.n)[keep])
+
+    @staticmethod
+    def _take(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return column[0] if len(column) == 1 else column[rows]
+
+    def user(self, theta: np.ndarray) -> np.ndarray:
+        """Free parameters on the user scale, (B, p)."""
+        if not self.log10_cols:
+            return theta
+        out = theta.copy()
+        out[:, self.log10_cols] = 10.0 ** theta[:, self.log10_cols]
+        return out
+
+    def _params(self, user: np.ndarray) -> dict[str, Any]:
+        params: dict[str, Any] = dict(self.fixed)
+        for i, name in enumerate(self.free):
+            params[name] = user[:, i:i + 1]
+        return params
+
+    def residual(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Workload-mean residuals, (B, n)."""
+        curve = self.spec.curve(
+            self._params(self.user(theta)),
+            self._take(self.x, rows), self._take(self.is_llm, rows),
+        )
+        return self._take(self.y, rows) - curve
+
+    def sse(self, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Weighted SSE of each problem from its residuals, (B,)."""
+        return _row_sum(r * r) + self._take(self.within, rows)
+
+    def gradient(
+        self, theta: np.ndarray, rows: np.ndarray
+    ) -> list[np.ndarray]:
+        """d curve / d user-scale parameter, one (B, n) array per free
+        parameter."""
+        x = self._take(self.x, rows)
+        grad = self.spec.gradient(
+            self._params(self.user(theta)), x, self._take(self.is_llm, rows)
+        )
+        shape = (len(theta), x.shape[-1])
+        # a column that no free parameter enters is one row for all
+        return [
+            g if g.shape == shape else np.broadcast_to(g, shape)
+            for g in (grad[n] for n in self.free)
+        ]
+
+    def jacobian(
+        self, theta: np.ndarray, rows: np.ndarray
+    ) -> list[np.ndarray]:
+        """d curve / d theta: d value / d log10(value) = value * ln 10."""
+        J = self.gradient(theta, rows)
+        if self.log10_cols:
+            user = self.user(theta)
+            for i in self.log10_cols:
+                J[i] = J[i] * (user[:, i:i + 1] * _LN10)
+        return J
+
+
+def _lstsq_step(J: list[np.ndarray], r: np.ndarray) -> np.ndarray:
+    """Least-squares solution d of J d = r for each problem, p <= 2.
+
+    ``J`` holds the p columns, each (B, n). A two-column Gram-Schmidt QR,
+    summed row by row. A rank-deficient J gives a non-finite step: a zero
+    column, or two columns at an angle whose sine is at most n * eps (the
+    rank test of ``_relative_offset``). Called under the kernel's
+    ``np.errstate``, where those divisions are silent.
+    """
+    d = np.empty((len(r), len(J)))
+    r11 = np.sqrt(_row_sum(J[0] * J[0]))
+    q1 = J[0] / r11[:, None]
+    b1 = _row_sum(q1 * r)
+    if len(J) == 1:
+        d[:, 0] = b1 / r11
+        return d
+    r12 = _row_sum(q1 * J[1])
+    v = J[1] - r12[:, None] * q1
+    r22 = np.sqrt(_row_sum(v * v))
+    sine = r22 / np.sqrt(_row_sum(J[1] * J[1]))
+    r22[~(sine > _EPS * r.shape[-1])] = np.nan
+    d[:, 1] = _row_sum(v * r) / (r22 * r22)
+    d[:, 0] = (b1 - r12 * d[:, 1]) / r11
+    return d
+
+
 def _gauss_newton(
-    sse_fn: Callable[[np.ndarray], float],
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
+    objective: _Objective,
     theta0: np.ndarray,
-    lower: np.ndarray,
+    rows: np.ndarray,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, float, bool]:
-    """Damped Gauss-Newton: full step, halved until the objective drops."""
-    theta = np.maximum(theta0, lower)
-    sse = sse_fn(theta)
-    converged = False
-    for _ in range(max_iter):
-        r = residual_fn(theta)
-        J = jacobian_fn(theta)
-        dtheta, *_ = np.linalg.lstsq(J, r, rcond=None)
-        if not np.all(np.isfinite(dtheta)):
-            break
-        step = 1.0
-        accepted = None
-        for _ in range(40):
-            cand = np.maximum(theta + step * dtheta, lower)
-            sse_cand = sse_fn(cand)
-            if sse_cand <= sse * (1.0 + 1e-14) + 1e-300:
-                accepted = (cand, sse_cand)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton on B independent problems at once.
+
+    Each problem takes its full step, halved (at most ``MAX_HALVINGS``
+    times) until its SSE does not rise. It stops converged on a relative
+    step below ``tol``; unconverged on a non-finite step, on no descent,
+    or after ``max_iter`` iterations. Returns theta (B, p), SSE (B,) and
+    the converged flags (B,).
+    """
+    # Problems are independent, and each is bit-identical alone or in a
+    # batch. A batch holds about ten B x n arrays at once (the curve, its
+    # gradient, the step), and a LOOCV batch grows with the square of the
+    # workloads, so a large one runs in slices of at most BATCH_ELEMENTS.
+    size = max(1, BATCH_ELEMENTS // objective.x.shape[-1])
+    if len(theta0) > size:
+        parts = [
+            _gauss_newton(
+                objective, theta0[i:i + size], rows[i:i + size], tol,
+                max_iter,
+            )
+            for i in range(0, len(theta0), size)
+        ]
+        return tuple(np.concatenate(a) for a in zip(*parts))
+    # a step or candidate that overflows or divides by zero is non-finite,
+    # which the rules below read as a stop or a rejection
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lower = objective.lower
+        theta = np.maximum(theta0, lower)
+        resid = objective.residual(theta, rows)
+        sse = objective.sse(resid, rows)
+        converged = np.zeros(len(theta), dtype=bool)
+        live = np.arange(len(theta))  # problems still iterating
+        for _ in range(max_iter):
+            step = _lstsq_step(
+                objective.jacobian(theta[live], rows[live]), resid[live]
+            )
+            finite = np.isfinite(step).all(axis=-1)
+            # the problems still halving: index, point, step, table, SSE limit
+            todo = live[finite]
+            if not todo.size:
                 break
-            step *= 0.5
-        if accepted is None:
-            break
-        cand, sse_cand = accepted
-        change = _relative_change(cand, theta)
-        theta, sse = cand, sse_cand
-        if change < tol:
-            converged = True
-            break
+            at, step, at_rows = theta[todo], step[finite], rows[todo]
+            limit = sse[todo] * (1.0 + 1e-14) + 1e-300
+            going = [todo[:0]]
+            scale = 1.0
+            for _ in range(MAX_HALVINGS):
+                cand = np.maximum(at + scale * step, lower)
+                cand_resid = objective.residual(cand, at_rows)
+                cand_sse = objective.sse(cand_resid, at_rows)
+                down = cand_sse <= limit
+                if down.any():
+                    moved = todo[down]
+                    small = _relative_change(cand[down], at[down]) < tol
+                    theta[moved] = cand[down]
+                    resid[moved] = cand_resid[down]
+                    sse[moved] = cand_sse[down]
+                    converged[moved[small]] = True
+                    going.append(moved[~small])
+                    if down.all():
+                        break
+                    up = ~down
+                    todo, at, step = todo[up], at[up], step[up]
+                    at_rows, limit = at_rows[up], limit[up]
+                scale *= 0.5
+            live = np.concatenate(going)
     return theta, sse, converged
 
 
@@ -299,6 +479,97 @@ def _golden_section(
             fd = sse_fn(np.array([d]))
     mid = 0.5 * (a + b)
     return mid, sse_fn(np.array([mid]))
+
+
+def _start_points(
+    spec: FormSpec,
+    free: tuple[str, ...],
+    x: np.ndarray,
+    starts: Sequence[Mapping[str, float]] | None = None,
+) -> np.ndarray:
+    """One start per distinct point on the free parameters, (S, p), on the
+    optimizer's scale; the form table's starts from intensities ``x`` by
+    default."""
+    points = dict.fromkeys(
+        tuple(_internal(spec, n, s[n]) for n in free)
+        for s in (spec.starts(x) if starts is None else starts)
+    )
+    return np.array(list(points), dtype=float)
+
+
+def _check_identified(
+    spec: FormSpec, free: tuple[str, ...], x: np.ndarray, arch: np.ndarray
+) -> None:
+    """Raise DegenerateDataError unless one table's intensities ``x`` and
+    architectures ``arch`` can identify the free parameters."""
+    if np.unique(x).size < 2:
+        raise DegenerateDataError(
+            "need at least two distinct intensity values"
+        )
+    for name in free:
+        needed = spec.per_arch.get(name)
+        if needed is not None and not np.any(arch == needed):
+            raise DegenerateDataError(
+                f"no {needed.upper()} observations to identify {name}"
+            )
+
+
+def _winner(
+    objective: _Objective,
+    index: int,
+    theta: np.ndarray,
+    sse: np.ndarray,
+    converged: np.ndarray,
+    form: ModelForm,
+    tol: float,
+    max_iterations: int,
+) -> tuple[np.ndarray, float]:
+    """The optimum of table ``index`` from its starts' runs: theta (p,)
+    and its SSE.
+
+    Raises NonConvergenceError when the winning run is not at an optimum
+    and the golden-section fallback does not apply or finds nothing lower.
+    """
+    # starts that reach one optimum differ in SSE only by rounding: take
+    # the first, in start order, within rounding of the lowest SSE, so
+    # that the winner does not depend on summation order
+    lowest = np.fmin.reduce(sse)
+    best = int(np.argmax(sse <= lowest * (1.0 + 1e-12)))
+    theta, sse_best, ok = theta[best], float(sse[best]), bool(converged[best])
+    rows = np.array([index])
+    if ok:
+        # a run that creeps along a ridge also stops on a small step (a
+        # sigmoid off to x0 -> -inf, k -> +inf is flat over the data: its
+        # Jacobian has rank 1); residuals below sqrt(eps) of the data's
+        # RMS are rounding
+        y = objective.y[index]
+        ok = _relative_offset(
+            objective.residual(theta[None], rows)[0],
+            np.column_stack(
+                [j[0] for j in objective.jacobian(theta[None], rows)]
+            ),
+            math.sqrt(_EPS * float(np.mean(y * y))),
+        ) <= OFFSET_TOL
+
+    if not ok and len(theta) == 1:
+        # fall back to a bracketing scan around the best point found
+        def sse_fn(th: np.ndarray) -> float:
+            r = objective.residual(th[None], rows)
+            return float(objective.sse(r, rows)[0])
+
+        width = max(1.0, abs(float(theta[0])))
+        lo = max(float(objective.lower[0]), float(theta[0]) - 4.0 * width)
+        hi = float(theta[0]) + 4.0 * width
+        mid, sse_gs = _golden_section(sse_fn, lo, hi, tol)
+        if sse_gs <= sse_best:
+            theta, sse_best, ok = np.array([mid]), sse_gs, True
+    if not ok:
+        raise NonConvergenceError(
+            f"{form.value} fit did not converge within {max_iterations} "
+            "iterations, or stopped at a rank-deficient Jacobian or a "
+            f"relative offset above {OFFSET_TOL:g}"
+        )
+    return theta, sse_best
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +603,8 @@ def wnls_fit(
         Start points (user scale). Defaults to the form table's start
         points taken on the free parameters, duplicates dropped: the
         multi-start grid when the shape is free, one start otherwise.
-        Of the starts that reach the lowest SSE (within 1e-12 relative),
-        the first wins.
+        All starts are iterated together as one batch. Of the starts that
+        reach the lowest SSE (within 1e-12 relative), the first wins.
     compute_se : bool
         Attach cluster-robust standard errors. Point estimates are
         independent of this flag.
@@ -378,113 +649,25 @@ def wnls_fit(
         if isinstance(dataset, RegressionDataset)
         else dataset
     )
-    if np.unique(table.x).size < 2:
-        raise DegenerateDataError(
-            "need at least two distinct intensity values"
-        )
-    for name in free:
-        arch = spec.per_arch.get(name)
-        if arch is not None and not np.any(table.arch == arch):
-            raise DegenerateDataError(
-                f"no {arch.upper()} observations to identify {name}"
-            )
-
-    y = table.mean_kw
-    x = table.x
-    is_llm = table.arch == Architecture_LLM
-    # the weighted SSE's part that no curve can explain
-    within = float(np.sum(table.within_ss / table.n))
-
-    # the optimizer sees log10 of each log10-scale parameter
-    on_log10 = [n in spec.log10 for n in free]
-
-    def internal(name: str, value: float) -> float:
-        if name not in spec.log10:
-            return float(value)
-        if not value > 0:
-            raise ValueError(f"{name} must be positive")
-        return math.log10(value)
-
+    _check_identified(spec, free, table.x, table.arch)
     fixed = {n: float(v) for n, v in fixed_params.items()}
     for n, v in fixed.items():
-        internal(n, v)  # rejects a non-positive log10-scale value
+        _internal(spec, n, v)  # rejects a non-positive log10-scale value
 
-    def params_at(theta: np.ndarray) -> dict[str, float]:
-        p = dict(fixed)
-        for n, v, log in zip(free, theta, on_log10):
-            p[n] = 10.0 ** float(v) if log else float(v)
-        return p
-
-    def residual_fn(theta: np.ndarray) -> np.ndarray:
-        return y - spec.curve(params_at(theta), x, is_llm)
-
-    def sse_fn(theta: np.ndarray) -> float:
-        r = residual_fn(theta)
-        return float(r @ r) + within
-
-    def gradient_fn(theta: np.ndarray) -> np.ndarray:
-        """Jacobian with respect to the user-scale parameters."""
-        grad = spec.gradient(params_at(theta), x, is_llm)
-        return np.column_stack([grad[n] for n in free])
-
-    def jacobian_fn(theta: np.ndarray) -> np.ndarray:
-        # d value / d log10(value) = value * ln 10
-        chain = [
-            10.0 ** float(v) * math.log(10.0) if log else 1.0
-            for v, log in zip(theta, on_log10)
-        ]
-        return gradient_fn(theta) * chain
-
-    lower = np.array([
-        internal(n, spec.lower[n]) if n in spec.lower else -np.inf
-        for n in free
-    ])
-    # one start per distinct point on the free parameters
-    points = dict.fromkeys(
-        tuple(internal(n, s[n]) for n in free)
-        for s in (spec.starts(table.x) if starts is None else starts)
+    objective = _Objective(
+        spec, fixed, free, table, np.arange(len(table.x))[None]
     )
-    runs = [
-        _gauss_newton(
-            sse_fn, residual_fn, jacobian_fn, np.array(theta0), lower,
+    theta0 = _start_points(spec, free, table.x, starts)
+    theta, sse = _winner(
+        objective, 0,
+        *_gauss_newton(
+            objective, theta0, np.zeros(len(theta0), dtype=int),
             convergence_tol, max_iterations,
-        )
-        for theta0 in points
-    ]
-    # starts that reach one optimum differ in SSE only by rounding: take
-    # the first, in start order, within rounding of the lowest SSE, so
-    # that the winner does not depend on summation order
-    lowest = min(sse for _, sse, _ in runs)
-    theta, sse, converged = next(
-        run for run in runs if not run[1] > lowest * (1.0 + 1e-12)
+        ),
+        form, convergence_tol, max_iterations,
     )
-    # a run that creeps along a ridge also stops on a small step (a sigmoid
-    # off to x0 -> -inf, k -> +inf is flat over the data: its Jacobian has
-    # rank 1); residuals below sqrt(eps) of the data's RMS are rounding
-    converged = converged and _relative_offset(
-        residual_fn(theta), jacobian_fn(theta),
-        math.sqrt(np.finfo(float).eps * float(np.mean(y * y))),
-    ) <= OFFSET_TOL
-
-    if not converged and len(free) == 1:
-        # fall back to a bracketing scan around the best point found
-        width = max(1.0, abs(float(theta[0])))
-        lo = max(float(lower[0]), float(theta[0]) - 4.0 * width)
-        hi = float(theta[0]) + 4.0 * width
-        mid, sse_gs = _golden_section(sse_fn, lo, hi, convergence_tol)
-        if sse_gs <= sse:
-            theta = np.array([mid])
-            sse = sse_gs
-            converged = True
-    if not converged:
-        raise NonConvergenceError(
-            f"{form.value} fit did not converge within {max_iterations} "
-            "iterations, or stopped at a rank-deficient Jacobian or a "
-            f"relative offset above {OFFSET_TOL:g}"
-        )
-
-    optimum = params_at(theta)
-    estimates = {n: optimum[n] for n in free}
+    optimum = objective.user(theta[None])[0]
+    estimates = {n: float(v) for n, v in zip(free, optimum)}
 
     robust_se: dict[str, float] = {}
     t_value: dict[str, float] = {}
@@ -497,8 +680,13 @@ def wnls_fit(
 
         # one row per cluster, unit weights: the per-observation sandwich,
         # on the reported parameter scale
+        rows = np.zeros(1, dtype=int)
         cov = cluster_robust_covariance(
-            gradient_fn(theta), residual_fn(theta), np.ones(clusters),
+            np.column_stack(
+                [g[0] for g in objective.gradient(theta[None], rows)]
+            ),
+            objective.residual(theta[None], rows)[0],
+            np.ones(clusters),
             table.workload_ids,
         )
         covariance = tuple(tuple(float(v) for v in row) for row in cov)
@@ -520,7 +708,7 @@ def wnls_fit(
         clusters=clusters,
         observations=table.n_observations,
         weighted_sse=sse,
-        converged=converged,
+        converged=True,
         exclusions=exclusions,
         param_order=free,
         covariance=covariance,
@@ -590,21 +778,17 @@ def cluster_robust_covariance(
 # the two-stage procedure
 # ---------------------------------------------------------------------------
 
-def _stage1(
-    table: WorkloadTable, form: ModelForm, config: FitConfig
-) -> FitResult:
-    """Shape estimation with magnitudes pinned to the measured anchors."""
+def _stage1_constraints(
+    form: ModelForm, config: FitConfig
+) -> tuple[ModelForm, dict[str, float], tuple[str, ...]]:
+    """Stage 1's form, its magnitudes pinned to the measured anchors, and
+    its free shape parameters."""
     spec = FORMS[form]
     fixed = {"p_idle_kw": config.stage1_p_idle_kw}
     for name in FORMS[spec.stage1_form].params:
         if name not in fixed and name not in spec.shape:
             fixed[name] = config.stage1_beta_kw
-    return wnls_fit(
-        table, spec.stage1_form, fixed, spec.shape,
-        convergence_tol=config.convergence_tol,
-        max_iterations=config.max_iterations,
-        compute_se=config.compute_se,
-    )
+    return spec.stage1_form, fixed, spec.shape
 
 
 def two_stage_fit(
@@ -629,7 +813,12 @@ def two_stage_fit(
     if config.shape_override is not None:
         shape = {n: float(config.shape_override[n]) for n in spec.shape}
     else:
-        stage1_result = _stage1(data, form, config)
+        stage1_result = wnls_fit(
+            data, *_stage1_constraints(form, config),
+            convergence_tol=config.convergence_tol,
+            max_iterations=config.max_iterations,
+            compute_se=config.compute_se,
+        )
         shape = dict(stage1_result.estimates)
 
     free = spec.stage2_free
@@ -673,11 +862,34 @@ def loocv(
         raise DegenerateDataError(
             "leave-one-out needs at least three workloads"
         )
-    quiet = replace(config, compute_se=False)
+    stage_form, fixed, free = _stage1_constraints(form, config)
+    spec = FORMS[stage_form]
+    # holdout h's table is the workload table without row h, in table
+    # order: its row j is table row j + (j >= h)
+    g = len(workloads)
+    cols = np.arange(g - 1)
+    keep = cols + (cols >= np.arange(g)[:, None])
+    objective = _Objective(spec, fixed, free, table, keep)
+    # each holdout gets its own starts, from its own intensities; all
+    # (holdout, start) problems iterate as one batch
+    starts = [_start_points(spec, free, x) for x in objective.x]
+    counts = [len(s) for s in starts]
+    runs = _gauss_newton(
+        objective, np.concatenate(starts),
+        np.repeat(np.arange(g), counts),
+        config.convergence_tol, config.max_iterations,
+    )
+    bounds = np.cumsum([0, *counts])
     per_holdout: dict[str, dict[str, float]] = {}
-    for wid in workloads:
-        held = _stage1(table.drop([wid]), form, quiet)
-        per_holdout[wid] = dict(held.estimates)
+    for h, wid in enumerate(workloads):
+        _check_identified(spec, free, objective.x[h], objective.arch[h])
+        mine = slice(bounds[h], bounds[h + 1])
+        theta, _ = _winner(
+            objective, h, *(a[mine] for a in runs),
+            stage_form, config.convergence_tol, config.max_iterations,
+        )
+        optimum = objective.user(theta[None])[0]
+        per_holdout[wid] = {n: float(v) for n, v in zip(free, optimum)}
     parameters = FORMS[form].shape
     mean: dict[str, float] = {}
     sd: dict[str, float] = {}

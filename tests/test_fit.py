@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from scipy.special import expit
 
 import nodepower
 import nodepower.fit as fitmod
+from nodepower import ingest, synthetic
 from nodepower.fit import (
     DegenerateDataError,
     FitConfig,
@@ -32,6 +34,7 @@ from nodepower.fit import (
     two_stage_fit,
     wnls_fit,
 )
+from nodepower.flops import FlopsMismatchWarning
 from nodepower.ingest import RegressionDataset
 from nodepower.model import FORMS, ModelForm
 from nodepower.reference import Architecture_CNN, Architecture_LLM
@@ -768,6 +771,187 @@ class TestRelativeOffset:
         assert fitmod._relative_offset(
             np.array([3e-4, 4e-4]), J, 0.1
         ) == pytest.approx(5e-4 / np.sqrt(2) / 0.1, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# starts and holdouts as one batch
+# ---------------------------------------------------------------------------
+
+LOOCV_FORMS = (ModelForm.LOG_ASYMPTOTIC, ModelForm.SIGMOID)
+
+
+@pytest.fixture(scope="module")
+def many_workload_dataset(tmp_path_factory):
+    """Four seeds of the synthetic desk stand-in as one 36-workload set."""
+    parts = []
+    for seed in range(4):
+        made = synthetic.generate(
+            tmp_path_factory.mktemp(f"seed{seed}"), seed=seed
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FlopsMismatchWarning)
+            _, ds = ingest.load_and_assemble(made.manifest)
+        parts.append((seed, ds))
+    return RegressionDataset(
+        workload_ids=np.array([
+            f"s{seed}-{w}" for seed, ds in parts
+            for w in ds.workload_ids.tolist()
+        ]),
+        node_ids=np.concatenate([ds.node_ids for _, ds in parts]),
+        power_kw=np.concatenate([ds.power_kw for _, ds in parts]),
+        x=np.concatenate([ds.x for _, ds in parts]),
+        arch=np.concatenate([ds.arch for _, ds in parts]),
+    )
+
+
+def _stage1_fixed(config):
+    return {
+        "p_idle_kw": config.stage1_p_idle_kw,
+        "beta_comp_kw": config.stage1_beta_kw,
+    }
+
+
+def _stage1_sse(table, form, estimates, config):
+    """Stage-1 weighted SSE of shape ``estimates`` on a workload table."""
+    idle, beta = config.stage1_p_idle_kw, config.stage1_beta_kw
+    if form is ModelForm.SIGMOID:
+        z = (table.x - estimates["x0"]) / estimates["k"]
+        curve = idle + beta * expit(z)
+    else:
+        curve = asym(table.x, idle, beta, estimates["alpha"])
+    e = table.mean_kw - curve
+    return float(np.sum(e * e) + np.sum(table.within_ss / table.n))
+
+
+class TestBatchedLoocv:
+    @pytest.mark.parametrize(
+        "form", (*LOOCV_FORMS, ModelForm.SIMPLE_ASYMPTOTIC),
+        ids=lambda f: f.value,
+    )
+    @pytest.mark.parametrize("data", ["desk", "many"])
+    def test_each_holdout_equals_its_own_stage1_fit(
+        self, form, data, desk_dataset, many_workload_dataset
+    ):
+        ds = desk_dataset if data == "desk" else many_workload_dataset
+        config = FitConfig()
+        table = ds.workload_table
+        rep = loocv(ds, form, config)
+        assert list(rep.per_holdout) == list(table.workloads())
+        for wid, estimates in rep.per_holdout.items():
+            alone = wnls_fit(
+                table.drop([wid]), form, _stage1_fixed(config),
+                FORMS[form].shape, compute_se=False,
+            )
+            assert estimates == alone.estimates, wid
+
+    @pytest.mark.parametrize("form", LOOCV_FORMS, ids=lambda f: f.value)
+    def test_desk_holdouts_at_most_grid_minimum(self, form, desk_dataset):
+        config = FitConfig()
+        table = desk_dataset.workload_table
+        rep = loocv(desk_dataset, form, config)
+        for wid, estimates in rep.per_holdout.items():
+            held = table.drop([wid])
+            sse = _stage1_sse(held, form, estimates, config)
+            grid = _stage1_grid_min(held, form, config)
+            assert sse <= grid * (1.0 + 1e-12), wid
+
+    def test_holdout_with_one_intensity_is_degenerate(self):
+        # holding out "c" leaves two workloads at the same intensity
+        ds = make_dataset([
+            ("a", 12.0, Architecture_LLM, [5.0, 5.2]),
+            ("b", 12.0, Architecture_LLM, [5.1, 5.3]),
+            ("c", 14.0, Architecture_LLM, [6.0, 6.1]),
+        ])
+        with pytest.raises(DegenerateDataError, match="two distinct"):
+            loocv(ds, ModelForm.LOG_ASYMPTOTIC)
+
+    def test_non_convergence_keeps_the_single_fit_message(
+        self, desk_dataset
+    ):
+        config = FitConfig(max_iterations=1)
+        table = desk_dataset.workload_table
+        form = ModelForm.SIGMOID
+        with pytest.raises(NonConvergenceError) as alone:
+            wnls_fit(
+                table.drop([table.workloads()[0]]), form,
+                _stage1_fixed(config), FORMS[form].shape,
+                max_iterations=1, compute_se=False,
+            )
+        with pytest.raises(NonConvergenceError) as batched:
+            loocv(desk_dataset, form, config)
+        assert str(batched.value) == str(alone.value)
+
+    def test_each_problem_alone_matches_the_batch(
+        self, desk_dataset, monkeypatch
+    ):
+        # every (holdout, start) problem of the desk sigmoid LOOCV, run as a
+        # batch of one or in slices of three, is bit-identical to its row of
+        # the whole batch
+        config = FitConfig()
+        table = desk_dataset.workload_table
+        spec = FORMS[ModelForm.SIGMOID]
+        g = len(table.workload_ids)
+        keep = np.array([np.delete(np.arange(g), h) for h in range(g)])
+        objective = fitmod._Objective(
+            spec, _stage1_fixed(config), spec.shape, table, keep
+        )
+        starts = [
+            fitmod._start_points(spec, spec.shape, x) for x in objective.x
+        ]
+        theta0 = np.concatenate(starts)
+        rows = np.repeat(np.arange(g), [len(s) for s in starts])
+        batch = fitmod._gauss_newton(objective, theta0, rows, 1e-8, 200)
+        for i in range(len(theta0)):
+            one = fitmod._gauss_newton(
+                objective, theta0[i:i + 1], rows[i:i + 1], 1e-8, 200
+            )
+            for got, want in zip(one, batch):
+                assert np.array_equal(got, want[i:i + 1]), i
+        monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", 3 * (g - 1))
+        sliced = fitmod._gauss_newton(objective, theta0, rows, 1e-8, 200)
+        for got, want in zip(sliced, batch):
+            assert np.array_equal(got, want)
+
+    def test_no_runtime_warnings(self, desk_dataset, desk_exclusion_policy):
+        table = apply_exclusions(
+            desk_dataset.workload_table, desk_exclusion_policy
+        )
+        config = FitConfig(exclusions=desk_exclusion_policy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for form in ModelForm:
+                two_stage_fit(desk_dataset, form, config)
+            for form in LOOCV_FORMS:
+                loocv(desk_dataset, form)
+            # the ridge start of TestRelativeOffset: a rank-deficient
+            # Jacobian, where a closed-form solve divides by zero
+            with pytest.raises(NonConvergenceError):
+                wnls_fit(
+                    table, ModelForm.SIGMOID,
+                    {"p_idle_kw": 1.8, "beta_comp_kw": 6.6}, ("x0", "k"),
+                    starts=[{"x0": 9.0, "k": 0.1}],
+                )
+
+
+class TestClosedFormStep:
+    def test_matches_lstsq(self):
+        rng = np.random.default_rng(5)
+        for p in (1, 2):
+            J = rng.normal(size=(6, 9, p))
+            r = rng.normal(size=(6, 9))
+            got = fitmod._lstsq_step([J[..., i] for i in range(p)], r)
+            for b in range(6):
+                want = np.linalg.lstsq(J[b], r[b], rcond=None)[0]
+                np.testing.assert_allclose(got[b], want, rtol=1e-12)
+
+    def test_rank_deficient_step_is_not_finite(self):
+        # parallel columns (to rounding) or a zero column: no step, so the
+        # problem stops instead of creeping along the ridge
+        col = np.arange(1.0, 8.0)[None]
+        r = np.ones((1, 7))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for J in ([col, 3.0 * col], [np.zeros((1, 7)), col]):
+                assert not np.isfinite(fitmod._lstsq_step(J, r)).any()
 
 
 def test_import_does_not_load_scipy_stats():
