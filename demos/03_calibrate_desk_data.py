@@ -33,7 +33,8 @@ def main():
 
     policy = load_exclusions(desk_exclusions())
     print(f"dataset: {len(dataset.workloads())} workloads, "
-          f"{dataset.power_kw.size} samples, sha256 {dataset.sha256()[:12]}…")
+          f"{dataset.n_observations} samples, "
+          f"sha256 {dataset.sha256()[:12]}…")
     print(f"exclusions on file: {policy}")
     print()
 

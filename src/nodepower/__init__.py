@@ -56,6 +56,7 @@ from .ingest import (
     RegressionDataset,
     WorkloadRecord,
     WorkloadSummary,
+    WorkloadTable,
     load_and_assemble,
     load_workload,
     summarize_workload,
@@ -95,7 +96,8 @@ __all__ = [
     "wnls_fit",
     # ingest
     "NodeTrace", "RegressionDataset", "WorkloadRecord", "WorkloadSummary",
-    "load_and_assemble", "load_workload", "summarize_workload",
+    "WorkloadTable", "load_and_assemble", "load_workload",
+    "summarize_workload",
     # evaluate
     "EnergyComparison", "EvalWorkload", "MapeReport", "compare_energy",
     "in_sample_report", "mape", "validation_report",

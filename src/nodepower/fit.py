@@ -21,8 +21,8 @@ sum of squares), the Gauss-Newton normal equations are those of the means,
 and each cluster's sandwich score is grad f(x_g) * (mean_g - f(x_g)): the
 grouped-data regression result (Angrist & Pischke, *Mostly Harmless
 Econometrics*, section 3.1). Estimates, standard errors and the reported
-weighted SSE are those of the per-observation definition; ``build_weights``
-keeps that definition, and the tests check the grouped fit against it.
+weighted SSE are those of the per-observation definition, and the tests
+check the grouped fit against it.
 
 With at most two free parameters per stage, the optimizer is a damped
 Gauss-Newton with analytic Jacobians and a fixed multi-start grid over the
@@ -52,11 +52,11 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import RegressionDataset, WorkloadTable
+from .ingest import WorkloadTable
 from .model import FORMS, FittedModel, FormSpec, ModelForm, PowerParams
 from .reference import (
     Architecture_LLM,
@@ -72,7 +72,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "LoocvReport",
-    "build_weights",
     "apply_exclusions",
     "wnls_fit",
     "cluster_robust_covariance",
@@ -80,8 +79,6 @@ __all__ = [
     "loocv",
     "to_fitted_model",
 ]
-
-_Data = TypeVar("_Data", RegressionDataset, WorkloadTable)
 
 
 class DegenerateDataError(ValueError):
@@ -161,29 +158,14 @@ class LoocvReport:
 
 
 # ---------------------------------------------------------------------------
-# weights and exclusions
+# exclusions
 # ---------------------------------------------------------------------------
 
-def build_weights(dataset: RegressionDataset) -> np.ndarray:
-    """Per-observation weights 1/n_workload; each workload sums to one.
-
-    The fit itself works on per-workload means (see the module docstring);
-    this is the per-observation definition it reproduces.
-    """
-    w = np.empty(dataset.n_observations, dtype=float)
-    for _, idx in dataset.cluster_index().items():
-        w[idx] = 1.0 / idx.size
-    return w
-
-
 def apply_exclusions(
-    dataset: _Data,
+    dataset: WorkloadTable,
     policy: Sequence[tuple[str, str]],
-) -> _Data:
+) -> WorkloadTable:
     """Drop the workloads named by an exclusion policy.
-
-    ``dataset`` is a per-observation dataset or a workload table; the
-    result is of the same kind.
 
     The policy is a sequence of (workload_id, reason) pairs with reasons in
     {outlier, leakage, manual}; naming a workload the dataset does not have
@@ -577,7 +559,7 @@ def _winner(
 # ---------------------------------------------------------------------------
 
 def wnls_fit(
-    dataset: RegressionDataset | WorkloadTable,
+    table: WorkloadTable,
     form: ModelForm,
     fixed_params: Mapping[str, float],
     free_params: Sequence[str],
@@ -592,8 +574,7 @@ def wnls_fit(
 
     Parameters
     ----------
-    dataset : RegressionDataset or WorkloadTable
-        A per-observation dataset is fitted through its workload table.
+    table : WorkloadTable
     form : ModelForm
     fixed_params : mapping
         Parameter values held constant (user scale).
@@ -621,8 +602,6 @@ def wnls_fit(
         with no observations of that architecture).
     NonConvergenceError
         The lowest-SSE start did not reach an optimum.
-    ValueError
-        The intensity or architecture varies within a workload.
     """
     free = tuple(free_params)
     if len(free) == 0:
@@ -644,11 +623,6 @@ def wnls_fit(
         raise ValueError(
             f"parameters neither free nor fixed: {missing}"
         )
-    table = (
-        dataset.workload_table
-        if isinstance(dataset, RegressionDataset)
-        else dataset
-    )
     _check_identified(spec, free, table.x, table.arch)
     fixed = {n: float(v) for n, v in fixed_params.items()}
     for n, v in fixed.items():
@@ -792,7 +766,7 @@ def _stage1_constraints(
 
 
 def two_stage_fit(
-    dataset: RegressionDataset,
+    dataset: WorkloadTable,
     form: ModelForm,
     config: FitConfig | None = None,
 ) -> FitResult:
@@ -807,7 +781,7 @@ def two_stage_fit(
     """
     config = config or FitConfig()
     spec = FORMS[form]
-    data = apply_exclusions(dataset.workload_table, config.exclusions)
+    data = apply_exclusions(dataset, config.exclusions)
 
     stage1_result: FitResult | None = None
     if config.shape_override is not None:
@@ -841,7 +815,7 @@ def two_stage_fit(
 
 
 def loocv(
-    dataset: RegressionDataset,
+    table: WorkloadTable,
     form: ModelForm,
     config: FitConfig | None = None,
 ) -> LoocvReport:
@@ -856,7 +830,6 @@ def loocv(
     holdout per parameter.
     """
     config = config or FitConfig()
-    table = dataset.workload_table
     workloads = table.workloads()
     if len(workloads) < 3:
         raise DegenerateDataError(
@@ -928,7 +901,7 @@ def loocv(
 def to_fitted_model(
     result: FitResult,
     *,
-    dataset: RegressionDataset | None = None,
+    dataset: WorkloadTable | None = None,
     dataset_sha256: str | None = None,
     created_utc: str | None = None,
 ) -> FittedModel:

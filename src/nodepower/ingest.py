@@ -26,10 +26,9 @@ import hashlib
 import io
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -241,7 +240,10 @@ def _tokenize(
         columns = [wids] + [flat[first + i::width] for i in range(3)]
         return flat[:4], range(2, rows + 2), columns, None
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:  # a field over csv's size limit
+        raise TraceFormatError(f"line {reader.line_num}: {exc}") from exc
     if header is None:
         raise TraceFormatError("line 1: empty trace file")
     data: list[list[str]] = []
@@ -260,7 +262,7 @@ def _tokenize(
             data.append(row)
             lines.append(reader.line_num)
     except csv.Error as exc:
-        error = exc
+        error = TraceFormatError(f"line {reader.line_num}: {exc}")
     return header, lines, list(zip(*data)) or [()] * 4, error
 
 
@@ -481,14 +483,27 @@ def with_compute(record: WorkloadRecord) -> WorkloadRecord:
     return replace(record, compute=est)
 
 
+class _Segment(NamedTuple):
+    """A run of power samples that share workload, node, architecture and
+    intensity: one node's trace, its interconnect share added."""
+
+    workload_id: str
+    node_id: str
+    arch: str
+    x: float
+    power_kw: np.ndarray
+
+
 @dataclass(frozen=True)
 class WorkloadTable:
-    """One row per workload, in first-appearance order: the fit's view.
+    """The regression dataset: one row per workload, in first-appearance
+    order.
 
     Within a workload the intensity and architecture are constant and the
     fit's weights 1/n sum to one, so the weighted squared error of any curve
     f is ``sum_g (mean_kw_g - f(x_g))**2 + sum_g within_ss_g / n_g``: the
-    estimator needs only these columns, not the power samples.
+    estimator needs only these columns, not the power samples. The power
+    samples stay in ``segments``, in row order, for the content hash.
     """
 
     workload_ids: np.ndarray
@@ -497,6 +512,7 @@ class WorkloadTable:
     mean_kw: np.ndarray
     n: np.ndarray
     within_ss: np.ndarray  # sum of squared deviations from mean_kw
+    segments: tuple[_Segment, ...]
 
     @property
     def n_observations(self) -> int:
@@ -506,125 +522,121 @@ class WorkloadTable:
         return tuple(self.workload_ids.tolist())
 
     def drop(self, workload_ids: Iterable[str]) -> "WorkloadTable":
-        keep = ~np.isin(self.workload_ids, list(workload_ids))
+        gone = set(workload_ids)
+        keep = ~np.isin(self.workload_ids, list(gone))
         return WorkloadTable(
             self.workload_ids[keep], self.arch[keep], self.x[keep],
             self.mean_kw[keep], self.n[keep], self.within_ss[keep],
-        )
-
-
-@dataclass(frozen=True)
-class RegressionDataset:
-    """Flat per-observation arrays: the regression's view of the data.
-
-    One row per power sample, tagged with its workload (the cluster id for
-    robust inference), node, architecture, and the workload's log intensity.
-    The columns are treated as immutable: ``workload_table`` is computed
-    from them once and cached.
-    """
-
-    workload_ids: np.ndarray
-    node_ids: np.ndarray
-    power_kw: np.ndarray
-    x: np.ndarray
-    arch: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.power_kw)
-        for name in ("workload_ids", "node_ids", "x", "arch"):
-            if len(getattr(self, name)) != n:
-                raise ValueError("dataset columns have unequal lengths")
-
-    @property
-    def n_observations(self) -> int:
-        return int(len(self.power_kw))
-
-    @cached_property
-    def workload_table(self) -> WorkloadTable:
-        """Per-workload means and within-workload sums of squares.
-
-        Raises
-        ------
-        ValueError
-            The intensity or the architecture varies within a workload.
-        """
-        ids, first, inverse, counts = np.unique(
-            self.workload_ids, return_index=True, return_inverse=True,
-            return_counts=True,
-        )
-        order = np.argsort(first)  # sorted ids -> first-appearance order
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        group = rank[inverse]
-        n = counts[order]
-        mean = np.bincount(group, weights=self.power_kw) / n
-        dev = self.power_kw - mean[group]
-        within_ss = np.bincount(group, weights=dev * dev)
-        head = first[order]
-        wids = ids[order]
-        for name, column in (
-            ("intensity x", self.x), ("architecture", self.arch),
-        ):
-            varies = np.flatnonzero(column != column[head][group])
-            if varies.size:
-                raise ValueError(
-                    f"workload {str(wids[group[varies[0]]])!r}: {name} "
-                    "varies within the workload"
-                )
-        return WorkloadTable(
-            wids, self.arch[head], self.x[head], mean, n, within_ss
-        )
-
-    def workloads(self) -> tuple[str, ...]:
-        """Unique workload ids in first-appearance order."""
-        return self.workload_table.workloads()
-
-    def cluster_index(self) -> dict[str, np.ndarray]:
-        """Observation indices per workload."""
-        return {
-            wid: np.flatnonzero(self.workload_ids == wid)
-            for wid in self.workloads()
-        }
-
-    def subset(self, workload_ids: Iterable[str]) -> "RegressionDataset":
-        return self._rows(np.isin(self.workload_ids, list(workload_ids)))
-
-    def drop(self, workload_ids: Iterable[str]) -> "RegressionDataset":
-        return self._rows(~np.isin(self.workload_ids, list(workload_ids)))
-
-    def _rows(self, mask: np.ndarray) -> "RegressionDataset":
-        return RegressionDataset(
-            self.workload_ids[mask],
-            self.node_ids[mask],
-            self.power_kw[mask],
-            self.x[mask],
-            self.arch[mask],
+            tuple(s for s in self.segments if s.workload_id not in gone),
         )
 
     def sha256(self) -> str:
-        """Canonical content hash (used in fit provenance): the row count,
-        each text column as UCS-4 at its longest value's width (so not
-        dtype-dependent), then the number columns as little-endian float64.
-        """
+        """Canonical content hash (used in fit provenance) of the
+        per-sample rows: the row count, each text column (workload id, node
+        id, architecture) as UCS-4 at its longest value's width (so not
+        dtype-dependent), then the power and intensity columns as
+        little-endian float64. It is streamed segment by segment, and no
+        per-sample column is built."""
+        sizes = [s.power_kw.size for s in self.segments]
         h = hashlib.sha256(
             f"nodepower-dataset/2 {self.n_observations}\n".encode()
         )
-        for text in (self.workload_ids, self.node_ids, self.arch):
+        for field in ("workload_id", "node_id", "arch"):
+            text = np.array(
+                [getattr(s, field) for s in self.segments], dtype=str
+            )
             width = max(int(np.char.str_len(text).max(initial=0)), 1)
             h.update(f"{width}\n".encode())
-            h.update(text.astype(f"<U{width}", copy=False).tobytes())
-        for number in (self.power_kw, self.x):
-            h.update(number.astype("<f8", copy=False).tobytes())
+            cells = text.astype(f"<U{width}").tobytes()
+            cell = 4 * width
+            for i, size in enumerate(sizes):
+                h.update(cells[i * cell:(i + 1) * cell] * size)
+        for s in self.segments:
+            h.update(s.power_kw.astype("<f8", copy=False).tobytes())
+        for s, size in zip(self.segments, sizes):
+            h.update(np.array([s.x], dtype="<f8").tobytes() * size)
         return h.hexdigest()
 
 
-def assemble_dataset(records: Iterable[WorkloadRecord]) -> RegressionDataset:
-    """Concatenate per-sample observations from compute-tagged records.
+def _table(segments: Sequence[_Segment]) -> WorkloadTable:
+    """The workload table of segments in row order: per-workload means and
+    within-workload sums of squares, each one bincount over every sample.
 
-    Every record must already carry a ComputeEstimate (see with_compute);
-    cardinality is preserved exactly: one observation per power sample.
+    Raises
+    ------
+    ValueError
+        No samples, or the intensity or the architecture varies within a
+        workload.
     """
-    parts = []
+    if not segments:
+        raise ValueError("no observations")
+    rank: dict[str, int] = {}  # workload id -> row, in first-appearance order
+    seg_group = np.array(
+        [rank.setdefault(s.workload_id, len(rank)) for s in segments]
+    )
+    head = np.unique(seg_group, return_index=True)[1]  # first segment of a row
+    group = np.repeat(seg_group, [s.power_kw.size for s in segments])
+    power = np.concatenate([s.power_kw for s in segments])
+    n = np.bincount(group)
+    mean = np.bincount(group, weights=power) / n
+    dev = power - mean[group]
+    within_ss = np.bincount(group, weights=dev * dev)
+    x = np.array([s.x for s in segments], dtype=float)
+    arch = np.array([s.arch for s in segments], dtype=str)
+    for name, column in (("intensity x", x), ("architecture", arch)):
+        varies = np.flatnonzero(column != column[head][seg_group])
+        if varies.size:
+            raise ValueError(
+                f"workload {segments[varies[0]].workload_id!r}: {name} "
+                "varies within the workload"
+            )
+    return WorkloadTable(
+        np.array(list(rank), dtype=str), arch[head], x[head], mean, n,
+        within_ss, tuple(segments),
+    )
+
+
+def RegressionDataset(
+    workload_ids: np.ndarray,
+    node_ids: np.ndarray,
+    power_kw: np.ndarray,
+    x: np.ndarray,
+    arch: np.ndarray,
+) -> WorkloadTable:
+    """The workload table of per-observation columns, one row per power
+    sample. Each run of rows with equal workload, node, intensity and
+    architecture becomes one segment.
+
+    Raises
+    ------
+    ValueError
+        Columns of unequal length, no rows, or an intensity or architecture
+        that varies within a workload.
+    """
+    power = np.asarray(power_kw, dtype=float)
+    columns = [np.asarray(c) for c in (workload_ids, node_ids, x, arch)]
+    if any(len(c) != len(power) for c in columns):
+        raise ValueError("dataset columns have unequal lengths")
+    cuts = np.flatnonzero(
+        np.any([c[1:] != c[:-1] for c in columns], axis=0)
+    ) + 1
+    bounds = [0, *cuts.tolist(), len(power)] if len(power) else []
+    wids, nids, xs, archs = columns
+    return _table([
+        _Segment(str(wids[a]), str(nids[a]), str(archs[a]), float(xs[a]),
+                 power[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ])
+
+
+def assemble_dataset(records: Iterable[WorkloadRecord]) -> WorkloadTable:
+    """The workload table of compute-tagged records.
+
+    Every record must already carry a ComputeEstimate (see with_compute).
+    Each trace is one segment, its interconnect share added; cardinality is
+    preserved exactly: one observation per power sample.
+    """
+    segments = []
     for record in records:
         if record.compute is None:
             raise ValueError(
@@ -632,18 +644,14 @@ def assemble_dataset(records: Iterable[WorkloadRecord]) -> RegressionDataset:
                 "call with_compute first"
             )
         increment = allocate_interconnect(record)
-        for trace in record.traces:
-            n = trace.power_kw.size
-            parts.append((
-                np.full(n, record.workload_id),
-                np.full(n, trace.node_id),
-                trace.power_kw + increment,
-                np.full(n, record.compute.log_intensity),
-                np.full(n, record.architecture),
-            ))
-    if not parts:
-        raise ValueError("no observations: records had no traces")
-    return RegressionDataset(*(np.concatenate(c) for c in zip(*parts)))
+        segments.extend(
+            _Segment(
+                record.workload_id, trace.node_id, record.architecture,
+                record.compute.log_intensity, trace.power_kw + increment,
+            )
+            for trace in record.traces
+        )
+    return _table(segments)
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +825,8 @@ def load_manifest(path: str | Path) -> tuple[WorkloadRecord, ...]:
 
 def load_and_assemble(
     manifest_path: str | Path,
-) -> tuple[tuple[WorkloadRecord, ...], RegressionDataset]:
-    """Manifest -> compute-tagged records -> regression dataset."""
+) -> tuple[tuple[WorkloadRecord, ...], WorkloadTable]:
+    """Manifest -> compute-tagged records -> workload table."""
     records = tuple(with_compute(r) for r in load_manifest(manifest_path))
     return records, assemble_dataset(records)
 

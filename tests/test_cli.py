@@ -121,6 +121,24 @@ class TestFit:
             "nodepower: error: unknown-workload:"
         )
 
+    def test_oversized_field_is_input_error(self, tmp_path, capsys):
+        # a node id over csv's field size limit
+        src = desk_dir()
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "workload_id,node_id,elapsed_s,power_kw\n"
+            f"smc-gpt3-175b-64,{'n' * 200_000},0.0,5.0\n"
+        )
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            f"config,trace\n{src}/smc-gpt3-175b-64.ini,{trace}\n"
+        )
+        rc = main(["fit", "--manifest", str(manifest), "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "nodepower: error: input: line 2: field larger than field limit"
+        )
+
 
 class TestPredict:
     def test_preset_prediction(self, capsys):
@@ -199,6 +217,37 @@ class TestLoocv:
             csv.DictReader((tmp_path / "loocv-holdouts.csv").open())
         )
         assert len({r["holdout_workload_id"] for r in holdouts}) == 9
+
+    def test_exclusions_hash_as_the_kept_rows_do(self, tmp_path, capsys):
+        # the hash printed after --exclusions is that of a manifest which
+        # omits the excluded workloads
+        excluded = {
+            line.split(",")[0]
+            for line in Path(EXCLUSIONS).read_text().splitlines()[1:]
+        }
+        kept = [
+            ",".join(str(desk_dir() / f) for f in line.split(","))
+            for line in Path(MANIFEST).read_text().splitlines()[1:]
+            if Path(line.split(",")[0]).stem not in excluded
+        ]
+        assert len(kept) == 7
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(["config,trace", *kept]) + "\n")
+
+        def sha_line(*args):
+            assert main(["loocv", *args]) == 0
+            out = capsys.readouterr().out
+            return next(
+                line for line in out.splitlines()
+                if line.startswith("dataset sha256: ")
+            )
+
+        assert sha_line(
+            "--manifest", MANIFEST, "--exclusions", EXCLUSIONS
+        ) == sha_line("--manifest", str(manifest))
+        assert sha_line("--manifest", MANIFEST) != sha_line(
+            "--manifest", str(manifest)
+        )
 
 
 class TestScenario:

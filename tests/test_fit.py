@@ -8,10 +8,11 @@ covariance against an explicit dense-matrix construction.
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +22,13 @@ from scipy.special import expit
 import nodepower
 import nodepower.fit as fitmod
 from nodepower import ingest, synthetic
+from nodepower.data import desk_dir, desk_manifest
 from nodepower.fit import (
     DegenerateDataError,
     FitConfig,
     NonConvergenceError,
     UnknownWorkloadError,
     apply_exclusions,
-    build_weights,
     cluster_robust_covariance,
     loocv,
     to_fitted_model,
@@ -40,7 +41,84 @@ from nodepower.model import FORMS, ModelForm
 from nodepower.reference import Architecture_CNN, Architecture_LLM
 
 
-def make_dataset(groups):
+@dataclass(frozen=True)
+class Rows:
+    """Per-observation columns, one row per power sample: the definition
+    the grouped estimator reproduces, kept next to the workload table built
+    from them."""
+
+    workload_ids: np.ndarray
+    node_ids: np.ndarray
+    power_kw: np.ndarray
+    x: np.ndarray
+    arch: np.ndarray
+
+    @classmethod
+    def of_records(cls, records, prefix=""):
+        """The rows of compute-tagged records in assembly order: each
+        trace's samples, its interconnect share added."""
+        parts = []
+        for r in records:
+            increment = ingest.allocate_interconnect(r)
+            for t in r.traces:
+                n = t.power_kw.size
+                parts.append((
+                    np.full(n, prefix + r.workload_id), np.full(n, t.node_id),
+                    t.power_kw + increment,
+                    np.full(n, r.compute.log_intensity),
+                    np.full(n, r.architecture),
+                ))
+        return cls(*(np.concatenate(c) for c in zip(*parts)))
+
+    @property
+    def table(self):
+        return RegressionDataset(
+            workload_ids=self.workload_ids, node_ids=self.node_ids,
+            power_kw=self.power_kw, x=self.x, arch=self.arch,
+        )
+
+    def cluster_index(self):
+        """Observation indices per workload, in first-appearance order."""
+        return {
+            wid: np.flatnonzero(self.workload_ids == wid)
+            for wid in dict.fromkeys(self.workload_ids.tolist())
+        }
+
+    def weights(self):
+        """Per-observation weights 1/n_workload; each workload sums to one."""
+        w = np.empty(len(self.power_kw))
+        for idx in self.cluster_index().values():
+            w[idx] = 1.0 / idx.size
+        return w
+
+    def sums(self):
+        """Per-workload count, mean power and within-workload sum of
+        squares, in first-appearance order: each one bincount over the rows
+        in row order."""
+        rank = {wid: g for g, wid in enumerate(self.cluster_index())}
+        group = np.array([rank[w] for w in self.workload_ids.tolist()])
+        n = np.bincount(group)
+        mean = np.bincount(group, weights=self.power_kw) / n
+        dev = self.power_kw - mean[group]
+        return n, mean, np.bincount(group, weights=dev * dev)
+
+    def sha256(self):
+        """The dataset hash from whole columns: the row count, each text
+        column as UCS-4 at its longest value's width, then power and x as
+        little-endian float64."""
+        h = hashlib.sha256(
+            f"nodepower-dataset/2 {len(self.power_kw)}\n".encode()
+        )
+        for text in (self.workload_ids, self.node_ids, self.arch):
+            width = max(int(np.char.str_len(text).max(initial=0)), 1)
+            h.update(f"{width}\n".encode())
+            h.update(text.astype(f"<U{width}").tobytes())
+        for number in (self.power_kw, self.x):
+            h.update(number.astype("<f8").tobytes())
+        return h.hexdigest()
+
+
+def make_rows(groups):
     """groups: list of (workload_id, x, arch, [powers])."""
     wids, nids, power, xs, archs = [], [], [], [], []
     for wid, x, arch, powers in groups:
@@ -50,13 +128,17 @@ def make_dataset(groups):
             power.append(p)
             xs.append(x)
             archs.append(arch)
-    return RegressionDataset(
+    return Rows(
         workload_ids=np.array(wids),
         node_ids=np.array(nids),
         power_kw=np.array(power, dtype=float),
         x=np.array(xs, dtype=float),
         arch=np.array(archs),
     )
+
+
+def make_dataset(groups):
+    return make_rows(groups).table
 
 
 def asym(x, p_idle, beta, alpha):
@@ -67,13 +149,17 @@ def asym(x, p_idle, beta, alpha):
 XS = [11.5, 12.5, 13.5, 15.4, 16.3, 16.5, 17.0]
 
 
-def noise_free_dataset(p_idle=1.8, beta=6.6, alpha=5.0, n_per=4):
+def noise_free_rows(p_idle=1.8, beta=6.6, alpha=5.0, n_per=4):
     groups = []
     for j, x in enumerate(XS):
         arch = Architecture_LLM if j % 2 == 0 else Architecture_CNN
         y = asym(x, p_idle, beta, alpha)
         groups.append((f"w{j}", x, arch, [y] * n_per))
-    return make_dataset(groups)
+    return make_rows(groups)
+
+
+def noise_free_dataset(**kwargs):
+    return noise_free_rows(**kwargs).table
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +168,12 @@ def noise_free_dataset(p_idle=1.8, beta=6.6, alpha=5.0, n_per=4):
 
 class TestWeights:
     def test_each_workload_sums_to_one(self):
-        ds = make_dataset([
+        rows = make_rows([
             ("a", 12.0, Architecture_LLM, [5.0] * 7),
             ("b", 14.0, Architecture_CNN, [6.0] * 3),
         ])
-        w = build_weights(ds)
-        idx = ds.cluster_index()
+        w = rows.weights()
+        idx = rows.cluster_index()
         assert w[idx["a"]].sum() == pytest.approx(1.0, rel=1e-15)
         assert w[idx["b"]].sum() == pytest.approx(1.0, rel=1e-15)
         assert np.all(w[idx["a"]] == 1.0 / 7)
@@ -105,14 +191,14 @@ class TestMagnitudeClosedForm:
              list(asym(x, 1.86, 6.6, 5.0) + rng.normal(0, 0.4, size=5)))
             for j, x in enumerate(XS)
         ]
-        ds = make_dataset(groups)
+        ds = make_rows(groups)
         alpha = 5.0
         result = wnls_fit(
-            ds, ModelForm.LOG_ASYMPTOTIC,
+            ds.table, ModelForm.LOG_ASYMPTOTIC,
             fixed_params={"p_idle_kw": 1.86, "alpha": alpha},
             free_params=["beta_comp_kw"],
         )
-        w = build_weights(ds)
+        w = ds.weights()
         g = ds.x / (alpha + ds.x)
         want = np.sum(w * g * (ds.power_kw - 1.86)) / np.sum(w * g * g)
         assert result.estimates["beta_comp_kw"] == pytest.approx(
@@ -127,13 +213,13 @@ class TestMagnitudeClosedForm:
             beta = 7.0 if arch == Architecture_LLM else 6.2
             y = asym(x, 1.86, beta, 5.0) + rng.normal(0, 0.3, size=4)
             groups.append((f"w{j}", x, arch, list(y)))
-        ds = make_dataset(groups)
+        ds = make_rows(groups)
         result = wnls_fit(
-            ds, ModelForm.LOG_ASYMPTOTIC_ARCH_FE,
+            ds.table, ModelForm.LOG_ASYMPTOTIC_ARCH_FE,
             fixed_params={"p_idle_kw": 1.86, "alpha": 5.0},
             free_params=["beta_llm_kw", "beta_cnn_kw"],
         )
-        w = build_weights(ds)
+        w = ds.weights()
         g = ds.x / (5.0 + ds.x)
         for name, arch in (
             ("beta_llm_kw", Architecture_LLM),
@@ -187,13 +273,13 @@ class TestPreconditions:
 
     @pytest.mark.parametrize("column", ["x", "arch"])
     def test_workload_must_have_one_intensity_and_architecture(self, column):
-        ds = noise_free_dataset()
+        ds = noise_free_rows()
         values = getattr(ds, column).copy()
         values[np.flatnonzero(ds.workload_ids == "w3")[-1]] = values[0]
-        # a malformed dataset constructs; the fit names the workload
+        # the table of malformed rows names the workload
         bad = replace(ds, **{column: values})
         with pytest.raises(ValueError, match="'w3'"):
-            two_stage_fit(bad, ModelForm.LOG_ASYMPTOTIC)
+            two_stage_fit(bad.table, ModelForm.LOG_ASYMPTOTIC)
 
     def test_unknown_parameter_name(self):
         ds = noise_free_dataset()
@@ -589,7 +675,7 @@ class TestToFittedModel:
 ALL_FORMS = tuple(ModelForm)
 
 
-def unequal_noisy_dataset():
+def unequal_noisy_rows():
     """Both architectures, 3 to 40 rows per workload, within-run noise."""
     rng = np.random.default_rng(17)
     groups = []
@@ -600,7 +686,7 @@ def unequal_noisy_dataset():
             0.0, 0.5, size=n
         )
         groups.append((f"w{j}", x, arch, list(y)))
-    return make_dataset(groups)
+    return make_rows(groups)
 
 
 def per_row_sse_and_se(ds, stage):
@@ -609,7 +695,7 @@ def per_row_sse_and_se(ds, stage):
     spec = FORMS[stage.form]
     params = stage.all_params()
     is_llm = ds.arch == Architecture_LLM
-    w = build_weights(ds)
+    w = ds.weights()
     e = ds.power_kw - spec.curve(params, ds.x, is_llm)
     # Jacobian on the reported scale
     grad = spec.gradient(params, ds.x, is_llm)
@@ -621,24 +707,59 @@ def per_row_sse_and_se(ds, stage):
 class TestPerWorkloadEquivalence:
     @pytest.mark.parametrize("form", ALL_FORMS, ids=lambda f: f.value)
     def test_sse_se_and_counts_match_per_row_definition(self, form):
-        ds = unequal_noisy_dataset()
-        res = two_stage_fit(ds, form)
+        ds = unequal_noisy_rows()
+        res = two_stage_fit(ds.table, form)
         for stage in (res.stage1, res):
             sse, se = per_row_sse_and_se(ds, stage)
             assert stage.weighted_sse == pytest.approx(sse, rel=1e-12)
             got = np.array([stage.robust_se[n] for n in stage.param_order])
             np.testing.assert_allclose(got, se, rtol=1e-9, atol=0.0)
-            assert stage.observations == ds.n_observations
+            assert stage.observations == len(ds.power_kw)
             assert stage.clusters == len(XS)
 
-    def test_loocv_never_touches_per_row_data(self, desk_dataset, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-row holdout in loocv")
 
-        monkeypatch.setattr(RegressionDataset, "drop", refuse)
-        monkeypatch.setattr(RegressionDataset, "subset", refuse)
-        rep = loocv(desk_dataset, ModelForm.SIGMOID)
-        assert set(rep.per_holdout) == set(desk_dataset.workloads())
+def _load(manifest):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FlopsMismatchWarning)
+        return ingest.load_and_assemble(manifest)
+
+
+class TestTableFromTraces:
+    """The table built from the traces is, bit for bit, the table of the
+    same rows given one by one; its sums and hash are those of the rows."""
+
+    @pytest.mark.parametrize("data", ["desk", "synthetic", "repeated"])
+    def test_equals_the_table_of_its_rows(self, data, tmp_path):
+        if data == "synthetic":
+            manifest = synthetic.generate(tmp_path, seed=3).manifest
+        else:
+            manifest = desk_manifest()
+        if data == "repeated":
+            # one workload listed twice: its rows merge into one workload
+            lines = manifest.read_text().splitlines()
+            twice = next(line for line in lines if "smc-llama-70b-1" in line)
+            listed = [
+                ",".join(str(desk_dir() / f) for f in line.split(","))
+                for line in [*lines[1:], twice]
+            ]
+            manifest = tmp_path / "manifest.csv"
+            manifest.write_text("\n".join(["config,trace", *listed]) + "\n")
+        records, table = _load(manifest)
+        rows = Rows.of_records(records)
+        want = rows.table
+        for name in ("workload_ids", "arch", "x", "mean_kw", "n", "within_ss"):
+            got, ref = getattr(table, name), getattr(want, name)
+            assert got.dtype == ref.dtype, name
+            assert got.tobytes() == ref.tobytes(), name
+        for got, ref in zip((table.n, table.mean_kw, table.within_ss),
+                            rows.sums()):
+            assert got.tobytes() == ref.tobytes()
+        assert table.sha256() == want.sha256() == rows.sha256()
+        if data == "repeated":
+            once = _load(desk_manifest())[1]
+            i = table.workloads().index("smc-llama-70b-1")
+            assert table.workloads() == once.workloads()
+            assert table.n[i] == 2 * once.n[i]
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +795,7 @@ class TestStage1Optimum:
     ):
         config = FitConfig(exclusions=desk_exclusion_policy)
         res = two_stage_fit(desk_dataset, form, config)
-        table = apply_exclusions(
-            desk_dataset.workload_table, desk_exclusion_policy
-        )
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         grid = _stage1_grid_min(table, form, config)
         assert res.stage1.weighted_sse <= grid * (1.0 + 1e-12)
 
@@ -687,9 +806,7 @@ class TestMultiStart:
     ):
         # on the desk data nine of the ten sigmoid starts reach one optimum
         # and their SSEs differ only by rounding
-        table = apply_exclusions(
-            desk_dataset.workload_table, desk_exclusion_policy
-        )
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         form = ModelForm.SIGMOID
         fixed = {"p_idle_kw": 1.8, "beta_comp_kw": 6.6}
         shape = FORMS[form].shape
@@ -719,9 +836,7 @@ class TestRelativeOffset:
         # x0 ~ -2e26, k ~ 2e26 (weighted SSE 9.06, optimum 7.42) until the
         # relative step falls below the tolerance; the curve is flat over
         # the data there, and the Jacobian has rank 1
-        table = apply_exclusions(
-            desk_dataset.workload_table, desk_exclusion_policy
-        )
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         with pytest.raises(NonConvergenceError, match="rank-deficient"):
             wnls_fit(
                 table, ModelForm.SIGMOID,
@@ -734,9 +849,7 @@ class TestRelativeOffset:
     ):
         # with a loose step tolerance the run stops after a step of under
         # 10%, where the relative offset still reads about 0.02
-        table = apply_exclusions(
-            desk_dataset.workload_table, desk_exclusion_policy
-        )
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         with pytest.raises(NonConvergenceError, match="relative offset"):
             wnls_fit(
                 table, ModelForm.SIGMOID,
@@ -790,18 +903,12 @@ def many_workload_dataset(tmp_path_factory):
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FlopsMismatchWarning)
-            _, ds = ingest.load_and_assemble(made.manifest)
-        parts.append((seed, ds))
-    return RegressionDataset(
-        workload_ids=np.array([
-            f"s{seed}-{w}" for seed, ds in parts
-            for w in ds.workload_ids.tolist()
-        ]),
-        node_ids=np.concatenate([ds.node_ids for _, ds in parts]),
-        power_kw=np.concatenate([ds.power_kw for _, ds in parts]),
-        x=np.concatenate([ds.x for _, ds in parts]),
-        arch=np.concatenate([ds.arch for _, ds in parts]),
-    )
+            records, _ = ingest.load_and_assemble(made.manifest)
+        parts.append(Rows.of_records(records, prefix=f"s{seed}-"))
+    return Rows(*(
+        np.concatenate([getattr(p, f.name) for p in parts])
+        for f in fields(Rows)
+    )).table
 
 
 def _stage1_fixed(config):
@@ -834,7 +941,7 @@ class TestBatchedLoocv:
     ):
         ds = desk_dataset if data == "desk" else many_workload_dataset
         config = FitConfig()
-        table = ds.workload_table
+        table = ds
         rep = loocv(ds, form, config)
         assert list(rep.per_holdout) == list(table.workloads())
         for wid, estimates in rep.per_holdout.items():
@@ -847,7 +954,7 @@ class TestBatchedLoocv:
     @pytest.mark.parametrize("form", LOOCV_FORMS, ids=lambda f: f.value)
     def test_desk_holdouts_at_most_grid_minimum(self, form, desk_dataset):
         config = FitConfig()
-        table = desk_dataset.workload_table
+        table = desk_dataset
         rep = loocv(desk_dataset, form, config)
         for wid, estimates in rep.per_holdout.items():
             held = table.drop([wid])
@@ -869,7 +976,7 @@ class TestBatchedLoocv:
         self, desk_dataset
     ):
         config = FitConfig(max_iterations=1)
-        table = desk_dataset.workload_table
+        table = desk_dataset
         form = ModelForm.SIGMOID
         with pytest.raises(NonConvergenceError) as alone:
             wnls_fit(
@@ -888,7 +995,7 @@ class TestBatchedLoocv:
         # batch of one or in slices of three, is bit-identical to its row of
         # the whole batch
         config = FitConfig()
-        table = desk_dataset.workload_table
+        table = desk_dataset
         spec = FORMS[ModelForm.SIGMOID]
         g = len(table.workload_ids)
         keep = np.array([np.delete(np.arange(g), h) for h in range(g)])
@@ -913,9 +1020,7 @@ class TestBatchedLoocv:
             assert np.array_equal(got, want)
 
     def test_no_runtime_warnings(self, desk_dataset, desk_exclusion_policy):
-        table = apply_exclusions(
-            desk_dataset.workload_table, desk_exclusion_policy
-        )
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         config = FitConfig(exclusions=desk_exclusion_policy)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -162,12 +163,15 @@ class TestParse:
 
     @pytest.mark.parametrize("quote", ['"', ""])
     def test_csv_errors_keep_their_place_in_file_order(self, quote):
-        # a field over csv's size limit raises csv.Error, as csv.reader
-        # does, unless an earlier row is at fault
+        # a field over csv's size limit is a format error on csv's line,
+        # unless an earlier row is at fault
         node = quote + "n" * (csv.field_size_limit() + 1) + quote
         long_row = f"w1,{node},0.0,5.0\n"
-        with pytest.raises(csv.Error, match="field limit"):
+        with pytest.raises(TraceFormatError, match="^line 6: .*field limit"):
             parse_trace_file(io.StringIO(TRACE_TEXT + long_row), "w1")
+        long_header = TRACE_TEXT.replace("power_kw", "power_kw" + node, 1)
+        with pytest.raises(TraceFormatError, match="^line 1: .*field limit"):
+            parse_trace_file(io.StringIO(long_header), "w1")
         bad = TRACE_TEXT.replace("w1,n1,2.0,6.0", "w2,n1,2.0,6.0")
         with pytest.raises(TraceFormatError, match="^line 3: row belongs"):
             parse_trace_file(io.StringIO(bad + long_row), "w1")
@@ -523,19 +527,15 @@ class TestDataset:
         assert ds.n_observations == 5
         assert list(ds.workloads()) == ["w1", "w2"]
 
-    def test_cluster_index_partitions_everything(self):
-        ds = self._dataset()
-        idx = ds.cluster_index()
-        all_rows = np.sort(np.concatenate(list(idx.values())))
-        np.testing.assert_array_equal(all_rows, np.arange(5))
-
     def test_x_is_constant_within_workload(self):
         ds = self._dataset()
-        for _, rows in ds.cluster_index().items():
-            assert np.unique(ds.x[rows]).size == 1
+        x_of = dict(zip(ds.workloads(), ds.x.tolist()))
+        assert [s.workload_id for s in ds.segments] == ["w1", "w2"]
+        for s in ds.segments:
+            assert s.x == x_of[s.workload_id]
 
     def test_workload_table_in_first_appearance_order(self):
-        ds = ingest.RegressionDataset(
+        t = ingest.RegressionDataset(
             workload_ids=np.array(["b", "a", "b", "c", "a"]),
             node_ids=np.array(["n1", "n1", "n2", "n1", "n2"]),
             power_kw=np.array([5.0, 2.0, 7.0, 3.0, 4.0]),
@@ -545,8 +545,7 @@ class TestDataset:
                 Architecture_CNN, Architecture_CNN,
             ]),
         )
-        t = ds.workload_table
-        assert t.workloads() == ds.workloads() == ("b", "a", "c")
+        assert t.workloads() == ("b", "a", "c")
         np.testing.assert_array_equal(t.n, [2, 2, 1])
         np.testing.assert_array_equal(t.x, [14.0, 12.0, 16.0])
         np.testing.assert_array_equal(
@@ -556,13 +555,13 @@ class TestDataset:
         np.testing.assert_allclose(t.within_ss, [2.0, 2.0, 0.0], atol=1e-15)
         assert t.drop(["a"]).workloads() == ("b", "c")
 
-    def test_drop_and_subset(self):
+    def test_drop(self):
         ds = self._dataset()
         only_w2 = ds.drop(["w1"])
         assert list(only_w2.workloads()) == ["w2"]
         assert only_w2.n_observations == 3
-        same = ds.subset(["w1", "w2"])
-        assert same.n_observations == 5
+        assert [s.workload_id for s in only_w2.segments] == ["w2"]
+        assert ds.drop([]).n_observations == 5
 
     def test_sha256_tracks_content(self):
         ds = self._dataset()
@@ -581,11 +580,19 @@ class TestDataset:
 
     def test_sha256_ignores_string_dtype_width(self):
         ds = self._dataset()
-        wide = ingest.RegressionDataset(
-            workload_ids=ds.workload_ids.astype("<U40"),
-            node_ids=ds.node_ids.astype("<U17"),
-            power_kw=ds.power_kw, x=ds.x, arch=ds.arch.astype("<U9"),
+        rows = dict(
+            workload_ids=np.repeat(ds.workload_ids, ds.n),
+            node_ids=np.full(5, "n1"),
+            power_kw=[5.0, 6.0, 4.0, 4.5, 5.0],
+            x=np.repeat(ds.x, ds.n), arch=np.repeat(ds.arch, ds.n),
         )
+        wide = ingest.RegressionDataset(**{
+            **rows,
+            "workload_ids": rows["workload_ids"].astype("<U40"),
+            "node_ids": rows["node_ids"].astype("<U17"),
+            "arch": rows["arch"].astype("<U9"),
+        })
+        assert ingest.RegressionDataset(**rows).sha256() == ds.sha256()
         assert wide.sha256() == ds.sha256()
         short = self._rows(["a", "a"], ["n1", "n2"], [5.0, 6.0])
         # drop() keeps the wider dtype of the ids it removed
@@ -729,6 +736,25 @@ class TestDeskDataset:
     def test_shape(self, desk_dataset):
         assert desk_dataset.n_observations == 7450
         assert len(desk_dataset.workloads()) == 9
+
+    def test_holds_no_per_sample_text(self, desk_dataset):
+        # text columns with one entry per sample took most of the memory
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, tuple):
+                for item in value:
+                    yield from arrays(item)
+            elif dataclasses.is_dataclass(value):
+                for field in dataclasses.fields(value):
+                    yield from arrays(getattr(value, field.name))
+
+        found = list(arrays(desk_dataset))
+        assert found
+        n = desk_dataset.n_observations
+        assert not [
+            a.dtype for a in found if a.dtype.kind in "USO" and len(a) == n
+        ]
 
     def test_sha256_format_is_pinned(self, desk_dataset):
         # fit provenance records this value; a new value is a file-format
