@@ -649,9 +649,6 @@ def wnls_fit(
     covariance: tuple[tuple[float, ...], ...] | None = None
     clusters = len(table.workload_ids)
     if compute_se:
-        # imported here so that only fits that report p-values load scipy
-        from scipy.special import stdtr
-
         # one row per cluster, unit weights: the per-observation sandwich,
         # on the reported parameter scale
         rows = np.zeros(1, dtype=int)
@@ -670,7 +667,7 @@ def wnls_fit(
             robust_se[n] = se
             t = estimates[n] / se if se > 0 else math.inf
             t_value[n] = t
-            p_value[n] = float(2.0 * stdtr(df, -abs(t)))
+            p_value[n] = _two_sided_t_p(t, df)
 
     return FitResult(
         form=form,
@@ -746,6 +743,91 @@ def cluster_robust_covariance(
         meat += np.outer(score, score)
     correction = n_clusters / (n_clusters - 1.0)
     return bread_inv @ meat @ bread_inv * correction
+
+
+# Stirling series coefficients B_2k / (2k (2k - 1)), highest order first
+_STIRLING = (1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log Gamma(a + 1/2) - log Gamma(a). The difference of two
+    ``math.lgamma`` values keeps their absolute error, about 1e-13 by
+    a = 80, so from a = 15 on the two Stirling series are subtracted term
+    by term instead (error below 1e-15)."""
+    if a < 15.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+
+    def series(z: float) -> float:
+        # lgamma(z) - [(z - 1/2) log z - z + log(2 pi) / 2]
+        total = 0.0
+        for c in _STIRLING:
+            total = total / (z * z) + c
+        return total / z
+
+    return (
+        a * math.log1p(0.5 / a) - 0.5 + 0.5 * math.log(a)
+        + series(a + 0.5) - series(a)
+    )
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of the incomplete beta function I_x(a, b),
+    evaluated to machine precision by the modified Lentz method (Press et
+    al., *Numerical Recipes*, section 6.4). It converges quickly for
+    x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) >= tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        m2 = 2 * m
+        for coefficient in (
+            m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2)),
+        ):
+            d = 1.0 + coefficient * d
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = 1.0 + coefficient / c
+            c = c if abs(c) >= tiny else tiny
+            delta = c * d
+            h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta continued fraction did not converge at a={a}, "
+        f"b={b}, x={x}"
+    )
+
+
+def _two_sided_t_p(t: float, df: int) -> float:
+    """Two-sided p-value of a t statistic with ``df`` degrees of freedom:
+    2 P(T > |t|) = I_x(df/2, 1/2) at x = df / (df + t^2), the regularized
+    incomplete beta function (Press et al., *Numerical Recipes*, section
+    6.4). y = 1 - x and both logarithms are formed from t^2 / df, so log y
+    keeps full precision at small |t|. Past |t| = 1e154 the tail rounds to
+    0, as scipy's does."""
+    if math.isnan(t):
+        return math.nan
+    if math.isinf(t):
+        return 0.0
+    if t == 0.0:
+        return 1.0
+    t = abs(t)
+    u = t * t / df
+    x, y = 1.0 / (1.0 + u), u / (1.0 + u)
+    log_x = -math.log1p(u)
+    log_y = 2.0 * math.log(t) - math.log(df) - math.log1p(u)
+    a = 0.5 * df
+    # x^a y^(1/2) / B(a, 1/2)
+    front = math.exp(
+        _log_gamma_ratio(a) - 0.5 * math.log(math.pi)
+        + a * log_x + 0.5 * log_y
+    )
+    # the fraction converges fast below x = (a + 1) / (a + b + 2), b = 1/2;
+    # above it, take the complement I_x(a, b) = 1 - I_y(b, a)
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_continued_fraction(a, 0.5, x) / a
+    return 1.0 - front * _beta_continued_fraction(0.5, a, y) / 0.5
 
 
 # ---------------------------------------------------------------------------

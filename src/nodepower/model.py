@@ -28,7 +28,6 @@ node count and duration gives the energy estimate used across the toolkit.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -186,26 +185,24 @@ def _simple_gradient(
     return _asymptotic_gradient(p, np.power(10.0, x), is_llm)
 
 
-@functools.cache
-def _expit() -> Callable[[np.ndarray], np.ndarray]:
-    """scipy's logistic function, imported on first use: importing the
-    package (scenario, predict, evaluate) does not load scipy. The cache
-    keeps the import statement out of the fit's inner loop."""
-    from scipy.special import expit
-
-    return expit
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z), the formula of scipy's ``expit``. z is first clipped
+    to [-708, 708], the widest whole-number range in which e^-z is a normal
+    float, so nothing overflows or underflows: beyond the clip the value is
+    exactly 1 for z > 0 and stays at 1 / (1 + e^708) = 3.3e-308 for z < 0."""
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -708.0), 708.0)))
 
 
 def _sigmoid(p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
     z = (x - p["x0"]) / p["k"]
-    return p["p_idle_kw"] + p["beta_comp_kw"] * _expit()(z)
+    return p["p_idle_kw"] + p["beta_comp_kw"] * _logistic(z)
 
 
 def _sigmoid_gradient(
     p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
 ) -> dict[str, np.ndarray]:
     x0, k = p["x0"], p["k"]
-    s = _expit()((x - x0) / k)
+    s = _logistic((x - x0) / k)
     slope = -p["beta_comp_kw"] * s * (1.0 - s)
     return {
         "p_idle_kw": np.ones_like(x),

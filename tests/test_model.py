@@ -92,6 +92,34 @@ class TestPredictPower:
         np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
+class TestLogistic:
+    """The sigmoid form's numpy logistic against scipy's ``expit`` (scipy
+    comes with the test extra)."""
+
+    def test_within_four_ulp_of_scipy(self):
+        z = np.linspace(-800.0, 800.0, 320_001)
+        got, want = model._logistic(z), expit(z)
+        # for z <= -708 the numpy form holds at its floor, where scipy goes
+        # on down to the smallest normal float, then subnormal, then 0
+        floor = 1.0 / (1.0 + np.exp(708.0))
+        above = z > -708.0
+        np.testing.assert_array_max_ulp(got[above], want[above], maxulp=4)
+        assert np.all(got[~above] == floor)
+
+    def test_exactly_half_at_zero(self):
+        assert model._logistic(np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+
+    def test_nan_passes_through(self):
+        got = model._logistic(np.array([np.nan, 1.0]))
+        assert np.isnan(got[0]) and got[1] == pytest.approx(expit(1.0))
+
+    def test_no_overflow_or_underflow(self):
+        with np.errstate(all="raise"):
+            got = model._logistic(np.array([-1000.0, -709.0, 709.0, 1000.0]))
+        assert got[2] == got[3] == 1.0
+        assert 0.0 < got[0] == got[1] < 3.4e-308
+
+
 class TestPredictEnergy:
     def test_energy_is_power_times_node_hours(self):
         x = 16.973
