@@ -73,11 +73,10 @@ def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable[tuple]) -> No
 
 
 def _load_model_arg(args: argparse.Namespace) -> model.FittedModel:
-    if getattr(args, "preset", None):
+    # argparse requires exactly one of --preset and --model
+    if args.preset:
         return model.preset(args.preset)
-    if getattr(args, "model", None):
-        return model.load_model(args.model)
-    raise ValueError("one of --preset or --model is required")
+    return model.load_model(args.model)
 
 
 def _tdp_from_args(args: argparse.Namespace) -> model.TdpConfig:
@@ -121,11 +120,34 @@ def cmd_flops(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stage_rows(
+    result: fitmod.FitResult,
+) -> list[tuple[str, fitmod.FitResult, list[tuple]]]:
+    """Each stage that ran, stage 1 first, with each of its parameters
+    once: name, ``free`` or ``fixed``, value, and the robust SE, t and p of
+    a free one (NaN where standard errors were not computed)."""
+    nan = float("nan")
+    stages = []
+    for stage_name, stage in (("stage1", result.stage1), ("stage2", result)):
+        if stage is None:
+            continue
+        stats = (stage.robust_se, stage.t_value, stage.p_value)
+        rows = [
+            (name, "free", stage.estimates[name],
+             [stat.get(name, nan) for stat in stats])
+            for name in stage.param_order
+        ]
+        rows += [(name, "fixed", v, []) for name, v in stage.fixed.items()]
+        stages.append((stage_name, stage, rows))
+    return stages
+
+
 def _fit_report_text(
     result: fitmod.FitResult,
     config: fitmod.FitConfig,
     dataset_sha: str,
     fitted: model.FittedModel,
+    stages: list[tuple[str, fitmod.FitResult, list[tuple]]],
 ) -> str:
     lines = [
         "two-stage fit report",
@@ -141,44 +163,24 @@ def _fit_report_text(
         ),
         "",
     ]
-
-    def stage_block(title: str, stage: fitmod.FitResult) -> list[str]:
-        rows = []
-        for name in stage.param_order:
-            rows.append(
-                (
-                    name,
-                    f"{stage.estimates[name]:.6g}",
-                    f"{stage.robust_se.get(name, float('nan')):.4g}",
-                    f"{stage.t_value.get(name, float('nan')):.4g}",
-                    f"{stage.p_value.get(name, float('nan')):.4g}",
-                )
-            )
-        for name, value in stage.fixed.items():
-            rows.append((name, f"{value:.6g}", "(fixed)", "", ""))
-        block = [title, _table(
-            ("parameter", "estimate", "robust SE", "t", "p"), rows
-        )]
-        block.append(f"weighted SSE: {stage.weighted_sse:.6g}")
-        return block
-
-    if result.stage1 is not None:
-        lines.extend(
-            stage_block(
-                "stage 1 (shape; idle {0:g} kW, magnitude {1:g} kW pinned)"
-                .format(config.stage1_p_idle_kw, config.stage1_beta_kw),
-                result.stage1,
-            )
-        )
+    titles = {
+        "stage1": "stage 1 (shape; idle {0:g} kW, magnitude {1:g} kW pinned)"
+        .format(config.stage1_p_idle_kw, config.stage1_beta_kw),
+        "stage2": f"stage 2 (magnitudes; shape pinned, idle "
+        f"{config.stage2_p_idle_kw:g} kW)",
+    }
+    for stage_name, stage, rows in stages:
+        lines.append(titles[stage_name])
+        lines.append(_table(
+            ("parameter", "estimate", "robust SE", "t", "p"),
+            [
+                (name, f"{value:.6g}",
+                 *([f"{v:.4g}" for v in stats] or ["(fixed)", "", ""]))
+                for name, _, value, stats in rows
+            ],
+        ))
+        lines.append(f"weighted SSE: {stage.weighted_sse:.6g}")
         lines.append("")
-    lines.extend(
-        stage_block(
-            f"stage 2 (magnitudes; shape pinned, idle "
-            f"{config.stage2_p_idle_kw:g} kW)",
-            result,
-        )
-    )
-    lines.append("")
     lines.append(f"created: {fitted.provenance.get('created_utc', 'unpinned')}")
     lines.append(_provenance_line(fitted.provenance))
     lines.append("")
@@ -206,33 +208,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
     model_path = out / f"model-{form.value}.json"
     model.save_model(fitted, model_path)
 
-    report = _fit_report_text(result, config, sha, fitted)
+    stages = _stage_rows(result)
+    report = _fit_report_text(result, config, sha, fitted, stages)
     (out / "fit-report.txt").write_text(report, encoding="utf-8")
-
-    machine_rows = []
-    stages = (
-        [("stage1", result.stage1)] if result.stage1 is not None else []
-    ) + [("stage2", result)]
-    for stage_name, stage in stages:
-        for name in stage.param_order:
-            machine_rows.append(
-                (
-                    stage_name, name, "free",
-                    repr(stage.estimates[name]),
-                    repr(stage.robust_se.get(name, float("nan"))),
-                    repr(stage.t_value.get(name, float("nan"))),
-                    repr(stage.p_value.get(name, float("nan"))),
-                )
-            )
-        for name, value in stage.fixed.items():
-            machine_rows.append(
-                (stage_name, name, "fixed", repr(value), "", "", "")
-            )
     _write_csv(
         out / "fit-report.csv",
         ("stage", "parameter", "kind", "estimate", "robust_se", "t_value",
          "p_value"),
-        machine_rows,
+        [
+            (stage_name, name, kind, repr(value),
+             *([repr(v) for v in stats] or ["", "", ""]))
+            for stage_name, _, rows in stages
+            for name, kind, value, stats in rows
+        ],
     )
 
     sys.stdout.write(report)
@@ -282,47 +270,54 @@ def _comparison_rows_text(
     )
 
 
+# evaluate's scopes, in print order: (comparison CSV, mape.json key prefix)
+_EVAL_SCOPES = {
+    "in-sample": ("in-sample-comparisons.csv", "in_sample"),
+    "validation": ("validation-comparisons.csv", "out_of_sample"),
+}
+
+
+def _in_sample_workloads(
+    args: argparse.Namespace,
+) -> tuple[list[evalmod.EvalWorkload] | None, str]:
+    """The in-sample workloads (None: the published summaries) and a note
+    on where their measured figures come from."""
+    if not args.manifest:
+        return None, "published summary tables"
+    records, _ = ingest.load_and_assemble(args.manifest)
+    dropped = set()
+    if args.exclusions:
+        dropped = {
+            wid
+            for wid, reason in ingest.load_exclusions(args.exclusions)
+            if reason == "leakage"
+        }
+    workloads = [
+        evalmod.EvalWorkload.from_record(r, ingest.summarize_workload(r))
+        for r in records
+        if r.workload_id not in dropped
+    ]
+    return workloads, f"trace-derived summaries ({args.manifest})"
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     fitted = _load_model_arg(args)
     tdp = _tdp_from_args(args)
 
-    in_sample = None
-    if args.scope in ("in-sample", "both"):
-        workloads = None
-        data_note = "published summary tables"
-        if args.manifest:
-            records, _ = ingest.load_and_assemble(args.manifest)
-            dropped = set()
-            if args.exclusions:
-                dropped = {
-                    wid
-                    for wid, reason in ingest.load_exclusions(args.exclusions)
-                    if reason == "leakage"
-                }
-            workloads = [
-                evalmod.EvalWorkload.from_record(
-                    r, ingest.summarize_workload(r)
-                )
-                for r in records
-                if r.workload_id not in dropped
-            ]
-            data_note = f"trace-derived summaries ({args.manifest})"
-        in_sample = evalmod.in_sample_report(fitted, tdp, workloads)
-        print(f"in-sample comparison ({data_note}):")
-        print(_comparison_rows_text(in_sample.comparisons))
-        m = in_sample.mape_report.mape
-        print(
-            f"MAPE: model {m['model']:.2f}%  chip-TDP {m['chip_tdp']:.2f}%  "
-            f"node-TDP {m['node_tdp']:.2f}%"
-        )
-        print()
-
-    validation = None
-    if args.scope in ("validation", "both"):
-        validation = evalmod.validation_report(fitted, tdp)
-        print("out-of-sample comparison (published summary tables):")
-        print(_comparison_rows_text(validation.comparisons))
-        m = validation.mape_report.mape
+    reports: dict[str, evalmod.ValidationReport] = {}
+    for scope in _EVAL_SCOPES:
+        if args.scope not in (scope, "both"):
+            continue
+        if scope == "in-sample":
+            workloads, data_note = _in_sample_workloads(args)
+            report = evalmod.in_sample_report(fitted, tdp, workloads)
+            print(f"in-sample comparison ({data_note}):")
+        else:
+            report = evalmod.validation_report(fitted, tdp)
+            print("out-of-sample comparison (published summary tables):")
+        reports[scope] = report
+        print(_comparison_rows_text(report.comparisons))
+        m = report.mape_report.mape
         print(
             f"MAPE: model {m['model']:.2f}%  chip-TDP {m['chip_tdp']:.2f}%  "
             f"node-TDP {m['node_tdp']:.2f}%"
@@ -343,20 +338,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "node_tdp_kw": tdp.node_tdp_kw,
             "gpus_per_node": tdp.gpus_per_node,
         }, "model_provenance": dict(fitted.provenance)}
-        if in_sample is not None:
-            evalmod.write_comparison_table(
-                in_sample.comparisons, out / "in-sample-comparisons.csv"
-            )
-            doc["in_sample_mape"] = in_sample.mape_report.mape
-            doc["in_sample_per_workload"] = in_sample.mape_report.per_workload
-        if validation is not None:
-            evalmod.write_comparison_table(
-                validation.comparisons, out / "validation-comparisons.csv"
-            )
-            doc["out_of_sample_mape"] = validation.mape_report.mape
-            doc["out_of_sample_per_workload"] = (
-                validation.mape_report.per_workload
-            )
+        for scope, report in reports.items():
+            csv_name, key = _EVAL_SCOPES[scope]
+            evalmod.write_comparison_table(report.comparisons, out / csv_name)
+            doc[f"{key}_mape"] = report.mape_report.mape
+            doc[f"{key}_per_workload"] = report.mape_report.per_workload
         with open(out / "mape.json", "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -73,7 +73,11 @@ class EvalWorkload:
             )
 
     @classmethod
-    def from_reference(cls, row: ReferenceWorkload) -> "EvalWorkload":
+    def from_reference(
+        cls, row: ReferenceWorkload | ValidationWorkload
+    ) -> "EvalWorkload":
+        """Build from a row of either published table: the training-run
+        summaries or the out-of-sample validation runs."""
         return cls(
             workload_id=row.workload_id,
             architecture=row.architecture,
@@ -85,18 +89,7 @@ class EvalWorkload:
             source="published-summary",
         )
 
-    @classmethod
-    def from_validation(cls, row: ValidationWorkload) -> "EvalWorkload":
-        return cls(
-            workload_id=row.workload_id,
-            architecture=row.architecture,
-            nodes=row.nodes,
-            duration_h=row.duration_h,
-            measured_energy_kwh=row.it_energy_kwh,
-            measured_p_avg_kw=row.p_avg_kw,
-            x=math.log10(row.flops_per_node),
-            source="published-summary",
-        )
+    from_validation = from_reference
 
     @classmethod
     def from_record(

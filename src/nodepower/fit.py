@@ -33,11 +33,11 @@ problems form a (B, p) array, each problem halves its own step and stops on
 its own, and the least-squares step is solved in closed form. A batch
 larger than ``BATCH_ELEMENTS`` problems x workloads runs in slices, which
 bounds its memory. Every reduction runs along one problem's row, so each
-problem is bit-identical to a run on its own. A small final step counts as
-convergence only at a full-rank Jacobian and a relative offset of at most
-1e-3. A golden-section scan backs up the one-parameter stages in the
-unlikely event Gauss-Newton stalls. Everything is deterministic: same data
-in, same estimates out, to the last bit.
+problem is bit-identical to a run on its own. Every stage, with one free
+parameter or two, converges in one way only: a small final step, at a
+full-rank Jacobian, with a relative offset of at most 1e-3; the step and the
+offset test share one Gram-Schmidt and its rank rule. Everything is
+deterministic: same data in, same estimates out, to the last bit.
 
 Every curve, gradient and parameter role comes from the form table,
 ``nodepower.model.FORMS``; this module holds no formula of its own and
@@ -52,7 +52,7 @@ from __future__ import annotations
 import datetime as _dt
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -210,18 +210,19 @@ def _relative_offset(r: np.ndarray, J: np.ndarray, floor: float) -> float:
     """Bates & Watts (1981, *Technometrics* 23:2): ``||Q1' r|| / sqrt(p)``
     over ``||r - Q1 Q1' r|| / sqrt(n - p)``, Q1 an orthonormal basis of J's
     columns; zero at a stationary point. A residual scale below ``floor``
-    counts as ``floor`` (n == p, or noise-free data). A rank-deficient J,
-    where the parameters are not identified, reads as infinite."""
+    counts as ``floor`` (n == p, or noise-free data). A rank-deficient J
+    (the rank rule of ``_gram_schmidt``), where the parameters are not
+    identified, reads as infinite."""
     n, p = J.shape
-    norms = np.linalg.norm(J, axis=0)  # the rank test ignores column scale
-    if not np.all(norms > 0):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # on unit columns a norm that overflows reads as a zero column
+        unit = J / np.linalg.norm(J, axis=0)
+        _, q1, _, v, r22 = _gram_schmidt([c[None] for c in unit.T])
+        Q = q1 if p == 1 else np.concatenate([q1, v / r22[:, None]])
+        qtr = _row_sum(Q * r)
+    if not np.isfinite(qtr).all():
         return math.inf
-    q, R = np.linalg.qr(J / norms)
-    # with unit columns (at most two here) |R_ii| is 1 or a sine
-    if not np.min(np.abs(np.diag(R))) > _EPS * n:
-        return math.inf
-    qtr = q.T @ r
-    orth = r - q @ qtr
+    orth = r - qtr @ Q
     scale = math.sqrt(float(orth @ orth) / (n - p)) if n > p else 0.0
     return math.sqrt(float(qtr @ qtr) / p) / max(scale, floor, 1e-300)
 
@@ -334,27 +335,41 @@ class _Objective:
         return J
 
 
-def _lstsq_step(J: list[np.ndarray], r: np.ndarray) -> np.ndarray:
-    """Least-squares solution d of J d = r for each problem, p <= 2.
+def _gram_schmidt(
+    J: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, Any, Any, Any]:
+    """Two-column Gram-Schmidt QR of each problem's Jacobian, p <= 2.
 
-    ``J`` holds the p columns, each (B, n). A two-column Gram-Schmidt QR,
-    summed row by row. A rank-deficient J gives a non-finite step: a zero
-    column, or two columns at an angle whose sine is at most n * eps (the
-    rank test of ``_relative_offset``). Called under the kernel's
-    ``np.errstate``, where those divisions are silent.
+    ``J`` holds the p columns, each (B, n); every sum runs row by row.
+    Returns r11 = ||J1||, q1 = J1 / r11 and, for p = 2, r12 = q1'J2,
+    v = J2 - r12 q1 and r22 = ||v|| (``None`` for p = 1). The rank rule:
+    J is rank-deficient when a column is zero, or when the two columns are
+    at an angle whose sine is at most n * eps; then q1 or r22 is NaN. Call
+    under ``np.errstate`` that silences those divisions.
     """
-    d = np.empty((len(r), len(J)))
     r11 = np.sqrt(_row_sum(J[0] * J[0]))
     q1 = J[0] / r11[:, None]
-    b1 = _row_sum(q1 * r)
     if len(J) == 1:
-        d[:, 0] = b1 / r11
-        return d
+        return r11, q1, None, None, None
     r12 = _row_sum(q1 * J[1])
     v = J[1] - r12[:, None] * q1
     r22 = np.sqrt(_row_sum(v * v))
     sine = r22 / np.sqrt(_row_sum(J[1] * J[1]))
-    r22[~(sine > _EPS * r.shape[-1])] = np.nan
+    r22[~(sine > _EPS * J[1].shape[-1])] = np.nan
+    return r11, q1, r12, v, r22
+
+
+def _lstsq_step(J: list[np.ndarray], r: np.ndarray) -> np.ndarray:
+    """Least-squares solution d of J d = r for each problem, p <= 2, from
+    ``_gram_schmidt``. A rank-deficient J gives a non-finite step. Called
+    under the kernel's ``np.errstate``, where those divisions are silent.
+    """
+    r11, q1, r12, v, r22 = _gram_schmidt(J)
+    d = np.empty((len(r), len(J)))
+    b1 = _row_sum(q1 * r)
+    if len(J) == 1:
+        d[:, 0] = b1 / r11
+        return d
     d[:, 1] = _row_sum(v * r) / (r22 * r22)
     d[:, 0] = (b1 - r12 * d[:, 1]) / r11
     return d
@@ -434,35 +449,6 @@ def _gauss_newton(
     return theta, sse, converged
 
 
-def _golden_section(
-    sse_fn: Callable[[np.ndarray], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    max_iter: int = 400,
-) -> tuple[float, float]:
-    """Scalar minimizer used as the fallback for one-parameter stages."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc = sse_fn(np.array([c]))
-    fd = sse_fn(np.array([d]))
-    for _ in range(max_iter):
-        if abs(b - a) <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = sse_fn(np.array([c]))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = sse_fn(np.array([d]))
-    mid = 0.5 * (a + b)
-    return mid, sse_fn(np.array([mid]))
-
-
 def _start_points(
     spec: FormSpec,
     free: tuple[str, ...],
@@ -503,27 +489,28 @@ def _winner(
     sse: np.ndarray,
     converged: np.ndarray,
     form: ModelForm,
-    tol: float,
     max_iterations: int,
 ) -> tuple[np.ndarray, float]:
     """The optimum of table ``index`` from its starts' runs: theta (p,)
     and its SSE.
 
-    Raises NonConvergenceError when the winning run is not at an optimum
-    and the golden-section fallback does not apply or finds nothing lower.
+    The winning run is at an optimum only if it stopped on a small step at
+    a full-rank Jacobian with a relative offset of at most ``OFFSET_TOL``,
+    whatever the number of free parameters; otherwise this raises
+    NonConvergenceError.
     """
     # starts that reach one optimum differ in SSE only by rounding: take
     # the first, in start order, within rounding of the lowest SSE, so
     # that the winner does not depend on summation order
     lowest = np.fmin.reduce(sse)
     best = int(np.argmax(sse <= lowest * (1.0 + 1e-12)))
-    theta, sse_best, ok = theta[best], float(sse[best]), bool(converged[best])
-    rows = np.array([index])
+    theta, ok = theta[best], bool(converged[best])
     if ok:
         # a run that creeps along a ridge also stops on a small step (a
         # sigmoid off to x0 -> -inf, k -> +inf is flat over the data: its
         # Jacobian has rank 1); residuals below sqrt(eps) of the data's
         # RMS are rounding
+        rows = np.array([index])
         y = objective.y[index]
         ok = _relative_offset(
             objective.residual(theta[None], rows)[0],
@@ -532,26 +519,13 @@ def _winner(
             ),
             math.sqrt(_EPS * float(np.mean(y * y))),
         ) <= OFFSET_TOL
-
-    if not ok and len(theta) == 1:
-        # fall back to a bracketing scan around the best point found
-        def sse_fn(th: np.ndarray) -> float:
-            r = objective.residual(th[None], rows)
-            return float(objective.sse(r, rows)[0])
-
-        width = max(1.0, abs(float(theta[0])))
-        lo = max(float(objective.lower[0]), float(theta[0]) - 4.0 * width)
-        hi = float(theta[0]) + 4.0 * width
-        mid, sse_gs = _golden_section(sse_fn, lo, hi, tol)
-        if sse_gs <= sse_best:
-            theta, sse_best, ok = np.array([mid]), sse_gs, True
     if not ok:
         raise NonConvergenceError(
             f"{form.value} fit did not converge within {max_iterations} "
             "iterations, or stopped at a rank-deficient Jacobian or a "
             f"relative offset above {OFFSET_TOL:g}"
         )
-    return theta, sse_best
+    return theta, float(sse[best])
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +575,11 @@ def wnls_fit(
         identify the free parameters (for example an architecture magnitude
         with no observations of that architecture).
     NonConvergenceError
-        The lowest-SSE start did not reach an optimum.
+        The lowest-SSE start did not reach an optimum: it did not stop on
+        a relative step below ``convergence_tol`` within
+        ``max_iterations``, or it stopped at a rank-deficient Jacobian or
+        a relative offset above ``OFFSET_TOL``. This holds for one free
+        parameter as for two; no other search backs the fit up.
     """
     free = tuple(free_params)
     if len(free) == 0:
@@ -638,7 +616,7 @@ def wnls_fit(
             objective, theta0, np.zeros(len(theta0), dtype=int),
             convergence_tol, max_iterations,
         ),
-        form, convergence_tol, max_iterations,
+        form, max_iterations,
     )
     optimum = objective.user(theta[None])[0]
     estimates = {n: float(v) for n, v in zip(free, optimum)}
@@ -941,7 +919,7 @@ def loocv(
         mine = slice(bounds[h], bounds[h + 1])
         theta, _ = _winner(
             objective, h, *(a[mine] for a in runs),
-            stage_form, config.convergence_tol, config.max_iterations,
+            stage_form, config.max_iterations,
         )
         optimum = objective.user(theta[None])[0]
         per_holdout[wid] = {n: float(v) for n, v in zip(free, optimum)}
