@@ -15,17 +15,19 @@ Errors print a single ``nodepower: error: <category>: <message>`` line on
 stderr, with the category mapped to a stable exit code:
 
     2  usage (argparse)
-    3  input (missing/invalid files, bad configs, bad traces)
+    3  input (missing/invalid files, bad configs, bad traces, option values
+       the model rejects, an output path that cannot be written)
     4  degenerate data (parameters not identifiable)
     5  non-convergence
     6  validation leakage
     7  unknown workload in an exclusion policy
+
+Any other exception is a bug in the package and ends in a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -35,7 +37,7 @@ from typing import Any, Iterable, Mapping
 from . import evaluate as evalmod
 from . import fit as fitmod
 from . import ingest, model, scenario
-from .reference import NODE_TDP_KW
+from .reference import DEFAULT_EXCLUSIONS, NODE_TDP_KW
 
 __all__ = ["main"]
 
@@ -65,13 +67,6 @@ def _provenance_line(provenance: Mapping[str, Any]) -> str:
     )
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _load_model_arg(args: argparse.Namespace) -> model.FittedModel:
     # argparse requires exactly one of --preset and --model
     if args.preset:
@@ -80,9 +75,14 @@ def _load_model_arg(args: argparse.Namespace) -> model.FittedModel:
 
 
 def _tdp_from_args(args: argparse.Namespace) -> model.TdpConfig:
-    return model.TdpConfig(
-        chip_tdp_kw=args.tdp_chip_kw, node_tdp_kw=args.tdp_node_kw
-    )
+    try:
+        return model.TdpConfig(
+            chip_tdp_kw=args.tdp_chip_kw, node_tdp_kw=args.tdp_node_kw
+        )
+    except ValueError as exc:
+        raise ingest.ConfigError(
+            f"--tdp-chip-kw/--tdp-node-kw: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def cmd_flops(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(
+        ingest.write_csv(
             out / "flops.csv",
             ("workload_id", "flops_per_iteration", "flops_per_node",
              "log10_intensity"),
@@ -211,7 +211,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     stages = _stage_rows(result)
     report = _fit_report_text(result, config, sha, fitted, stages)
     (out / "fit-report.txt").write_text(report, encoding="utf-8")
-    _write_csv(
+    ingest.write_csv(
         out / "fit-report.csv",
         ("stage", "parameter", "kind", "estimate", "robust_se", "t_value",
          "p_value"),
@@ -279,25 +279,29 @@ _EVAL_SCOPES = {
 
 def _in_sample_workloads(
     args: argparse.Namespace,
-) -> tuple[list[evalmod.EvalWorkload] | None, str]:
-    """The in-sample workloads (None: the published summaries) and a note
-    on where their measured figures come from."""
-    if not args.manifest:
-        return None, "published summary tables"
-    records, _ = ingest.load_and_assemble(args.manifest)
-    dropped = set()
+) -> tuple[tuple[evalmod.EvalWorkload, ...], str]:
+    """The in-sample workloads and a note on where their measured figures
+    come from. ``--exclusions`` replaces the default policy: the shipped
+    one for the published tables, none for a manifest."""
+    if args.manifest:
+        candidates = [
+            evalmod.EvalWorkload.from_record(r, ingest.summarize_workload(r))
+            for r in map(ingest.with_compute,
+                         ingest.load_manifest(args.manifest))
+        ]
+        policy, note = (), f"trace-derived summaries ({args.manifest})"
+    else:
+        candidates, policy, note = None, DEFAULT_EXCLUSIONS, (
+            "published summary tables"
+        )
     if args.exclusions:
-        dropped = {
-            wid
-            for wid, reason in ingest.load_exclusions(args.exclusions)
-            if reason == "leakage"
-        }
-    workloads = [
-        evalmod.EvalWorkload.from_record(r, ingest.summarize_workload(r))
-        for r in records
-        if r.workload_id not in dropped
-    ]
-    return workloads, f"trace-derived summaries ({args.manifest})"
+        policy = ingest.load_exclusions(args.exclusions)
+    workloads = evalmod.in_sample_workloads(policy, candidates)
+    if not workloads:
+        raise ingest.ConfigError(
+            "no in-sample workloads are left after the leakage exclusions"
+        )
+    return workloads, note
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -343,9 +347,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             evalmod.write_comparison_table(report.comparisons, out / csv_name)
             doc[f"{key}_mape"] = report.mape_report.mape
             doc[f"{key}_per_workload"] = report.mape_report.per_workload
-        with open(out / "mape.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        ingest.write_json(out / "mape.json", doc)
     return 0
 
 
@@ -379,7 +381,7 @@ def cmd_loocv(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(
+        ingest.write_csv(
             out / "loocv-holdouts.csv",
             ("holdout_workload_id", "parameter", "estimate"),
             [
@@ -388,7 +390,7 @@ def cmd_loocv(args: argparse.Namespace) -> int:
                 for p in report.parameters
             ],
         )
-        _write_csv(
+        ingest.write_csv(
             out / "loocv-summary.csv",
             ("parameter", "mean", "sd", "cov_percent", "most_divergent"),
             [
@@ -406,7 +408,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     spec = scenario.load_scenario_spec(args.spec)
     if args.loss_convention:
         spec = replace(spec, loss_convention=args.loss_convention)
-    result = scenario.run_scenario(spec, node_tdp_kw=args.tdp_node_kw)
+    try:
+        result = scenario.run_scenario(spec, node_tdp_kw=args.tdp_node_kw)
+    except ValueError as exc:  # a node rating below the modeled power
+        raise ingest.ConfigError(str(exc)) from exc
     sys.stdout.write(
         scenario.format_scenario_report(
             spec, result, provenance={"spec_file": str(args.spec)}
@@ -415,12 +420,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "scenario.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                scenario.scenario_result_document(spec, result),
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        ingest.write_json(
+            out / "scenario.json",
+            scenario.scenario_result_document(spec, result),
+        )
     return 0
 
 
@@ -472,8 +475,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="score against trace-derived summaries instead of "
                         "the published tables (in-sample only)")
     p.add_argument("--exclusions",
-                   help="exclusion policy; leakage entries are dropped from "
-                        "the in-sample set")
+                   help="exclusion policy; its leakage entries are dropped "
+                        "from the in-sample set (default: the shipped policy "
+                        "for the published tables, none for --manifest)")
     p.add_argument("--tdp-chip-kw", type=float, default=_CHIP_TDP_DEFAULT_KW,
                    help="per-GPU rated power, kW (default 0.7, a typical "
                         "vendor board rating)")
@@ -531,14 +535,7 @@ def main(argv: list[str] | None = None) -> int:
         return _error("non-convergence", exc)
     except evalmod.LeakageError as exc:
         return _error("leakage", exc)
-    except (
-        ingest.TraceFormatError,
-        ingest.ConfigError,
-        FileNotFoundError,
-        IsADirectoryError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except (ingest.TraceFormatError, ingest.ConfigError, OSError) as exc:
         return _error("input", exc)
 
 

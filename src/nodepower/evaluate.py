@@ -12,13 +12,12 @@ traces slot into the same path and are tagged by their source.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import reference
-from .ingest import WorkloadRecord, WorkloadSummary
+from .ingest import WorkloadRecord, WorkloadSummary, write_csv
 from .model import FittedModel, TdpConfig, tdp_bounds
 from .reference import ReferenceWorkload, ValidationWorkload
 
@@ -89,8 +88,6 @@ class EvalWorkload:
             source="published-summary",
         )
 
-    from_validation = from_reference
-
     @classmethod
     def from_record(
         cls, record: WorkloadRecord, summary: WorkloadSummary
@@ -160,32 +157,27 @@ class ValidationReport:
 
 def in_sample_workloads(
     exclusions: Sequence[tuple[str, str]] = reference.DEFAULT_EXCLUSIONS,
-    *,
-    exclude_reasons: Sequence[str] = ("leakage",),
+    workloads: Iterable[EvalWorkload] | None = None,
 ) -> tuple[EvalWorkload, ...]:
-    """The published training workloads, minus leakage exclusions.
+    """The training workloads (by default the published ones), minus the
+    exclusions whose reason is leakage.
 
-    Only exclusions whose reason is in ``exclude_reasons`` are applied.
-    The default keeps statistical outliers in: a workload dropped from the
-    regression for leverage reasons is still a legitimate measurement to
-    score predictions against, whereas a duplicated measurement (leakage)
-    would double-count.
+    Statistical outliers stay in: a workload dropped from the regression
+    for leverage reasons is still a legitimate measurement to score
+    predictions against, whereas a duplicated measurement (leakage) would
+    double-count.
     """
-    dropped = {
-        wid for wid, reason in exclusions if reason in exclude_reasons
-    }
-    return tuple(
-        EvalWorkload.from_reference(row)
-        for row in reference.REFERENCE_WORKLOADS
-        if row.workload_id not in dropped
-    )
+    if workloads is None:
+        workloads = map(EvalWorkload.from_reference,
+                        reference.REFERENCE_WORKLOADS)
+    leaked = {wid for wid, reason in exclusions if reason == "leakage"}
+    return tuple(w for w in workloads if w.workload_id not in leaked)
 
 
 def validation_workloads() -> tuple[EvalWorkload, ...]:
     """The held-out workloads with published measurements."""
     return tuple(
-        EvalWorkload.from_validation(row)
-        for row in reference.VALIDATION_WORKLOADS
+        map(EvalWorkload.from_reference, reference.VALIDATION_WORKLOADS)
     )
 
 
@@ -322,7 +314,7 @@ def write_comparison_table(
     ``destination`` is a path or a writable text stream; energies are kWh,
     the ``*_pct`` columns are the normalized ratios times 100.
     """
-    rows = [
+    write_csv(destination, _TABLE_HEADER, [
         (
             c.workload_id,
             repr(c.measured_kwh),
@@ -335,17 +327,4 @@ def write_comparison_table(
             c.source,
         )
         for c in comparisons
-    ]
-
-    def _write(stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(_TABLE_HEADER)
-        writer.writerows(rows)
-
-    if isinstance(destination, (str, bytes)) or hasattr(
-        destination, "__fspath__"
-    ):
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
-    else:
-        _write(destination)
+    ])

@@ -56,7 +56,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import WorkloadTable
+from .ingest import EXCLUSION_REASONS, WorkloadTable
 from .model import FORMS, FittedModel, FormSpec, ModelForm, PowerParams
 from .reference import (
     Architecture_LLM,
@@ -168,23 +168,22 @@ def apply_exclusions(
     """Drop the workloads named by an exclusion policy.
 
     The policy is a sequence of (workload_id, reason) pairs with reasons in
-    {outlier, leakage, manual}; naming a workload the dataset does not have
+    ``ingest.EXCLUSION_REASONS``; naming a workload the dataset does not have
     is an error rather than a no-op, because a silently ignored exclusion is
     how a leaked validation row sneaks back in.
     """
     if not policy:
         return dataset
     present = set(dataset.workloads())
-    valid_reasons = {"outlier", "leakage", "manual"}
     for wid, reason in policy:
         if wid not in present:
             raise UnknownWorkloadError(
                 f"exclusion names unknown workload {wid!r}"
             )
-        if reason not in valid_reasons:
+        if reason not in EXCLUSION_REASONS:
             raise ValueError(
                 f"exclusion reason {reason!r} for {wid!r} not in "
-                f"{sorted(valid_reasons)}"
+                f"{sorted(EXCLUSION_REASONS)}"
             )
     return dataset.drop([wid for wid, _ in policy])
 

@@ -8,7 +8,15 @@ The on-disk layout this module consumes:
   count, duration, interconnect) and one of ``[llm]``/``[cnn]`` holding the
   architecture parameters the flops module needs;
 * manifest: CSV with header ``config,trace`` listing the per-workload file
-  pairs, paths relative to the manifest's own directory.
+  pairs, paths relative to the manifest's own directory;
+* exclusion policy: CSV with header ``workload_id,reason``, each reason one
+  of ``EXCLUSION_REASONS``.
+
+Across the package, files are read with ``read_text`` (a typed error for
+a file that cannot be read) and ``read_ini`` (workload configs, scenario
+specs), and CSV and JSON files are written with ``write_csv`` and
+``write_json`` (model files, ``mape.json``, ``scenario.json``). Only
+``_open_text`` tells a path from a stream.
 
 Energy is average power times node count times duration. That is how the
 reference summaries were built (their reported energies reproduce within
@@ -24,11 +32,13 @@ import configparser
 import csv
 import hashlib
 import io
+import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +64,14 @@ __all__ = [
     "load_manifest",
     "load_and_assemble",
     "load_exclusions",
+    "EXCLUSION_REASONS",
+    "read_text",
+    "read_ini",
+    "write_csv",
+    "write_json",
 ]
+
+EXCLUSION_REASONS = ("outlier", "leakage", "manual")
 
 
 class TraceFormatError(ValueError):
@@ -62,7 +79,8 @@ class TraceFormatError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A workload config file is missing or inconsistent."""
+    """A config, manifest, exclusion, scenario or model file that cannot be
+    read or holds a bad value, or an option value the model rejects."""
 
 
 @dataclass(frozen=True)
@@ -126,10 +144,12 @@ class WorkloadRecord:
                 f"{self.workload_id}: {len(self.traces)} traces for "
                 f"{self.nodes} nodes"
             )
-        if self.interconnect_total_kw < 0:
+        if not self.interconnect_total_kw >= 0:
             raise ValueError("interconnect_total_kw must be >= 0")
         if not self.duration_h > 0:
             raise ValueError("duration_h must be positive")
+        if self.reference_flops is not None and not self.reference_flops > 0:
+            raise ValueError("reference_flops must be positive")
         for trace in self.traces:
             if trace.workload_id != self.workload_id:
                 raise ValueError(
@@ -161,22 +181,67 @@ class WorkloadSummary:
 _TRACE_HEADER = ("workload_id", "node_id", "elapsed_s", "power_kw")
 
 
+@contextmanager
 def _open_text(
     path_or_stream: str | Path | IO[str], mode: str = "r"
-) -> tuple[IO[str], bool]:
-    """A stream, or the named file opened; True if the caller must close."""
+) -> Iterator[IO[str]]:
+    """A stream as is, or the named file opened as UTF-8 with ``newline=""``
+    and closed on exit."""
     if not isinstance(path_or_stream, (str, os.PathLike)):
-        return path_or_stream, False
-    return open(path_or_stream, mode, encoding="utf-8", newline=""), True
+        yield path_or_stream
+        return
+    with open(path_or_stream, mode, encoding="utf-8", newline="") as fh:
+        yield fh
 
 
-def _read_text(path_or_stream: str | Path | IO[str]) -> str:
-    fh, owned = _open_text(path_or_stream)
+def read_text(
+    path_or_stream: str | Path | IO[str], error: type[ValueError], kind: str
+) -> str:
+    """The whole text of a stream or a UTF-8 file, line endings kept; a
+    file that cannot be opened or decoded, or a path with a NUL byte,
+    raises ``error``."""
     try:
-        return fh.read()
-    finally:
-        if owned:
-            fh.close()
+        with _open_text(path_or_stream) as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: NUL byte or decoding
+        raise error(f"{path_or_stream}: cannot read {kind} ({exc})") from exc
+
+
+def read_ini(
+    path: str | Path, kind: str = "config"
+) -> configparser.ConfigParser:
+    """An INI file parsed with ``#``/``;`` comments and no interpolation;
+    ``ConfigError`` if it cannot be read or parsed."""
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
+    # newline=None: a bare carriage return ends a line, as in a file that
+    # open() reads in its default mode
+    lines = io.StringIO(read_text(path, ConfigError, kind), newline=None)
+    try:
+        parser.read_file(lines, source=str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: invalid {kind} syntax ({exc})") from exc
+    return parser
+
+
+def write_csv(
+    path_or_stream: str | Path | IO[str],
+    header: Sequence[str],
+    rows: Iterable[Sequence[Any]],
+) -> None:
+    """Write a header and rows as CSV with ``\\n`` line endings."""
+    with _open_text(path_or_stream, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path_or_stream: str | Path | IO[str], doc: Any) -> None:
+    """Write a JSON document with sorted keys, indent 2 and a trailing
+    newline, so that equal documents give equal bytes."""
+    with _open_text(path_or_stream, "w") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # str.translate deletes these: every ASCII character but the separators
@@ -296,13 +361,13 @@ def parse_trace_file(
     ------
     TraceFormatError
         On a malformed row, a non-positive power, a negative elapsed time,
-        a non-finite number, or a duplicate (node_id, elapsed_s) pair; the
-        message names the offending 1-based line number.
+        a non-finite number, or a duplicate (node_id, elapsed_s) pair (the
+        message names the 1-based line), or a file that cannot be read.
     """
     # the text is handed on, not kept here, so that _tokenize can free it
     # once it is split
     header, lines, columns, error = _tokenize(
-        _read_text(path_or_stream), workload_id
+        read_text(path_or_stream, TraceFormatError, "trace file"), workload_id
     )
     if tuple(h.strip() for h in header) != _TRACE_HEADER:
         raise TraceFormatError(
@@ -405,20 +470,12 @@ def write_trace_file(
     Floats are written with their shortest exact decimal representation, so
     parse -> write -> parse is lossless for (node_id, elapsed_s, power_kw).
     """
-    fh, owned = _open_text(path_or_stream, "w")
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_TRACE_HEADER)
-        for trace in traces:
-            # repr of Python floats: numpy's repr would add np.float64(...)
-            times, powers = trace.elapsed_s.tolist(), trace.power_kw.tolist()
-            writer.writerows(
-                (trace.workload_id, trace.node_id, repr(t), repr(p))
-                for t, p in zip(times, powers)
-            )
-    finally:
-        if owned:
-            fh.close()
+    write_csv(path_or_stream, _TRACE_HEADER, (
+        # repr of Python floats: numpy's repr would add np.float64(...)
+        (trace.workload_id, trace.node_id, repr(t), repr(p))
+        for trace in traces
+        for t, p in zip(trace.elapsed_s.tolist(), trace.power_kw.tolist())
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +523,24 @@ def with_compute(record: WorkloadRecord) -> WorkloadRecord:
 
     If the record carries a recorded reference count, the computed value is
     checked against it (>1% disagreement emits FlopsMismatchWarning); the
-    computed value is what the dataset uses either way.
+    computed value is what the dataset uses either way. Every model form
+    needs a finite intensity above one operation per node (x > 0).
     """
     if record.arch_params is None:
         raise ConfigError(
             f"{record.workload_id}: no architecture parameters; cannot "
             "compute an operation count"
         )
-    est = flops.estimate(record.arch_params, record.nodes)
+    try:
+        est = flops.estimate(record.arch_params, record.nodes)
+        usable = 0 < est.log_intensity < np.inf
+    except OverflowError:  # an integer beyond the float range
+        usable = False
+    if not usable:
+        raise ConfigError(
+            f"{record.workload_id}: the operations per node per iteration "
+            "must be a finite count above one"
+        )
     if record.reference_flops is not None:
         flops.verify_against_reference(
             est.flops_per_iteration,
@@ -565,8 +632,8 @@ def _table(segments: Sequence[_Segment]) -> WorkloadTable:
     Raises
     ------
     ValueError
-        No samples, or the intensity or the architecture varies within a
-        workload.
+        No samples, or (a ``ConfigError``) an intensity or architecture
+        that varies within a workload.
     """
     if not segments:
         raise ValueError("no observations")
@@ -586,7 +653,7 @@ def _table(segments: Sequence[_Segment]) -> WorkloadTable:
     for name, column in (("intensity x", x), ("architecture", arch)):
         varies = np.flatnonzero(column != column[head][seg_group])
         if varies.size:
-            raise ValueError(
+            raise ConfigError(
                 f"workload {segments[varies[0]].workload_id!r}: {name} "
                 "varies within the workload"
             )
@@ -658,116 +725,103 @@ def assemble_dataset(records: Iterable[WorkloadRecord]) -> WorkloadTable:
 # config and manifest files
 # ---------------------------------------------------------------------------
 
-def _get(section: configparser.SectionProxy, key: str, path: Path, kind=str):
+def _get(section: configparser.SectionProxy, key: str, kind=str):
     if key not in section:
-        raise ConfigError(f"{path}: missing key {key!r} in [{section.name}]")
+        raise ValueError(f"missing key {key!r} in [{section.name}]")
     raw = section[key]
     try:
         return kind(raw)
     except ValueError:
-        raise ConfigError(
-            f"{path}: key {key!r} has invalid value {raw!r}"
-        ) from None
+        raise ValueError(f"key {key!r} has invalid value {raw!r}") from None
 
 
 def _parse_llm_section(
-    section: configparser.SectionProxy, path: Path, total_gpus: int
+    section: configparser.SectionProxy, total_gpus: int
 ) -> flops.LlmArch:
     common = dict(
-        hidden_size=_get(section, "hidden_size", path, int),
-        layers=_get(section, "layers", path, int),
-        sequence_length=_get(section, "sequence_length", path, int),
-        vocab_size=_get(section, "vocab_size", path, int),
+        hidden_size=_get(section, "hidden_size", int),
+        layers=_get(section, "layers", int),
+        sequence_length=_get(section, "sequence_length", int),
+        vocab_size=_get(section, "vocab_size", int),
     )
     has_direct = "global_batch" in section
     has_derived = any(
         key in section for key in ("minibatch", "tp", "cp", "pp")
     )
     if has_direct and has_derived:
-        raise ConfigError(
-            f"{path}: give either global_batch or minibatch+tp/cp/pp, "
-            "not both"
+        raise ValueError(
+            "give either global_batch or minibatch+tp/cp/pp, not both"
         )
-    try:
-        if has_direct:
-            return flops.LlmArch(
-                **common, global_batch=_get(section, "global_batch", path, int)
-            )
-        parallelism = flops.ParallelismConfig(
-            tp=_get(section, "tp", path, int),
-            cp=_get(section, "cp", path, int),
-            pp=_get(section, "pp", path, int),
-            total_gpus=total_gpus,
-        )
+    if has_direct:
         return flops.LlmArch(
-            **common,
-            minibatch=_get(section, "minibatch", path, int),
-            parallelism=parallelism,
+            **common, global_batch=_get(section, "global_batch", int)
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    parallelism = flops.ParallelismConfig(
+        tp=_get(section, "tp", int),
+        cp=_get(section, "cp", int),
+        pp=_get(section, "pp", int),
+        total_gpus=total_gpus,
+    )
+    return flops.LlmArch(
+        **common,
+        minibatch=_get(section, "minibatch", int),
+        parallelism=parallelism,
+    )
 
 
-def _parse_cnn_section(
-    section: configparser.SectionProxy, path: Path
-) -> flops.CnnArch:
-    gflops = _get(section, "flops_per_image_gflops", path, float)
-    try:
-        return flops.CnnArch(
-            flops_per_image=gflops * 1e9,
-            image_side=_get(section, "image_side", path, int),
-            global_batch=_get(section, "global_batch", path, int),
+def _parse_cnn_section(section: configparser.SectionProxy) -> flops.CnnArch:
+    return flops.CnnArch(
+        flops_per_image=_get(section, "flops_per_image_gflops", float) * 1e9,
+        image_side=_get(section, "image_side", int),
+        global_batch=_get(section, "global_batch", int),
+    )
+
+
+def _workload_record(parser: configparser.ConfigParser) -> WorkloadRecord:
+    """The record, without traces, that a parsed workload config describes.
+    A missing or invalid value raises ValueError."""
+    if "workload" not in parser:
+        raise ValueError("missing [workload] section")
+    w = parser["workload"]
+    architecture = _get(w, "architecture").lower()
+    if architecture not in (Architecture_LLM, Architecture_CNN):
+        raise ValueError(
+            f"architecture must be 'llm' or 'cnn', got {architecture!r}"
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    nodes = _get(w, "nodes", int)
+    gpus_per_node = _get(w, "gpus_per_node", int)
+    if architecture not in parser:
+        raise ValueError(f"missing [{architecture}] section")
+    if architecture == Architecture_LLM:
+        arch_params: flops.LlmArch | flops.CnnArch = _parse_llm_section(
+            parser[Architecture_LLM], nodes * gpus_per_node
+        )
+    else:
+        arch_params = _parse_cnn_section(parser[Architecture_CNN])
+    return WorkloadRecord(
+        workload_id=_get(w, "id"),
+        architecture=architecture,
+        arch_params=arch_params,
+        nodes=nodes,
+        gpus_per_node=gpus_per_node,
+        traces=(),
+        interconnect_total_kw=float(w.get("interconnect_total_kw", "0")),
+        duration_h=_get(w, "duration_h", float),
+        source=w.get("source", "unknown"),
+        reference_flops=(
+            _get(w, "reference_flops", float)
+            if "reference_flops" in w else None
+        ),
+    )
 
 
 def load_workload_config(path: str | Path) -> WorkloadRecord:
-    """Read a workload config file; the returned record has no traces yet."""
-    path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Read a workload config file; the returned record has no traces yet.
+    Raises ``ConfigError`` on a file that cannot be read or parsed, and on
+    a missing or invalid value."""
+    parser = read_ini(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config ({exc})") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: invalid config syntax ({exc})") from exc
-    if "workload" not in parser:
-        raise ConfigError(f"{path}: missing [workload] section")
-    w = parser["workload"]
-    architecture = _get(w, "architecture", path).lower()
-    if architecture not in (Architecture_LLM, Architecture_CNN):
-        raise ConfigError(
-            f"{path}: architecture must be 'llm' or 'cnn', "
-            f"got {architecture!r}"
-        )
-    nodes = _get(w, "nodes", path, int)
-    gpus_per_node = _get(w, "gpus_per_node", path, int)
-    if architecture not in parser:
-        raise ConfigError(f"{path}: missing [{architecture}] section")
-    if architecture == Architecture_LLM:
-        arch_params: flops.LlmArch | flops.CnnArch = _parse_llm_section(
-            parser[Architecture_LLM], path, nodes * gpus_per_node
-        )
-    else:
-        arch_params = _parse_cnn_section(parser[Architecture_CNN], path)
-    reference_flops = (
-        float(w["reference_flops"]) if "reference_flops" in w else None
-    )
-    try:
-        return WorkloadRecord(
-            workload_id=_get(w, "id", path),
-            architecture=architecture,
-            arch_params=arch_params,
-            nodes=nodes,
-            gpus_per_node=gpus_per_node,
-            traces=(),
-            interconnect_total_kw=float(w.get("interconnect_total_kw", "0")),
-            duration_h=_get(w, "duration_h", path, float),
-            source=w.get("source", "unknown"),
-            reference_flops=reference_flops,
-        )
+        return _workload_record(parser)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -775,23 +829,24 @@ def load_workload_config(path: str | Path) -> WorkloadRecord:
 def load_workload(
     config_path: str | Path, trace_path: str | Path
 ) -> WorkloadRecord:
-    """Config plus traces: one fully populated record."""
+    """Config plus traces: one fully populated record. More traced nodes
+    than the config's node count raise ``ConfigError``."""
     record = load_workload_config(config_path)
     traces = parse_trace_file(trace_path, record.workload_id)
-    return replace(record, traces=traces)
+    try:
+        return replace(record, traces=traces)
+    except ValueError as exc:
+        raise ConfigError(f"{trace_path}: {exc}") from exc
 
 
 def _read_pairs(
     path: Path, header: tuple[str, str], kind: str
 ) -> list[tuple[str, str]]:
     """The stripped rows of a two-column CSV file that starts with header."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read {kind} ({exc})") from exc
+    text = read_text(path, ConfigError, kind)
+    reader = csv.reader(io.StringIO(text, newline=""))
     pairs: list[tuple[str, str]] = []
-    with fh:
-        reader = csv.reader(fh)
+    try:
         first = next(reader, None)
         if first is None or tuple(h.strip() for h in first) != header:
             raise ConfigError(
@@ -805,6 +860,8 @@ def _read_pairs(
                     f"{path}: line {reader.line_num}: expected 2 fields"
                 )
             pairs.append((row[0].strip(), row[1].strip()))
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from exc
     return pairs
 
 
@@ -832,7 +889,15 @@ def load_and_assemble(
 
 
 def load_exclusions(path: str | Path) -> tuple[tuple[str, str], ...]:
-    """Read an exclusion policy file: CSV of workload_id,reason rows."""
-    return tuple(
-        _read_pairs(Path(path), ("workload_id", "reason"), "exclusion file")
+    """Read an exclusion policy file: CSV of workload_id,reason rows, each
+    reason one of ``EXCLUSION_REASONS`` (else ``ConfigError``)."""
+    pairs = _read_pairs(
+        Path(path), ("workload_id", "reason"), "exclusion file"
     )
+    for wid, reason in pairs:
+        if reason not in EXCLUSION_REASONS:
+            raise ConfigError(
+                f"{path}: exclusion reason {reason!r} for {wid!r} not in "
+                f"{sorted(EXCLUSION_REASONS)}"
+            )
+    return tuple(pairs)

@@ -36,6 +36,7 @@ from typing import IO, Any, Callable, Mapping
 import numpy as np
 
 from . import reference
+from .ingest import ConfigError, read_text, write_json
 from .reference import Architecture_CNN, Architecture_LLM
 
 __all__ = [
@@ -466,33 +467,34 @@ def save_model(model: FittedModel, path_or_stream: str | Path | IO[str]) -> None
     shortest-exact decimal representation. Keys are sorted so identical
     models produce identical bytes.
     """
-    text = json.dumps(_model_document(model), sort_keys=True, indent=2) + "\n"
-    if hasattr(path_or_stream, "write"):
-        path_or_stream.write(text)  # type: ignore[union-attr]
-    else:
-        Path(path_or_stream).write_text(text, encoding="utf-8")
+    write_json(path_or_stream, _model_document(model))
 
 
 def load_model(path_or_stream: str | Path | IO[str]) -> FittedModel:
-    """Read a fitted-model JSON file written by save_model."""
-    if hasattr(path_or_stream, "read"):
-        doc = json.load(path_or_stream)  # type: ignore[arg-type]
-    else:
-        with open(path_or_stream, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if doc.get("format") != MODEL_FILE_FORMAT:
-        raise ValueError(
-            f"not a recognized model file (format={doc.get('format')!r})"
+    """Read a fitted-model JSON file written by save_model; ``ConfigError``
+    if it cannot be read, is not JSON or does not hold a valid model."""
+    text = read_text(path_or_stream, ConfigError, "model file")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path_or_stream}: not JSON ({exc})") from exc
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != MODEL_FILE_FORMAT:
+        raise ConfigError(
+            f"{path_or_stream}: not a recognized model file "
+            f"(format={found!r})"
         )
-    form = ModelForm.from_string(doc["variant"])
-    params = PowerParams(**doc["params"])
-    params.validate_for(form)
-    return FittedModel(
-        form=form,
-        params=params,
-        robust_se=dict(doc.get("robust_se", {})),
-        provenance=dict(doc.get("provenance", {})),
-    )
+    try:
+        form = ModelForm.from_string(doc.get("variant"))
+        params = PowerParams(**doc.get("params", {}))
+        params.validate_for(form)
+        robust_se, provenance = (
+            dict(doc.get(key, {})) for key in ("robust_se", "provenance")
+        )
+    except (TypeError, ValueError) as exc:
+        # TypeError: an unknown parameter, or a value of the wrong JSON type
+        raise ConfigError(f"{path_or_stream}: invalid model ({exc})") from exc
+    return FittedModel(form, params, robust_se, provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ rated-power estimate would have claimed.
 
 from __future__ import annotations
 
-import configparser
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
+from .ingest import ConfigError, read_ini
 from .reference import NODE_TDP_KW
 
 __all__ = [
@@ -226,46 +226,27 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 
 def load_scenario_spec(path) -> ScenarioSpec:
-    """Read a scenario spec from an INI file.
-
-    Layout: a ``[scenario]`` section with the scalar fields, and an
-    optional ``[carbon_intensity_kg_per_mwh]`` section whose entries name
-    the intensities (``grid_average = 428``).
-    """
-    parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#", ";"), interpolation=None
-    )
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(f"scenario spec not found: {path}")
+    """Read a scenario spec from a UTF-8 INI file: a ``[scenario]`` section
+    with ScenarioSpec's scalar fields (an absent optional one takes its
+    default) and an optional ``[carbon_intensity_kg_per_mwh]`` section
+    naming the intensities (``grid_average = 428``). A file that cannot be
+    read or parsed, or a missing, unknown or invalid value, raises
+    ``ConfigError``."""
+    parser = read_ini(path, "scenario spec")
     if "scenario" not in parser:
-        raise ValueError(f"{path}: missing [scenario] section")
-    sec = parser["scenario"]
+        raise ConfigError(f"{path}: missing [scenario] section")
+    kinds = {"nodes": int, "gpus_per_node": int, "loss_convention": str}
+    bands = "carbon_intensity_kg_per_mwh"
     try:
-        spec = ScenarioSpec(
-            nodes=sec.getint("nodes"),
-            gpus_per_node=sec.getint("gpus_per_node"),
-            duration_days=sec.getfloat("duration_days"),
-            per_node_power_kw=sec.getfloat("per_node_power_kw"),
-            pue=sec.getfloat("pue", fallback=1.0),
-            conversion_loss_fraction=sec.getfloat(
-                "conversion_loss_fraction", fallback=0.0
-            ),
+        return ScenarioSpec(
+            **{key: kinds.get(key, float)(value)
+               for key, value in parser["scenario"].items()},
             carbon_intensity_kg_per_mwh={
-                name: float(value)
-                for name, value in parser.items(
-                    "carbon_intensity_kg_per_mwh"
-                )
-            }
-            if "carbon_intensity_kg_per_mwh" in parser
-            else {},
-            per_node_swing_kw=sec.getfloat("per_node_swing_kw", fallback=0.0),
-            swing_window_ms=sec.getfloat("swing_window_ms", fallback=20.0),
-            loss_convention=sec.get("loss_convention", fallback="divide"),
+                name: float(value) for name, value in parser.items(bands)
+            } if bands in parser else {},
         )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: invalid scenario spec: {exc}") from exc
-    return spec
+    except (TypeError, ValueError) as exc:  # TypeError: key missing or unknown
+        raise ConfigError(f"{path}: invalid scenario spec: {exc}") from exc
 
 
 def format_scenario_report(
@@ -316,29 +297,4 @@ def scenario_result_document(
     spec: ScenarioSpec, result: ScenarioResult
 ) -> dict[str, Any]:
     """JSON-ready dict of the result plus the assumptions that shaped it."""
-    return {
-        "spec": {
-            "nodes": spec.nodes,
-            "gpus_per_node": spec.gpus_per_node,
-            "duration_days": spec.duration_days,
-            "per_node_power_kw": spec.per_node_power_kw,
-            "pue": spec.pue,
-            "conversion_loss_fraction": spec.conversion_loss_fraction,
-            "carbon_intensity_kg_per_mwh": dict(
-                spec.carbon_intensity_kg_per_mwh
-            ),
-            "per_node_swing_kw": spec.per_node_swing_kw,
-            "swing_window_ms": spec.swing_window_ms,
-            "loss_convention": spec.loss_convention,
-        },
-        "result": {
-            "it_energy_gwh": result.it_energy_gwh,
-            "facility_energy_gwh": result.facility_energy_gwh,
-            "emissions_tonnes": dict(result.emissions_tonnes),
-            "node_tdp_kw": result.node_tdp_kw,
-            "tdp_facility_energy_gwh": result.tdp_facility_energy_gwh,
-            "energy_gap_gwh": result.energy_gap_gwh,
-            "emissions_gap_tonnes": dict(result.emissions_gap_tonnes),
-            "aggregate_swing_mw": result.aggregate_swing_mw,
-        },
-    }
+    return {"spec": asdict(spec), "result": asdict(result)}

@@ -22,14 +22,13 @@ which is exactly what `ingest.load_and_assemble` expects.
 from __future__ import annotations
 
 import argparse
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import reference
-from .ingest import NodeTrace, write_trace_file
+from .ingest import NodeTrace, write_csv, write_trace_file
 from .reference import ReferenceWorkload
 
 __all__ = [
@@ -209,16 +208,11 @@ def generate(
         manifest_rows.append((config_name, trace_name))
 
     manifest = root / "manifest.csv"
-    with open(manifest, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("config", "trace"))
-        writer.writerows(manifest_rows)
-
+    write_csv(manifest, ("config", "trace"), manifest_rows)
     exclusions = root / "exclusions.csv"
-    with open(exclusions, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("workload_id", "reason"))
-        writer.writerows(reference.DEFAULT_EXCLUSIONS)
+    write_csv(
+        exclusions, ("workload_id", "reason"), reference.DEFAULT_EXCLUSIONS
+    )
 
     return GeneratedDataset(
         root=root,

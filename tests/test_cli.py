@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import filecmp
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +14,16 @@ from pathlib import Path
 import pytest
 
 import nodepower
+from nodepower import fit as fitmod
 from nodepower.cli import main
 from nodepower.data import desk_dir, desk_exclusions, desk_manifest
 from nodepower.model import load_model, preset, save_model
+from nodepower.reference import REFERENCE_WORKLOADS
 
 MANIFEST = str(desk_manifest())
 EXCLUSIONS = str(desk_exclusions())
+SRC = str(Path(nodepower.__file__).resolve().parents[1])
+FLEET = str(Path(__file__).resolve().parents[1] / "demos" / "fleet.ini")
 
 SCENARIO_INI = """\
 [scenario]
@@ -181,6 +187,24 @@ class TestEvaluate:
         )
         assert len(val_rows) == 4
 
+    def test_exclusions_replace_the_default_policy(self, tmp_path, capsys):
+        # without --manifest, the policy file decides the published
+        # in-sample set: its leakage entry goes, the shipped one comes back
+        policy = tmp_path / "exclusions.csv"
+        policy.write_text("workload_id,reason\nbnl-resnet-2-1,leakage\n")
+        rc = main([
+            "evaluate", "--preset", "arch-fe", "--scope", "in-sample",
+            "--exclusions", str(policy), "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        blob = json.loads((tmp_path / "mape.json").read_text())
+        assert set(blob["in_sample_per_workload"]) == {
+            w.workload_id for w in REFERENCE_WORKLOADS
+        } - {"bnl-resnet-2-1"}
+        assert blob["in_sample_mape"]["model"] != pytest.approx(
+            10.77, abs=0.05
+        )
+
     def test_leakage_detected_from_model_file(self, tmp_path, capsys):
         # a model whose training record claims a validation workload
         clean = tmp_path / "clean.json"
@@ -291,8 +315,7 @@ class TestUsage:
 
 
 def test_scenario_and_preset_prediction_do_not_load_scipy():
-    src = str(Path(nodepower.__file__).resolve().parents[1])
-    fleet = Path(__file__).resolve().parents[1] / "demos" / "fleet.ini"
+    src, fleet = SRC, FLEET
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
         "from nodepower.cli import main; "
@@ -306,3 +329,194 @@ def test_scenario_and_preset_prediction_do_not_load_scipy():
         capture_output=True, text=True, check=True,
     )
     assert out.stderr.strip().splitlines()[-1] == "0 False"
+
+
+# ---------------------------------------------------------------------------
+# bad input exits 3 with one line; anything else is a traceback
+# ---------------------------------------------------------------------------
+
+def _edited_config(tmp_path, old, new):
+    text = (desk_dir() / "smc-resnet-2-1.ini").read_text()
+    assert old in text
+    path = tmp_path / "w.ini"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+def _edited_model(tmp_path, edit):
+    path = tmp_path / "model.json"
+    save_model(preset("asymptotic"), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return ["evaluate", "--model", str(path)]
+
+
+def _written(tmp_path, name, content):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+def _manifest_with_trace(tmp_path, trace):
+    config = desk_dir() / "smc-resnet-2-1.ini"
+    manifest = _written(
+        tmp_path, "manifest.csv",
+        f"config,trace\n{config},{_written(tmp_path, 't.csv', trace)}\n",
+    )
+    return ["fit", "--manifest", manifest, "--out", str(tmp_path / "o")]
+
+
+_TRACE_HEADER = b"workload_id,node_id,elapsed_s,power_kw\n"
+_TYPO = "workload_id,reason\nsmc-llama-70b-8,leakge\n"
+
+# each case: tmp_path -> argv
+BAD_INPUT = {
+    # a % is read literally (see test_ingest), so here it makes a bad number
+    "percent-in-config": lambda t: [
+        "flops", _edited_config(t, "duration_h = 0.22", "duration_h = 22%"),
+    ],
+    "model-unknown-parameter": lambda t: _edited_model(
+        t, lambda doc: doc["params"].update(gamma=1.0)
+    ),
+    "model-without-variant": lambda t: _edited_model(
+        t, lambda doc: doc.pop("variant")
+    ),
+    "model-not-json": lambda t: [
+        "evaluate", "--model", _written(t, "m.json", "{not json"),
+    ],
+    "spec-without-section-header": lambda t: [
+        "scenario", "--spec", _written(t, "s.ini", "nodes = 10\n"),
+    ],
+    "spec-unknown-key": lambda t: [
+        "scenario", "--spec", _written(t, "s.ini", SCENARIO_INI.replace(
+            "pue = 1.1", "pue_facility = 1.1"
+        )),
+    ],
+    "manifest-nul-byte": lambda t: [
+        "fit", "--manifest",
+        _written(t, "m.csv", "config,trace\nw\0.ini,t.csv\n"),
+        "--out", str(t / "o"),
+    ],
+    "trace-not-utf8": lambda t: _manifest_with_trace(
+        t, _TRACE_HEADER + b"smc-resnet-2-1,n\xff,0.0,5.0\n"
+    ),
+    "more-traces-than-nodes": lambda t: _manifest_with_trace(
+        t, _TRACE_HEADER + b"smc-resnet-2-1,a,0,5\nsmc-resnet-2-1,b,0,5\n"
+    ),
+    "one-id-two-intensities": lambda t: [
+        "fit", "--manifest", _written(t, "m.csv", "config,trace\n" + "".join(
+            f"{config},{desk_dir() / 'traces' / 'smc-resnet-2-1.csv'}\n"
+            for config in (
+                desk_dir() / "smc-resnet-2-1.ini",
+                _edited_config(t, "global_batch = 3200", "global_batch = 64"),
+            )
+        )), "--out", str(t / "o"),
+    ],
+    "exclusion-reason-typo-fit": lambda t: [
+        "fit", "--manifest", MANIFEST,
+        "--exclusions", _written(t, "x.csv", _TYPO), "--out", str(t / "o"),
+    ],
+    "exclusion-reason-typo-evaluate": lambda t: [
+        "evaluate", "--preset", "arch-fe",
+        "--exclusions", _written(t, "x.csv", _TYPO),
+    ],
+    "evaluate-chip-tdp-over-node-tdp": lambda t: [
+        "evaluate", "--preset", "arch-fe", "--tdp-chip-kw", "5",
+    ],
+    "scenario-node-tdp-below-model": lambda t: [
+        "scenario", "--spec", FLEET, "--tdp-node-kw", "1",
+    ],
+    "reference-flops-zero": lambda t: [
+        "flops", _edited_config(
+            t, "reference_flops = 34600000000000.0", "reference_flops = 0"
+        ),
+    ],
+    "interconnect-nan": lambda t: [
+        "flops", _edited_config(
+            t, "interconnect_total_kw = 0.0", "interconnect_total_kw = nan"
+        ),
+    ],
+    "intensity-below-one-operation-per-node": lambda t: [
+        "predict", "--preset", "arch-fe", "--config", _edited_config(
+            t, "flops_per_image_gflops = 3.6",
+            "flops_per_image_gflops = 1e-15",
+        ),
+    ],
+    "operation-count-beyond-float": lambda t: [
+        "flops", _edited_config(
+            t, "global_batch = 3200", "global_batch = " + "9" * 400
+        ),
+    ],
+    "fit-out-is-a-file": lambda t: [
+        "fit", "--manifest", MANIFEST, "--out", _written(t, "o", "x"),
+    ],
+}
+
+# these crashed with a traceback before their readers raised typed errors;
+# a fresh interpreter shows one again
+IN_A_SUBPROCESS = ("model-unknown-parameter", "spec-without-section-header")
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_exits_3_with_one_line(case, tmp_path, capsys):
+    argv = BAD_INPUT[case](tmp_path)
+    if case in IN_A_SUBPROCESS:
+        run = subprocess.run(
+            [sys.executable, "-m", "nodepower.cli", *argv],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        rc, err = run.returncode, run.stderr
+    else:
+        rc, err = main(argv), capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("nodepower: error: input: "), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise ValueError("an internal bug")
+
+    monkeypatch.setattr(fitmod, "two_stage_fit", broken)
+    with pytest.raises(ValueError, match="an internal bug"):
+        main(["fit", "--manifest", MANIFEST, "--out", str(tmp_path)])
+
+
+# ---------------------------------------------------------------------------
+# the bytes of --out files
+# ---------------------------------------------------------------------------
+
+GOLDEN_OUT = {
+    "flops": ({
+        "flops.csv": "cab943baad5bd9bd6536bc7b6611793f"
+                     "5fad95e68a8fb203a67008639e256ec6",
+    }, lambda: ["flops", *map(str, sorted(desk_dir().glob("*.ini")))]),
+    "evaluate": ({
+        "in-sample-comparisons.csv": "2446d2ab543baf3aa67702a6a5e0218a"
+                                     "4fa91d7b35e2cdedfa4ff7d812748118",
+        "mape.json": "548947cdc1db70f96805c5b04d3e3655"
+                     "120e35aedc724838b193aa47eb1bd739",
+        "validation-comparisons.csv": "5b2870a9cd3c483be33d1d51d8fe4f20"
+                                      "d6d7d50a5f9c546929caeaabea6f24b9",
+    }, lambda: ["evaluate", "--preset", "arch-fe", "--scope", "both"]),
+    "scenario": ({
+        "scenario.json": "be3480429e0794aae685d92a288738d2"
+                         "561347e58925b3fc8f7f10574d3c4fa0",
+    }, lambda: ["scenario", "--spec", FLEET]),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_OUT)
+def test_out_files_keep_their_bytes(command, tmp_path, capsys):
+    want, argv = GOLDEN_OUT[command]
+    assert main([*argv(), "--out", str(tmp_path)]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.iterdir()
+    }
+    assert got == want

@@ -690,6 +690,16 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             ingest.load_workload_config(_write_config(tmp_path, body))
 
+    def test_percent_and_bare_carriage_returns_are_plain_text(self, tmp_path):
+        # no interpolation: "%" is a character like any other; and a bare
+        # CR ends a line, as it does in a file opened in text mode
+        body = LLM_CONFIG.replace("source = SMC", "source = 100% SMC")
+        path = _write_config(tmp_path, body)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        record = ingest.load_workload_config(path)
+        assert record.source == "100% SMC"
+        assert record.arch_params.vocab_size == 100
+
     def test_reference_flops_mismatch_warns_on_compute(self, tmp_path):
         body = LLM_CONFIG.replace(
             "source = SMC", "source = SMC\n    reference_flops = 1e18"
