@@ -29,15 +29,33 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from . import evaluate as evalmod
-from . import fit as fitmod
-from . import ingest, model, scenario
-from .reference import DEFAULT_EXCLUSIONS, NODE_TDP_KW
+from .files import (
+    ConfigError,
+    DegenerateDataError,
+    LeakageError,
+    ModelForm,
+    NonConvergenceError,
+    TraceFormatError,
+    UnknownWorkloadError,
+    load_workload_config,
+    with_compute,
+    write_csv,
+    write_json,
+)
+from .reference import DEFAULT_EXCLUSIONS, NODE_TDP_KW, PRESET_NAMES
+
+# The modules that load numpy are imported by the commands that use them,
+# so that flops and scenario run without it.
+if TYPE_CHECKING:
+    from . import evaluate as evalmod
+    from . import fit as fitmod
+    from . import model
 
 __all__ = ["main"]
 
@@ -68,6 +86,8 @@ def _provenance_line(provenance: Mapping[str, Any]) -> str:
 
 
 def _load_model_arg(args: argparse.Namespace) -> model.FittedModel:
+    from . import model
+
     # argparse requires exactly one of --preset and --model
     if args.preset:
         return model.preset(args.preset)
@@ -75,12 +95,14 @@ def _load_model_arg(args: argparse.Namespace) -> model.FittedModel:
 
 
 def _tdp_from_args(args: argparse.Namespace) -> model.TdpConfig:
+    from . import model
+
     try:
         return model.TdpConfig(
             chip_tdp_kw=args.tdp_chip_kw, node_tdp_kw=args.tdp_node_kw
         )
     except ValueError as exc:
-        raise ingest.ConfigError(
+        raise ConfigError(
             f"--tdp-chip-kw/--tdp-node-kw: {exc}"
         ) from exc
 
@@ -92,7 +114,7 @@ def _tdp_from_args(args: argparse.Namespace) -> model.TdpConfig:
 def cmd_flops(args: argparse.Namespace) -> int:
     rows = []
     for config_path in args.configs:
-        record = ingest.with_compute(ingest.load_workload_config(config_path))
+        record = with_compute(load_workload_config(config_path))
         est = record.compute
         assert est is not None
         print(
@@ -111,7 +133,7 @@ def cmd_flops(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        ingest.write_csv(
+        write_csv(
             out / "flops.csv",
             ("workload_id", "flops_per_iteration", "flops_per_node",
              "log10_intensity"),
@@ -188,11 +210,14 @@ def _fit_report_text(
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from . import fit as fitmod
+    from . import ingest, model
+
     _, dataset = ingest.load_and_assemble(args.manifest)
     exclusions = (
         ingest.load_exclusions(args.exclusions) if args.exclusions else ()
     )
-    form = model.ModelForm.from_string(args.form)
+    form = ModelForm.from_string(args.form)
     config = fitmod.FitConfig(exclusions=exclusions)
     result = fitmod.two_stage_fit(dataset, form, config)
     sha = dataset.sha256()
@@ -211,7 +236,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     stages = _stage_rows(result)
     report = _fit_report_text(result, config, sha, fitted, stages)
     (out / "fit-report.txt").write_text(report, encoding="utf-8")
-    ingest.write_csv(
+    write_csv(
         out / "fit-report.csv",
         ("stage", "parameter", "kind", "estimate", "robust_se", "t_value",
          "p_value"),
@@ -230,7 +255,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     fitted = _load_model_arg(args)
-    record = ingest.with_compute(ingest.load_workload_config(args.config))
+    record = with_compute(load_workload_config(args.config))
     est = record.compute
     assert est is not None
     power = fitted.power_kw(est.log_intensity, arch=record.architecture)
@@ -283,11 +308,13 @@ def _in_sample_workloads(
     """The in-sample workloads and a note on where their measured figures
     come from. ``--exclusions`` replaces the default policy: the shipped
     one for the published tables, none for a manifest."""
+    from . import evaluate as evalmod
+    from . import ingest
+
     if args.manifest:
         candidates = [
             evalmod.EvalWorkload.from_record(r, ingest.summarize_workload(r))
-            for r in map(ingest.with_compute,
-                         ingest.load_manifest(args.manifest))
+            for r in map(with_compute, ingest.load_manifest(args.manifest))
         ]
         policy, note = (), f"trace-derived summaries ({args.manifest})"
     else:
@@ -298,13 +325,15 @@ def _in_sample_workloads(
         policy = ingest.load_exclusions(args.exclusions)
     workloads = evalmod.in_sample_workloads(policy, candidates)
     if not workloads:
-        raise ingest.ConfigError(
+        raise ConfigError(
             "no in-sample workloads are left after the leakage exclusions"
         )
     return workloads, note
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import evaluate as evalmod
+
     fitted = _load_model_arg(args)
     tdp = _tdp_from_args(args)
 
@@ -347,17 +376,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             evalmod.write_comparison_table(report.comparisons, out / csv_name)
             doc[f"{key}_mape"] = report.mape_report.mape
             doc[f"{key}_per_workload"] = report.mape_report.per_workload
-        ingest.write_json(out / "mape.json", doc)
+        write_json(out / "mape.json", doc)
     return 0
 
 
 def cmd_loocv(args: argparse.Namespace) -> int:
+    from . import fit as fitmod
+    from . import ingest
+
     _, dataset = ingest.load_and_assemble(args.manifest)
     if args.exclusions:
         dataset = fitmod.apply_exclusions(
             dataset, ingest.load_exclusions(args.exclusions)
         )
-    form = model.ModelForm.from_string(args.form)
+    form = ModelForm.from_string(args.form)
     report = fitmod.loocv(dataset, form)
 
     print(f"leave-one-workload-out, shape stage, form {form.value}")
@@ -381,7 +413,7 @@ def cmd_loocv(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        ingest.write_csv(
+        write_csv(
             out / "loocv-holdouts.csv",
             ("holdout_workload_id", "parameter", "estimate"),
             [
@@ -390,7 +422,7 @@ def cmd_loocv(args: argparse.Namespace) -> int:
                 for p in report.parameters
             ],
         )
-        ingest.write_csv(
+        write_csv(
             out / "loocv-summary.csv",
             ("parameter", "mean", "sd", "cov_percent", "most_divergent"),
             [
@@ -405,13 +437,20 @@ def cmd_loocv(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
+    from . import scenario
+
+    if not 0 < args.tdp_node_kw < math.inf:
+        raise ConfigError(
+            f"--tdp-node-kw must be a positive, finite rating in kW, got "
+            f"{args.tdp_node_kw}"
+        )
     spec = scenario.load_scenario_spec(args.spec)
     if args.loss_convention:
         spec = replace(spec, loss_convention=args.loss_convention)
     try:
         result = scenario.run_scenario(spec, node_tdp_kw=args.tdp_node_kw)
     except ValueError as exc:  # a node rating below the modeled power
-        raise ingest.ConfigError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
     sys.stdout.write(
         scenario.format_scenario_report(
             spec, result, provenance={"spec_file": str(args.spec)}
@@ -420,7 +459,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        ingest.write_json(
+        write_json(
             out / "scenario.json",
             scenario.scenario_result_document(spec, result),
         )
@@ -448,8 +487,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="CSV manifest of (config, trace) pairs")
     p.add_argument("--exclusions",
                    help="CSV exclusion policy (workload_id, reason)")
-    p.add_argument("--form", default="arch-fe",
-                   choices=[f.value for f in model.ModelForm])
+    p.add_argument("--form", default=ModelForm.LOG_ASYMPTOTIC_ARCH_FE.value,
+                   choices=[f.value for f in ModelForm])
     p.add_argument("--out", default=".",
                    help="output directory (default: current directory)")
     p.add_argument("--pin-timestamp", metavar="ISO8601",
@@ -459,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict power/energy for one config")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--model", help="fitted model file")
-    g.add_argument("--preset", choices=model.preset_names())
+    g.add_argument("--preset", choices=PRESET_NAMES)
     p.add_argument("--config", required=True, help="workload config file")
     p.set_defaults(func=cmd_predict)
 
@@ -468,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--model", help="fitted model file")
-    g.add_argument("--preset", choices=model.preset_names())
+    g.add_argument("--preset", choices=PRESET_NAMES)
     p.add_argument("--scope", default="both",
                    choices=["in-sample", "validation", "both"])
     p.add_argument("--manifest",
@@ -490,8 +529,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--exclusions",
                    help="drop these workloads before the holdout scan")
-    p.add_argument("--form", default="asymptotic",
-                   choices=[f.value for f in model.ModelForm])
+    p.add_argument("--form", default=ModelForm.LOG_ASYMPTOTIC.value,
+                   choices=[f.value for f in ModelForm])
     p.add_argument("--out", help="directory for machine-readable tables")
     p.set_defaults(func=cmd_loocv)
 
@@ -510,6 +549,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _error(category: str, exc: BaseException) -> int:
     message = " ".join(str(exc).split()) or exc.__class__.__name__
+    # a control character (a NUL in a path, say) is shown escaped
+    message = "".join(
+        c if c.isprintable() else ascii(c)[1:-1] for c in message
+    )
     print(f"nodepower: error: {category}: {message}", file=sys.stderr)
     return _EXIT_CODES[category]
 
@@ -527,15 +570,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except fitmod.UnknownWorkloadError as exc:
+    except UnknownWorkloadError as exc:
         return _error("unknown-workload", exc)
-    except fitmod.DegenerateDataError as exc:
+    except DegenerateDataError as exc:
         return _error("degenerate-data", exc)
-    except fitmod.NonConvergenceError as exc:
+    except NonConvergenceError as exc:
         return _error("non-convergence", exc)
-    except evalmod.LeakageError as exc:
+    except LeakageError as exc:
         return _error("leakage", exc)
-    except (ingest.TraceFormatError, ingest.ConfigError, OSError) as exc:
+    except (TraceFormatError, ConfigError, OSError) as exc:
         return _error("input", exc)
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import reference
-from .ingest import WorkloadRecord, WorkloadSummary, write_csv
+from .files import LeakageError, WorkloadRecord, write_csv
+from .ingest import WorkloadSummary
 from .model import FittedModel, TdpConfig, tdp_bounds
 from .reference import ReferenceWorkload, ValidationWorkload
 
@@ -37,10 +38,6 @@ __all__ = [
 ]
 
 ESTIMATORS = ("model", "chip_tdp", "node_tdp")
-
-
-class LeakageError(ValueError):
-    """A validation workload appears in the model's training provenance."""
 
 
 @dataclass(frozen=True)

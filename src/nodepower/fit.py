@@ -56,6 +56,11 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .files import (
+    DegenerateDataError,
+    NonConvergenceError,
+    UnknownWorkloadError,
+)
 from .ingest import EXCLUSION_REASONS, WorkloadTable
 from .model import FORMS, FittedModel, FormSpec, ModelForm, PowerParams
 from .reference import (
@@ -79,18 +84,6 @@ __all__ = [
     "loocv",
     "to_fitted_model",
 ]
-
-
-class DegenerateDataError(ValueError):
-    """The data cannot identify the requested parameters."""
-
-
-class NonConvergenceError(RuntimeError):
-    """The best start point did not reach an optimum."""
-
-
-class UnknownWorkloadError(KeyError):
-    """An exclusion policy named a workload the dataset does not contain."""
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ average node power in kW:
 its analytic gradient, the parameter names in reporting order, which
 parameters each fit stage estimates, the parameters fitted on a log10
 scale, the lower bounds and the default start points. ``predict_power``,
-parameter validation, the fit in ``nodepower.fit`` and the CLI all read it.
+parameter validation and the fit in ``nodepower.fit`` read it. The form
+names themselves are ``ModelForm``, which lives in ``nodepower.files`` so
+that the CLI can offer them without loading numpy.
 
 The simple raw-scale variant is kept for completeness but has no calibrated
 preset: the published shape values only make sense on the log scale. Every
@@ -27,7 +29,6 @@ node count and duration gives the energy estimate used across the toolkit.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -36,7 +37,7 @@ from typing import IO, Any, Callable, Mapping
 import numpy as np
 
 from . import reference
-from .ingest import ConfigError, read_text, write_json
+from .files import ConfigError, ModelForm, read_text, write_json
 from .reference import Architecture_CNN, Architecture_LLM
 
 __all__ = [
@@ -57,25 +58,6 @@ __all__ = [
 ]
 
 MODEL_FILE_FORMAT = "nodepower-model/1"
-
-
-class ModelForm(enum.Enum):
-    """The selectable functional forms."""
-
-    SIMPLE_ASYMPTOTIC = "simple"
-    LOG_ASYMPTOTIC = "asymptotic"
-    LOG_ASYMPTOTIC_ARCH_FE = "arch-fe"
-    SIGMOID = "sigmoid"
-
-    @classmethod
-    def from_string(cls, value: str) -> "ModelForm":
-        for form in cls:
-            if form.value == value:
-                return form
-        raise ValueError(
-            f"unknown model form {value!r}; choose from "
-            f"{[f.value for f in cls]}"
-        )
 
 
 @dataclass(frozen=True)
@@ -522,8 +504,12 @@ def _preset_provenance(name: str) -> dict[str, Any]:
 
 
 def _build_presets() -> dict[str, FittedModel]:
+    # the names are those of reference.PRESET_NAMES, which the CLI offers
+    # without loading this module; the unpacking raises if a preset is
+    # added or removed there and not here
+    asymptotic, arch_fe, sigmoid, post_exclusion = reference.PRESET_NAMES
     presets: dict[str, FittedModel] = {}
-    presets["asymptotic"] = FittedModel(
+    presets[asymptotic] = FittedModel(
         form=ModelForm.LOG_ASYMPTOTIC,
         params=PowerParams(
             p_idle_kw=reference.FINAL_IDLE_KW,
@@ -531,9 +517,9 @@ def _build_presets() -> dict[str, FittedModel]:
             alpha=reference.ALPHA_POST_EXCLUSION,
         ),
         robust_se={"beta_comp_kw": 0.35},
-        provenance=_preset_provenance("asymptotic"),
+        provenance=_preset_provenance(asymptotic),
     )
-    presets["arch-fe"] = FittedModel(
+    presets[arch_fe] = FittedModel(
         form=ModelForm.LOG_ASYMPTOTIC_ARCH_FE,
         params=PowerParams(
             p_idle_kw=reference.FINAL_IDLE_KW,
@@ -542,9 +528,9 @@ def _build_presets() -> dict[str, FittedModel]:
             alpha=reference.ALPHA_POST_EXCLUSION,
         ),
         robust_se={"beta_llm_kw": 0.50, "beta_cnn_kw": 0.32},
-        provenance=_preset_provenance("arch-fe"),
+        provenance=_preset_provenance(arch_fe),
     )
-    presets["sigmoid"] = FittedModel(
+    presets[sigmoid] = FittedModel(
         form=ModelForm.SIGMOID,
         params=PowerParams(
             p_idle_kw=reference.FINAL_IDLE_KW,
@@ -553,18 +539,18 @@ def _build_presets() -> dict[str, FittedModel]:
             k=reference.SIGMOID_K_REFIT,
         ),
         robust_se={"beta_comp_kw": 1.33, "k": 0.16},
-        provenance=_preset_provenance("sigmoid"),
+        provenance=_preset_provenance(sigmoid),
     )
     # the published record is ambiguous about which sigmoid midpoint the
     # final magnitudes were paired with; both candidates ship
     post = replace(
-        presets["sigmoid"].params, x0=reference.SIGMOID_X0_POST_EXCLUSION
+        presets[sigmoid].params, x0=reference.SIGMOID_X0_POST_EXCLUSION
     )
-    presets["sigmoid-postexclusion"] = FittedModel(
+    presets[post_exclusion] = FittedModel(
         form=ModelForm.SIGMOID,
         params=post,
-        robust_se=dict(presets["sigmoid"].robust_se),
-        provenance=_preset_provenance("sigmoid-postexclusion"),
+        robust_se=dict(presets[sigmoid].robust_se),
+        provenance=_preset_provenance(post_exclusion),
     )
     return presets
 

@@ -39,6 +39,7 @@ __all__ = [
     "BETA_CNN_KW",
     "SIGMOID_BETA_KW",
     "SIGMOID_K_REFIT",
+    "PRESET_NAMES",
     "IN_SAMPLE_ERRORS_TEXT",
     "IN_SAMPLE_ERRORS_NORMALIZED",
     "OUT_OF_SAMPLE_MODEL_MAPE",
@@ -214,6 +215,10 @@ BETA_LLM_KW = 6.89                # architecture-specific magnitudes
 BETA_CNN_KW = 6.28
 SIGMOID_BETA_KW = 6.94            # sigmoid magnitude (steepness refit freely)
 SIGMOID_K_REFIT = 0.19
+
+# the shipped calibrated models, built from the values above by
+# nodepower.model, in listing order
+PRESET_NAMES = ("asymptotic", "arch-fe", "sigmoid", "sigmoid-postexclusion")
 
 # published in-sample error summaries (mean absolute percentage error for the
 # node-rating, chip-rating, and model estimators). Two inconsistent triples

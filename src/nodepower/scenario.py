@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
-from .ingest import ConfigError, read_ini
+from .files import ConfigError, read_ini
 from .reference import NODE_TDP_KW
 
 __all__ = [

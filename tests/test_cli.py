@@ -451,6 +451,12 @@ BAD_INPUT = {
             t, "global_batch = 3200", "global_batch = " + "9" * 400
         ),
     ],
+    "operation-count-infinite": lambda t: [
+        "flops", _edited_config(
+            t, "flops_per_image_gflops = 3.6",
+            "flops_per_image_gflops = 1e300",
+        ),
+    ],
     "fit-out-is-a-file": lambda t: [
         "fit", "--manifest", MANIFEST, "--out", _written(t, "o", "x"),
     ],
@@ -476,6 +482,30 @@ def test_bad_input_exits_3_with_one_line(case, tmp_path, capsys):
     assert rc == 3, err
     assert err.startswith("nodepower: error: input: "), err
     assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_error_line_is_printable_ascii(tmp_path, capsys):
+    assert main(BAD_INPUT["manifest-nul-byte"](tmp_path)) == 3
+    line = capsys.readouterr().err.removesuffix("\n")
+    assert "w\\x00.ini" in line, line
+    assert line.isascii() and line.isprintable(), line
+
+
+@pytest.mark.parametrize("rating, message", [
+    ("nan", "--tdp-node-kw must be a positive, finite rating"),
+    ("inf", "--tdp-node-kw must be a positive, finite rating"),
+    ("0", "--tdp-node-kw must be a positive, finite rating"),
+    ("-1", "--tdp-node-kw must be a positive, finite rating"),
+    ("1", "node_tdp_kw (1.0) is below the modeled per-node power (7.3)"),
+])
+def test_scenario_node_rating_is_checked(rating, message, tmp_path, capsys):
+    argv = ["scenario", "--spec", FLEET, f"--tdp-node-kw={rating}",
+            "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("nodepower: error: input: " + message), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "scenario.json").exists()
 
 
 def test_internal_value_error_is_not_an_input_error(monkeypatch, tmp_path):

@@ -1,8 +1,10 @@
 """Runtime dependencies: numpy only. scipy comes with the test extra, and no
-command may import it."""
+command may import it; ``import nodepower``, ``--help``, ``scenario`` and
+``flops`` do not import numpy either."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import subprocess
@@ -13,29 +15,54 @@ import pytest
 
 import nodepower
 from nodepower.data import desk_dir, desk_exclusions, desk_manifest
+from test_cli import GOLDEN_OUT
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Runs each command in turn with every scipy import made to fail, then
-# writes the exit codes and any scipy module that got loaded anyway.
+# Imports the package and runs each command in turn with every import of
+# one top-level package made to fail, then writes the exit codes and any
+# module of that package that got loaded anyway.
 GUARDED_RUN = """\
 import importlib.abc, json, sys
 
-class NoScipy(importlib.abc.MetaPathFinder):
+blocked = sys.argv[2]
+
+class Block(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"{name} is not a runtime dependency")
+        if name.split(".")[0] == blocked:
+            raise ImportError(f"{name} must not be imported here")
         return None
 
-sys.meta_path.insert(0, NoScipy())
+def run(args):
+    try:
+        return main(args)
+    except SystemExit as exc:  # --help
+        return exc.code
+
+sys.meta_path.insert(0, Block())
 sys.path.insert(0, sys.argv[1])
+import nodepower
 from nodepower.cli import main
 
-codes = [main(args) for args in json.loads(sys.argv[2])]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-with open(sys.argv[3], "w") as f:
-    json.dump({"codes": codes, "scipy": loaded}, f)
+codes = [run(args) for args in json.loads(sys.argv[3])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == blocked)
+with open(sys.argv[4], "w") as f:
+    json.dump({"codes": codes, "loaded": loaded}, f)
 """
+
+
+def _guarded_run(blocked, commands, tmp_path):
+    """The exit codes of the commands, run in one fresh interpreter in
+    which ``blocked`` cannot be imported, and the modules of it loaded."""
+    result = tmp_path / "result.json"
+    src = str(Path(nodepower.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARDED_RUN, src, blocked,
+         json.dumps(commands), str(result)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(result.read_text()), proc.stderr
 
 
 def test_no_command_imports_scipy(tmp_path):
@@ -58,16 +85,23 @@ def test_no_command_imports_scipy(tmp_path):
         ["scenario", "--spec", str(ROOT / "demos" / "fleet.ini")],
         ["flops", config],
     ]
-    result = tmp_path / "result.json"
-    src = str(Path(nodepower.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", GUARDED_RUN, src, json.dumps(commands),
-         str(result)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(result.read_text())
-    assert got == {"codes": [0] * len(commands), "scipy": []}, proc.stderr
+    got, stderr = _guarded_run("scipy", commands, tmp_path)
+    assert got == {"codes": [0] * len(commands), "loaded": []}, stderr
+
+
+def test_scenario_and_flops_do_not_import_numpy(tmp_path):
+    commands = [["--help"]] + [
+        [*GOLDEN_OUT[name][1](), "--out", str(tmp_path / name)]
+        for name in ("scenario", "flops")
+    ]
+    got, stderr = _guarded_run("numpy", commands, tmp_path)
+    assert got == {"codes": [0] * len(commands), "loaded": []}, stderr
+    for name in ("scenario", "flops"):
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (tmp_path / name).iterdir()
+        }
+        assert written == GOLDEN_OUT[name][0]
 
 
 def test_scipy_is_not_a_runtime_dependency():
