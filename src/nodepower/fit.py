@@ -810,10 +810,9 @@ def _stage1_constraints(
     """Stage 1's form, its magnitudes pinned to the measured anchors, and
     its free shape parameters."""
     spec = FORMS[form]
+    betas = FORMS[spec.stage1_form].betas
     fixed = {"p_idle_kw": config.stage1_p_idle_kw}
-    for name in FORMS[spec.stage1_form].params:
-        if name not in fixed and name not in spec.shape:
-            fixed[name] = config.stage1_beta_kw
+    fixed.update(dict.fromkeys(betas, config.stage1_beta_kw))
     return spec.stage1_form, fixed, spec.shape
 
 

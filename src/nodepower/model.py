@@ -1,20 +1,20 @@
 """Power-model functional forms, TDP baselines, and fitted-model files.
 
-All calibrated variants map a node's log10 computational intensity x to
-average node power in kW:
+Every variant maps a node's log10 computational intensity x to average
+node power in kW as p_idle + beta * g(x; shape), with one of two shapes:
 
-* ``asymptotic``   p_idle + beta * x / (alpha + x)
-* ``arch-fe``      same, with architecture-specific beta (LLM vs CNN)
-* ``sigmoid``      p_idle + beta * logistic((x - x0) / k)
-* ``simple``       p_idle + beta * r / (alpha + r) on raw operations r = 10^x
+* ``asymptotic``   g = x / (alpha + x), the saturation ratio
+* ``arch-fe``      same, with one beta for LLM and one for CNN workloads
+* ``sigmoid``      g = logistic((x - x0) / k)
+* ``simple``       g = r / (alpha + r) on raw operations r = 10^x
 
-``FORMS`` is the one place a form is defined: per form it holds the curve,
-its analytic gradient, the parameter names in reporting order, which
-parameters each fit stage estimates, the parameters fitted on a log10
-scale, the lower bounds and the default start points. ``predict_power``,
-parameter validation and the fit in ``nodepower.fit`` read it. The form
-names themselves are ``ModelForm``, which lives in ``nodepower.files`` so
-that the CLI can offer them without loading numpy.
+``FORMS`` is the one place a form is defined: per form it holds the
+magnitudes (one beta, or one per architecture), the shape function, which
+parameters each fit stage estimates, which may be negative, which are
+fitted on a log10 scale, the lower bounds and the shape start points; the
+parameter order, the curve and its gradient follow. Prediction, validation
+and ``nodepower.fit`` read it. The form names are ``ModelForm``, which
+lives in ``nodepower.files`` so the CLI can offer them without numpy.
 
 The simple raw-scale variant is kept for completeness but has no calibrated
 preset: the published shape values only make sense on the log scale. Every
@@ -77,7 +77,8 @@ class PowerParams:
     k: float | None = None
 
     def validate_for(self, form: ModelForm) -> None:
-        required = FORMS[form].params
+        spec = FORMS[form]
+        required = spec.params
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in required:
@@ -87,16 +88,9 @@ class PowerParams:
                 raise ValueError(
                     f"{form.value} model does not use {f.name} (got {value!r})"
                 )
-        if not self.p_idle_kw > 0:
-            raise ValueError("p_idle_kw must be positive")
-        for name in ("beta_comp_kw", "beta_llm_kw", "beta_cnn_kw"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
+        for name in required:
+            if name not in spec.signed and not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.alpha is not None and not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if self.k is not None and not self.k > 0:
-            raise ValueError("k must be positive")
 
     def as_dict(self) -> dict[str, float]:
         """Populated fields only, in declaration order."""
@@ -108,64 +102,18 @@ class PowerParams:
 
 
 # ---------------------------------------------------------------------------
-# the form table: each curve, its gradient and its parameter roles
+# the form table: p_idle + beta * g(x; shape) per form
 # ---------------------------------------------------------------------------
-# Every curve and gradient below takes the parameters on the user scale as a
-# mapping, log10 intensities x and an LLM mask that broadcasts against x
-# (read by the architecture-fixed-effect form only).
 
 K_FLOOR = 1e-3       # sigmoid steepness bound: stops collapse to a step
 ALPHA_FLOOR = 1e-6   # positivity guard for the log-scale saturation constant
 
 
-def _asymptotic(p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
-    # the saturation ratio is computed before scaling by beta so that the
-    # half-power point lands exactly on x = alpha
-    return p["p_idle_kw"] + p["beta_comp_kw"] * (x / (p["alpha"] + x))
-
-
-def _asymptotic_gradient(
-    p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
-) -> dict[str, np.ndarray]:
+def _saturation(p: Mapping[str, Any], x: np.ndarray):
+    """x / (alpha + x): half of the magnitude is reached at x = alpha."""
     alpha = p["alpha"]
-    return {
-        "p_idle_kw": np.ones_like(x),
-        "beta_comp_kw": x / (alpha + x),
-        "alpha": -p["beta_comp_kw"] * x / np.square(alpha + x),
-    }
-
-
-def _as_asymptotic(p: Mapping[str, Any], is_llm: np.ndarray) -> dict[str, Any]:
-    """Arch-FE parameters as the asymptotic form's, one magnitude per row."""
-    return {
-        "p_idle_kw": p["p_idle_kw"],
-        "beta_comp_kw": np.where(is_llm, p["beta_llm_kw"], p["beta_cnn_kw"]),
-        "alpha": p["alpha"],
-    }
-
-
-def _arch_fe(p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
-    return _asymptotic(_as_asymptotic(p, is_llm), x, is_llm)
-
-
-def _arch_fe_gradient(
-    p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
-) -> dict[str, np.ndarray]:
-    grad = _asymptotic_gradient(_as_asymptotic(p, is_llm), x, is_llm)
-    ratio = grad.pop("beta_comp_kw")
-    grad["beta_llm_kw"] = np.where(is_llm, ratio, 0.0)
-    grad["beta_cnn_kw"] = np.where(is_llm, 0.0, ratio)
-    return grad
-
-
-def _simple(p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
-    return _asymptotic(p, np.power(10.0, x), is_llm)
-
-
-def _simple_gradient(
-    p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
-) -> dict[str, np.ndarray]:
-    return _asymptotic_gradient(p, np.power(10.0, x), is_llm)
+    ratio = x / (alpha + x)
+    return ratio, lambda beta: {"alpha": -beta * x / np.square(alpha + x)}
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
@@ -176,122 +124,161 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -708.0), 708.0)))
 
 
-def _sigmoid(p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
-    z = (x - p["x0"]) / p["k"]
-    return p["p_idle_kw"] + p["beta_comp_kw"] * _logistic(z)
-
-
-def _sigmoid_gradient(
-    p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
-) -> dict[str, np.ndarray]:
+def _logistic_shape(p: Mapping[str, Any], x: np.ndarray):
+    """logistic((x - x0) / k): midpoint x0, steepness k."""
     x0, k = p["x0"], p["k"]
     s = _logistic((x - x0) / k)
-    slope = -p["beta_comp_kw"] * s * (1.0 - s)
-    return {
-        "p_idle_kw": np.ones_like(x),
-        "beta_comp_kw": s,
-        "x0": slope / k,
-        "k": slope * (x - x0) / (k * k),
-    }
+
+    def shape_gradient(beta: Any) -> dict[str, Any]:
+        slope = -beta * s * (1.0 - s)
+        return {"x0": slope / k, "k": slope * (x - x0) / (k * k)}
+
+    return s, shape_gradient
 
 
 # start magnitudes for every start point: the measured idle and about the
 # stress-ceiling span
-_START_KW = {
-    "p_idle_kw": 1.8, "beta_comp_kw": 6.6, "beta_llm_kw": 6.6,
-    "beta_cnn_kw": 6.6,
-}
+_START_IDLE_KW = 1.8
+_START_BETA_KW = 6.6
 
 
 def _log_alpha_starts(x: np.ndarray) -> list[dict[str, float]]:
-    return [{**_START_KW, "alpha": a} for a in (1.0, 3.0, 5.0, 8.0, 12.0)]
+    return [{"alpha": a} for a in (1.0, 3.0, 5.0, 8.0, 12.0)]
 
 
 def _raw_alpha_starts(x: np.ndarray) -> list[dict[str, float]]:
     # alpha is on the raw-operations scale: start at the workloads' own
     # intensities (one per workload, however densely each was sampled)
     qs = np.percentile(x, [10, 30, 50, 70, 90])
-    return [{**_START_KW, "alpha": 10.0 ** float(q)} for q in qs]
+    return [{"alpha": 10.0 ** float(q)} for q in qs]
 
 
 def _sigmoid_starts(x: np.ndarray) -> list[dict[str, float]]:
-    return [
-        {**_START_KW, "x0": m, "k": kk}
-        for m in (9.0, 11.0, 13.0, 15.0, 17.0)
-        for kk in (0.1, 1.0)
-    ]
+    midpoints = (9.0, 11.0, 13.0, 15.0, 17.0)
+    return [{"x0": m, "k": k} for m in midpoints for k in (0.1, 1.0)]
 
 
 @dataclass(frozen=True)
 class FormSpec:
-    """One functional form: its curve, gradient and parameter roles.
+    """One form, p_idle + beta * g(x; shape): its magnitudes, its shape
+    function and its parameter roles. Prediction, parameter validation,
+    the two-stage fit and the CLI all read ``FORMS``."""
 
-    This is the only place a curve is defined; prediction, parameter
-    validation, the two-stage fit and the CLI all read ``FORMS``.
-    """
-
-    params: tuple[str, ...]        # every parameter, in reporting order
-    shape: tuple[str, ...]         # estimated in stage 1
+    # beta: one parameter name, or one per architecture {arch: name}
+    magnitudes: str | Mapping[str, str]
+    # the shape function: g(params on the user scale, x) returns g and a
+    # function of beta (per row where it differs) that gives {name: beta *
+    # dg / d params[name]} at the same point; a curve never calls it
+    g: Callable[..., tuple[Any, Callable[[Any], dict[str, Any]]]]
+    shape: tuple[str, ...]         # g's parameters, estimated in stage 1
     stage2_free: tuple[str, ...]   # estimated in stage 2
     stage1_form: ModelForm         # the form stage 1 fits
-    # curve(params, x, is_llm) -> power in kW
-    curve: Callable[..., Any]
-    # gradient(params, x, is_llm) -> {name: d curve / d params[name]}
-    gradient: Callable[..., dict[str, np.ndarray]]
-    # starts(x) -> start points on the user scale, from the workloads'
-    # intensities x (one per workload)
-    starts: Callable[[np.ndarray], list[dict[str, float]]]
+    # shape_starts(x) -> the shape parameters' start points (user scale)
+    shape_starts: Callable[[np.ndarray], list[dict[str, float]]]
+    raw_operations: bool = False   # g reads 10^x rather than x
+    positive_x: bool = True        # defined for x > 0 only
+    signed: tuple[str, ...] = ()   # may be zero or negative
     log10: tuple[str, ...] = ()    # fitted as log10 of the value
     lower: Mapping[str, float] = field(default_factory=dict)  # user scale
-    # magnitudes that only one architecture's rows identify
-    per_arch: Mapping[str, str] = field(default_factory=dict)
+
+    @property
+    def per_arch(self) -> dict[str, str]:
+        """Magnitudes that only one architecture's rows identify."""
+        if isinstance(self.magnitudes, str):
+            return {}
+        return {name: arch for arch, name in self.magnitudes.items()}
+
+    @property
+    def betas(self) -> tuple[str, ...]:
+        """The magnitude parameters."""
+        return tuple(self.per_arch) or (self.magnitudes,)
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """Every parameter, in reporting order."""
+        return ("p_idle_kw", *self.betas, *self.shape)
+
+    def starts(self, x: np.ndarray) -> list[dict[str, float]]:
+        """Start points on the user scale, from the workloads' intensities
+        ``x`` (one per workload)."""
+        start = {"p_idle_kw": _START_IDLE_KW}
+        start.update(dict.fromkeys(self.betas, _START_BETA_KW))
+        return [{**start, **s} for s in self.shape_starts(x)]
+
+    def _beta(self, p: Mapping[str, Any], is_llm: np.ndarray) -> Any:
+        m = self.magnitudes
+        if isinstance(m, str):
+            return p[m]
+        return np.where(is_llm, p[m[Architecture_LLM]], p[m[Architecture_CNN]])
+
+    def _g(self, p: Mapping[str, Any], x: np.ndarray):
+        return self.g(p, np.power(10.0, x) if self.raw_operations else x)
+
+    def curve(self, p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
+        """Power in kW from the parameters ``p`` on the user scale, log10
+        intensities ``x`` and an LLM mask that broadcasts against x."""
+        # indexing drops the gradient function and what it holds, so g is
+        # a temporary that numpy scales in place rather than copying
+        return p["p_idle_kw"] + self._beta(p, is_llm) * self._g(p, x)[0]
+
+    def gradient(
+        self, p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """{name: d curve / d p[name]}, arguments as for ``curve``."""
+        g, shape_gradient = self._g(p, x)
+        magnitude = {
+            name: np.where(is_llm == (arch == Architecture_LLM), g, 0.0)
+            for name, arch in self.per_arch.items()
+        } or {self.magnitudes: g}
+        return {
+            "p_idle_kw": np.ones_like(x), **magnitude,
+            **shape_gradient(self._beta(p, is_llm)),
+        }
 
 
 FORMS: dict[ModelForm, FormSpec] = {
     ModelForm.SIMPLE_ASYMPTOTIC: FormSpec(
-        params=("p_idle_kw", "beta_comp_kw", "alpha"),
+        magnitudes="beta_comp_kw",
+        g=_saturation,
         shape=("alpha",),
         stage2_free=("beta_comp_kw",),
         stage1_form=ModelForm.SIMPLE_ASYMPTOTIC,
-        curve=_simple,
-        gradient=_simple_gradient,
-        starts=_raw_alpha_starts,
+        shape_starts=_raw_alpha_starts,
+        raw_operations=True,
         # alpha spans six decades: Newton steps on the raw axis are useless
         log10=("alpha",),
     ),
     ModelForm.LOG_ASYMPTOTIC: FormSpec(
-        params=("p_idle_kw", "beta_comp_kw", "alpha"),
+        magnitudes="beta_comp_kw",
+        g=_saturation,
         shape=("alpha",),
         stage2_free=("beta_comp_kw",),
         stage1_form=ModelForm.LOG_ASYMPTOTIC,
-        curve=_asymptotic,
-        gradient=_asymptotic_gradient,
-        starts=_log_alpha_starts,
+        shape_starts=_log_alpha_starts,
         lower={"alpha": ALPHA_FLOOR},
     ),
     ModelForm.LOG_ASYMPTOTIC_ARCH_FE: FormSpec(
-        params=("p_idle_kw", "beta_llm_kw", "beta_cnn_kw", "alpha"),
+        magnitudes={
+            Architecture_LLM: "beta_llm_kw", Architecture_CNN: "beta_cnn_kw",
+        },
+        g=_saturation,
         shape=("alpha",),
         stage2_free=("beta_llm_kw", "beta_cnn_kw"),
         # the pooled shape stage treats both architectures identically
         stage1_form=ModelForm.LOG_ASYMPTOTIC,
-        curve=_arch_fe,
-        gradient=_arch_fe_gradient,
-        starts=_log_alpha_starts,
+        shape_starts=_log_alpha_starts,
         lower={"alpha": ALPHA_FLOOR},
-        per_arch={
-            "beta_llm_kw": Architecture_LLM, "beta_cnn_kw": Architecture_CNN,
-        },
     ),
     ModelForm.SIGMOID: FormSpec(
-        params=("p_idle_kw", "beta_comp_kw", "x0", "k"),
+        magnitudes="beta_comp_kw",
+        g=_logistic_shape,
         shape=("x0", "k"),
         # steepness is re-estimated alongside the magnitude in stage 2
         stage2_free=("beta_comp_kw", "k"),
         stage1_form=ModelForm.SIGMOID,
-        curve=_sigmoid,
-        gradient=_sigmoid_gradient,
-        starts=_sigmoid_starts,
+        shape_starts=_sigmoid_starts,
+        positive_x=False,
+        signed=("x0",),
         lower={"k": K_FLOOR},
     ),
 }
@@ -330,7 +317,7 @@ def predict_power(
             f"got {arch!r}"
         )
     xv = np.asarray(x, dtype=float)
-    if form is not ModelForm.SIGMOID and np.any(xv <= 0):
+    if spec.positive_x and np.any(xv <= 0):
         raise ValueError(
             "asymptotic forms are defined for x > 0 "
             "(log10 intensity above one operation per node)"
@@ -376,11 +363,17 @@ class TdpConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.gpus_per_node, int) or self.gpus_per_node < 1:
             raise ValueError("gpus_per_node must be a positive integer")
+        for name in ("chip_tdp_kw", "node_tdp_kw"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(
+                    f"{name} must be a positive, finite rating in kW, got "
+                    f"{getattr(self, name)}"
+                )
         chip_total = self.chip_tdp_kw * self.gpus_per_node
-        if not 0 < chip_total <= self.node_tdp_kw:
+        if chip_total > self.node_tdp_kw:
             raise ValueError(
                 f"chip_tdp_kw*gpus_per_node = {chip_total:g} kW must be "
-                f"positive and at most node_tdp_kw = {self.node_tdp_kw:g} kW"
+                f"at most node_tdp_kw = {self.node_tdp_kw:g} kW"
             )
 
 

@@ -10,6 +10,7 @@ rated-power estimate would have claimed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
@@ -158,6 +159,11 @@ def tdp_gap(
     defined as an overestimate, and a negative one means the inputs are
     swapped or the model is predicting above the hardware rating.
     """
+    if not 0 < node_tdp_kw < math.inf:
+        raise ValueError(
+            f"node_tdp_kw must be a positive, finite rating in kW, got "
+            f"{node_tdp_kw}"
+        )
     if node_tdp_kw < spec.per_node_power_kw:
         raise ValueError(
             f"node_tdp_kw ({node_tdp_kw}) is below the modeled per-node "

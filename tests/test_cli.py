@@ -427,6 +427,19 @@ BAD_INPUT = {
     "evaluate-chip-tdp-over-node-tdp": lambda t: [
         "evaluate", "--preset", "arch-fe", "--tdp-chip-kw", "5",
     ],
+    "evaluate-node-tdp-inf": lambda t: [
+        "evaluate", "--preset", "arch-fe", "--tdp-node-kw", "inf",
+        "--out", str(t / "o"),
+    ],
+    "evaluate-node-tdp-nan": lambda t: [
+        "evaluate", "--preset", "arch-fe", "--tdp-node-kw", "nan",
+    ],
+    "evaluate-chip-tdp-inf": lambda t: [
+        "evaluate", "--preset", "arch-fe", "--tdp-chip-kw", "inf",
+    ],
+    "evaluate-chip-tdp-nan": lambda t: [
+        "evaluate", "--preset", "arch-fe", "--tdp-chip-kw", "nan",
+    ],
     "scenario-node-tdp-below-model": lambda t: [
         "scenario", "--spec", FLEET, "--tdp-node-kw", "1",
     ],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,90 @@ class TestFormTable:
                 )
 
 
+PARAMS = {
+    ModelForm.SIMPLE_ASYMPTOTIC: SIMPLE,
+    ModelForm.LOG_ASYMPTOTIC: ASYM,
+    ModelForm.LOG_ASYMPTOTIC_ARCH_FE: FE,
+    ModelForm.SIGMOID: SIG,
+}
+
+# log10 intensities per form: the saturation ratio reaches exactly 1, and
+# the logistic's argument passes +-708 (its clip) on both sides
+GRID = {
+    ModelForm.SIMPLE_ASYMPTOTIC: np.linspace(0.25, 150.0, 599),
+    ModelForm.LOG_ASYMPTOTIC: np.concatenate(
+        [np.linspace(0.25, 40.0, 160), np.geomspace(50.0, 1e17, 16)]
+    ),
+    ModelForm.SIGMOID: np.concatenate(
+        [np.linspace(-200.0, 200.0, 801), np.linspace(5.0, 20.0, 151)]
+    ),
+}
+GRID[ModelForm.LOG_ASYMPTOTIC_ARCH_FE] = GRID[ModelForm.LOG_ASYMPTOTIC]
+
+
+def written_out(form, p, x, llm):
+    """The module docstring's curve p_idle + beta * g and its gradient,
+    written out per form in the operation order of the model."""
+    if form is ModelForm.SIGMOID:
+        x0, k, beta = p["x0"], p["k"], p["beta_comp_kw"]
+        z = (x - x0) / k
+        assert z.min() < -708.0 and z.max() > 708.0
+        g = 1.0 / (1.0 + np.exp(-np.clip(z, -708.0, 708.0)))
+        slope = -beta * g * (1.0 - g)
+        grad = {
+            "beta_comp_kw": g, "x0": slope / k,
+            "k": slope * (x - x0) / (k * k),
+        }
+    else:
+        if form is ModelForm.SIMPLE_ASYMPTOTIC:
+            x = 10.0 ** x
+        alpha = p["alpha"]
+        g = x / (alpha + x)
+        assert g.max() == 1.0
+        if form is ModelForm.LOG_ASYMPTOTIC_ARCH_FE:
+            mine, other = (
+                ("beta_llm_kw", "beta_cnn_kw") if llm
+                else ("beta_cnn_kw", "beta_llm_kw")
+            )
+            grad = {mine: g, other: np.zeros_like(g)}
+        else:
+            mine = "beta_comp_kw"
+            grad = {mine: g}
+        beta = p[mine]
+        grad["alpha"] = -beta * x / np.square(alpha + x)
+    grad["p_idle_kw"] = np.ones_like(g)
+    return p["p_idle_kw"] + beta * g, grad
+
+
+@pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
+@pytest.mark.parametrize("llm", [True, False], ids=["llm", "cnn"])
+def test_curve_and_gradient_equal_the_written_out_forms(form, llm):
+    spec = model.FORMS[form]
+    p = PARAMS[form].as_dict()
+    x = GRID[form]
+    is_llm = np.full(x.shape, llm)
+    want_curve, want_grad = written_out(form, p, x, is_llm[0])
+    assert np.all(spec.curve(p, x, is_llm) == want_curve)
+    grad = spec.gradient(p, x, is_llm)
+    assert sorted(grad) == sorted(want_grad)
+    for name, want in want_grad.items():
+        assert np.all(grad[name] == want), name
+
+
+@pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
+def test_every_parameter_but_x0_must_be_positive(form):
+    good = PARAMS[form]
+    good.validate_for(form)
+    for name in good.as_dict():
+        if name == "x0":
+            for value in (-3.0, -1.0, 0.0):
+                replace(good, x0=value).validate_for(form)
+            continue
+        for value in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+                replace(good, **{name: value}).validate_for(form)
+
+
 class TestTdp:
     def test_bounds_arithmetic(self):
         tdp = TdpConfig(chip_tdp_kw=0.7)
@@ -198,6 +283,14 @@ class TestTdp:
     def test_chip_rating_above_node_budget_rejected(self):
         with pytest.raises(ValueError):
             TdpConfig(chip_tdp_kw=2.0, node_tdp_kw=10.2, gpus_per_node=8)
+
+    @pytest.mark.parametrize("name", ["chip_tdp_kw", "node_tdp_kw"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -0.7])
+    def test_ratings_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=(
+            f"^{name} must be a positive, finite rating in kW"
+        )):
+            TdpConfig(**{"chip_tdp_kw": 0.7, name: value})
 
 
 class TestSerialization:

@@ -116,6 +116,14 @@ class TestTdpGap:
         with pytest.raises(ValueError):
             tdp_gap(_spec(per_node_power_kw=11.0), node_tdp_kw=10.2)
 
+    @pytest.mark.parametrize("rating", [math.inf, math.nan, 0.0, -1.0])
+    def test_rating_must_be_positive_and_finite(self, rating):
+        for call in (tdp_gap, run_scenario):
+            with pytest.raises(ValueError, match=(
+                "^node_tdp_kw must be a positive, finite rating in kW"
+            )):
+                call(_spec(), node_tdp_kw=rating)
+
 
 class TestSwing:
     def test_reference_fleet_is_exact(self):
