@@ -30,13 +30,18 @@ shape parameters (the objective has a mild ridge; restarts are cheaper than
 cleverness). All starts of a fit, and in ``loocv`` every start of every
 holdout, iterate together as one array problem: the parameters of B
 problems form a (B, p) array, each problem halves its own step and stops on
-its own, and the least-squares step is solved in closed form. A batch
-larger than ``BATCH_ELEMENTS`` problems x workloads runs in slices, which
-bounds its memory. Every reduction runs along one problem's row, so each
-problem is bit-identical to a run on its own. Every stage, with one free
-parameter or two, converges in one way only: a small final step, at a
-full-rank Jacobian, with a relative offset of at most 1e-3; the step and the
-offset test share one Gram-Schmidt and its rank rule. Everything is
+its own, and the least-squares step is solved in closed form. Each
+iteration tries every problem's full step in one curve evaluation; the
+problems whose full step raises the SSE then try their halvings together,
+several scales per problem in one evaluation. A batch larger than
+``BATCH_ELEMENTS`` problems x workloads runs in slices, and no evaluation,
+halvings included, holds more rows than a slice, which bounds its memory.
+Every reduction runs along one problem's row, so each problem is
+bit-identical to a run on its own, and the halvings give the bits that
+trying one scale at a time would. Every stage, with one free parameter or
+two, converges in one way only: a small final step, at a full-rank
+Jacobian, with a relative offset of at most 1e-3; the step and the offset
+test share one Gram-Schmidt and its rank rule. Everything is
 deterministic: same data in, same estimates out, to the last bit.
 
 Every curve, gradient and parameter role comes from the form table,
@@ -186,7 +191,7 @@ def apply_exclusions(
 # ---------------------------------------------------------------------------
 
 OFFSET_TOL = 1e-3  # Bates & Watts' suggested relative-offset threshold
-MAX_HALVINGS = 40  # step halvings per iteration before a problem stops
+MAX_HALVINGS = 40  # step scales tried per iteration before a problem stops
 BATCH_ELEMENTS = 8192  # problems x workloads per Gauss-Newton batch
 _LN10 = math.log(10.0)
 _EPS = float(np.finfo(float).eps)
@@ -376,16 +381,26 @@ def _gauss_newton(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Gauss-Newton on B independent problems at once.
 
-    Each problem takes its full step, halved (at most ``MAX_HALVINGS``
-    times) until its SSE does not rise. It stops converged on a relative
-    step below ``tol``; unconverged on a non-finite step, on no descent,
-    or after ``max_iter`` iterations. Returns theta (B, p), SSE (B,) and
-    the converged flags (B,).
+    Each problem takes the first scale 2^-j of its step, j = 0 ..
+    ``MAX_HALVINGS`` - 1, at which its SSE does not rise. It stops
+    converged on a relative step below ``tol``; unconverged on a non-finite
+    step, on no scale that descends, or after ``max_iter`` iterations.
+    Returns theta (B, p), SSE (B,) and the converged flags (B,).
+
+    An iteration evaluates every problem's full step in one call. The
+    problems whose full step raises the SSE then try their halvings
+    together: the m problems still halving try k scales each as one
+    (m * k, p) batch, with k = (``BATCH_ELEMENTS`` // n) // m, at least 1
+    and at most the scales left, so that no call holds more rows than a
+    slice of the batch. The scales are exact powers of two, so every
+    candidate, and the one accepted, has the bits that trying one halving
+    at a time would give it.
     """
     # Problems are independent, and each is bit-identical alone or in a
     # batch. A batch holds about ten B x n arrays at once (the curve, its
     # gradient, the step), and a LOOCV batch grows with the square of the
-    # workloads, so a large one runs in slices of at most BATCH_ELEMENTS.
+    # workloads, so a large one runs in slices of at most BATCH_ELEMENTS;
+    # the halvings' candidates stay within the same bound.
     size = max(1, BATCH_ELEMENTS // objective.x.shape[-1])
     if len(theta0) > size:
         parts = [
@@ -417,26 +432,34 @@ def _gauss_newton(
             at, step, at_rows = theta[todo], step[finite], rows[todo]
             limit = sse[todo] * (1.0 + 1e-14) + 1e-300
             going = [todo[:0]]
-            scale = 1.0
-            for _ in range(MAX_HALVINGS):
-                cand = np.maximum(at + scale * step, lower)
-                cand_resid = objective.residual(cand, at_rows)
-                cand_sse = objective.sse(cand_resid, at_rows)
-                down = cand_sse <= limit
-                if down.any():
-                    moved = todo[down]
-                    small = _relative_change(cand[down], at[down]) < tol
-                    theta[moved] = cand[down]
-                    resid[moved] = cand_resid[down]
-                    sse[moved] = cand_sse[down]
-                    converged[moved[small]] = True
-                    going.append(moved[~small])
-                    if down.all():
-                        break
-                    up = ~down
-                    todo, at, step = todo[up], at[up], step[up]
-                    at_rows, limit = at_rows[up], limit[up]
-                scale *= 0.5
+            # scales 2^-j from j = 0, k per call: the full step alone first
+            # (most problems stop there), then as many as fit the slice
+            j = 0
+            while todo.size and j < MAX_HALVINGS:
+                k = 1 if not j else min(
+                    MAX_HALVINGS - j, max(1, size // len(todo))
+                )
+                scales = 0.5 ** np.arange(j, j + k)
+                cand = np.maximum(
+                    at[:, None] + scales[:, None] * step[:, None], lower
+                ).reshape(-1, len(lower))
+                cand_rows = np.repeat(at_rows, k)
+                cand_resid = objective.residual(cand, cand_rows)
+                cand_sse = objective.sse(cand_resid, cand_rows)
+                down = cand_sse.reshape(-1, k) <= limit[:, None]
+                hit = down.any(axis=-1)
+                pick = (np.arange(len(todo)) * k + down.argmax(axis=-1))[hit]
+                moved = todo[hit]
+                small = _relative_change(cand[pick], at[hit]) < tol
+                theta[moved] = cand[pick]
+                resid[moved] = cand_resid[pick]
+                sse[moved] = cand_sse[pick]
+                converged[moved[small]] = True
+                going.append(moved[~small])
+                miss = ~hit
+                todo, at, step = todo[miss], at[miss], step[miss]
+                at_rows, limit = at_rows[miss], limit[miss]
+                j += k
             live = np.concatenate(going)
     return theta, sse, converged
 
@@ -559,6 +582,11 @@ def wnls_fit(
     Returns
     -------
     FitResult
+        Its ``converged`` means stationary, and the lowest SSE of the
+        starts run: the winning start passed the step, rank and offset
+        tests. It does not mean the global optimum. A start the grid does
+        not hold, such as a single caller-given one, can converge at a
+        stationary point whose SSE lies above the optimum's.
 
     Raises
     ------

@@ -30,6 +30,7 @@ node count and duration gives the energy estimate used across the toolkit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Any, Callable, Mapping
@@ -89,8 +90,11 @@ class PowerParams:
                     f"{form.value} model does not use {f.name} (got {value!r})"
                 )
         for name in required:
-            if name not in spec.signed and not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if name not in spec.signed and not value > 0:
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
     def as_dict(self) -> dict[str, float]:
         """Populated fields only, in declaration order."""

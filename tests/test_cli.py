@@ -6,6 +6,7 @@ import csv
 import filecmp
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -384,6 +385,15 @@ BAD_INPUT = {
     ),
     "model-without-variant": lambda t: _edited_model(
         t, lambda doc: doc.pop("variant")
+    ),
+    "model-alpha-infinite": lambda t: _edited_model(
+        t, lambda doc: doc["params"].update(alpha=math.inf)
+    ),
+    "model-x0-nan": lambda t: _edited_model(
+        t, lambda doc: doc.update(
+            variant="sigmoid",
+            params={**preset("sigmoid").params.as_dict(), "x0": math.nan},
+        )
     ),
     "model-not-json": lambda t: [
         "evaluate", "--model", _written(t, "m.json", "{not json"),

@@ -1079,6 +1079,167 @@ class TestBatchedLoocv:
                 )
 
 
+# ---------------------------------------------------------------------------
+# step halvings tried as one batch
+# ---------------------------------------------------------------------------
+
+def _reference_gauss_newton(objective, theta0, rows, tol, max_iter):
+    """The kernel as it was before halvings were batched: one curve
+    evaluation per halving. Kept as the oracle for ``fit._gauss_newton``."""
+    size = max(1, fitmod.BATCH_ELEMENTS // objective.x.shape[-1])
+    if len(theta0) > size:
+        parts = [
+            _reference_gauss_newton(
+                objective, theta0[i:i + size], rows[i:i + size], tol,
+                max_iter,
+            )
+            for i in range(0, len(theta0), size)
+        ]
+        return tuple(np.concatenate(a) for a in zip(*parts))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lower = objective.lower
+        theta = np.maximum(theta0, lower)
+        resid = objective.residual(theta, rows)
+        sse = objective.sse(resid, rows)
+        converged = np.zeros(len(theta), dtype=bool)
+        live = np.arange(len(theta))
+        for _ in range(max_iter):
+            step = fitmod._lstsq_step(
+                objective.jacobian(theta[live], rows[live]), resid[live]
+            )
+            finite = np.isfinite(step).all(axis=-1)
+            todo = live[finite]
+            if not todo.size:
+                break
+            at, step, at_rows = theta[todo], step[finite], rows[todo]
+            limit = sse[todo] * (1.0 + 1e-14) + 1e-300
+            going = [todo[:0]]
+            scale = 1.0
+            for _ in range(fitmod.MAX_HALVINGS):
+                cand = np.maximum(at + scale * step, lower)
+                cand_resid = objective.residual(cand, at_rows)
+                cand_sse = objective.sse(cand_resid, at_rows)
+                down = cand_sse <= limit
+                if down.any():
+                    moved = todo[down]
+                    small = fitmod._relative_change(cand[down], at[down]) < tol
+                    theta[moved] = cand[down]
+                    resid[moved] = cand_resid[down]
+                    sse[moved] = cand_sse[down]
+                    converged[moved[small]] = True
+                    going.append(moved[~small])
+                    if down.all():
+                        break
+                    up = ~down
+                    todo, at, step = todo[up], at[up], step[up]
+                    at_rows, limit = at_rows[up], limit[up]
+                scale *= 0.5
+            live = np.concatenate(going)
+    return theta, sse, converged
+
+
+def _loocv_batch(table, form):
+    """Every (holdout, start) problem of ``loocv``'s stage-1 batch:
+    objective, theta0 and rows."""
+    stage_form, fixed, free = fitmod._stage1_constraints(form, FitConfig())
+    spec = FORMS[stage_form]
+    g = len(table.workload_ids)
+    keep = np.array([np.delete(np.arange(g), h) for h in range(g)])
+    objective = fitmod._Objective(spec, fixed, free, table, keep)
+    starts = [fitmod._start_points(spec, free, x) for x in objective.x]
+    rows = np.repeat(np.arange(g), [len(s) for s in starts])
+    return objective, np.concatenate(starts), rows
+
+
+def _ridge_batch(table):
+    """The ridge start of TestRelativeOffset, which runs out of halvings."""
+    spec = FORMS[ModelForm.SIGMOID]
+    objective = fitmod._Objective(
+        spec, {"p_idle_kw": 1.8, "beta_comp_kw": 6.6}, ("x0", "k"), table,
+        np.arange(len(table.x))[None],
+    )
+    theta0 = fitmod._start_points(
+        spec, ("x0", "k"), table.x, [{"x0": 9.0, "k": 0.1}]
+    )
+    return objective, theta0, np.zeros(1, dtype=int)
+
+
+def _residual_rows(monkeypatch):
+    """Spy on ``_Objective.residual``: the list of its calls' row counts."""
+    seen = []
+    residual = fitmod._Objective.residual
+
+    def spy(self, theta, rows):
+        seen.append(len(theta))
+        return residual(self, theta, rows)
+
+    monkeypatch.setattr(fitmod._Objective, "residual", spy)
+    return seen
+
+
+class TestBatchedHalving:
+    @pytest.mark.parametrize("one_scale_per_call", [False, True])
+    @pytest.mark.parametrize(
+        "problem",
+        ["loocv-sigmoid", "loocv-asymptotic", "loocv-simple", "ridge"],
+    )
+    def test_bit_identical_to_one_halving_per_call(
+        self, problem, one_scale_per_call, desk_dataset,
+        desk_exclusion_policy, monkeypatch,
+    ):
+        if problem == "ridge":
+            batch = _ridge_batch(
+                apply_exclusions(desk_dataset, desk_exclusion_policy)
+            )
+        else:
+            form = ModelForm.from_string(problem.removeprefix("loocv-"))
+            batch = _loocv_batch(desk_dataset, form)
+        if one_scale_per_call:
+            # a slice of one problem, which tries one scale per call
+            monkeypatch.setattr(
+                fitmod, "BATCH_ELEMENTS", batch[0].x.shape[-1]
+            )
+        want = _reference_gauss_newton(*batch, 1e-8, 200)
+        got = fitmod._gauss_newton(*batch, 1e-8, 200)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        if problem == "ridge":
+            assert not got[2].any()
+
+    @pytest.mark.parametrize("batch_elements", [None, 24])
+    def test_no_call_exceeds_the_slice_bound(
+        self, batch_elements, desk_dataset, desk_exclusion_policy,
+        monkeypatch,
+    ):
+        if batch_elements is not None:
+            monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", batch_elements)
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        objective, theta0, rows = _loocv_batch(table, ModelForm.SIGMOID)
+        bound = max(1, fitmod.BATCH_ELEMENTS // objective.x.shape[-1])
+        seen = _residual_rows(monkeypatch)
+        fitmod._gauss_newton(objective, theta0, rows, 1e-8, 200)
+        assert max(seen) <= bound
+        # unsliced, some call must have tried several scales per problem
+        assert len(theta0) > bound or max(seen) > len(theta0)
+
+    def test_residual_calls_within_budget(
+        self, desk_dataset, desk_exclusion_policy, monkeypatch
+    ):
+        # the desk sigmoid needs 45 curve evaluations for its LOOCV and
+        # 137 for its fit (39 in stage 1); one per halving needed 301 and
+        # 360
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        seen = _residual_rows(monkeypatch)
+        loocv(table, ModelForm.SIGMOID)
+        assert len(seen) <= 80
+        seen.clear()
+        two_stage_fit(
+            desk_dataset, ModelForm.SIGMOID,
+            FitConfig(exclusions=desk_exclusion_policy),
+        )
+        assert len(seen) <= 180
+
+
 class TestOneConvergenceRule:
     """Every stage, one free parameter or two, converges only through the
     Gauss-Newton step, rank and offset tests."""

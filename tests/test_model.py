@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from scipy.special import expit
 
 from nodepower import model
+from nodepower.files import ConfigError
 from nodepower.model import (
     FittedModel,
     ModelForm,
@@ -264,6 +265,31 @@ def test_every_parameter_but_x0_must_be_positive(form):
         for value in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match=f"^{name} must be positive$"):
                 replace(good, **{name: value}).validate_for(form)
+
+
+@pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
+def test_every_parameter_must_be_finite(form):
+    # inf > 0 holds, and the signed x0 has no positivity test to fail
+    good = PARAMS[form]
+    for name in good.as_dict():
+        bad = (math.inf, -math.inf, math.nan) if name == "x0" else (math.inf,)
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                replace(good, **{name: value}).validate_for(form)
+
+
+@pytest.mark.parametrize(
+    "variant, name, value",
+    [("sigmoid", "x0", math.nan), ("asymptotic", "alpha", math.inf)],
+)
+def test_non_finite_parameter_file_rejected(tmp_path, variant, name, value):
+    path = tmp_path / "model.json"
+    save_model(preset(variant), path)
+    doc = json.loads(path.read_text())
+    doc["params"][name] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        load_model(path)
 
 
 class TestTdp:
