@@ -25,23 +25,32 @@ weighted SSE are those of the per-observation definition, and the tests
 check the grouped fit against it.
 
 With at most two free parameters per stage, the optimizer is a damped
-Gauss-Newton with analytic Jacobians and a fixed multi-start grid over the
-shape parameters (the objective has a mild ridge; restarts are cheaper than
-cleverness). All starts of a fit, and in ``loocv`` every start of every
-holdout, iterate together as one array problem: the parameters of B
-problems form a (B, p) array, each problem halves its own step and stops on
-its own, and the least-squares step is solved in closed form. Each
-iteration tries every problem's full step in one curve evaluation; the
-problems whose full step raises the SSE then try their halvings together,
-several scales per problem in one evaluation. A batch larger than
-``BATCH_ELEMENTS`` problems x workloads runs in slices, and no evaluation,
-halvings included, holds more rows than a slice, which bounds its memory.
-Every reduction runs along one problem's row, so each problem is
-bit-identical to a run on its own, and the halvings give the bits that
-trying one scale at a time would. Every stage, with one free parameter or
-two, converges in one way only: a small final step, at a full-rank
-Jacobian, with a relative offset of at most 1e-3; the step and the offset
-test share one Gram-Schmidt and its rank rule. Everything is
+hybrid of Newton and Gauss-Newton steps with analytic derivatives and a
+fixed multi-start grid over the shape parameters (the objective has a mild
+ridge; restarts are cheaper than cleverness). The sigmoid is a
+large-residual problem, on which Gauss-Newton alone converges only
+linearly (Dennis & Schnabel, *Numerical Methods for Unconstrained
+Optimization*, section 10.2) and stops on its step test short of the
+optimum. So each iteration also takes the curvature S = sum_i r_i hess f_i
+from the same shape evaluation as the Jacobian, and a problem whose
+H = J'J - S is positive definite takes the Newton step H^-1 J'r; the others,
+and every stage where no free parameter has curvature (the magnitudes of the
+saturation forms), take the Gauss-Newton step (a hybrid method: Fletcher &
+Xu 1987, *IMA J. Numer. Anal.* 7). All starts of a fit, and in ``loocv``
+every start of every holdout, iterate together as one array problem: the
+parameters of B problems form a (B, p) array, each problem halves its own
+step and stops on its own, and both steps are solved in closed form from
+one Gram-Schmidt. Each iteration tries every problem's full step in one
+curve evaluation; the problems whose full step raises the SSE then try
+their halvings together, several scales per problem in one evaluation. A
+batch larger than ``BATCH_ELEMENTS`` problems x workloads runs in slices,
+and no evaluation, halvings included, holds more rows than a slice, which
+bounds its memory. Every reduction runs along one problem's row, so each
+problem is bit-identical to a run on its own, and the halvings give the
+bits that trying one scale at a time would. Every stage, with one free
+parameter or two, converges in one way only: a small final step, at a
+full-rank Jacobian, with a relative offset of at most 1e-3; the step and
+the offset test share one Gram-Schmidt and its rank rule. Everything is
 deterministic: same data in, same estimates out, to the last bit.
 
 Every curve, gradient and parameter role comes from the form table,
@@ -203,25 +212,39 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return (np.abs(new - old) / scale).max(axis=-1)
 
 
-def _relative_offset(r: np.ndarray, J: np.ndarray, floor: float) -> float:
-    """Bates & Watts (1981, *Technometrics* 23:2): ``||Q1' r|| / sqrt(p)``
-    over ``||r - Q1 Q1' r|| / sqrt(n - p)``, Q1 an orthonormal basis of J's
-    columns; zero at a stationary point. A residual scale below ``floor``
-    counts as ``floor`` (n == p, or noise-free data). A rank-deficient J
-    (the rank rule of ``_gram_schmidt``), where the parameters are not
-    identified, reads as infinite."""
-    n, p = J.shape
+def _relative_offsets(
+    r: np.ndarray, J: list[np.ndarray], floor: np.ndarray
+) -> np.ndarray:
+    """The relative offset (Bates & Watts 1981, *Technometrics* 23:2) of
+    each problem: ``||Q1' r|| / sqrt(p)`` over ``||r - Q1 Q1' r|| /
+    sqrt(n - p)``, Q1 an orthonormal basis of J's columns; zero at a
+    stationary point. ``r`` is (B, n), ``J`` holds the p columns, each
+    (B, n), and ``floor`` is (B,) or one value. A residual scale below
+    ``floor`` counts as ``floor`` (n == p, or noise-free data). A
+    rank-deficient J (the rank rule of ``_gram_schmidt``), where the
+    parameters are not identified, reads as infinite. Every sum runs along
+    one problem's row."""
+    n, p = r.shape[-1], len(J)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # on unit columns a norm that overflows reads as a zero column
-        unit = J / np.linalg.norm(J, axis=0)
-        _, q1, _, v, r22 = _gram_schmidt([c[None] for c in unit.T])
-        Q = q1 if p == 1 else np.concatenate([q1, v / r22[:, None]])
-        qtr = _row_sum(Q * r)
-    if not np.isfinite(qtr).all():
-        return math.inf
-    orth = r - qtr @ Q
-    scale = math.sqrt(float(orth @ orth) / (n - p)) if n > p else 0.0
-    return math.sqrt(float(qtr @ qtr) / p) / max(scale, floor, 1e-300)
+        unit = [c / np.sqrt(_row_sum(c * c))[:, None] for c in J]
+        _, q1, _, v, r22 = _gram_schmidt(unit)
+        Q = [q1] if p == 1 else [q1, v / r22[:, None]]
+        qtr = [_row_sum(q * r) for q in Q]
+        along = sum(b * b for b in qtr)
+        orth = r - sum(b[:, None] * q for b, q in zip(qtr, Q))
+        scale = np.sqrt(_row_sum(orth * orth) / (n - p)) if n > p else 0.0
+        offset = np.sqrt(along / p) / np.maximum(
+            np.maximum(scale, floor), 1e-300
+        )
+    return np.where(np.isfinite(along), offset, np.inf)
+
+
+def _relative_offset(r: np.ndarray, J: np.ndarray, floor: float) -> float:
+    """``_relative_offsets`` of one problem: r (n,), J (n, p)."""
+    return float(
+        _relative_offsets(r[None], [c[None] for c in J.T], floor)[0]
+    )
 
 
 def _internal(spec: FormSpec, name: str, value: float) -> float:
@@ -262,6 +285,7 @@ class _Objective:
         self.spec = spec
         self.fixed = dict(fixed)
         self.free = free
+        self.position = {n: i for i, n in enumerate(free)}
         self.log10_cols = [i for i, n in enumerate(free) if n in spec.log10]
         self.lower = np.array([
             _internal(spec, n, spec.lower[n]) if n in spec.lower else -np.inf
@@ -269,7 +293,11 @@ class _Objective:
         ])
         self.x = table.x[keep]
         self.arch = table.arch[keep]
-        self.is_llm = self.arch == Architecture_LLM
+        # only a form with a magnitude per architecture reads the mask
+        self.is_llm = (
+            self.arch == Architecture_LLM if spec.per_arch
+            else np.zeros((1, 1), dtype=bool)
+        )
         self.y = table.mean_kw[keep]
         # the weighted SSE's part that no curve can explain
         self.within = _row_sum((table.within_ss / table.n)[keep])
@@ -292,17 +320,32 @@ class _Objective:
             params[name] = user[:, i:i + 1]
         return params
 
-    def residual(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Workload-mean residuals, (B, n)."""
-        curve = self.spec.curve(
+    def residual(
+        self, theta: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Workload-mean residuals, (B, n), and the shape values g the
+        curve was built from, (B, n), which ``derivatives`` at the same
+        theta takes back."""
+        curve, g = self.spec.curve_and_g(
             self._params(self.user(theta)),
             self._take(self.x, rows), self._take(self.is_llm, rows),
         )
-        return self._take(self.y, rows) - curve
+        r = self._take(self.y, rows) - curve
+        # a shape that no free parameter enters is one row for all
+        if g.shape != r.shape:
+            g = np.broadcast_to(g, r.shape).copy()
+        return r, g
 
     def sse(self, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Weighted SSE of each problem from its residuals, (B,)."""
         return _row_sum(r * r) + self._take(self.within, rows)
+
+    def _columns(self, d: Mapping[str, Any], shape: tuple[int, int]):
+        # a column that no free parameter enters is one row for all
+        return [
+            c if c.shape == shape else np.broadcast_to(c, shape)
+            for c in (d[n] for n in self.free)
+        ]
 
     def gradient(
         self, theta: np.ndarray, rows: np.ndarray
@@ -313,23 +356,38 @@ class _Objective:
         grad = self.spec.gradient(
             self._params(self.user(theta)), x, self._take(self.is_llm, rows)
         )
-        shape = (len(theta), x.shape[-1])
-        # a column that no free parameter enters is one row for all
-        return [
-            g if g.shape == shape else np.broadcast_to(g, shape)
-            for g in (grad[n] for n in self.free)
-        ]
+        return self._columns(grad, (len(theta), x.shape[-1]))
 
-    def jacobian(
-        self, theta: np.ndarray, rows: np.ndarray
-    ) -> list[np.ndarray]:
-        """d curve / d theta: d value / d log10(value) = value * ln 10."""
-        J = self.gradient(theta, rows)
-        if self.log10_cols:
-            user = self.user(theta)
-            for i in self.log10_cols:
-                J[i] = J[i] * (user[:, i:i + 1] * _LN10)
-        return J
+    def derivatives(
+        self, theta: np.ndarray, rows: np.ndarray, g: Any = None
+    ) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
+        """The Jacobian d curve / d theta, one (B, n) array per free
+        parameter, and the curve's second derivatives in theta, {(i, j):
+        (B, n)} for i <= j, on the pairs of free parameters where the form
+        table has them; from one shape evaluation, reusing the shape values
+        ``g`` from ``residual`` at theta when given. On the log10 scale,
+        with c = value * ln 10 = d value / d log10(value), a column is
+        scaled by c, a second derivative by c per log10 index, and the
+        diagonal gains the column times ln 10."""
+        x = self._take(self.x, rows)
+        user = self.user(theta)
+        grad, second = self.spec.derivatives(
+            self._params(user), x, self._take(self.is_llm, rows), g,
+            self.free,
+        )
+        J = self._columns(grad, (len(theta), x.shape[-1]))
+        H = {
+            tuple(sorted((self.position[a], self.position[b]))): h
+            for (a, b), h in second.items()
+        }
+        for i in self.log10_cols:
+            c = user[:, i:i + 1] * _LN10
+            J[i] = J[i] * c
+            for a, b in H:
+                if i in (a, b):
+                    H[a, b] = H[a, b] * (c * c if a == b else c)
+            H[i, i] = H.get((i, i), 0.0) + J[i] * _LN10
+        return J, H
 
 
 def _gram_schmidt(
@@ -356,20 +414,67 @@ def _gram_schmidt(
     return r11, q1, r12, v, r22
 
 
-def _lstsq_step(J: list[np.ndarray], r: np.ndarray) -> np.ndarray:
+def _lstsq_step(
+    J: list[np.ndarray],
+    r: np.ndarray,
+    curvature: Mapping[tuple[int, int], np.ndarray] | None = None,
+) -> np.ndarray:
     """Least-squares solution d of J d = r for each problem, p <= 2, from
-    ``_gram_schmidt``. A rank-deficient J gives a non-finite step. Called
-    under the kernel's ``np.errstate``, where those divisions are silent.
+    ``_gram_schmidt``: the Gauss-Newton step. A rank-deficient J gives a
+    non-finite step. Given the curvature S = sum_i r_i hess f_i of each
+    problem, {(i, j): (B,)} for i <= j (a pair not given is zero), a
+    problem whose H = J'J - S is positive definite, and whose solution of
+    H d = J'r is finite, takes that Newton step instead; J'J = R'R and
+    J'r = R'Q'r come from the same Gram-Schmidt. Called under the kernel's
+    ``np.errstate``, where those divisions are silent.
     """
     r11, q1, r12, v, r22 = _gram_schmidt(J)
     d = np.empty((len(r), len(J)))
     b1 = _row_sum(q1 * r)
     if len(J) == 1:
         d[:, 0] = b1 / r11
+        if curvature:
+            h11 = r11 * r11 - curvature[0, 0]
+            newton = r11 * b1 / h11
+            take = (h11 > 0) & np.isfinite(newton)
+            d[take, 0] = newton[take]
         return d
-    d[:, 1] = _row_sum(v * r) / (r22 * r22)
+    b2 = _row_sum(v * r)  # r22 times the second entry of Q'r
+    d[:, 1] = b2 / (r22 * r22)
     d[:, 0] = (b1 - r12 * d[:, 1]) / r11
+    if curvature:
+        s11, s12, s22 = (
+            curvature.get(ij, 0.0) for ij in ((0, 0), (0, 1), (1, 1))
+        )
+        h11 = r11 * r11 - s11
+        h12 = r11 * r12 - s12
+        h22 = r12 * r12 + r22 * r22 - s22
+        g1, g2 = r11 * b1, r12 * b1 + b2  # J'r
+        det = h11 * h22 - h12 * h12
+        n1 = (h22 * g1 - h12 * g2) / det
+        n2 = (h11 * g2 - h12 * g1) / det
+        take = (h11 > 0) & (det > 0) & np.isfinite(n1) & np.isfinite(n2)
+        d[take, 0] = n1[take]
+        d[take, 1] = n2[take]
     return d
+
+
+def _step(
+    objective: _Objective,
+    theta: np.ndarray,
+    rows: np.ndarray,
+    r: np.ndarray,
+    g: np.ndarray,
+) -> np.ndarray:
+    """Each problem's step from theta, where its residuals are r and its
+    shape values g: ``_lstsq_step`` with the curvature from the form
+    table's second derivatives. That is the Newton step where H is
+    positive definite and the step finite, and the Gauss-Newton step
+    elsewhere and in a stage where no free parameter has curvature."""
+    J, second = objective.derivatives(theta, rows, g)
+    return _lstsq_step(
+        J, r, {ij: _row_sum(r * h) for ij, h in second.items()}
+    )
 
 
 def _gauss_newton(
@@ -379,9 +484,15 @@ def _gauss_newton(
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton on B independent problems at once.
+    """Damped hybrid Newton / Gauss-Newton on B independent problems at
+    once.
 
-    Each problem takes the first scale 2^-j of its step, j = 0 ..
+    Each iteration takes one derivative evaluation per problem, from the
+    shape values kept from the residual evaluation that accepted its point,
+    and the step of ``_step``: Newton where H = J'J - S is positive
+    definite and the Newton step finite, Gauss-Newton otherwise, and
+    Gauss-Newton wherever no free parameter has a second derivative. Each
+    problem takes the first scale 2^-j of its step, j = 0 ..
     ``MAX_HALVINGS`` - 1, at which its SSE does not rise. It stops
     converged on a relative step below ``tol``; unconverged on a non-finite
     step, on no scale that descends, or after ``max_iter`` iterations.
@@ -416,13 +527,13 @@ def _gauss_newton(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lower = objective.lower
         theta = np.maximum(theta0, lower)
-        resid = objective.residual(theta, rows)
+        resid, g = objective.residual(theta, rows)
         sse = objective.sse(resid, rows)
         converged = np.zeros(len(theta), dtype=bool)
         live = np.arange(len(theta))  # problems still iterating
         for _ in range(max_iter):
-            step = _lstsq_step(
-                objective.jacobian(theta[live], rows[live]), resid[live]
+            step = _step(
+                objective, theta[live], rows[live], resid[live], g[live]
             )
             finite = np.isfinite(step).all(axis=-1)
             # the problems still halving: index, point, step, table, SSE limit
@@ -444,7 +555,7 @@ def _gauss_newton(
                     at[:, None] + scales[:, None] * step[:, None], lower
                 ).reshape(-1, len(lower))
                 cand_rows = np.repeat(at_rows, k)
-                cand_resid = objective.residual(cand, cand_rows)
+                cand_resid, cand_g = objective.residual(cand, cand_rows)
                 cand_sse = objective.sse(cand_resid, cand_rows)
                 down = cand_sse.reshape(-1, k) <= limit[:, None]
                 hit = down.any(axis=-1)
@@ -453,6 +564,7 @@ def _gauss_newton(
                 small = _relative_change(cand[pick], at[hit]) < tol
                 theta[moved] = cand[pick]
                 resid[moved] = cand_resid[pick]
+                g[moved] = cand_g[pick]
                 sse[moved] = cand_sse[pick]
                 converged[moved[small]] = True
                 going.append(moved[~small])
@@ -461,6 +573,8 @@ def _gauss_newton(
                 at_rows, limit = at_rows[miss], limit[miss]
                 j += k
             live = np.concatenate(going)
+            if not live.size:
+                break
     return theta, sse, converged
 
 
@@ -485,7 +599,10 @@ def _check_identified(
 ) -> None:
     """Raise DegenerateDataError unless one table's intensities ``x`` and
     architectures ``arch`` can identify the free parameters."""
-    if np.unique(x).size < 2:
+    # the size of np.unique(x), all NaNs one value; np.unique on floats
+    # would load numpy.ma, which a fresh process need not import
+    values = x.tolist()
+    if len({v for v in values if v == v}) + any(v != v for v in values) < 2:
         raise DegenerateDataError(
             "need at least two distinct intensity values"
         )
@@ -497,50 +614,53 @@ def _check_identified(
             )
 
 
-def _winner(
+def _winners(
     objective: _Objective,
-    index: int,
     theta: np.ndarray,
     sse: np.ndarray,
     converged: np.ndarray,
-    form: ModelForm,
-    max_iterations: int,
-) -> tuple[np.ndarray, float]:
-    """The optimum of table ``index`` from its starts' runs: theta (p,)
-    and its SSE.
+    counts: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The optimum of each table from its starts' runs: theta (T, p), its
+    SSE (T,) and whether it is an optimum (T,). The runs lie in table
+    order, ``counts[t]`` of them for table t.
 
-    The winning run is at an optimum only if it stopped on a small step at
+    A winning run is at an optimum only if it stopped on a small step at
     a full-rank Jacobian with a relative offset of at most ``OFFSET_TOL``,
-    whatever the number of free parameters; otherwise this raises
-    NonConvergenceError.
+    whatever the number of free parameters.
     """
-    # starts that reach one optimum differ in SSE only by rounding: take
-    # the first, in start order, within rounding of the lowest SSE, so
-    # that the winner does not depend on summation order
-    lowest = np.fmin.reduce(sse)
-    best = int(np.argmax(sse <= lowest * (1.0 + 1e-12)))
-    theta, ok = theta[best], bool(converged[best])
-    if ok:
-        # a run that creeps along a ridge also stops on a small step (a
-        # sigmoid off to x0 -> -inf, k -> +inf is flat over the data: its
-        # Jacobian has rank 1); residuals below sqrt(eps) of the data's
-        # RMS are rounding
-        rows = np.array([index])
-        y = objective.y[index]
-        ok = _relative_offset(
-            objective.residual(theta[None], rows)[0],
-            np.column_stack(
-                [j[0] for j in objective.jacobian(theta[None], rows)]
-            ),
-            math.sqrt(_EPS * float(np.mean(y * y))),
+    picks = []
+    start = 0
+    for count in counts:
+        # starts that reach one optimum differ in SSE only by rounding:
+        # take the first, in start order, within rounding of the lowest
+        # SSE, so that the winner does not depend on summation order
+        mine = sse[start:start + count]
+        lowest = np.fmin.reduce(mine)
+        picks.append(start + int(np.argmax(mine <= lowest * (1.0 + 1e-12))))
+        start += count
+    theta, sse, ok = theta[picks], sse[picks], converged[picks]
+    # a run that creeps along a ridge also stops on a small step (a sigmoid
+    # off to x0 -> -inf, k -> +inf is flat over the data: its Jacobian has
+    # rank 1); residuals below sqrt(eps) of the data's RMS are rounding.
+    # One curve and one derivative evaluation serve every table.
+    tables = np.flatnonzero(ok)
+    if tables.size:
+        y = objective._take(objective.y, tables)
+        ok[tables] = _relative_offsets(
+            objective.residual(theta[tables], tables)[0],
+            objective.derivatives(theta[tables], tables)[0],
+            np.sqrt(_EPS * np.mean(y * y, axis=-1)),
         ) <= OFFSET_TOL
-    if not ok:
-        raise NonConvergenceError(
-            f"{form.value} fit did not converge within {max_iterations} "
-            "iterations, or stopped at a rank-deficient Jacobian or a "
-            f"relative offset above {OFFSET_TOL:g}"
-        )
-    return theta, float(sse[best])
+    return theta, sse, ok
+
+
+def _not_converged(form: ModelForm, max_iterations: int) -> Exception:
+    return NonConvergenceError(
+        f"{form.value} fit did not converge within {max_iterations} "
+        "iterations, or stopped at a rank-deficient Jacobian or a "
+        f"relative offset above {OFFSET_TOL:g}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +750,17 @@ def wnls_fit(
         spec, fixed, free, table, np.arange(len(table.x))[None]
     )
     theta0 = _start_points(spec, free, table.x, starts)
-    theta, sse = _winner(
-        objective, 0,
+    theta, sse, ok = _winners(
+        objective,
         *_gauss_newton(
             objective, theta0, np.zeros(len(theta0), dtype=int),
             convergence_tol, max_iterations,
         ),
-        form, max_iterations,
+        [len(theta0)],
     )
-    optimum = objective.user(theta[None])[0]
+    if not ok[0]:
+        raise _not_converged(form, max_iterations)
+    optimum = objective.user(theta)[0]
     estimates = {n: float(v) for n, v in zip(free, optimum)}
 
     robust_se: dict[str, float] = {}
@@ -652,9 +774,9 @@ def wnls_fit(
         rows = np.zeros(1, dtype=int)
         cov = cluster_robust_covariance(
             np.column_stack(
-                [g[0] for g in objective.gradient(theta[None], rows)]
+                [g[0] for g in objective.gradient(theta, rows)]
             ),
-            objective.residual(theta[None], rows)[0],
+            objective.residual(theta, rows)[0][0],
             np.ones(clusters),
             table.workload_ids,
         )
@@ -676,7 +798,7 @@ def wnls_fit(
         p_value=p_value,
         clusters=clusters,
         observations=table.n_observations,
-        weighted_sse=sse,
+        weighted_sse=float(sse[0]),
         converged=True,
         exclusions=exclusions,
         param_order=free,
@@ -931,17 +1053,14 @@ def loocv(
         np.repeat(np.arange(g), counts),
         config.convergence_tol, config.max_iterations,
     )
-    bounds = np.cumsum([0, *counts])
+    theta, _, ok = _winners(objective, *runs, counts)
+    optima = objective.user(theta)
     per_holdout: dict[str, dict[str, float]] = {}
     for h, wid in enumerate(workloads):
         _check_identified(spec, free, objective.x[h], objective.arch[h])
-        mine = slice(bounds[h], bounds[h + 1])
-        theta, _ = _winner(
-            objective, h, *(a[mine] for a in runs),
-            stage_form, config.max_iterations,
-        )
-        optimum = objective.user(theta[None])[0]
-        per_holdout[wid] = {n: float(v) for n, v in zip(free, optimum)}
+        if not ok[h]:
+            raise _not_converged(stage_form, config.max_iterations)
+        per_holdout[wid] = {n: float(v) for n, v in zip(free, optima[h])}
     parameters = FORMS[form].shape
     mean: dict[str, float] = {}
     sd: dict[str, float] = {}

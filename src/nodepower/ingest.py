@@ -462,12 +462,11 @@ class WorkloadTable:
             f"nodepower-dataset/2 {self.n_observations}\n".encode()
         )
         for field in ("workload_id", "node_id", "arch"):
-            text = np.array(
-                [getattr(s, field) for s in self.segments], dtype=str
-            )
-            width = max(int(np.char.str_len(text).max(initial=0)), 1)
+            values = [getattr(s, field) for s in self.segments]
+            # a UCS-4 cell drops trailing NULs, so they add no width
+            width = max([len(v.rstrip("\0")) for v in values] + [1])
             h.update(f"{width}\n".encode())
-            cells = text.astype(f"<U{width}").tobytes()
+            cells = np.array(values, dtype=str).astype(f"<U{width}").tobytes()
             cell = 4 * width
             for i, size in enumerate(sizes):
                 h.update(cells[i * cell:(i + 1) * cell] * size)

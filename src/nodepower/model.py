@@ -12,9 +12,10 @@ node power in kW as p_idle + beta * g(x; shape), with one of two shapes:
 magnitudes (one beta, or one per architecture), the shape function, which
 parameters each fit stage estimates, which may be negative, which are
 fitted on a log10 scale, the lower bounds and the shape start points; the
-parameter order, the curve and its gradient follow. Prediction, validation
-and ``nodepower.fit`` read it. The form names are ``ModelForm``, which
-lives in ``nodepower.files`` so the CLI can offer them without numpy.
+parameter order, the curve, its gradient and its second derivatives
+follow. Prediction, validation and ``nodepower.fit`` read it. The form
+names are ``ModelForm``, which lives in ``nodepower.files`` so the CLI can
+offer them without numpy.
 
 The simple raw-scale variant is kept for completeness but has no calibrated
 preset: the published shape values only make sense on the log scale. Every
@@ -113,11 +114,18 @@ K_FLOOR = 1e-3       # sigmoid steepness bound: stops collapse to a step
 ALPHA_FLOOR = 1e-6   # positivity guard for the log-scale saturation constant
 
 
-def _saturation(p: Mapping[str, Any], x: np.ndarray):
+def _saturation(p: Mapping[str, Any], x: np.ndarray, ratio: Any = None):
     """x / (alpha + x): half of the magnitude is reached at x = alpha."""
     alpha = p["alpha"]
-    ratio = x / (alpha + x)
-    return ratio, lambda beta: {"alpha": -beta * x / np.square(alpha + x)}
+    if ratio is None:
+        ratio = x / (alpha + x)
+
+    def derivatives(beta: Any):
+        shift = alpha + x
+        slope = -beta * x / np.square(shift)
+        return {"alpha": slope}, {("alpha", "alpha"): -2.0 * slope / shift}
+
+    return ratio, derivatives
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
@@ -128,16 +136,35 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -708.0), 708.0)))
 
 
-def _logistic_shape(p: Mapping[str, Any], x: np.ndarray):
+def _logistic_shape(p: Mapping[str, Any], x: np.ndarray, s: Any = None):
     """logistic((x - x0) / k): midpoint x0, steepness k."""
     x0, k = p["x0"], p["k"]
-    s = _logistic((x - x0) / k)
+    u = x - x0
+    if s is None:
+        s = _logistic(u / k)
 
-    def shape_gradient(beta: Any) -> dict[str, Any]:
-        slope = -beta * s * (1.0 - s)
-        return {"x0": slope / k, "k": slope * (x - x0) / (k * k)}
+    def derivatives(beta: Any):
+        # in z = u / k: s' = s (1 - s), s'' = s' (1 - 2 s), dz/dx0 = -1 / k
+        # and dz/dk = -z / k. With m = beta s' / k^2, beta times d2g/dx0^2
+        # is m (1 - 2 s), times d2g/dx0 dk m ((1 - 2 s) z + 1), and times
+        # d2g/dk^2 m z ((1 - 2 s) z + 2)
+        t = 1.0 - s
+        slope = -beta * s * t
+        d_x0 = slope / k
+        z = u / k
+        w = t - s
+        m = d_x0 * (-1.0 / k)
+        x0k = m * (w * z + 1.0)
+        return (
+            {"x0": d_x0, "k": slope * u / (k * k)},
+            {
+                ("x0", "x0"): m * w,
+                ("x0", "k"): x0k,
+                ("k", "k"): z * (x0k + m),
+            },
+        )
 
-    return s, shape_gradient
+    return s, derivatives
 
 
 # start magnitudes for every start point: the measured idle and about the
@@ -170,10 +197,14 @@ class FormSpec:
 
     # beta: one parameter name, or one per architecture {arch: name}
     magnitudes: str | Mapping[str, str]
-    # the shape function: g(params on the user scale, x) returns g and a
-    # function of beta (per row where it differs) that gives {name: beta *
-    # dg / d params[name]} at the same point; a curve never calls it
-    g: Callable[..., tuple[Any, Callable[[Any], dict[str, Any]]]]
+    # the shape function: g(params on the user scale, x, values=None)
+    # returns g (or the values given: g at the same point, from an earlier
+    # call) and a function of beta (per row where it differs) that gives,
+    # from that one evaluation, {name: beta * dg/dname} and {(a, b): beta *
+    # d2g/da db} for the pairs of shape parameters, a before b in
+    # ``shape``, whose second derivative is not zero everywhere; at beta =
+    # 1 it gives dg and d2g themselves. A curve never calls it
+    g: Callable[..., tuple[Any, Callable[[Any], tuple[dict, dict]]]]
     shape: tuple[str, ...]         # g's parameters, estimated in stage 1
     stage2_free: tuple[str, ...]   # estimated in stage 2
     stage1_form: ModelForm         # the form stage 1 fits
@@ -215,29 +246,74 @@ class FormSpec:
             return p[m]
         return np.where(is_llm, p[m[Architecture_LLM]], p[m[Architecture_CNN]])
 
-    def _g(self, p: Mapping[str, Any], x: np.ndarray):
-        return self.g(p, np.power(10.0, x) if self.raw_operations else x)
+    def _g(self, p: Mapping[str, Any], x: np.ndarray, values: Any = None):
+        return self.g(
+            p, np.power(10.0, x) if self.raw_operations else x, values
+        )
+
+    def _per_beta(self, values: Any, is_llm: np.ndarray) -> dict[str, Any]:
+        """{beta name: ``values`` on the rows that beta scales, 0 on the
+        others}."""
+        return {
+            name: np.where(is_llm == (arch == Architecture_LLM), values, 0.0)
+            for name, arch in self.per_arch.items()
+        } or {self.magnitudes: values}
 
     def curve(self, p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
         """Power in kW from the parameters ``p`` on the user scale, log10
         intensities ``x`` and an LLM mask that broadcasts against x."""
-        # indexing drops the gradient function and what it holds, so g is
-        # a temporary that numpy scales in place rather than copying
-        return p["p_idle_kw"] + self._beta(p, is_llm) * self._g(p, x)[0]
+        return self.curve_and_g(p, x, is_llm)[0]
+
+    def curve_and_g(
+        self, p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
+    ) -> tuple[Any, Any]:
+        """The curve, arguments as for ``curve``, and the shape values g it
+        was built from, which ``derivatives`` takes back."""
+        g = self._g(p, x)[0]
+        return p["p_idle_kw"] + self._beta(p, is_llm) * g, g
 
     def gradient(
         self, p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
     ) -> dict[str, np.ndarray]:
         """{name: d curve / d p[name]}, arguments as for ``curve``."""
-        g, shape_gradient = self._g(p, x)
-        magnitude = {
-            name: np.where(is_llm == (arch == Architecture_LLM), g, 0.0)
-            for name, arch in self.per_arch.items()
-        } or {self.magnitudes: g}
-        return {
-            "p_idle_kw": np.ones_like(x), **magnitude,
-            **shape_gradient(self._beta(p, is_llm)),
-        }
+        return self.derivatives(p, x, is_llm)[0]
+
+    def derivatives(
+        self,
+        p: Mapping[str, Any],
+        x: np.ndarray,
+        is_llm: np.ndarray,
+        g: Any = None,
+        names: tuple[str, ...] | None = None,
+    ) -> tuple[dict[str, Any], dict[tuple[str, str], Any]]:
+        """The curve's gradient {name: d curve / d p[name]} and its second
+        derivatives {(a, b): d2 curve / d p[a] d p[b]}, a before b in
+        ``params``, on the pairs where they are not zero everywhere: beta *
+        d2g between shape parameters, dg between a magnitude and a shape
+        parameter. Both hold only the parameters ``names`` (default all).
+        Arguments as for ``curve``; ``g``, the shape values at ``p`` from
+        ``curve_and_g``, saves evaluating the shape function again."""
+        names = self.params if names is None else names
+        g, shape_derivatives = self._g(p, x, g)
+        first, second = shape_derivatives(self._beta(p, is_llm))
+        magnitudes = any(b in names for b in self.betas)
+        gradient = dict(first)
+        if magnitudes:
+            gradient.update(self._per_beta(g, is_llm))
+        if "p_idle_kw" in names:
+            gradient["p_idle_kw"] = np.ones_like(x)
+        if magnitudes and any(n in names for n in self.shape):
+            # beta * dg at beta = 1 is dg
+            for name, dg in shape_derivatives(1.0)[0].items():
+                for beta, cross in self._per_beta(dg, is_llm).items():
+                    second[beta, name] = cross
+        return (
+            {n: gradient[n] for n in names},
+            {
+                (a, b): h for (a, b), h in second.items()
+                if a in names and b in names
+            },
+        )
 
 
 FORMS: dict[ModelForm, FormSpec] = {

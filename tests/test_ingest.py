@@ -773,6 +773,28 @@ class TestDeskDataset:
             "fb75d18ca39fc763e21ca382c410ef82fee04bb8fb1ed302d75f52ad9ae9333e"
         )
 
+    def test_sha256_of_ids_with_nul_characters_is_pinned(self):
+        # a UCS-4 cell drops trailing NULs, so they add no width and no
+        # bytes (the width of "ab\0" is 2), while a NUL inside a value
+        # counts; the values below were taken with numpy's str_len widths
+        S = ingest._Segment
+        table = ingest._table([
+            S("ab\x00", "n\x00\x00", "llm", 12.5, np.array([5.0, 5.5])),
+            S("ab\x00", "a\x00b", "llm", 12.5, np.array([5.25])),
+            S("c", "\x00", "cnn", 11.0, np.array([3.0, 3.125])),
+        ])
+        assert table.sha256() == (
+            "5633263943b0cf627e6ac49fa98bb0dee2329c31e4ddcaf68da4ccf6427e51e3"
+        )
+        # every node id all NULs: width 0, written as 1
+        table = ingest._table([
+            S("w\x00", "\x00", "llm", 12.5, np.array([5.0])),
+            S("v\x00\x00", "\x00\x00", "cnn", 11.0, np.array([3.0])),
+        ])
+        assert table.sha256() == (
+            "a79516cf02b6bdb7a2cd93a850b3430645cf37192adf9400d5c16beb7b37ba3e"
+        )
+
     def test_intensities_match_published_flops(self, desk_records):
         # config-derived x must agree with the published per-node counts to
         # a few percent for all workloads except the documented misfit

@@ -183,6 +183,60 @@ class TestFormTable:
                 )
 
 
+    @pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
+    def test_second_derivatives_match_central_difference_of_gradient(
+        self, form
+    ):
+        spec = model.FORMS[form]
+        params = PARAMS[form].as_dict()
+        order = spec.params.index
+        # the logistic's second derivatives vary over a few k around x0
+        x = np.linspace(10.5, 12.5, 61) if form is ModelForm.SIGMOID else (
+            np.linspace(5.0, 20.0, 61)
+        )
+        for is_llm in (np.ones_like(x, bool), np.zeros_like(x, bool)):
+            _, second = spec.derivatives(params, x, is_llm)
+            assert all(order(a) < order(b) or a == b for a, b in second)
+            for a in spec.params:
+                h = 1e-5 * abs(params[a])
+                up = spec.gradient({**params, a: params[a] + h}, x, is_llm)
+                down = spec.gradient(
+                    {**params, a: params[a] - h}, x, is_llm
+                )
+                for b in spec.params:
+                    numeric = (up[b] - down[b]) / (2.0 * h)
+                    key = (a, b) if order(a) <= order(b) else (b, a)
+                    got = second.get(key, np.zeros_like(x))
+                    scale = np.max(np.abs(numeric))
+                    np.testing.assert_allclose(
+                        got, numeric, rtol=1e-5, atol=1e-7 * scale + 1e-300,
+                        err_msg=f"{form.value} d2/d{a} d{b}",
+                    )
+                    # a pair the table leaves out is zero everywhere
+                    assert key in second or not np.any(numeric), key
+
+    @pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
+    def test_derivatives_from_kept_shape_values_are_bit_identical(
+        self, form
+    ):
+        spec = model.FORMS[form]
+        p = PARAMS[form].as_dict()
+        x = GRID[form]
+        is_llm = np.arange(x.size) % 2 == 0
+        _, g = spec.curve_and_g(p, x, is_llm)
+        fresh = spec.derivatives(p, x, is_llm)
+        kept = spec.derivatives(p, x, is_llm, g)
+        for want, got in zip(fresh, kept):
+            assert want.keys() == got.keys()
+            for key in want:
+                assert np.array_equal(want[key], got[key]), key
+        # only the named parameters, and no magnitude-shape term when no
+        # magnitude is named
+        gradient, second = spec.derivatives(p, x, is_llm, g, spec.shape)
+        assert tuple(gradient) == spec.shape
+        assert all(a in spec.shape and b in spec.shape for a, b in second)
+
+
 PARAMS = {
     ModelForm.SIMPLE_ASYMPTOTIC: SIMPLE,
     ModelForm.LOG_ASYMPTOTIC: ASYM,

@@ -104,6 +104,48 @@ def test_scenario_and_flops_do_not_import_numpy(tmp_path):
         assert written == GOLDEN_OUT[name][0]
 
 
+# Runs each command in turn in one fresh interpreter, then writes the exit
+# codes and which of the named modules got loaded.
+LOADED_RUN = """\
+import json, sys
+
+sys.path.insert(0, sys.argv[1])
+from nodepower.cli import main
+
+codes = [main(args) for args in json.loads(sys.argv[2])]
+loaded = sorted(m for m in json.loads(sys.argv[3]) if m in sys.modules)
+with open(sys.argv[4], "w") as f:
+    json.dump({"codes": codes, "loaded": loaded}, f)
+"""
+
+
+def test_fit_and_loocv_do_not_load_numpy_ma_or_char(tmp_path):
+    """numpy loads ``numpy.ma`` on the first ``np.unique`` of floats, and
+    ``numpy.char`` with ``numpy.strings`` on the first ``np.char`` call:
+    milliseconds that every fresh process would pay for nothing. The
+    ``simple`` form's start points still take ``np.percentile``, which
+    loads ``numpy.ma``, so ``fit --form simple`` is not checked here."""
+    data = ["--manifest", str(desk_manifest()),
+            "--exclusions", str(desk_exclusions())]
+    commands = [
+        ["fit", *data, "--form", "arch-fe", "--out", str(tmp_path / "fit"),
+         "--pin-timestamp", "2026-01-01T00:00:00Z"],
+        ["loocv", *data, "--form", "sigmoid",
+         "--out", str(tmp_path / "loocv")],
+    ]
+    modules = ["numpy.ma", "numpy.char", "numpy.strings"]
+    result = tmp_path / "result.json"
+    src = str(Path(nodepower.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", LOADED_RUN, src,
+         json.dumps(commands), json.dumps(modules), str(result)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(result.read_text())
+    assert got == {"codes": [0, 0], "loaded": []}, proc.stderr
+
+
 def test_scipy_is_not_a_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
