@@ -129,66 +129,75 @@ class WorkloadSummary:
 _TRACE_HEADER = ("workload_id", "node_id", "elapsed_s", "power_kw")
 
 
-# str.translate deletes these: every ASCII character but the separators
-_NOT_SEPARATOR = str.maketrans(
-    "", "", "".join(chr(c) for c in range(128) if chr(c) not in ",\n")
-)
+# Besides the newline, what csv.reader or str.strip treats specially in
+# ASCII text: the quote, CR, NUL and whitespace.
+_NOT_CLEAN = '"\r\0 \t\v\f\x1c\x1d\x1e\x1f'
 
 
-def _regular_rows(text: str) -> int | None:
-    """The number of data rows, if every line of the text has exactly four
-    fields (three commas) and fits the csv field size limit; else None.
-    Text with a character beyond ASCII reads as irregular."""
-    lines = text.count("\n") + (not text.endswith("\n"))
-    expected = ",,,\n" * lines
-    if not text.endswith("\n"):
-        expected = expected[:-1]
-    skeleton = text.translate(_NOT_SEPARATOR)
-    if skeleton != expected:
+def _load_clean(
+    text: str, workload_id: str
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
+    """The distinct node ids, each row's node code and the two number
+    columns of clean trace text, in file order; None for other text.
+
+    Clean text is ASCII with no quote, CR, NUL, empty node id or whitespace
+    but newlines. It starts with the exact header, and every data line has
+    four fields, the first ``workload_id``, and fits the csv field limit.
+    One ``np.loadtxt`` call reads the other three, whose numbers are those
+    ``float`` reads: both parse with ``PyOS_string_to_double``, and loadtxt
+    rejects what only ``float`` takes, such as ``1_0``.
+    """
+    if (not text.isascii() or any(c in text for c in _NOT_CLEAN)
+            or ",," in text or "," in workload_id or "\n" in workload_id):
         return None
-    # when every aligned block of this many characters holds a newline, no
-    # line reaches 2 * block - 1 characters, so every field fits the limit
-    limit = csv.field_size_limit()
-    block = max(limit // 2, 1)
-    if len(text) > limit and any(
-        text.find("\n", i, i + block) < 0
-        for i in range(0, len(text) - block + 1, block)
-    ):
+    # split on "\n" only: str.splitlines also splits on \v, \f and \x1c-\x1e
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    rows = len(lines) - 1
+    # no line reaches the field size limit when every aligned block of half
+    # of it holds a newline
+    block = max(csv.field_size_limit() // 2, 1)
+    # loadtxt needs four fields on each line; three commas a line make it
+    # exactly four
+    if (rows < 1 or lines[0] != ",".join(_TRACE_HEADER)
+            or text.count(",") != 3 * len(lines)
+            or text.count("\n" + workload_id + ",") != rows
+            or any(text.find("\n", i, i + block) < 0
+                   for i in range(0, len(text) - block + 1, block))):
         return None
-    return lines - 1
+    # room for node ids twice as long as the first row's, or as long as the
+    # mean line, and one UCS-4 unit more that stays zero unless an id was
+    # cut short
+    width = min(2 * len(lines[1].split(",", 2)[1]), len(text) // rows) + 1
+    try:
+        table = np.loadtxt(
+            lines, [("node", f"U{width}"), ("elapsed", "f8"), ("power", "f8")],
+            comments=None, delimiter=",", skiprows=1, usecols=(1, 2, 3),
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    if table.view(np.uint32).reshape(rows, -1)[:, width - 1].any():
+        return None
+    # node ids are coded run by run: a file holds few runs of equal ids
+    nodes = table["node"]
+    heads = np.flatnonzero(np.concatenate(([True], nodes[1:] != nodes[:-1])))
+    node_ids: dict[str, int] = {}
+    run_codes = [node_ids.setdefault(v, len(node_ids))
+                 for v in nodes[heads].tolist()]
+    codes = np.repeat(run_codes, np.diff(heads, append=rows))
+    return list(node_ids), codes, table["elapsed"], table["power"]
 
 
 def _tokenize(
-    text: str, workload_id: str
-) -> tuple[list[str], Sequence[int], list[Sequence[str]], Exception | None]:
-    """Split trace text into its header, the data rows' line numbers, four
-    raw field columns, and the error that cut the rows short (or None).
-
-    The result is what ``csv.reader`` yields for the text read from a file
-    opened with ``newline=""``, blank rows left out. ASCII text without
-    quotes or carriage returns, whose every line has four fields that fit
-    the csv field size limit, is split with ``str.split``; anything else
-    goes through ``csv.reader``. The line numbers are csv's 1-based
-    ``line_num``: they count blank lines and the lines inside quoted
-    fields.
-    """
-    rows = None if '"' in text or "\r" in text else _regular_rows(text)
-    if rows is not None:
-        text = text.removesuffix("\n")
-        # When every row starts with the expected id (an id without a comma,
-        # so it is one whole field), that column is not split into strings:
-        # "\n<id>," becomes one separator. This keeps the parse's peak
-        # memory near one string per number and node.
-        prefix = "\n" + workload_id + ","
-        known = "," not in workload_id and text.count(prefix) == rows
-        joined = text.replace(prefix if known else "\n", ",")
-        del text
-        flat = joined.split(",")
-        del joined
-        wids = [workload_id] * rows if known else flat[4::4]
-        first, width = (4, 3) if known else (5, 4)
-        columns = [wids] + [flat[first + i::width] for i in range(3)]
-        return flat[:4], range(2, rows + 2), columns, None
+    text: str,
+) -> tuple[list[str], list[int], list[Sequence[str]], Exception | None]:
+    """Split trace text with ``csv.reader``, as read from a file opened with
+    ``newline=""``, into its header, the data rows' line numbers (csv's
+    1-based ``line_num``, which counts blank lines and the lines inside
+    quoted fields), four raw field columns, and the error that cut the rows
+    short (or None). Blank rows are left out."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -221,10 +230,13 @@ def parse_trace_file(
 ) -> tuple[NodeTrace, ...]:
     """Parse one workload's trace file into per-node traces.
 
-    The text is read once and each column is checked as a whole. On bad
-    input the error names the first offending row in file order; within a
-    row the checks run in the order: field count, workload id, node id,
-    numbers, negative elapsed time, power, non-finite value, duplicate.
+    The text is read once and each column is checked as a whole. Clean text
+    (see ``_load_clean``) is parsed by one ``np.loadtxt`` call; other text,
+    and clean text that fails a check, by ``csv.reader``, which alone words
+    the errors. On bad input the error names the first offending row in
+    file order; within a row the checks run in the order: field count,
+    workload id, node id, numbers, negative elapsed time, power, non-finite
+    value, duplicate.
 
     Parameters
     ----------
@@ -249,62 +261,43 @@ def parse_trace_file(
         a non-finite number, or a duplicate (node_id, elapsed_s) pair (the
         message names the 1-based line), or a file that cannot be read.
     """
-    # the text is handed on, not kept here, so that _tokenize can free it
-    # once it is split
-    header, lines, columns, error = _tokenize(
-        read_text(path_or_stream, TraceFormatError, "trace file"), workload_id
+    text = read_text(path_or_stream, TraceFormatError, "trace file")
+    clean = _load_clean(text, workload_id)
+    if clean is not None:
+        try:
+            return _traces(workload_id, *clean, range(2, len(clean[1]) + 2))
+        except TraceFormatError:
+            pass  # csv.reader's path words the error
+    header, lines, (wids, node_text, elapsed_text, power_text), error = (
+        _tokenize(text)
     )
+    del text, clean
     if tuple(h.strip() for h in header) != _TRACE_HEADER:
         raise TraceFormatError(
             f"line 1: expected header {','.join(_TRACE_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
-    wids, node_text, elapsed_text, power_text = columns
-    del columns
     n = len(wids)  # rows [0, n) passed every check so far
-
-    def fail(row: int, message: str) -> None:
-        # each check sees only the rows before the earliest failure so far,
-        # so the error that stands at the end is the first in file order
-        nonlocal n, error
-        n, error = row, TraceFormatError(f"line {lines[row]}: {message}")
-
     # identity checks run once per distinct raw value; index() finds the
     # first row that carries it
     wrong = [wids.index(w) for w in dict.fromkeys(islice(wids, n))
              if w.strip() != workload_id]
     if wrong:
         row = min(wrong)
-        fail(row, f"row belongs to workload {wids[row].strip()!r}, "
-                  f"expected {workload_id!r}")
+        n, error = _failure(lines, row, f"row belongs to workload "
+                            f"{wids[row].strip()!r}, expected {workload_id!r}")
     empty = [node_text.index(v) for v in dict.fromkeys(islice(node_text, n))
              if not v.strip()]
     if empty:
-        fail(min(empty), "empty node_id")
+        n, error = _failure(lines, min(empty), "empty node_id")
     try:
         elapsed, power = _floats(elapsed_text, n), _floats(power_text, n)
     except ValueError:
-        fail(next(i for i in range(n) if not (
+        n, error = _failure(lines, next(i for i in range(n) if not (
             _is_float(elapsed_text[i]) and _is_float(power_text[i])
         )), "non-numeric elapsed_s or power_kw")
         elapsed, power = _floats(elapsed_text, n), _floats(power_text, n)
     del elapsed_text, power_text  # the largest columns: free them early
-    bad = elapsed[:n] < 0
-    if bad.any():
-        row = int(bad.argmax())
-        fail(row, f"negative elapsed_s ({float(elapsed[row])})")
-    bad = ~(power[:n] > 0)
-    if bad.any():
-        row = int(bad.argmax())
-        fail(row, f"non-positive power_kw ({float(power[row])})")
-    bad_elapsed = ~np.isfinite(elapsed[:n])
-    bad = bad_elapsed | ~np.isfinite(power[:n])
-    if bad.any():
-        row = int(bad.argmax())
-        name, value = (
-            ("elapsed_s", elapsed) if bad_elapsed[row] else ("power_kw", power)
-        )
-        fail(row, f"non-finite {name} ({float(value[row])})")
     # stripped node id -> code, in first-appearance order
     node_ids: dict[str, int] = {}
     code_of = {
@@ -314,18 +307,56 @@ def parse_trace_file(
     codes = np.fromiter(
         map(code_of.__getitem__, islice(node_text, n)), np.intp, n
     )
-    order = np.lexsort((elapsed[:n], codes))  # stable: file order on ties
-    codes, times, powers = codes[order], elapsed[order], power[order]
-    same = (codes[1:] == codes[:-1]) & (times[1:] == times[:-1])
+    return _traces(
+        workload_id, list(node_ids), codes, elapsed, power, lines, error
+    )
+
+
+def _failure(
+    lines: Sequence[int], row: int, message: str
+) -> tuple[int, TraceFormatError]:
+    """Rows [0, row) left to check, and the error naming row's line. Each
+    check sees only the rows before the earliest failure so far, so the
+    error that stands at the end is the first in file order."""
+    return row, TraceFormatError(f"line {lines[row]}: {message}")
+
+
+def _traces(
+    workload_id: str, node_ids: list[str], codes: np.ndarray,
+    elapsed: np.ndarray, power: np.ndarray, lines: Sequence[int],
+    error: Exception | None = None,
+) -> tuple[NodeTrace, ...]:
+    """The traces of the rows that passed the checks so far, ``len(codes)``
+    of them (a code indexes ``node_ids``), if their numbers pass; else the
+    error of the first offending row."""
+    n = len(codes)
+    for bad, message in (
+        (elapsed < 0, "negative elapsed_s ({e})"),
+        (~(power > 0), "non-positive power_kw ({p})"),
+        (~np.isfinite(elapsed), "non-finite elapsed_s ({e})"),
+        (~np.isfinite(power), "non-finite power_kw ({p})"),
+    ):
+        if bad[:n].any():
+            row = int(bad[:n].argmax())
+            n, error = _failure(lines, row, message.format(
+                e=float(elapsed[row]), p=float(power[row])
+            ))
+    order = np.lexsort((elapsed[:n], codes[:n]))  # stable: file order on ties
+    sorted_codes, times, powers = codes[order], elapsed[order], power[order]
+    same = ((sorted_codes[1:] == sorted_codes[:-1])
+            & (times[1:] == times[:-1]))
     if same.any():
         row = int(order[1:][same].min())
-        fail(row, f"duplicate sample for node {node_text[row].strip()!r} "
-                  f"at elapsed_s={float(elapsed[row])}")
+        n, error = _failure(lines, row, f"duplicate sample for node "
+                            f"{node_ids[codes[row]]!r} at elapsed_s="
+                            f"{float(elapsed[row])}")
     if error is not None:
         raise error
     if not n:
         raise TraceFormatError("trace file has a header but no data rows")
-    ends = np.cumsum(np.bincount(codes, minlength=len(node_ids))).tolist()
+    ends = np.cumsum(
+        np.bincount(sorted_codes, minlength=len(node_ids))
+    ).tolist()
     # each trace owns a copy: slices would keep the file's whole sorted
     # columns alive, one large block per file, which fragments the heap
     return tuple(
@@ -335,13 +366,14 @@ def parse_trace_file(
 
 
 def _floats(texts: Sequence[str], n: int) -> np.ndarray:
-    """The first n texts as float64, parsed by ``float``."""
-    return np.fromiter(map(float, islice(texts, n)), float, n)
+    """The first n texts as float64, stripped and parsed by ``float`` (which
+    strips less: not the separators \x1c-\x1f)."""
+    return np.fromiter(map(float, map(str.strip, islice(texts, n))), float, n)
 
 
 def _is_float(text: str) -> bool:
     try:
-        float(text)
+        float(text.strip())
     except ValueError:
         return False
     return True

@@ -180,8 +180,23 @@ def _log_alpha_starts(x: np.ndarray) -> list[dict[str, float]]:
 def _raw_alpha_starts(x: np.ndarray) -> list[dict[str, float]]:
     # alpha is on the raw-operations scale: start at the workloads' own
     # intensities (one per workload, however densely each was sampled)
-    qs = np.percentile(x, [10, 30, 50, 70, 90])
-    return [{"alpha": 10.0 ** float(q)} for q in qs]
+    return [{"alpha": 10.0 ** q}
+            for q in _percentiles(x, (10, 30, 50, 70, 90))]
+
+
+def _percentiles(x: np.ndarray, qs: tuple[float, ...]) -> list[float]:
+    """``np.percentile(x, qs)`` (its default, linear method) over ``sorted``
+    values, equal bit for bit but for the sign of a zero result:
+    ``np.percentile`` imports ``numpy.ma``, which a fresh process pays."""
+    v = sorted(np.ravel(x).astype(float).tolist())
+    out = []
+    for q in qs:
+        index = (len(v) - 1) * (q / 100)
+        below = math.floor(index)
+        a, b, g = v[below], v[min(below + 1, len(v) - 1)], index - below
+        # numpy's _lerp: from the nearer end, so exact at both
+        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return out
 
 
 def _sigmoid_starts(x: np.ndarray) -> list[dict[str, float]]:

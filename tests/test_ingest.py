@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nodepower import flops, ingest
+from nodepower.data import desk_dir
 from nodepower.ingest import (
     ConfigError,
     NodeTrace,
@@ -99,6 +100,25 @@ class TestParse:
         )
         assert [t.node_id for t in parse_trace_file(io.StringIO(text), "w1")
                 ] == ["n1", "nœud-2"]
+
+    @pytest.mark.parametrize("row, expected", [
+        # a fifth field, which np.loadtxt would pass over with usecols
+        ("w1,n2,2.0,5.0,7", "line 3: expected 4 fields, got 5"),
+        # padding that str.strip removes and np.loadtxt keeps or rejects
+        ("w1,n1\xa0,2.0,5.0", ["n1"]),
+        ("w1,n1,2.0\x1c,5.0", ["n1"]),
+        # a node id longer than twice the first row's would be cut short
+        ("w1,n1-long,2.0,5.0", ["n1", "n1-long"]),
+        ("w1,,2.0,5.0", "line 3: empty node_id"),
+    ])
+    def test_text_off_the_fast_path_parses_as_csv_does(self, row, expected):
+        text = f"workload_id,node_id,elapsed_s,power_kw\nw1,n1,0.0,5.5\n{row}\n"
+        got = _outcome(parse_trace_file, text)
+        assert got == _outcome(_reference_parse, text)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert [node for node, *_ in got] == expected
 
     def test_traces_own_their_columns(self):
         # a view would keep the whole file's columns alive with any trace
@@ -420,6 +440,135 @@ def test_every_pair_of_defects_reports_the_earlier_row():
 @given(_trace_texts())
 def test_bulk_parse_matches_row_by_row_reference(text):
     assert _outcome(parse_trace_file, text) == _outcome(_reference_parse, text)
+
+
+def _arabic_indic(text):
+    return "".join(chr(0x660 + int(c)) if c.isdigit() else c for c in text)
+
+
+@st.composite
+def _clean_texts(draw):
+    """Four-field trace text without quotes, CR or blank lines. Its numbers
+    take the spellings that ``float`` and ``np.loadtxt`` read alike
+    (``+5``, ``5.``, ``.5``, ``1E3``, ``infinity``, ``-nan``, ``1e500``,
+    17-digit reprs), and node ids may be longer than the first row's. At
+    most one odd node id (padded, or holding a character that
+    ``str.splitlines`` breaks at) and one odd spelling (``1_0``,
+    Arabic-Indic digits, padded) join them, and some texts carry one
+    defect."""
+    first = draw(st.sampled_from(["n1", "node07", "x"]))
+    nodes = [first, first + "9", first * 2]
+    if draw(st.booleans()):  # cut short at the width the first row sets
+        nodes.append(first * 2 + "0")
+    nodes += draw(st.one_of(st.just([]), st.sampled_from([
+        [" " + first], [first + "\t"], ["n1\xa0"], ["a b"], ["n\v1"],
+        ["n\f1"], ["n\x1c2"], ["n\x1e3"], ["n\x852"], ["n\u20282"], ["nœud"],
+    ])))
+    odd = draw(st.one_of(st.none(), st.sampled_from([
+        lambda v: v + "_0", _arabic_indic, lambda v: " " + v,
+        lambda v: v + "\t", lambda v: "\v" + v, lambda v: v + "\x1c",
+    ])))
+    n = draw(st.integers(1, 10))
+    times = draw(st.permutations(range(n)))
+
+    def spell(t):
+        return draw(st.sampled_from([
+            f"{t}", f"+{t}", f"{t}.", f"{t}E0", f"{10 * t}e-1", repr(t / 3),
+        ] + ([odd(f"{t}")] if odd else [])))
+
+    powers = ["+5", "5.", ".5", "1E3", "1e-1", "infinity", "-nan", "1e500"]
+    powers += [odd("12")] if odd else []
+    rows = [
+        [
+            "w1",
+            first if i == 0 else draw(st.sampled_from(nodes)),
+            spell(t),
+            draw(st.one_of(
+                st.floats(0.5, 12.0).map(repr), st.sampled_from(powers),
+            )),
+        ]
+        for i, t in enumerate(times)
+    ]
+    if draw(st.sampled_from([True, False, False, False])):
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["wid", "pad", "node", "more", "less"]))
+        if kind == "wid":
+            row[0] = "w2"
+        elif kind == "pad":
+            row[0] = draw(st.sampled_from([" w1", "w1 "]))
+        elif kind == "node":
+            row[1] = ""
+        elif kind == "more":
+            row.append("1")
+        else:
+            row.pop()
+    header = ",".join(ingest._TRACE_HEADER)
+    if draw(st.sampled_from([True] + [False] * 7)):
+        header = header.replace("node_id", " node_id")
+    lines = [header] + [",".join(row) for row in rows]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300)
+@given(_clean_texts())
+def test_clean_text_parse_matches_row_by_row_reference(text):
+    assert _outcome(parse_trace_file, text) == _outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize("row, expected", [
+    (f"w1,{'n' * 65},2.0,5.0", "line 3: field larger than field limit (64)"),
+    (f"w1,n1,{'0' * 62}2.0,5.0", "line 3: field larger than field limit (64)"),
+    (f"w1,n1,2.0,{'0' * 62}5.0", "line 3: field larger than field limit (64)"),
+    (f"w1,{'n' * 64},2.0,5.0", None),
+])
+def test_a_field_over_the_size_limit_is_read_by_csv(row, expected):
+    text = f"workload_id,node_id,elapsed_s,power_kw\nw1,n1,0.0,5.5\n{row}\n"
+    old = csv.field_size_limit(64)
+    try:
+        got = _outcome(parse_trace_file, text)
+    finally:
+        csv.field_size_limit(old)
+    if expected is None:  # a field of exactly the limit is read
+        assert [node for node, *_ in got] == ["n1", "n" * 64]
+    else:
+        assert got == expected
+
+
+def _large_trace_text(nodes=64, samples=520, seed=1):
+    """A trace file shaped like the benchmark's ``large`` input set: one
+    workload, zero-padded node ids, 2-second sampling, four-decimal powers
+    (about 1.2 MB of text at the defaults)."""
+    rng = np.random.default_rng(seed)
+    elapsed = [repr(2.0 * i) for i in range(samples)]
+    out = ["workload_id,node_id,elapsed_s,power_kw"]
+    for node in range(nodes):
+        powers = np.maximum(rng.normal(8.0, 0.35, samples), 0.05).tolist()
+        out.extend(f"syn-w,node{node:03d},{t},{p:.4f}"
+                   for t, p in zip(elapsed, powers))
+    return "\n".join(out) + "\n"
+
+
+def test_clean_traces_never_reach_csv_reader(monkeypatch):
+    """The desk traces and a benchmark-shaped file take the np.loadtxt path,
+    and give what csv.reader gives for the same rows (CRLF line endings
+    send a text to csv.reader), so a regression to the slow path fails
+    here without a timing run."""
+    texts = [(p.read_text(), p.stem)
+             for p in sorted((desk_dir() / "traces").glob("*.csv"))]
+    texts.append((_large_trace_text(), "syn-w"))
+
+    def parse(text, workload_id):
+        return _outcome(lambda fh, _: parse_trace_file(fh, workload_id), text)
+
+    via_csv = [parse(text.replace("\n", "\r\n"), wid) for text, wid in texts]
+    calls = []
+    real_reader = csv.reader
+    monkeypatch.setattr(
+        csv, "reader", lambda *a, **k: calls.append(a) or real_reader(*a, **k)
+    )
+    assert [parse(text, wid) for text, wid in texts] == via_csv
+    assert calls == []
+    assert len(via_csv[-1]) == 64  # traces, not an error message
 
 
 def _node_trace(elapsed, power):
