@@ -55,10 +55,18 @@ deterministic: same data in, same estimates out, to the last bit.
 
 Every curve, gradient and parameter role comes from the form table,
 ``nodepower.model.FORMS``; this module holds no formula of its own and
-treats every form alike. Parameters the table marks as log10-scale (the
-raw-operations variant's alpha, whose scale spans six decades) are fitted
-as log10 of the value; reported estimates and standard errors are for the
-value itself.
+treats every form alike. Where a form's optimizer map covers the free
+shape parameters, the fit iterates them on the map's scale, and the map
+gives the forward and inverse transforms and the derivatives of the
+shape's argument there. The raw-operations variant's alpha, whose scale
+spans six decades, is fitted as log10(alpha). The sigmoid's (x0, k) are
+fitted as the coefficients of its linear predictor z = c0 + c1 t, on the
+intensities standardized over the table fitted, t = (x - mean) / sd; on
+(x0, k), a curve flat over the data lies at x0 -> -inf, k -> inf, a ridge
+a step can land on and take many halvings to leave, while on (c0, c1) it
+is the edge c1 -> 0+, and the bound k >= K_FLOOR is c1 <= sd / K_FLOOR. A
+step outside the map's domain is rejected like one that raises the SSE.
+Starts, reported estimates and standard errors are on the user scale.
 """
 
 from __future__ import annotations
@@ -202,7 +210,6 @@ def apply_exclusions(
 OFFSET_TOL = 1e-3  # Bates & Watts' suggested relative-offset threshold
 MAX_HALVINGS = 40  # step scales tried per iteration before a problem stops
 BATCH_ELEMENTS = 8192  # problems x workloads per Gauss-Newton batch
-_LN10 = math.log(10.0)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -240,23 +247,6 @@ def _relative_offsets(
     return np.where(np.isfinite(along), offset, np.inf)
 
 
-def _relative_offset(r: np.ndarray, J: np.ndarray, floor: float) -> float:
-    """``_relative_offsets`` of one problem: r (n,), J (n, p)."""
-    return float(
-        _relative_offsets(r[None], [c[None] for c in J.T], floor)[0]
-    )
-
-
-def _internal(spec: FormSpec, name: str, value: float) -> float:
-    """A parameter value on the optimizer's scale: log10 of a log10-scale
-    parameter, the value itself otherwise."""
-    if name not in spec.log10:
-        return float(value)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive")
-    return math.log10(value)
-
-
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """Sum along the last axis: one problem's row at a time, pairwise,
     never a BLAS dot, so a problem's sums do not depend on its batch."""
@@ -272,6 +262,12 @@ class _Objective:
     problem's table. With one table every problem reads its columns as they
     are, broadcast. Every step is elementwise or a sum along the last axis,
     so a problem's numbers do not depend on the batch it runs in.
+
+    The optimizer's scale is the user scale, but for the shape parameters
+    when they are exactly those of the form table's optimizer map
+    (``FormSpec.optimizer_map``): then theta holds the map's coordinates in
+    their columns, with the map's constants taken from each table's
+    intensities.
     """
 
     def __init__(
@@ -286,12 +282,19 @@ class _Objective:
         self.fixed = dict(fixed)
         self.free = free
         self.position = {n: i for i, n in enumerate(free)}
-        self.log10_cols = [i for i, n in enumerate(free) if n in spec.log10]
+        self.x = table.x[keep]
+        shape = tuple(n for n in spec.shape if n in free)
+        m = spec.optimizer_map
+        self.map = m if m is not None and m.params == shape else None
+        mapped = () if self.map is None else self.map.params
+        self.mapped = [self.position[n] for n in mapped]
+        self.constants = () if self.map is None else m.constants(self.x)
+        # the map bounds its own coordinates; the others are clipped to the
+        # form table's lower bounds
         self.lower = np.array([
-            _internal(spec, n, spec.lower[n]) if n in spec.lower else -np.inf
+            -np.inf if n in mapped else spec.lower.get(n, -np.inf)
             for n in free
         ])
-        self.x = table.x[keep]
         self.arch = table.arch[keep]
         # only a form with a magnitude per architecture reads the mask
         self.is_llm = (
@@ -306,13 +309,33 @@ class _Objective:
     def _take(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return column[0] if len(column) == 1 else column[rows]
 
-    def user(self, theta: np.ndarray) -> np.ndarray:
-        """Free parameters on the user scale, (B, p)."""
-        if not self.log10_cols:
-            return theta
-        out = theta.copy()
-        out[:, self.log10_cols] = 10.0 ** theta[:, self.log10_cols]
+    def _mapped(
+        self, values: np.ndarray, rows: np.ndarray, inverse: bool
+    ) -> np.ndarray:
+        """(B, p) ``values`` with the map's columns put through its inverse
+        (theta to user) or its forward function."""
+        if self.map is None:
+            return values
+        out = values.copy()
+        f = self.map.inverse if inverse else self.map.forward
+        columns = f(
+            [values[:, i:i + 1] for i in self.mapped], self._constants(rows)
+        )
+        for i, column in zip(self.mapped, columns):
+            out[:, i:i + 1] = column
         return out
+
+    def _constants(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(self._take(c, rows) for c in self.constants)
+
+    def user(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Free parameters on the user scale, (B, p); NaN outside the
+        map's domain."""
+        return self._mapped(theta, rows, inverse=True)
+
+    def internal(self, user: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Free parameters on the optimizer's scale, (B, p)."""
+        return self._mapped(user, rows, inverse=False)
 
     def _params(self, user: np.ndarray) -> dict[str, Any]:
         params: dict[str, Any] = dict(self.fixed)
@@ -327,7 +350,7 @@ class _Objective:
         curve was built from, (B, n), which ``derivatives`` at the same
         theta takes back."""
         curve, g = self.spec.curve_and_g(
-            self._params(self.user(theta)),
+            self._params(self.user(theta, rows)),
             self._take(self.x, rows), self._take(self.is_llm, rows),
         )
         r = self._take(self.y, rows) - curve
@@ -354,7 +377,8 @@ class _Objective:
         parameter."""
         x = self._take(self.x, rows)
         grad = self.spec.gradient(
-            self._params(self.user(theta)), x, self._take(self.is_llm, rows)
+            self._params(self.user(theta, rows)), x,
+            self._take(self.is_llm, rows),
         )
         return self._columns(grad, (len(theta), x.shape[-1]))
 
@@ -363,30 +387,32 @@ class _Objective:
     ) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
         """The Jacobian d curve / d theta, one (B, n) array per free
         parameter, and the curve's second derivatives in theta, {(i, j):
-        (B, n)} for i <= j, on the pairs of free parameters where the form
-        table has them; from one shape evaluation, reusing the shape values
-        ``g`` from ``residual`` at theta when given. On the log10 scale,
-        with c = value * ln 10 = d value / d log10(value), a column is
-        scaled by c, a second derivative by c per log10 index, and the
-        diagonal gains the column times ln 10."""
+        (B, n)} for i <= j, on the pairs of free parameters where they are
+        not zero everywhere; from one shape evaluation, reusing the shape
+        values ``g`` from ``residual`` at theta when given. On the map's
+        scale the map gives the derivatives of the shape's argument."""
         x = self._take(self.x, rows)
-        user = self.user(theta)
+        user = self.user(theta, rows)
+        argument = None
+        if self.map is not None:
+            first, second = self.map.derivatives(
+                [user[:, i:i + 1] for i in self.mapped],
+                self._constants(rows), x,
+            )
+            names = self.map.params
+            argument = (
+                {names[i]: d for i, d in first.items()},
+                {(names[i], names[j]): d for (i, j), d in second.items()},
+            )
         grad, second = self.spec.derivatives(
             self._params(user), x, self._take(self.is_llm, rows), g,
-            self.free,
+            self.free, argument,
         )
         J = self._columns(grad, (len(theta), x.shape[-1]))
         H = {
             tuple(sorted((self.position[a], self.position[b]))): h
             for (a, b), h in second.items()
         }
-        for i in self.log10_cols:
-            c = user[:, i:i + 1] * _LN10
-            J[i] = J[i] * c
-            for a, b in H:
-                if i in (a, b):
-                    H[a, b] = H[a, b] * (c * c if a == b else c)
-            H[i, i] = H.get((i, i), 0.0) + J[i] * _LN10
         return J, H
 
 
@@ -579,19 +605,33 @@ def _gauss_newton(
 
 
 def _start_points(
-    spec: FormSpec,
-    free: tuple[str, ...],
-    x: np.ndarray,
+    objective: _Objective,
     starts: Sequence[Mapping[str, float]] | None = None,
-) -> np.ndarray:
-    """One start per distinct point on the free parameters, (S, p), on the
-    optimizer's scale; the form table's starts from intensities ``x`` by
-    default."""
-    points = dict.fromkeys(
-        tuple(_internal(spec, n, s[n]) for n in free)
-        for s in (spec.starts(x) if starts is None else starts)
-    )
-    return np.array(list(points), dtype=float)
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Every table's start points on the optimizer's scale, (S, p), the
+    table of each, (S,), and the count per table: the user-scale
+    ``starts``, by default the form table's, one per distinct point on the
+    free parameters and raised to their lower bounds. A grid that does not
+    read the intensities is built once and mapped through every table's
+    constants in one call."""
+    spec, free = objective.spec, objective.free
+    tables = len(objective.x)
+
+    def distinct(grid: Sequence[Mapping[str, float]]) -> np.ndarray:
+        return np.array(list(dict.fromkeys(
+            tuple(float(s[n]) for n in free) for s in grid
+        )), dtype=float)
+
+    if starts is None and callable(spec.shape_starts):
+        points = [distinct(spec.starts(x)) for x in objective.x]
+    else:
+        grid = spec.starts(None) if starts is None else starts
+        points = [distinct(grid)] * tables
+    counts = [len(p) for p in points]
+    rows = np.repeat(np.arange(tables), counts)
+    lower = [spec.lower.get(n, -np.inf) for n in free]
+    user = np.maximum(np.concatenate(points), lower)
+    return objective.internal(user, rows), rows, counts
 
 
 def _check_identified(
@@ -640,10 +680,10 @@ def _winners(
         picks.append(start + int(np.argmax(mine <= lowest * (1.0 + 1e-12))))
         start += count
     theta, sse, ok = theta[picks], sse[picks], converged[picks]
-    # a run that creeps along a ridge also stops on a small step (a sigmoid
-    # off to x0 -> -inf, k -> +inf is flat over the data: its Jacobian has
-    # rank 1); residuals below sqrt(eps) of the data's RMS are rounding.
-    # One curve and one derivative evaluation serve every table.
+    # a run can also stop on a small step where the Jacobian has rank 1,
+    # as at a sigmoid's edge c1 -> 0+ (a curve flat over the data), or
+    # short of the optimum; residuals below sqrt(eps) of the data's RMS are
+    # rounding. One curve and one derivative evaluation serve every table.
     tables = np.flatnonzero(ok)
     if tables.size:
         y = objective._take(objective.y, tables)
@@ -743,24 +783,22 @@ def wnls_fit(
         )
     _check_identified(spec, free, table.x, table.arch)
     fixed = {n: float(v) for n, v in fixed_params.items()}
-    for n, v in fixed.items():
-        _internal(spec, n, v)  # rejects a non-positive log10-scale value
 
     objective = _Objective(
         spec, fixed, free, table, np.arange(len(table.x))[None]
     )
-    theta0 = _start_points(spec, free, table.x, starts)
+    theta0, rows, counts = _start_points(objective, starts)
     theta, sse, ok = _winners(
         objective,
         *_gauss_newton(
-            objective, theta0, np.zeros(len(theta0), dtype=int),
-            convergence_tol, max_iterations,
+            objective, theta0, rows, convergence_tol, max_iterations
         ),
-        [len(theta0)],
+        counts,
     )
     if not ok[0]:
         raise _not_converged(form, max_iterations)
-    optimum = objective.user(theta)[0]
+    rows = np.zeros(1, dtype=int)
+    optimum = objective.user(theta, rows)[0]
     estimates = {n: float(v) for n, v in zip(free, optimum)}
 
     robust_se: dict[str, float] = {}
@@ -771,7 +809,6 @@ def wnls_fit(
     if compute_se:
         # one row per cluster, unit weights: the per-observation sandwich,
         # on the reported parameter scale
-        rows = np.zeros(1, dtype=int)
         cov = cluster_robust_covariance(
             np.column_stack(
                 [g[0] for g in objective.gradient(theta, rows)]
@@ -1044,23 +1081,23 @@ def loocv(
     cols = np.arange(g - 1)
     keep = cols + (cols >= np.arange(g)[:, None])
     objective = _Objective(spec, fixed, free, table, keep)
-    # each holdout gets its own starts, from its own intensities; all
-    # (holdout, start) problems iterate as one batch
-    starts = [_start_points(spec, free, x) for x in objective.x]
-    counts = [len(s) for s in starts]
+    # each holdout gets the starts its own stage-1 fit would; all (holdout,
+    # start) problems iterate as one batch
+    theta0, rows, counts = _start_points(objective)
     runs = _gauss_newton(
-        objective, np.concatenate(starts),
-        np.repeat(np.arange(g), counts),
-        config.convergence_tol, config.max_iterations,
+        objective, theta0, rows, config.convergence_tol,
+        config.max_iterations,
     )
     theta, _, ok = _winners(objective, *runs, counts)
-    optima = objective.user(theta)
-    per_holdout: dict[str, dict[str, float]] = {}
-    for h, wid in enumerate(workloads):
+    for h in range(g):
         _check_identified(spec, free, objective.x[h], objective.arch[h])
         if not ok[h]:
             raise _not_converged(stage_form, config.max_iterations)
-        per_holdout[wid] = {n: float(v) for n, v in zip(free, optima[h])}
+    optima = objective.user(theta, np.arange(g))
+    per_holdout = {
+        wid: {n: float(v) for n, v in zip(free, optima[h])}
+        for h, wid in enumerate(workloads)
+    }
     parameters = FORMS[form].shape
     mean: dict[str, float] = {}
     sd: dict[str, float] = {}

@@ -10,12 +10,12 @@ node power in kW as p_idle + beta * g(x; shape), with one of two shapes:
 
 ``FORMS`` is the one place a form is defined: per form it holds the
 magnitudes (one beta, or one per architecture), the shape function, which
-parameters each fit stage estimates, which may be negative, which are
-fitted on a log10 scale, the lower bounds and the shape start points; the
-parameter order, the curve, its gradient and its second derivatives
-follow. Prediction, validation and ``nodepower.fit`` read it. The form
-names are ``ModelForm``, which lives in ``nodepower.files`` so the CLI can
-offer them without numpy.
+parameters each fit stage estimates, which may be negative, the scale the
+fit iterates the shape on (``OptimizerMap``), the lower bounds and the
+shape start points; the parameter order, the curve, its gradient and its
+second derivatives follow. Prediction, validation and ``nodepower.fit``
+read it. The form names are ``ModelForm``, which lives in
+``nodepower.files`` so the CLI can offer them without numpy.
 
 The simple raw-scale variant is kept for completeness but has no calibrated
 preset: the published shape values only make sense on the log scale. Every
@@ -46,6 +46,7 @@ __all__ = [
     "ModelForm",
     "FormSpec",
     "FORMS",
+    "OptimizerMap",
     "PowerParams",
     "TdpConfig",
     "FittedModel",
@@ -114,18 +115,34 @@ K_FLOOR = 1e-3       # sigmoid steepness bound: stops collapse to a step
 ALPHA_FLOOR = 1e-6   # positivity guard for the log-scale saturation constant
 
 
+# Each shape g is a function of one argument w: the saturation ratio of
+# alpha, the logistic of its linear predictor z. A shape function
+# g(params on the user scale, x, values=None) returns g (or the values
+# given: g at the same point, from an earlier call) and two functions that
+# a curve never calls: ``slopes()`` gives dg/dw and d2g/dw2, and
+# ``argument(names)`` gives w's derivatives in the named shape parameters,
+# {name: dw/dname} and {(a, b): d2w/da db} on the pairs, a before b, where
+# they are not zero everywhere. The curve's derivatives follow by the
+# chain rule (``FormSpec.derivatives``), and an optimizer map gives w's
+# derivatives on its own scale in place of ``argument``'s.
+
+
 def _saturation(p: Mapping[str, Any], x: np.ndarray, ratio: Any = None):
-    """x / (alpha + x): half of the magnitude is reached at x = alpha."""
+    """x / (alpha + x): half of the magnitude is reached at x = alpha. The
+    argument is alpha itself."""
     alpha = p["alpha"]
     if ratio is None:
         ratio = x / (alpha + x)
 
-    def derivatives(beta: Any):
+    def slopes():
         shift = alpha + x
-        slope = -beta * x / np.square(shift)
-        return {"alpha": slope}, {("alpha", "alpha"): -2.0 * slope / shift}
+        slope = -x / np.square(shift)
+        return slope, -2.0 * slope / shift
 
-    return ratio, derivatives
+    def argument(names: tuple[str, ...]):
+        return {"alpha": 1.0}, {}
+
+    return ratio, slopes, argument
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
@@ -137,34 +154,38 @@ def _logistic(z: np.ndarray) -> np.ndarray:
 
 
 def _logistic_shape(p: Mapping[str, Any], x: np.ndarray, s: Any = None):
-    """logistic((x - x0) / k): midpoint x0, steepness k."""
+    """logistic(z), z = (x - x0) / k: midpoint x0, steepness k."""
     x0, k = p["x0"], p["k"]
-    u = x - x0
+
+    def z():
+        return (x - x0) / k
+
     if s is None:
-        s = _logistic(u / k)
+        s = _logistic(z())
 
-    def derivatives(beta: Any):
-        # in z = u / k: s' = s (1 - s), s'' = s' (1 - 2 s), dz/dx0 = -1 / k
-        # and dz/dk = -z / k. With m = beta s' / k^2, beta times d2g/dx0^2
-        # is m (1 - 2 s), times d2g/dx0 dk m ((1 - 2 s) z + 1), and times
-        # d2g/dk^2 m z ((1 - 2 s) z + 2)
-        t = 1.0 - s
-        slope = -beta * s * t
-        d_x0 = slope / k
-        z = u / k
-        w = t - s
-        m = d_x0 * (-1.0 / k)
-        x0k = m * (w * z + 1.0)
-        return (
-            {"x0": d_x0, "k": slope * u / (k * k)},
-            {
-                ("x0", "x0"): m * w,
-                ("x0", "k"): x0k,
-                ("k", "k"): z * (x0k + m),
-            },
-        )
+    def slopes():
+        slope = s * (1.0 - s)
+        return slope, slope * (1.0 - 2.0 * s)
 
-    return s, derivatives
+    def argument(names: tuple[str, ...]):
+        # dz/dx0 = -1/k and dz/dk = -z/k; d2z/dx0 dk = 1/k^2 and d2z/dk2 =
+        # 2 z/k^2
+        inv = 1.0 / k
+        first: dict[str, Any] = {"x0": -inv}
+        second: dict[tuple[str, str], Any] = {("x0", "k"): inv * inv}
+        if "k" in names:
+            dk = z() * -inv
+            first["k"] = dk
+            second["k", "k"] = dk * (-2.0 * inv)
+        return first, second
+
+    return s, slopes, argument
+
+
+def _times(a: Any, d: Any) -> Any:
+    """a * d, or a itself where d is the number 1: a derivative that is
+    one everywhere costs no array operation."""
+    return a if isinstance(d, float) and d == 1.0 else a * d
 
 
 # start magnitudes for every start point: the measured idle and about the
@@ -173,8 +194,7 @@ _START_IDLE_KW = 1.8
 _START_BETA_KW = 6.6
 
 
-def _log_alpha_starts(x: np.ndarray) -> list[dict[str, float]]:
-    return [{"alpha": a} for a in (1.0, 3.0, 5.0, 8.0, 12.0)]
+_LOG_ALPHA_STARTS = tuple({"alpha": a} for a in (1.0, 3.0, 5.0, 8.0, 12.0))
 
 
 def _raw_alpha_starts(x: np.ndarray) -> list[dict[str, float]]:
@@ -199,9 +219,100 @@ def _percentiles(x: np.ndarray, qs: tuple[float, ...]) -> list[float]:
     return out
 
 
-def _sigmoid_starts(x: np.ndarray) -> list[dict[str, float]]:
-    midpoints = (9.0, 11.0, 13.0, 15.0, 17.0)
-    return [{"x0": m, "k": k} for m in midpoints for k in (0.1, 1.0)]
+_SIGMOID_STARTS = tuple(
+    {"x0": m, "k": k}
+    for m in (9.0, 11.0, 13.0, 15.0, 17.0) for k in (0.1, 1.0)
+)
+
+
+# ---------------------------------------------------------------------------
+# the scales the fit iterates on
+# ---------------------------------------------------------------------------
+
+_LN10 = math.log(10.0)
+
+
+@dataclass(frozen=True)
+class OptimizerMap:
+    """The scale theta on which the fit iterates a form's shape parameters
+    ``params`` when they are exactly the free shape parameters, and its
+    map to the user scale u, on which they are reported. Each function
+    takes columns, one (B, 1) array per parameter in the order of
+    ``params``, and the constants that ``constants`` takes from each
+    table's intensities x (T, n), one (T, 1) array each, here taken per
+    problem:
+
+    * ``forward(u, c)`` gives theta, ``inverse(theta, c)`` gives u, NaN
+      where theta lies outside the map's domain;
+    * ``derivatives(u, c, x)``, at the point u and with x the problems'
+      intensities (B, n), gives the Jacobian {i: dw/dtheta_i} and the
+      second derivatives {(i, j): d2w/dtheta_i dtheta_j}, i <= j, of the
+      shape's argument w (see ``_saturation``), on their entries that are
+      not zero everywhere.
+    """
+
+    params: tuple[str, ...]
+    forward: Callable[[list, tuple], list]
+    inverse: Callable[[list, tuple], list]
+    derivatives: Callable[[list, tuple, Any], tuple[dict, dict]]
+    constants: Callable[[np.ndarray], tuple] = lambda x: ()
+
+
+def _log10_map(name: str) -> OptimizerMap:
+    """theta = log10(w), for a shape whose argument w is one positive
+    parameter that spans decades: dw/dtheta = w ln 10, d2w/dtheta2 =
+    w ln 10 ln 10."""
+
+    def derivatives(u: list, c: tuple, x: Any) -> tuple[dict, dict]:
+        d = u[0] * _LN10
+        return {0: d}, {(0, 0): d * _LN10}
+
+    return OptimizerMap(
+        params=(name,),
+        forward=lambda u, c: [np.log10(u[0])],
+        inverse=lambda theta, c: [10.0 ** theta[0]],
+        derivatives=derivatives,
+    )
+
+
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each table's mean and population SD of its intensities x (T, n),
+    (T, 1) each, summed along one table's row."""
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1)[:, None] / n
+    dev = x - mean
+    return mean, np.sqrt(np.add.reduce(dev * dev, axis=-1)[:, None] / n)
+
+
+def _predictor_forward(u: list, c: tuple) -> list:
+    (x0, k), (mean, sd) = u, c
+    return [(mean - x0) / k, sd / k]
+
+
+def _predictor_inverse(theta: list, c: tuple) -> list:
+    (c0, c1), (mean, sd) = theta, c
+    k = sd / c1
+    k = np.where((c1 > 0.0) & (k >= K_FLOOR), k, np.nan)  # c1 <= sd/K_FLOOR
+    return [mean - c0 * k, k]
+
+
+# The logistic's shape in its linear predictor z = c0 + c1 t, on the
+# standardized intensity t = (x - mean) / sd of the table fitted: k =
+# sd / c1 and x0 = mean - c0 k. On (x0, k) a curve flat over the data lies
+# at x0 -> -inf, k -> inf, a ridge a step can land on; on (c0, c1) it is
+# the finite edge c1 -> 0+, and z is linear in c: dz/dc = (1, t), with no
+# second derivative (Bates & Watts 1988, *Nonlinear Regression Analysis
+# and Its Applications*, ch. 7; Ratkowsky 1990, *Handbook of Nonlinear
+# Regression Models*). The floor k >= K_FLOOR is the bound c1 <= sd /
+# K_FLOOR, and a point outside (0, sd / K_FLOOR] gets NaN parameters,
+# hence NaN residuals, which the fit rejects.
+_LINEAR_PREDICTOR = OptimizerMap(
+    params=("x0", "k"),
+    forward=_predictor_forward,
+    inverse=_predictor_inverse,
+    derivatives=lambda u, c, x: ({0: 1.0, 1: (x - c[0]) / c[1]}, {}),
+    constants=_moments,
+)
 
 
 @dataclass(frozen=True)
@@ -212,23 +323,24 @@ class FormSpec:
 
     # beta: one parameter name, or one per architecture {arch: name}
     magnitudes: str | Mapping[str, str]
-    # the shape function: g(params on the user scale, x, values=None)
-    # returns g (or the values given: g at the same point, from an earlier
-    # call) and a function of beta (per row where it differs) that gives,
-    # from that one evaluation, {name: beta * dg/dname} and {(a, b): beta *
-    # d2g/da db} for the pairs of shape parameters, a before b in
-    # ``shape``, whose second derivative is not zero everywhere; at beta =
-    # 1 it gives dg and d2g themselves. A curve never calls it
-    g: Callable[..., tuple[Any, Callable[[Any], tuple[dict, dict]]]]
+    # the shape function, g(params on the user scale, x, values=None) ->
+    # (g, slopes, argument): see ``_saturation``
+    g: Callable[..., tuple[Any, Callable, Callable]]
     shape: tuple[str, ...]         # g's parameters, estimated in stage 1
     stage2_free: tuple[str, ...]   # estimated in stage 2
     stage1_form: ModelForm         # the form stage 1 fits
-    # shape_starts(x) -> the shape parameters' start points (user scale)
-    shape_starts: Callable[[np.ndarray], list[dict[str, float]]]
+    # the shape parameters' start points (user scale): one grid, or a
+    # function of the workloads' intensities x
+    shape_starts: (
+        tuple[dict[str, float], ...]
+        | Callable[[np.ndarray], list[dict[str, float]]]
+    )
     raw_operations: bool = False   # g reads 10^x rather than x
     positive_x: bool = True        # defined for x > 0 only
     signed: tuple[str, ...] = ()   # may be zero or negative
-    log10: tuple[str, ...] = ()    # fitted as log10 of the value
+    # the scale the fit iterates the shape on when the free shape
+    # parameters are the map's; the user scale otherwise
+    optimizer_map: OptimizerMap | None = None
     lower: Mapping[str, float] = field(default_factory=dict)  # user scale
 
     @property
@@ -248,12 +360,14 @@ class FormSpec:
         """Every parameter, in reporting order."""
         return ("p_idle_kw", *self.betas, *self.shape)
 
-    def starts(self, x: np.ndarray) -> list[dict[str, float]]:
+    def starts(self, x: np.ndarray | None) -> list[dict[str, float]]:
         """Start points on the user scale, from the workloads' intensities
-        ``x`` (one per workload)."""
+        ``x`` (one per workload), which a fixed grid ignores (``None``
+        then will do)."""
         start = {"p_idle_kw": _START_IDLE_KW}
         start.update(dict.fromkeys(self.betas, _START_BETA_KW))
-        return [{**start, **s} for s in self.shape_starts(x)]
+        grid = self.shape_starts
+        return [{**start, **s} for s in (grid(x) if callable(grid) else grid)]
 
     def _beta(self, p: Mapping[str, Any], is_llm: np.ndarray) -> Any:
         m = self.magnitudes
@@ -300,6 +414,7 @@ class FormSpec:
         is_llm: np.ndarray,
         g: Any = None,
         names: tuple[str, ...] | None = None,
+        argument: tuple[dict, dict] | None = None,
     ) -> tuple[dict[str, Any], dict[tuple[str, str], Any]]:
         """The curve's gradient {name: d curve / d p[name]} and its second
         derivatives {(a, b): d2 curve / d p[a] d p[b]}, a before b in
@@ -307,21 +422,42 @@ class FormSpec:
         d2g between shape parameters, dg between a magnitude and a shape
         parameter. Both hold only the parameters ``names`` (default all).
         Arguments as for ``curve``; ``g``, the shape values at ``p`` from
-        ``curve_and_g``, saves evaluating the shape function again."""
+        ``curve_and_g``, saves evaluating the shape function again. Given
+        ``argument``, the derivatives of the shape's argument on an
+        optimizer map's scale ({name: dw/dname}, {(a, b): d2w/da db}, each
+        name standing for its own coordinate), the shape parameters'
+        derivatives are on that scale.
+
+        By the chain rule through the argument w: beta dg/da = beta g'
+        dw/da and beta d2g/da db = beta (g'' dw/da dw/db + g' d2w/da db).
+        """
         names = self.params if names is None else names
-        g, shape_derivatives = self._g(p, x, g)
-        first, second = shape_derivatives(self._beta(p, is_llm))
-        magnitudes = any(b in names for b in self.betas)
-        gradient = dict(first)
-        if magnitudes:
+        g, slopes, user_argument = self._g(p, x, g)
+        shape = tuple(n for n in self.shape if n in names)
+        gradient: dict[str, Any] = {}
+        second: dict[tuple[str, str], Any] = {}
+        if shape:
+            dw, d2w = argument or user_argument(shape)
+            d1, d2 = slopes()
+            beta = self._beta(p, is_llm)
+            b1, b2 = beta * d1, beta * d2
+            b2w = {a: _times(b2, dw[a]) for a in shape}
+            for i, a in enumerate(shape):
+                gradient[a] = _times(b1, dw[a])
+                for b in shape[i:]:
+                    h = _times(b2w[b], dw[a])
+                    second[a, b] = (
+                        h + _times(b1, d2w[a, b]) if (a, b) in d2w else h
+                    )
+        if any(b in names for b in self.betas):
             gradient.update(self._per_beta(g, is_llm))
+            for a in shape:
+                # d2 curve / dbeta da = dg/da on the rows beta scales
+                cross = self._per_beta(_times(d1, dw[a]), is_llm)
+                for beta, h in cross.items():
+                    second[beta, a] = h
         if "p_idle_kw" in names:
             gradient["p_idle_kw"] = np.ones_like(x)
-        if magnitudes and any(n in names for n in self.shape):
-            # beta * dg at beta = 1 is dg
-            for name, dg in shape_derivatives(1.0)[0].items():
-                for beta, cross in self._per_beta(dg, is_llm).items():
-                    second[beta, name] = cross
         return (
             {n: gradient[n] for n in names},
             {
@@ -341,7 +477,7 @@ FORMS: dict[ModelForm, FormSpec] = {
         shape_starts=_raw_alpha_starts,
         raw_operations=True,
         # alpha spans six decades: Newton steps on the raw axis are useless
-        log10=("alpha",),
+        optimizer_map=_log10_map("alpha"),
     ),
     ModelForm.LOG_ASYMPTOTIC: FormSpec(
         magnitudes="beta_comp_kw",
@@ -349,7 +485,7 @@ FORMS: dict[ModelForm, FormSpec] = {
         shape=("alpha",),
         stage2_free=("beta_comp_kw",),
         stage1_form=ModelForm.LOG_ASYMPTOTIC,
-        shape_starts=_log_alpha_starts,
+        shape_starts=_LOG_ALPHA_STARTS,
         lower={"alpha": ALPHA_FLOOR},
     ),
     ModelForm.LOG_ASYMPTOTIC_ARCH_FE: FormSpec(
@@ -361,7 +497,7 @@ FORMS: dict[ModelForm, FormSpec] = {
         stage2_free=("beta_llm_kw", "beta_cnn_kw"),
         # the pooled shape stage treats both architectures identically
         stage1_form=ModelForm.LOG_ASYMPTOTIC,
-        shape_starts=_log_alpha_starts,
+        shape_starts=_LOG_ALPHA_STARTS,
         lower={"alpha": ALPHA_FLOOR},
     ),
     ModelForm.SIGMOID: FormSpec(
@@ -371,9 +507,10 @@ FORMS: dict[ModelForm, FormSpec] = {
         # steepness is re-estimated alongside the magnitude in stage 2
         stage2_free=("beta_comp_kw", "k"),
         stage1_form=ModelForm.SIGMOID,
-        shape_starts=_sigmoid_starts,
+        shape_starts=_SIGMOID_STARTS,
         positive_x=False,
         signed=("x0",),
+        optimizer_map=_LINEAR_PREDICTOR,
         lower={"k": K_FLOOR},
     ),
 }

@@ -21,7 +21,7 @@ from scipy.special import expit, stdtr, stdtrit
 
 import nodepower
 import nodepower.fit as fitmod
-from nodepower import ingest, synthetic
+from nodepower import ingest, model, synthetic
 from nodepower.data import desk_dir, desk_manifest
 from nodepower.fit import (
     DegenerateDataError,
@@ -846,10 +846,11 @@ class TestRelativeOffset:
     def test_ridge_run_off_is_not_converged(
         self, desk_dataset, desk_exclusion_policy
     ):
-        # from this start the sigmoid shape creeps along a ridge to
-        # x0 ~ -2e26, k ~ 2e26 (weighted SSE 9.06, optimum 7.42) until the
-        # relative step falls below the tolerance; the curve is flat over
-        # the data there, and the Jacobian has rank 1
+        # from this start the logistic is 1 to rounding at five of the
+        # seven workloads (z >= 34), so the Jacobian is all but zero; its
+        # step, of order 1e16, takes c1 below zero at every one of the
+        # halvings, and the run stops at its start (weighted SSE 30.92,
+        # optimum 7.42), unconverged
         table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         with pytest.raises(NonConvergenceError, match="rank-deficient"):
             wnls_fit(
@@ -877,50 +878,68 @@ class TestRelativeOffset:
         r = rng.normal(size=7)
         q, _ = np.linalg.qr(J)
         r_perp = r - q @ (q.T @ r)
-        assert fitmod._relative_offset(r_perp, J, 0.0) < 1e-14
         # a residual along J's columns is all offset
-        assert fitmod._relative_offset(J @ [1.0, 2.0], J, 1e-6) > 1e3
+        offsets = fitmod._relative_offsets(
+            np.array([r_perp, J @ [1.0, 2.0]]),
+            [np.array([c, c]) for c in J.T], np.array([0.0, 1e-6]),
+        )
+        assert offsets[0] < 1e-14
+        assert offsets[1] > 1e3
 
     def test_rank_deficient_jacobian_reads_infinite(self):
         r = np.array([0.1, -0.2, 0.3, 0.0])
         flat = np.ones((4, 2)) * [1e-27, 2e-27]  # two constant columns
-        assert fitmod._relative_offset(r, flat, 1e-8) == np.inf
         zero = np.column_stack([np.ones(4), np.zeros(4)])
-        assert fitmod._relative_offset(r, zero, 1e-8) == np.inf
         # column scale alone is not rank deficiency
         scaled = np.column_stack([np.arange(4.0), np.ones(4)]) * [1e-20, 1.0]
-        assert np.isfinite(fitmod._relative_offset(r, scaled, 1e-8))
+        batch = (flat, zero, scaled)
+        offsets = fitmod._relative_offsets(
+            np.array([r, r, r]),
+            [np.array([J[:, i] for J in batch]) for i in (0, 1)], 1e-8,
+        )
+        assert offsets[0] == np.inf
+        assert offsets[1] == np.inf
+        assert np.isfinite(offsets[2])
         # a column whose norm overflows is no basis: infinite, as the
         # Householder offset reads it, not a zero Q1'r
         for huge in (np.full((4, 1), 1e200), scaled * [1e220, 1.0]):
             with np.errstate(over="ignore"):
                 assert householder_offset(r, huge, 1e-8) == np.inf
-            assert fitmod._relative_offset(r, huge, 1e-8) == np.inf
+            assert fitmod._relative_offsets(
+                r[None], [c[None] for c in huge.T], 1e-8
+            )[0] == np.inf
 
     def test_no_residual_degrees_of_freedom(self):
         # n == p: the scale is the floor, with no division by zero
         J = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert fitmod._relative_offset(np.zeros(2), J, 0.0) == 0.0
-        assert fitmod._relative_offset(
-            np.array([3e-4, 4e-4]), J, 0.1
-        ) == pytest.approx(5e-4 / np.sqrt(2) / 0.1, rel=1e-12)
+        offsets = fitmod._relative_offsets(
+            np.array([np.zeros(2), [3e-4, 4e-4]]),
+            [np.array([c, c]) for c in J.T], np.array([0.0, 0.1]),
+        )
+        assert offsets[0] == 0.0
+        assert offsets[1] == pytest.approx(5e-4 / np.sqrt(2) / 0.1, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_the_householder_offset(self, p):
-        # random full-rank problems, some with column scales 1e20 apart
+        # random full-rank problems, some with column scales 1e20 apart,
+        # twenty to a batch
         rng = np.random.default_rng(11 + p)
         scales = ([1.0], [1e-10], [1e10]) if p == 1 else (
             [1.0, 1.0], [1e-10, 1e10], [1e10, 1e-10], [1e-3, 1e17],
         )
         for n in (p + 1, p + 2, 7, 9, 60):
             for scale in scales:
-                for _ in range(20):
-                    J = rng.normal(size=(n, p)) * scale
-                    r = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3)
-                    floor = 10.0 ** rng.uniform(-12, -4)
-                    want = householder_offset(r, J, floor)
-                    got = fitmod._relative_offset(r, J, floor)
-                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                J = rng.normal(size=(20, n, p)) * scale
+                r = rng.normal(size=(20, n)) * 10.0 ** rng.uniform(
+                    -6, 3, size=(20, 1)
+                )
+                floor = 10.0 ** rng.uniform(-12, -4, size=20)
+                got = fitmod._relative_offsets(
+                    r, [J[..., i] for i in range(p)], floor
+                )
+                for b in range(20):
+                    want = householder_offset(r[b], J[b], floor[b])
+                    assert got[b] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def householder_offset(r, J, floor):
@@ -1018,14 +1037,18 @@ class TestBatchedLoocv:
             assert sse <= grid * (1.0 + 1e-12), wid
 
     def test_holdout_with_one_intensity_is_degenerate(self):
-        # holding out "c" leaves two workloads at the same intensity
+        # holding out "c" leaves two workloads at the same intensity, whose
+        # SD, which the sigmoid's scale divides by, is zero
         ds = make_dataset([
             ("a", 12.0, Architecture_LLM, [5.0, 5.2]),
             ("b", 12.0, Architecture_LLM, [5.1, 5.3]),
             ("c", 14.0, Architecture_LLM, [6.0, 6.1]),
         ])
-        with pytest.raises(DegenerateDataError, match="two distinct"):
-            loocv(ds, ModelForm.LOG_ASYMPTOTIC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for form in LOOCV_FORMS:
+                with pytest.raises(DegenerateDataError, match="two distinct"):
+                    loocv(ds, form)
 
     def test_non_convergence_keeps_the_single_fit_message(
         self, desk_dataset
@@ -1057,11 +1080,7 @@ class TestBatchedLoocv:
         objective = fitmod._Objective(
             spec, _stage1_fixed(config), spec.shape, table, keep
         )
-        starts = [
-            fitmod._start_points(spec, spec.shape, x) for x in objective.x
-        ]
-        theta0 = np.concatenate(starts)
-        rows = np.repeat(np.arange(g), [len(s) for s in starts])
+        theta0, rows, _ = fitmod._start_points(objective)
         batch = fitmod._gauss_newton(objective, theta0, rows, 1e-8, 200)
         for i in range(len(theta0)):
             one = fitmod._gauss_newton(
@@ -1083,8 +1102,8 @@ class TestBatchedLoocv:
                 two_stage_fit(desk_dataset, form, config)
             for form in LOOCV_FORMS:
                 loocv(desk_dataset, form)
-            # the ridge start of TestRelativeOffset: a rank-deficient
-            # Jacobian, where a closed-form solve divides by zero
+            # the ridge start of TestRelativeOffset: a Jacobian all but
+            # zero, and candidates outside the map's domain
             with pytest.raises(NonConvergenceError):
                 wnls_fit(
                     table, ModelForm.SIGMOID,
@@ -1162,22 +1181,22 @@ def _loocv_batch(table, form):
     g = len(table.workload_ids)
     keep = np.array([np.delete(np.arange(g), h) for h in range(g)])
     objective = fitmod._Objective(spec, fixed, free, table, keep)
-    starts = [fitmod._start_points(spec, free, x) for x in objective.x]
-    rows = np.repeat(np.arange(g), [len(s) for s in starts])
-    return objective, np.concatenate(starts), rows
+    theta0, rows, _ = fitmod._start_points(objective)
+    return objective, theta0, rows
 
 
 def _ridge_batch(table):
-    """The ridge start of TestRelativeOffset, which runs out of halvings."""
+    """The ridge start of TestRelativeOffset, which stops at once: every
+    halving of its step leaves the sigmoid map's domain."""
     spec = FORMS[ModelForm.SIGMOID]
     objective = fitmod._Objective(
         spec, {"p_idle_kw": 1.8, "beta_comp_kw": 6.6}, ("x0", "k"), table,
         np.arange(len(table.x))[None],
     )
-    theta0 = fitmod._start_points(
-        spec, ("x0", "k"), table.x, [{"x0": 9.0, "k": 0.1}]
+    theta0, rows, _ = fitmod._start_points(
+        objective, [{"x0": 9.0, "k": 0.1}]
     )
-    return objective, theta0, np.zeros(1, dtype=int)
+    return objective, theta0, rows
 
 
 def _residual_rows(monkeypatch):
@@ -1241,9 +1260,9 @@ class TestBatchedHalving:
     def test_residual_calls_within_budget(
         self, desk_dataset, desk_exclusion_policy, monkeypatch
     ):
-        # the desk sigmoid needs 41 curve evaluations for its LOOCV and 49
+        # the desk sigmoid needs 28 curve evaluations for its LOOCV and 31
         # for its fit (9 in stage 2, which Gauss-Newton alone took 98);
-        # one per halving needed 301 and 360
+        # one per halving needed 301 and 360, on the (x0, k) scale
         table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         seen = _residual_rows(monkeypatch)
         loocv(table, ModelForm.SIGMOID)
@@ -1352,7 +1371,7 @@ def _stage1_objective(table, form):
     objective = fitmod._Objective(
         spec, fixed, free, table, np.arange(len(table.x))[None]
     )
-    return objective, fitmod._start_points(spec, free, table.x)
+    return objective, fitmod._start_points(objective)[0]
 
 
 @pytest.fixture(scope="module")
@@ -1414,8 +1433,11 @@ class TestHybridStep:
         table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         form = ModelForm.from_string(case.rsplit("-", 1)[0])
         if case.endswith("stage1"):
+            # off the last start, whose curve is not flat over the data
+            # (from the first, (9, 0.1), the logistic's c-scale curvature
+            # is below what a central difference resolves)
             objective, theta0 = _stage1_objective(table, form)
-            theta = theta0[:1] + 0.3
+            theta = theta0[-1:] + 0.3
         else:
             spec = FORMS[form]
             fixed = {"p_idle_kw": 1.86, "alpha": 5.4, "x0": 9.8}
@@ -1479,7 +1501,7 @@ class TestHybridStep:
         )
         tied = sse <= np.fmin.reduce(sse) * (1.0 + 1e-12)
         assert converged[tied].all()
-        estimates = objective.user(theta[tied])
+        estimates = objective.user(theta[tied], np.zeros(tied.sum(), int))
         winner = estimates[0]
         assert np.all(np.abs(estimates - winner) <= 1e-12 * np.abs(winner))
 
@@ -1543,6 +1565,165 @@ class TestHybridStep:
                      "k": stage1.estimates["k"]}],
         )
         assert 1 <= len(iterations) <= 10
+
+
+# ---------------------------------------------------------------------------
+# the optimizer map: the sigmoid's linear predictor, simple's log10 alpha
+# ---------------------------------------------------------------------------
+
+def _sigmoid_stage1(table):
+    """The desk sigmoid's stage-1 objective on one table."""
+    return fitmod._Objective(
+        FORMS[ModelForm.SIGMOID], {"p_idle_kw": 1.8, "beta_comp_kw": 6.6},
+        ("x0", "k"), table, np.arange(len(table.x))[None],
+    )
+
+
+class TestOptimizerMap:
+    def test_sigmoid_stage1_iterates_the_linear_predictor(
+        self, desk_dataset, desk_exclusion_policy
+    ):
+        # theta = (c0, c1) with z = c0 + c1 t, t = (x - mean) / sd over the
+        # table's own intensities: k = sd / c1 and x0 = mean - c0 k
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        objective = _sigmoid_stage1(table)
+        x = table.x
+        mean, sd = x.mean(), x.std()
+        starts = FORMS[ModelForm.SIGMOID].starts(None)
+        theta, rows, _ = fitmod._start_points(objective, starts)
+        user = np.array([[s["x0"], s["k"]] for s in starts])
+        np.testing.assert_allclose(
+            theta[:, 0], (mean - user[:, 0]) / user[:, 1]
+        )
+        np.testing.assert_allclose(theta[:, 1], sd / user[:, 1])
+        np.testing.assert_allclose(
+            objective.user(theta, rows), user, rtol=1e-14
+        )
+        # stage 2, x0 fixed and k free, stays on the user scale
+        stage2 = fitmod._Objective(
+            FORMS[ModelForm.SIGMOID], {"p_idle_kw": 1.86, "x0": 9.8},
+            ("beta_comp_kw", "k"), table, np.arange(len(x))[None],
+        )
+        point = np.array([[6.6, 4.8]])
+        assert stage2.map is None
+        assert np.array_equal(stage2.user(point, rows[:1]), point)
+
+    def test_log10_scale_of_simple_alpha(
+        self, desk_dataset, desk_exclusion_policy
+    ):
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        objective, theta0 = _stage1_objective(
+            table, ModelForm.SIMPLE_ASYMPTOTIC
+        )
+        rows = np.zeros(len(theta0), dtype=int)
+        user = objective.user(theta0, rows)
+        assert np.array_equal(user, 10.0 ** theta0)
+        assert np.array_equal(objective.internal(user, rows), np.log10(user))
+
+    def test_outside_the_bound_is_nan(
+        self, desk_dataset, desk_exclusion_policy
+    ):
+        # 0 < c1 <= sd / K_FLOOR, that is k >= K_FLOOR: a candidate outside
+        # gets NaN parameters and residuals, which no SSE limit accepts
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        objective = _sigmoid_stage1(table)
+        sd = table.x.std()
+        edge = sd / model.K_FLOOR
+        theta = np.array([
+            [1.0, 0.5], [1.0, edge * (1.0 - 1e-12)],
+            [1.0, 0.0], [1.0, -0.5], [1.0, edge * (1.0 + 1e-12)],
+        ])
+        rows = np.zeros(len(theta), dtype=int)
+        with np.errstate(divide="ignore"):  # as in the kernel
+            user = objective.user(theta, rows)
+            sse = objective.sse(objective.residual(theta, rows)[0], rows)
+        assert np.isfinite(user[:2]).all()
+        assert (user[:2, 1] >= model.K_FLOOR).all()
+        assert np.isnan(user[2:]).all()
+        assert np.isfinite(sse[:2]).all() and np.isnan(sse[2:]).all()
+
+    def test_starts_below_the_floor_are_raised_to_it(
+        self, desk_dataset, desk_exclusion_policy
+    ):
+        # a start below k's floor would lie outside the map's domain: it is
+        # raised to the floor on the user scale before it is mapped
+        objective = _sigmoid_stage1(
+            apply_exclusions(desk_dataset, desk_exclusion_policy)
+        )
+        low, floor = (
+            fitmod._start_points(objective, [{"x0": 13.0, "k": k}])[0]
+            for k in (1e-5, model.K_FLOOR)
+        )
+        assert np.isfinite(floor).all()
+        assert np.array_equal(low, floor)
+
+    @pytest.mark.parametrize("form", STAGE1_FORMS, ids=lambda f: f.value)
+    def test_jacobian_on_the_optimizer_scale(
+        self, form, desk_dataset, desk_exclusion_policy
+    ):
+        # d curve / d theta against central differences of the curve
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        objective, theta0 = _stage1_objective(table, form)
+        theta = theta0[-1:] + 0.3
+        rows = np.zeros(1, dtype=int)
+        J, _ = objective.derivatives(theta, rows)
+        for i in range(theta.shape[1]):
+            h = 1e-6 * max(abs(theta[0, i]), 1.0)
+            step = np.zeros_like(theta)
+            step[0, i] = h
+            # the curve is the table's means less the residuals
+            numeric = (
+                objective.residual(theta - step, rows)[0]
+                - objective.residual(theta + step, rows)[0]
+            ) / (2.0 * h)
+            np.testing.assert_allclose(
+                J[i], numeric, rtol=1e-6,
+                atol=1e-8 * np.max(np.abs(numeric)), err_msg=f"{i}",
+            )
+
+    def test_every_desk_start_alone_stays_in_bounds(
+        self, desk_dataset, desk_exclusion_policy
+    ):
+        # each stage-1 start of the desk sigmoid, run on its own, ends at
+        # 0 < c1 <= sd / K_FLOOR, k >= K_FLOOR. Unbounded, start (17, 0.1)
+        # steps to c1 < 0 (k = -0.0028, SSE 30.44) and stops there
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        objective = _sigmoid_stage1(table)
+        edge = table.x.std() / model.K_FLOOR
+        ends = {}
+        for start in FORMS[ModelForm.SIGMOID].starts(None):
+            theta0, rows, _ = fitmod._start_points(objective, [start])
+            theta, _, converged = fitmod._gauss_newton(
+                objective, theta0, rows, 1e-8, 200
+            )
+            c1 = theta[0, 1]
+            assert 0.0 < c1 <= edge * (1.0 + 1e-15), start
+            k = objective.user(theta, rows)[0, 1]
+            assert k >= model.K_FLOOR, start
+            ends[start["x0"], start["k"]] = converged[0], k
+        # the ridge start stops at once, unconverged; (17, 0.1) reaches
+        # the optimum, at k = 4.84
+        assert not ends[9.0, 0.1][0]
+        assert ends[17.0, 0.1][0]
+        assert ends[17.0, 0.1][1] == pytest.approx(4.8427818, rel=1e-6)
+
+    def test_desk_sigmoid_loocv_iterations(
+        self, desk_dataset, desk_exclusion_policy, monkeypatch
+    ):
+        # the desk sigmoid LOOCV with the shipped exclusions takes 15
+        # kernel iterations; on the (x0, k) scale it took 23, with one
+        # start's steps landing on the flat ridge and halving back
+        iterations = []
+        step = fitmod._step
+
+        def counted(*args):
+            iterations.append(len(args[1]))
+            return step(*args)
+
+        monkeypatch.setattr(fitmod, "_step", counted)
+        loocv(apply_exclusions(desk_dataset, desk_exclusion_policy),
+              ModelForm.SIGMOID)
+        assert 1 <= len(iterations) <= 16
 
 
 class TestTwoSidedTTail:

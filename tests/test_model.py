@@ -260,16 +260,18 @@ GRID[ModelForm.LOG_ASYMPTOTIC_ARCH_FE] = GRID[ModelForm.LOG_ASYMPTOTIC]
 
 def written_out(form, p, x, llm):
     """The module docstring's curve p_idle + beta * g and its gradient,
-    written out per form in the operation order of the model."""
+    written out per form in the operation order of the model: the shape
+    parameters' by the chain rule through g's argument w, beta g'(w)
+    dw/dparameter."""
     if form is ModelForm.SIGMOID:
         x0, k, beta = p["x0"], p["k"], p["beta_comp_kw"]
         z = (x - x0) / k
         assert z.min() < -708.0 and z.max() > 708.0
         g = 1.0 / (1.0 + np.exp(-np.clip(z, -708.0, 708.0)))
-        slope = -beta * g * (1.0 - g)
+        slope = beta * (g * (1.0 - g))
         grad = {
-            "beta_comp_kw": g, "x0": slope / k,
-            "k": slope * (x - x0) / (k * k),
+            "beta_comp_kw": g, "x0": slope * -(1.0 / k),
+            "k": slope * ((x - x0) / k * -(1.0 / k)),
         }
     else:
         if form is ModelForm.SIMPLE_ASYMPTOTIC:
@@ -287,7 +289,7 @@ def written_out(form, p, x, llm):
             mine = "beta_comp_kw"
             grad = {mine: g}
         beta = p[mine]
-        grad["alpha"] = -beta * x / np.square(alpha + x)
+        grad["alpha"] = beta * (-x / np.square(alpha + x))
     grad["p_idle_kw"] = np.ones_like(g)
     return p["p_idle_kw"] + beta * g, grad
 
