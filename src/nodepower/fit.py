@@ -37,21 +37,25 @@ H = J'J - S is positive definite takes the Newton step H^-1 J'r; the others,
 and every stage where no free parameter has curvature (the magnitudes of the
 saturation forms), take the Gauss-Newton step (a hybrid method: Fletcher &
 Xu 1987, *IMA J. Numer. Anal.* 7). All starts of a fit, and in ``loocv``
-every start of every holdout, iterate together as one array problem: the
-parameters of B problems form a (B, p) array, each problem halves its own
-step and stops on its own, and both steps are solved in closed form from
-one Gram-Schmidt. Each iteration tries every problem's full step in one
-curve evaluation; the problems whose full step raises the SSE then try
-their halvings together, several scales per problem in one evaluation. A
-batch larger than ``BATCH_ELEMENTS`` problems x workloads runs in slices,
-and no evaluation, halvings included, holds more rows than a slice, which
-bounds its memory. Every reduction runs along one problem's row, so each
-problem is bit-identical to a run on its own, and the halvings give the
-bits that trying one scale at a time would. Every stage, with one free
-parameter or two, converges in one way only: a small final step, at a
-full-rank Jacobian, with a relative offset of at most 1e-3; the step and
-the offset test share one Gram-Schmidt and its rank rule. Everything is
-deterministic: same data in, same estimates out, to the last bit.
+every start of every holdout, iterate together as one array problem in
+one loop: the parameters of B problems form a (B, p) array, each problem
+halves its own step and stops on its own, and both steps are solved in
+closed form from one Gram-Schmidt. Each iteration tries every problem's
+full step; the problems whose full step raises the SSE then try their
+halvings together, several scales per problem in one evaluation. Memory is
+bounded per evaluation, not per problem: no curve or derivative evaluation,
+halvings and the optimum tests of the winners included, takes more than
+``BATCH_ELEMENTS`` problems x workloads, so a large batch makes more calls,
+not larger ones. Between iterations the loop keeps the residuals of the
+live problems only, at most ``LIVE_ELEMENTS`` problems x workloads; further
+problems wait until others stop. Every reduction runs along one problem's
+row, so each problem is bit-identical to a run on its own, and the
+halvings give the bits that trying one scale at a time would. Every stage,
+with one free parameter or two, converges in one way only: a small final
+step, at a full-rank Jacobian, with a relative offset of at most 1e-3; the
+step and the offset test share one Gram-Schmidt and its rank rule.
+Everything is deterministic: same data in, same estimates out, to the last
+bit.
 
 Every curve, gradient and parameter role comes from the form table,
 ``nodepower.model.FORMS``; this module holds no formula of its own and
@@ -209,7 +213,8 @@ def apply_exclusions(
 
 OFFSET_TOL = 1e-3  # Bates & Watts' suggested relative-offset threshold
 MAX_HALVINGS = 40  # step scales tried per iteration before a problem stops
-BATCH_ELEMENTS = 8192  # problems x workloads per Gauss-Newton batch
+BATCH_ELEMENTS = 8192  # problems x workloads per curve or derivative call
+LIVE_ELEMENTS = 8 * BATCH_ELEMENTS  # problems x workloads iterating at once
 _EPS = float(np.finfo(float).eps)
 
 
@@ -503,6 +508,17 @@ def _step(
     )
 
 
+def _per_call(objective: _Objective) -> int:
+    """Problems per curve or derivative evaluation: ``BATCH_ELEMENTS``
+    problems x workloads, at least one problem."""
+    return max(1, BATCH_ELEMENTS // objective.x.shape[-1])
+
+
+def _joined(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The parts, one after another along the first axis."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _gauss_newton(
     objective: _Objective,
     theta0: np.ndarray,
@@ -524,83 +540,115 @@ def _gauss_newton(
     step, on no scale that descends, or after ``max_iter`` iterations.
     Returns theta (B, p), SSE (B,) and the converged flags (B,).
 
-    An iteration evaluates every problem's full step in one call. The
-    problems whose full step raises the SSE then try their halvings
-    together: the m problems still halving try k scales each as one
-    (m * k, p) batch, with k = (``BATCH_ELEMENTS`` // n) // m, at least 1
-    and at most the scales left, so that no call holds more rows than a
-    slice of the batch. The scales are exact powers of two, so every
-    candidate, and the one accepted, has the bits that trying one halving
-    at a time would give it.
+    Every problem of the batch iterates in one loop. An iteration tries
+    every live problem's full step; the problems whose full step raises the
+    SSE then try their halvings together: the m problems still halving try
+    k scales each, with k = size // m, at least 1 and at most the scales
+    left. The scales are exact powers of two, so every candidate, and the
+    one accepted, has the bits that trying one halving at a time would give
+    it. Memory is bounded per evaluation: no call to
+    ``_Objective.residual``, and no ``_step``, takes more than size =
+    ``BATCH_ELEMENTS`` // n problems (n workloads each), or size // k
+    problems at k scales. Between iterations the kernel carries, besides
+    theta, SSE and flags (B values each), the residuals and shape values of
+    the live problems only, and starts a waiting problem only while fewer
+    than ``LIVE_ELEMENTS`` // n (and at least size) are live: so those rows
+    hold at most ``LIVE_ELEMENTS`` elements each, whatever B.
     """
-    # Problems are independent, and each is bit-identical alone or in a
-    # batch. A batch holds about ten B x n arrays at once (the curve, its
-    # gradient, the step), and a LOOCV batch grows with the square of the
-    # workloads, so a large one runs in slices of at most BATCH_ELEMENTS;
-    # the halvings' candidates stay within the same bound.
-    size = max(1, BATCH_ELEMENTS // objective.x.shape[-1])
-    if len(theta0) > size:
-        parts = [
-            _gauss_newton(
-                objective, theta0[i:i + size], rows[i:i + size], tol,
-                max_iter,
-            )
-            for i in range(0, len(theta0), size)
-        ]
-        return tuple(np.concatenate(a) for a in zip(*parts))
+    # Problems are independent and every sum runs along one problem's row,
+    # so each is bit-identical alone, in any call and at any iteration it
+    # starts. A call holds about ten (problems, n) arrays at once (the
+    # curve, its gradient, the step), and a LOOCV batch grows with the
+    # square of the workloads: hence the two bounds.
+    n = objective.x.shape[-1]
+    size = _per_call(objective)
+    room = max(size, LIVE_ELEMENTS // n)
+    count = len(theta0)
     # a step or candidate that overflows or divides by zero is non-finite,
     # which the rules below read as a stop or a rejection
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lower = objective.lower
         theta = np.maximum(theta0, lower)
-        resid, g = objective.residual(theta, rows)
-        sse = objective.sse(resid, rows)
-        converged = np.zeros(len(theta), dtype=bool)
-        live = np.arange(len(theta))  # problems still iterating
-        for _ in range(max_iter):
-            step = _step(
-                objective, theta[live], rows[live], resid[live], g[live]
-            )
+        sse = np.empty(count)
+        converged = np.zeros(count, dtype=bool)
+        # the iteration after which each problem stops, started or not
+        last = np.full(count, max_iter)
+        it = 0  # iterations run
+        # the next iteration's live problems, with their residuals and
+        # shape values, in pieces
+        pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        waiting = 0  # the first problem not started
+        while True:
+            held = sum(len(p[0]) for p in pieces)
+            while waiting < count and held < room:
+                new = slice(
+                    waiting, min(count, waiting + size, waiting + room - held)
+                )
+                r, g = objective.residual(theta[new], rows[new])
+                sse[new] = objective.sse(r, rows[new])
+                last[new] += it
+                if max_iter > 0:  # else none iterates
+                    pieces.append((np.arange(new.start, new.stop), r, g))
+                    held += len(r)
+                waiting = new.stop
+            if not pieces:
+                break
+            live, resid, g = (_joined(a) for a in zip(*pieces))
+            pieces = []
+            step = _joined([
+                _step(
+                    objective, theta[live[i:i + size]], rows[live[i:i + size]],
+                    resid[i:i + size], g[i:i + size],
+                )
+                for i in range(0, len(live), size)
+            ])
+            it += 1
             finite = np.isfinite(step).all(axis=-1)
             # the problems still halving: index, point, step, table, SSE limit
             todo = live[finite]
-            if not todo.size:
-                break
             at, step, at_rows = theta[todo], step[finite], rows[todo]
             limit = sse[todo] * (1.0 + 1e-14) + 1e-300
-            going = [todo[:0]]
-            # scales 2^-j from j = 0, k per call: the full step alone first
-            # (most problems stop there), then as many as fit the slice
+            # scales 2^-j from j = 0, k per problem: the full step alone
+            # first (most problems stop there), then as many as fit a call
             j = 0
             while todo.size and j < MAX_HALVINGS:
                 k = 1 if not j else min(
                     MAX_HALVINGS - j, max(1, size // len(todo))
                 )
                 scales = 0.5 ** np.arange(j, j + k)
-                cand = np.maximum(
-                    at[:, None] + scales[:, None] * step[:, None], lower
-                ).reshape(-1, len(lower))
-                cand_rows = np.repeat(at_rows, k)
-                cand_resid, cand_g = objective.residual(cand, cand_rows)
-                cand_sse = objective.sse(cand_resid, cand_rows)
-                down = cand_sse.reshape(-1, k) <= limit[:, None]
-                hit = down.any(axis=-1)
-                pick = (np.arange(len(todo)) * k + down.argmax(axis=-1))[hit]
-                moved = todo[hit]
-                small = _relative_change(cand[pick], at[hit]) < tol
-                theta[moved] = cand[pick]
-                resid[moved] = cand_resid[pick]
-                g[moved] = cand_g[pick]
-                sse[moved] = cand_sse[pick]
-                converged[moved[small]] = True
-                going.append(moved[~small])
-                miss = ~hit
+                hits = []
+                per = max(1, size // k)  # problems per call
+                for i in range(0, len(todo), per):
+                    s = slice(i, i + per)
+                    cand = np.maximum(
+                        at[s, None] + scales[:, None] * step[s, None], lower
+                    ).reshape(-1, len(lower))
+                    cand_rows = np.repeat(at_rows[s], k)
+                    cand_resid, cand_g = objective.residual(cand, cand_rows)
+                    cand_sse = objective.sse(cand_resid, cand_rows)
+                    down = cand_sse.reshape(-1, k) <= limit[s, None]
+                    hit = down.any(axis=-1)
+                    hits.append(hit)
+                    pick = (
+                        np.arange(len(hit)) * k + down.argmax(axis=-1)
+                    )[hit]
+                    moved = todo[s][hit]
+                    small = _relative_change(cand[pick], at[s][hit]) < tol
+                    theta[moved] = cand[pick]
+                    sse[moved] = cand_sse[pick]
+                    converged[moved[small]] = True
+                    going = ~small
+                    if it >= max_iter:  # none has run max_iter before
+                        going &= last[moved] > it
+                    pick = pick[going]
+                    if pick.size:
+                        pieces.append(
+                            (moved[going], cand_resid[pick], cand_g[pick])
+                        )
+                miss = ~_joined(hits)
                 todo, at, step = todo[miss], at[miss], step[miss]
                 at_rows, limit = at_rows[miss], limit[miss]
                 j += k
-            live = np.concatenate(going)
-            if not live.size:
-                break
     return theta, sse, converged
 
 
@@ -683,13 +731,15 @@ def _winners(
     # a run can also stop on a small step where the Jacobian has rank 1,
     # as at a sigmoid's edge c1 -> 0+ (a curve flat over the data), or
     # short of the optimum; residuals below sqrt(eps) of the data's RMS are
-    # rounding. One curve and one derivative evaluation serve every table.
+    # rounding. The tables share calls, as many as the kernel's bound lets.
     tables = np.flatnonzero(ok)
-    if tables.size:
-        y = objective._take(objective.y, tables)
-        ok[tables] = _relative_offsets(
-            objective.residual(theta[tables], tables)[0],
-            objective.derivatives(theta[tables], tables)[0],
+    size = _per_call(objective)
+    for i in range(0, len(tables), size):
+        t = tables[i:i + size]
+        y = objective._take(objective.y, t)
+        ok[t] = _relative_offsets(
+            objective.residual(theta[t], t)[0],
+            objective.derivatives(theta[t], t)[0],
             np.sqrt(_EPS * np.mean(y * y, axis=-1)),
         ) <= OFFSET_TOL
     return theta, sse, ok
@@ -878,9 +928,12 @@ def cluster_robust_covariance(
         J = J.T
     e = np.asarray(residuals, dtype=float)
     w = np.asarray(weights, dtype=float)
-    ids = np.asarray(cluster_ids)
-    labels = list(dict.fromkeys(ids.tolist()))
-    n_clusters = len(labels)
+    # each observation's cluster, numbered in order of first appearance
+    _, first, cluster = np.unique(
+        np.asarray(cluster_ids), return_index=True, return_inverse=True
+    )
+    cluster = np.argsort(np.argsort(first))[cluster]
+    n_clusters = len(first)
     if n_clusters < 2:
         raise DegenerateDataError(
             "cluster-robust covariance needs at least two clusters"
@@ -892,12 +945,16 @@ def cluster_robust_covariance(
         raise DegenerateDataError(
             "singular J'WJ: free parameters are not identified"
         ) from exc
-    p = J.shape[1]
-    meat = np.zeros((p, p))
-    for label in labels:
-        g = ids == label
-        score = J[g].T @ (w[g] * e[g])
-        meat += np.outer(score, score)
+    # one score row per cluster, s_g = J_g' W_g e_g, each summed row by row;
+    # the meat sum_g s_g s_g' accumulates in cluster order, so with one row
+    # per cluster it has the bits of a loop over the clusters
+    scores = np.column_stack([
+        np.bincount(cluster, weights=c, minlength=n_clusters)
+        for c in (J * (w * e)[:, None]).T
+    ])
+    meat = np.add.accumulate(
+        scores[:, :, None] * scores[:, None, :], axis=0
+    )[-1]
     correction = n_clusters / (n_clusters - 1.0)
     return bread_inv @ meat @ bread_inv * correction
 

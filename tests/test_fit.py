@@ -381,7 +381,61 @@ def sandwich_oracle(J, e, w, ids):
     return A_inv @ meat @ A_inv * (G / (G - 1))
 
 
+def cluster_loop_covariance(J, e, w, ids):
+    """The sandwich with one score per cluster from a loop over the
+    labels, as the library built it before its scores were vectorized:
+    the bit-level oracle on one row per cluster."""
+    labels = list(dict.fromkeys(ids.tolist()))
+    bread_inv = np.linalg.inv(J.T @ (J * w[:, None]))
+    meat = np.zeros((J.shape[1], J.shape[1]))
+    for label in labels:
+        g = ids == label
+        score = J[g].T @ (w[g] * e[g])
+        meat += np.outer(score, score)
+    G = len(labels)
+    return bread_inv @ meat @ bread_inv * (G / (G - 1.0))
+
+
+def sixty_workload_dataset():
+    """60 workloads of both architectures, 5 to 29 samples each, around
+    the arch-fe curve with a magnitude per architecture."""
+    rng = np.random.default_rng(60)
+    groups = []
+    for j in range(60):
+        arch = Architecture_LLM if j % 2 else Architecture_CNN
+        x = float(rng.uniform(11.5, 17.0))
+        beta = 6.89 if arch == Architecture_LLM else 4.0
+        y = asym(x, 1.86, beta, 5.11) + rng.normal(
+            0.0, 0.35, size=int(rng.integers(5, 30))
+        )
+        groups.append((f"w{j:02d}", x, arch, list(y)))
+    return make_dataset(groups)
+
+
 class TestSandwich:
+    @pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
+    @pytest.mark.parametrize("data", ["desk", "sixty"])
+    def test_fit_path_bit_identical_to_the_cluster_loop(
+        self, form, data, desk_dataset, desk_exclusion_policy, monkeypatch
+    ):
+        config = FitConfig()
+        table = sixty_workload_dataset()
+        if data == "desk":
+            config = FitConfig(exclusions=desk_exclusion_policy)
+            table = desk_dataset
+        calls = []
+
+        def spy(*args):
+            calls.append((cluster_robust_covariance(*args), args))
+            return calls[-1][0]
+
+        monkeypatch.setattr(fitmod, "cluster_robust_covariance", spy)
+        res = two_stage_fit(table, form, config)
+        assert len(calls) == 2  # stage 1 and stage 2
+        for got, args in calls:
+            assert np.array_equal(got, cluster_loop_covariance(*args))
+        assert res.covariance == tuple(map(tuple, calls[-1][0].tolist()))
+
     def test_matches_oracle_on_randomized_instances(self):
         rng = np.random.default_rng(42)
         for case in range(100):
@@ -1199,17 +1253,23 @@ def _ridge_batch(table):
     return objective, theta0, rows
 
 
+def _call_rows(monkeypatch, method="residual"):
+    """Spy on an ``_Objective`` method: the list of its calls' row
+    counts."""
+    seen = []
+    original = getattr(fitmod._Objective, method)
+
+    def spy(self, theta, *args):
+        seen.append(len(theta))
+        return original(self, theta, *args)
+
+    monkeypatch.setattr(fitmod._Objective, method, spy)
+    return seen
+
+
 def _residual_rows(monkeypatch):
     """Spy on ``_Objective.residual``: the list of its calls' row counts."""
-    seen = []
-    residual = fitmod._Objective.residual
-
-    def spy(self, theta, rows):
-        seen.append(len(theta))
-        return residual(self, theta, rows)
-
-    monkeypatch.setattr(fitmod._Objective, "residual", spy)
-    return seen
+    return _call_rows(monkeypatch)
 
 
 class TestBatchedHalving:
@@ -1273,6 +1333,78 @@ class TestBatchedHalving:
             FitConfig(exclusions=desk_exclusion_policy),
         )
         assert len(seen) <= 65
+
+
+# ---------------------------------------------------------------------------
+# every problem of a batch in one loop, each evaluation bounded
+# ---------------------------------------------------------------------------
+
+LOOCV_BATCH_FORMS = (*LOOCV_FORMS, ModelForm.SIMPLE_ASYMPTOTIC)
+
+
+class TestOneLoop:
+    @pytest.mark.parametrize("exclude", [False, True])
+    @pytest.mark.parametrize(
+        "form", LOOCV_BATCH_FORMS, ids=lambda f: f.value
+    )
+    def test_no_evaluation_in_loocv_exceeds_the_bound(
+        self, form, exclude, desk_dataset, desk_exclusion_policy,
+        monkeypatch,
+    ):
+        # the whole of loocv, the kernel and the optimum tests of its
+        # winners: no curve or derivative evaluation takes more than
+        # BATCH_ELEMENTS // n problems
+        table = desk_dataset
+        if exclude:
+            table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", 24)
+        bound = 24 // (len(table.workload_ids) - 1)
+        residual = _call_rows(monkeypatch, "residual")
+        derivatives = _call_rows(monkeypatch, "derivatives")
+        loocv(table, form)
+        assert max(residual) <= bound
+        assert max(derivatives) <= bound
+
+    @pytest.mark.parametrize(
+        "batch, live", [(1, None), (3, None), (7, None), (3, 3), (1, 7)]
+    )
+    @pytest.mark.parametrize(
+        "form", LOOCV_BATCH_FORMS, ids=lambda f: f.value
+    )
+    def test_loocv_bit_identical_at_any_bound(
+        self, form, batch, live, desk_dataset, monkeypatch
+    ):
+        # BATCH_ELEMENTS (and LIVE_ELEMENTS, which makes problems wait for
+        # room) at small multiples of the n workloads of a holdout
+        want = loocv(desk_dataset, form)
+        objective, theta0, rows = _loocv_batch(desk_dataset, form)
+        runs = {
+            m: fitmod._gauss_newton(objective, theta0, rows, 1e-8, m)
+            for m in (3, 200)
+        }
+        n = len(desk_dataset.workload_ids) - 1
+        monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", batch * n)
+        if live is not None:
+            monkeypatch.setattr(fitmod, "LIVE_ELEMENTS", live * n)
+        got = loocv(desk_dataset, form)
+        assert got.per_holdout == want.per_holdout
+        assert (got.mean, got.sd) == (want.mean, want.sd)
+        for max_iter, runs_want in runs.items():
+            runs_got = fitmod._gauss_newton(
+                objective, theta0, rows, 1e-8, max_iter
+            )
+            for g, w in zip(runs_got, runs_want):
+                assert np.array_equal(g, w, equal_nan=True), max_iter
+
+    def test_derivative_calls_within_budget(self, desk_dataset, monkeypatch):
+        # desk sigmoid LOOCV at three problems per call: 223 derivative
+        # evaluations in one loop; 286 when each slice of three problems
+        # ran its own loop
+        g = len(desk_dataset.workload_ids)
+        monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", 3 * (g - 1))
+        seen = _call_rows(monkeypatch, "derivatives")
+        loocv(desk_dataset, ModelForm.SIGMOID)
+        assert len(seen) <= 250
 
 
 class TestOneConvergenceRule:
