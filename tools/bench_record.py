@@ -85,12 +85,12 @@ def main(argv: list[str]) -> int:
                 metric["name"]: compare.verdict(metric, parent, change)
                 for metric in bench["end_to_end"]
             }
-    # one line per workload and metric
-    text = re.sub(
-        r'\{\s*"metric"[^{}]*\}',
-        lambda m: json.dumps(json.loads(m.group())),
-        json.dumps(record, indent=1),
-    )
+    # one line per list, and per workload and metric
+    text = json.dumps(record, indent=1)
+    for pattern in (r"\[[^\[\]{}]*\]", r'\{\s*"metric"[^{}]*\}'):
+        text = re.sub(
+            pattern, lambda m: json.dumps(json.loads(m.group())), text
+        )
     Path(target).write_text(text + "\n")
     return 0
 
