@@ -46,10 +46,10 @@ halvings together, several scales per problem in one evaluation. Memory is
 bounded per evaluation, not per problem: no curve or derivative evaluation,
 halvings and the optimum tests of the winners included, takes more than
 ``BATCH_ELEMENTS`` problems x workloads, so a large batch makes more calls,
-not larger ones. Between iterations the loop keeps the residuals of the
-live problems only, at most ``LIVE_ELEMENTS`` problems x workloads; further
-problems wait until others stop. Every reduction runs along one problem's
-row, so each problem is bit-identical to a run on its own, and the
+not larger ones. The residuals carried between iterations are bounded
+too: a batch of more than ``LIVE_ELEMENTS`` problems x workloads runs in
+slices of that size, each in its own loop. Every reduction runs along one
+problem's row, so each problem is bit-identical to a run on its own, and the
 halvings give the bits that trying one scale at a time would. Every stage,
 with one free parameter or two, converges in one way only: a small final
 step, at a full-rank Jacobian, with a relative offset of at most 1e-3; the
@@ -214,7 +214,7 @@ def apply_exclusions(
 OFFSET_TOL = 1e-3  # Bates & Watts' suggested relative-offset threshold
 MAX_HALVINGS = 40  # step scales tried per iteration before a problem stops
 BATCH_ELEMENTS = 8192  # problems x workloads per curve or derivative call
-LIVE_ELEMENTS = 8 * BATCH_ELEMENTS  # problems x workloads iterating at once
+LIVE_ELEMENTS = 8 * BATCH_ELEMENTS  # problems x workloads in one loop
 _EPS = float(np.finfo(float).eps)
 
 
@@ -514,11 +514,6 @@ def _per_call(objective: _Objective) -> int:
     return max(1, BATCH_ELEMENTS // objective.x.shape[-1])
 
 
-def _joined(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """The parts, one after another along the first axis."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _gauss_newton(
     objective: _Objective,
     theta0: np.ndarray,
@@ -549,65 +544,56 @@ def _gauss_newton(
     it. Memory is bounded per evaluation: no call to
     ``_Objective.residual``, and no ``_step``, takes more than size =
     ``BATCH_ELEMENTS`` // n problems (n workloads each), or size // k
-    problems at k scales. Between iterations the kernel carries, besides
-    theta, SSE and flags (B values each), the residuals and shape values of
-    the live problems only, and starts a waiting problem only while fewer
-    than ``LIVE_ELEMENTS`` // n (and at least size) are live: so those rows
-    hold at most ``LIVE_ELEMENTS`` elements each, whatever B.
+    problems at k scales. The residuals and shape values carried between
+    iterations are bounded by ``LIVE_ELEMENTS``: a batch of more than
+    ``LIVE_ELEMENTS`` // n problems (and more than size) runs in slices of
+    that many, each in its own loop.
     """
     # Problems are independent and every sum runs along one problem's row,
-    # so each is bit-identical alone, in any call and at any iteration it
-    # starts. A call holds about ten (problems, n) arrays at once (the
-    # curve, its gradient, the step), and a LOOCV batch grows with the
-    # square of the workloads: hence the two bounds.
+    # so each is bit-identical alone, in any call and in any slice. A call
+    # holds about ten (problems, n) arrays at once (the curve, its
+    # gradient, the step), and a LOOCV batch grows with the square of the
+    # workloads: hence the two bounds.
     n = objective.x.shape[-1]
     size = _per_call(objective)
     room = max(size, LIVE_ELEMENTS // n)
-    count = len(theta0)
+    if len(theta0) > room:
+        parts = [
+            _gauss_newton(
+                objective, theta0[i:i + room], rows[i:i + room], tol,
+                max_iter,
+            )
+            for i in range(0, len(theta0), room)
+        ]
+        return tuple(np.concatenate(a) for a in zip(*parts))
     # a step or candidate that overflows or divides by zero is non-finite,
     # which the rules below read as a stop or a rejection
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lower = objective.lower
         theta = np.maximum(theta0, lower)
-        sse = np.empty(count)
-        converged = np.zeros(count, dtype=bool)
-        # the iteration after which each problem stops, started or not
-        last = np.full(count, max_iter)
-        it = 0  # iterations run
-        # the next iteration's live problems, with their residuals and
-        # shape values, in pieces
-        pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        waiting = 0  # the first problem not started
-        while True:
-            held = sum(len(p[0]) for p in pieces)
-            while waiting < count and held < room:
-                new = slice(
-                    waiting, min(count, waiting + size, waiting + room - held)
+        resid, g = (np.concatenate(a) for a in zip(*(
+            objective.residual(theta[i:i + size], rows[i:i + size])
+            for i in range(0, len(theta), size)
+        )))
+        sse = objective.sse(resid, rows)
+        converged = np.zeros(len(theta), dtype=bool)
+        live = np.arange(len(theta))  # problems still iterating
+        for _ in range(max_iter):
+            step = np.empty((len(live), len(lower)))
+            for i in range(0, len(live), size):
+                these = live[i:i + size]
+                step[i:i + size] = _step(
+                    objective, theta[these], rows[these], resid[these],
+                    g[these],
                 )
-                r, g = objective.residual(theta[new], rows[new])
-                sse[new] = objective.sse(r, rows[new])
-                last[new] += it
-                if max_iter > 0:  # else none iterates
-                    pieces.append((np.arange(new.start, new.stop), r, g))
-                    held += len(r)
-                waiting = new.stop
-            if not pieces:
-                break
-            live, resid, g = (_joined(a) for a in zip(*pieces))
-            pieces = []
-            step = _joined([
-                _step(
-                    objective, theta[live[i:i + size]], rows[live[i:i + size]],
-                    resid[i:i + size], g[i:i + size],
-                )
-                for i in range(0, len(live), size)
-            ])
-            it += 1
             finite = np.isfinite(step).all(axis=-1)
             # the problems still halving: index, point, step, table, SSE limit
             todo = live[finite]
+            if not todo.size:
+                break
             at, step, at_rows = theta[todo], step[finite], rows[todo]
             limit = sse[todo] * (1.0 + 1e-14) + 1e-300
+            going = [todo[:0]]
             # scales 2^-j from j = 0, k per problem: the full step alone
             # first (most problems stop there), then as many as fit a call
             j = 0
@@ -616,7 +602,7 @@ def _gauss_newton(
                     MAX_HALVINGS - j, max(1, size // len(todo))
                 )
                 scales = 0.5 ** np.arange(j, j + k)
-                hits = []
+                miss = np.empty(len(todo), dtype=bool)
                 per = max(1, size // k)  # problems per call
                 for i in range(0, len(todo), per):
                     s = slice(i, i + per)
@@ -628,27 +614,24 @@ def _gauss_newton(
                     cand_sse = objective.sse(cand_resid, cand_rows)
                     down = cand_sse.reshape(-1, k) <= limit[s, None]
                     hit = down.any(axis=-1)
-                    hits.append(hit)
+                    miss[s] = ~hit
                     pick = (
                         np.arange(len(hit)) * k + down.argmax(axis=-1)
                     )[hit]
                     moved = todo[s][hit]
                     small = _relative_change(cand[pick], at[s][hit]) < tol
                     theta[moved] = cand[pick]
+                    resid[moved] = cand_resid[pick]
+                    g[moved] = cand_g[pick]
                     sse[moved] = cand_sse[pick]
                     converged[moved[small]] = True
-                    going = ~small
-                    if it >= max_iter:  # none has run max_iter before
-                        going &= last[moved] > it
-                    pick = pick[going]
-                    if pick.size:
-                        pieces.append(
-                            (moved[going], cand_resid[pick], cand_g[pick])
-                        )
-                miss = ~_joined(hits)
+                    going.append(moved[~small])
                 todo, at, step = todo[miss], at[miss], step[miss]
                 at_rows, limit = at_rows[miss], limit[miss]
                 j += k
+            live = np.concatenate(going)
+            if not live.size:
+                break
     return theta, sse, converged
 
 

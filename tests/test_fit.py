@@ -1267,11 +1267,6 @@ def _call_rows(monkeypatch, method="residual"):
     return seen
 
 
-def _residual_rows(monkeypatch):
-    """Spy on ``_Objective.residual``: the list of its calls' row counts."""
-    return _call_rows(monkeypatch)
-
-
 class TestBatchedHalving:
     @pytest.mark.parametrize("one_scale_per_call", [False, True])
     @pytest.mark.parametrize(
@@ -1311,7 +1306,7 @@ class TestBatchedHalving:
         table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         objective, theta0, rows = _loocv_batch(table, ModelForm.SIGMOID)
         bound = max(1, fitmod.BATCH_ELEMENTS // objective.x.shape[-1])
-        seen = _residual_rows(monkeypatch)
+        seen = _call_rows(monkeypatch)
         fitmod._gauss_newton(objective, theta0, rows, 1e-8, 200)
         assert max(seen) <= bound
         # unsliced, some call must have tried several scales per problem
@@ -1324,7 +1319,7 @@ class TestBatchedHalving:
         # for its fit (9 in stage 2, which Gauss-Newton alone took 98);
         # one per halving needed 301 and 360, on the (x0, k) scale
         table = apply_exclusions(desk_dataset, desk_exclusion_policy)
-        seen = _residual_rows(monkeypatch)
+        seen = _call_rows(monkeypatch)
         loocv(table, ModelForm.SIGMOID)
         assert len(seen) <= 80
         seen.clear()
@@ -1374,8 +1369,8 @@ class TestOneLoop:
     def test_loocv_bit_identical_at_any_bound(
         self, form, batch, live, desk_dataset, monkeypatch
     ):
-        # BATCH_ELEMENTS (and LIVE_ELEMENTS, which makes problems wait for
-        # room) at small multiples of the n workloads of a holdout
+        # BATCH_ELEMENTS (and LIVE_ELEMENTS, which cuts the batch into
+        # slices) at small multiples of the n workloads of a holdout
         want = loocv(desk_dataset, form)
         objective, theta0, rows = _loocv_batch(desk_dataset, form)
         runs = {
