@@ -535,15 +535,15 @@ def _gauss_newton(
     step, on no scale that descends, or after ``max_iter`` iterations.
     Returns theta (B, p), SSE (B,) and the converged flags (B,).
 
-    Every problem of the batch iterates in one loop. An iteration tries
-    every live problem's full step; the problems whose full step raises the
-    SSE then try their halvings together: the m problems still halving try
-    k scales each, with k = size // m, at least 1 and at most the scales
-    left. The scales are exact powers of two, so every candidate, and the
-    one accepted, has the bits that trying one halving at a time would give
-    it. Memory is bounded per evaluation: no call to
-    ``_Objective.residual``, and no ``_step``, takes more than size =
-    ``BATCH_ELEMENTS`` // n problems (n workloads each), or size // k
+    Every problem of the batch, or of a slice as below, iterates in one
+    loop. An iteration tries every live problem's full step; the problems
+    whose full step raises the SSE then try their halvings together: the m
+    problems still halving try k scales each, with k = size // m, at least
+    1 and at most the scales left. The scales are exact powers of two, so
+    every candidate, and the one accepted, has the bits that trying one
+    halving at a time would give it. Memory is bounded per evaluation: no
+    call to ``_Objective.residual``, and no ``_step``, takes more than
+    size = ``BATCH_ELEMENTS`` // n problems (n workloads each), or size // k
     problems at k scales. The residuals and shape values carried between
     iterations are bounded by ``LIVE_ELEMENTS``: a batch of more than
     ``LIVE_ELEMENTS`` // n problems (and more than size) runs in slices of
