@@ -9,12 +9,13 @@ specs), and CSV and JSON files are written with ``write_csv`` and
 
 The module imports no numpy, and neither do ``flops``, ``reference``,
 ``scenario`` and ``cli``: with the package's lazy ``__init__``, that is
-all ``nodepower scenario`` and ``nodepower flops`` load.
+all ``nodepower scenario`` and ``nodepower flops`` load. ``configparser``
+is imported only for INI text outside the subset ``read_ini`` reads
+itself.
 """
 
 from __future__ import annotations
 
-import configparser
 import csv
 import enum
 import io
@@ -31,6 +32,9 @@ from .reference import Architecture_CNN, Architecture_LLM
 
 if TYPE_CHECKING:
     from .ingest import NodeTrace
+
+# an INI file's sections: section name -> lowercased key -> value
+Ini = dict[str, dict[str, str]]
 
 __all__ = [
     "TraceFormatError",
@@ -175,22 +179,70 @@ def read_text(
         raise error(f"{path_or_stream}: cannot read {kind} ({exc})") from exc
 
 
-def read_ini(
-    path: str | Path, kind: str = "config"
-) -> configparser.ConfigParser:
-    """An INI file parsed with ``#``/``;`` comments and no interpolation;
-    ``ConfigError`` if it cannot be read or parsed."""
+def read_ini(path: str | Path, kind: str = "config") -> Ini:
+    """The sections of an INI file, each a dict of lowercased keys to
+    stripped values, parsed with ``#``/``;`` comments and no interpolation;
+    ``ConfigError`` if it cannot be read or parsed.
+
+    Clean text (see ``_read_clean_ini``) is read here; any other text goes
+    to ``configparser``, which alone words the errors. Its ``[DEFAULT]``
+    values are merged into every section, as ``ConfigParser.items`` does.
+    """
+    text = read_text(path, ConfigError, kind)
+    sections = _read_clean_ini(text)
+    if sections is not None:
+        return sections
+    import configparser  # only for text outside the clean subset
+
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None
     )
     # newline=None: a bare carriage return ends a line, as in a file that
     # open() reads in its default mode
-    lines = io.StringIO(read_text(path, ConfigError, kind), newline=None)
+    lines = io.StringIO(text, newline=None)
     try:
         parser.read_file(lines, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: invalid {kind} syntax ({exc})") from exc
-    return parser
+    return {s: dict(parser.items(s)) for s in parser.sections()}
+
+
+def _read_clean_ini(text: str) -> Ini | None:
+    """The sections of clean INI text, as ``configparser`` reads them; None
+    for other text.
+
+    Clean text is printable ASCII with ``\\n`` line ends. Each line is
+    empty, a comment (``#`` or ``;`` in column 0), an exact ``[name]`` header
+    or an unindented ``key = value``, and no other line holds ``#`` or
+    ``;``. A name holds no bracket and is not ``DEFAULT``; a key holds no
+    ``:``. Every key line follows a header, and no section, nor lowercased
+    key within a section, appears twice. Such text has no continuation
+    line, inline comment or default section, and ``configparser`` cannot
+    fail on it.
+    """
+    if not text.isascii() or not text.replace("\n", "").isprintable():
+        return None
+    sections: Ini = {}
+    section: dict[str, str] | None = None
+    for line in text.split("\n"):
+        if not line or line[0] in "#;":
+            continue
+        if line[0] == " " or "#" in line or ";" in line:
+            return None
+        if line[0] == "[":
+            name = line[1:-1]
+            if (line[-1] != "]" or not name or "[" in name or "]" in name
+                    or name == "DEFAULT" or name in sections):
+                return None
+            section = sections[name] = {}
+            continue
+        key, equals, value = line.partition("=")
+        key = key.rstrip().lower()
+        if (section is None or not equals or not key or ":" in key
+                or key in section):
+            return None
+        section[key] = value.strip()
+    return sections
 
 
 def write_csv(
@@ -216,9 +268,9 @@ def write_json(path_or_stream: str | Path | IO[str], doc: Any) -> None:
 # workload configs
 # ---------------------------------------------------------------------------
 
-def _get(section: configparser.SectionProxy, key: str, kind=str):
+def _get(section: dict[str, str], name: str, key: str, kind=str):
     if key not in section:
-        raise ValueError(f"missing key {key!r} in [{section.name}]")
+        raise ValueError(f"missing key {key!r} in [{name}]")
     raw = section[key]
     try:
         return kind(raw)
@@ -227,13 +279,14 @@ def _get(section: configparser.SectionProxy, key: str, kind=str):
 
 
 def _parse_llm_section(
-    section: configparser.SectionProxy, total_gpus: int
+    section: dict[str, str], total_gpus: int
 ) -> flops.LlmArch:
+    llm = Architecture_LLM
     common = dict(
-        hidden_size=_get(section, "hidden_size", int),
-        layers=_get(section, "layers", int),
-        sequence_length=_get(section, "sequence_length", int),
-        vocab_size=_get(section, "vocab_size", int),
+        hidden_size=_get(section, llm, "hidden_size", int),
+        layers=_get(section, llm, "layers", int),
+        sequence_length=_get(section, llm, "sequence_length", int),
+        vocab_size=_get(section, llm, "vocab_size", int),
     )
     has_direct = "global_batch" in section
     has_derived = any(
@@ -245,62 +298,65 @@ def _parse_llm_section(
         )
     if has_direct:
         return flops.LlmArch(
-            **common, global_batch=_get(section, "global_batch", int)
+            **common, global_batch=_get(section, llm, "global_batch", int)
         )
     parallelism = flops.ParallelismConfig(
-        tp=_get(section, "tp", int),
-        cp=_get(section, "cp", int),
-        pp=_get(section, "pp", int),
+        tp=_get(section, llm, "tp", int),
+        cp=_get(section, llm, "cp", int),
+        pp=_get(section, llm, "pp", int),
         total_gpus=total_gpus,
     )
     return flops.LlmArch(
         **common,
-        minibatch=_get(section, "minibatch", int),
+        minibatch=_get(section, llm, "minibatch", int),
         parallelism=parallelism,
     )
 
 
-def _parse_cnn_section(section: configparser.SectionProxy) -> flops.CnnArch:
+def _parse_cnn_section(section: dict[str, str]) -> flops.CnnArch:
+    cnn = Architecture_CNN
     return flops.CnnArch(
-        flops_per_image=_get(section, "flops_per_image_gflops", float) * 1e9,
-        image_side=_get(section, "image_side", int),
-        global_batch=_get(section, "global_batch", int),
+        flops_per_image=(
+            _get(section, cnn, "flops_per_image_gflops", float) * 1e9
+        ),
+        image_side=_get(section, cnn, "image_side", int),
+        global_batch=_get(section, cnn, "global_batch", int),
     )
 
 
-def _workload_record(parser: configparser.ConfigParser) -> WorkloadRecord:
-    """The record, without traces, that a parsed workload config describes.
-    A missing or invalid value raises ValueError."""
-    if "workload" not in parser:
+def _workload_record(sections: Ini) -> WorkloadRecord:
+    """The record, without traces, that a config's sections describe. A
+    missing or invalid value raises ValueError."""
+    if "workload" not in sections:
         raise ValueError("missing [workload] section")
-    w = parser["workload"]
-    architecture = _get(w, "architecture").lower()
+    w = sections["workload"]
+    architecture = _get(w, "workload", "architecture").lower()
     if architecture not in (Architecture_LLM, Architecture_CNN):
         raise ValueError(
             f"architecture must be 'llm' or 'cnn', got {architecture!r}"
         )
-    nodes = _get(w, "nodes", int)
-    gpus_per_node = _get(w, "gpus_per_node", int)
-    if architecture not in parser:
+    nodes = _get(w, "workload", "nodes", int)
+    gpus_per_node = _get(w, "workload", "gpus_per_node", int)
+    if architecture not in sections:
         raise ValueError(f"missing [{architecture}] section")
     if architecture == Architecture_LLM:
         arch_params: flops.LlmArch | flops.CnnArch = _parse_llm_section(
-            parser[Architecture_LLM], nodes * gpus_per_node
+            sections[Architecture_LLM], nodes * gpus_per_node
         )
     else:
-        arch_params = _parse_cnn_section(parser[Architecture_CNN])
+        arch_params = _parse_cnn_section(sections[Architecture_CNN])
     return WorkloadRecord(
-        workload_id=_get(w, "id"),
+        workload_id=_get(w, "workload", "id"),
         architecture=architecture,
         arch_params=arch_params,
         nodes=nodes,
         gpus_per_node=gpus_per_node,
         traces=(),
         interconnect_total_kw=float(w.get("interconnect_total_kw", "0")),
-        duration_h=_get(w, "duration_h", float),
+        duration_h=_get(w, "workload", "duration_h", float),
         source=w.get("source", "unknown"),
         reference_flops=(
-            _get(w, "reference_flops", float)
+            _get(w, "workload", "reference_flops", float)
             if "reference_flops" in w else None
         ),
     )
@@ -310,9 +366,9 @@ def load_workload_config(path: str | Path) -> WorkloadRecord:
     """Read a workload config file; the returned record has no traces yet.
     Raises ``ConfigError`` on a file that cannot be read or parsed, and on
     a missing or invalid value."""
-    parser = read_ini(path)
+    sections = read_ini(path)
     try:
-        return _workload_record(parser)
+        return _workload_record(sections)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

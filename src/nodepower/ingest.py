@@ -91,6 +91,14 @@ class NodeTrace:
         power = np.asarray(self.power_kw, dtype=float)
         object.__setattr__(self, "elapsed_s", elapsed)
         object.__setattr__(self, "power_kw", power)
+        # one pass accepts valid columns: strictly increasing times from a
+        # first >= 0 to a last < inf, all of them finite, and finite
+        # positive powers; the checks below word the first failure
+        if (elapsed.ndim == 1 and elapsed.shape == power.shape
+                and elapsed.size and 0 <= elapsed[0] and elapsed[-1] < np.inf
+                and (elapsed[1:] > elapsed[:-1]).all()
+                and 0 < power.min() and power.max() < np.inf):
+            return
         name = f"trace {self.workload_id}/{self.node_id}"
         if elapsed.ndim != 1 or elapsed.shape != power.shape:
             raise ValueError(f"{name}: columns must be 1-D, of equal length")
@@ -330,26 +338,38 @@ def _traces(
     of them (a code indexes ``node_ids``), if their numbers pass; else the
     error of the first offending row."""
     n = len(codes)
-    for bad, message in (
-        (elapsed < 0, "negative elapsed_s ({e})"),
-        (~(power > 0), "non-positive power_kw ({p})"),
-        (~np.isfinite(elapsed), "non-finite elapsed_s ({e})"),
-        (~np.isfinite(power), "non-finite power_kw ({p})"),
-    ):
-        if bad[:n].any():
-            row = int(bad[:n].argmax())
-            n, error = _failure(lines, row, message.format(
-                e=float(elapsed[row]), p=float(power[row])
-            ))
-    order = np.lexsort((elapsed[:n], codes[:n]))  # stable: file order on ties
-    sorted_codes, times, powers = codes[order], elapsed[order], power[order]
-    same = ((sorted_codes[1:] == sorted_codes[:-1])
-            & (times[1:] == times[:-1]))
-    if same.any():
-        row = int(order[1:][same].min())
-        n, error = _failure(lines, row, f"duplicate sample for node "
-                            f"{node_ids[codes[row]]!r} at elapsed_s="
-                            f"{float(elapsed[row])}")
+    # one pass over each column accepts every row; the loop words the
+    # first failure
+    if not (n and 0 <= elapsed[:n].min() and elapsed[:n].max() < np.inf
+            and 0 < power[:n].min() and power[:n].max() < np.inf):
+        for bad, message in (
+            (elapsed < 0, "negative elapsed_s ({e})"),
+            (~(power > 0), "non-positive power_kw ({p})"),
+            (~np.isfinite(elapsed), "non-finite elapsed_s ({e})"),
+            (~np.isfinite(power), "non-finite power_kw ({p})"),
+        ):
+            if bad[:n].any():
+                row = int(bad[:n].argmax())
+                n, error = _failure(lines, row, message.format(
+                    e=float(elapsed[row]), p=float(power[row])
+                ))
+    codes, elapsed, power = codes[:n], elapsed[:n], power[:n]
+    # rows grouped by node in first-appearance order, each node's times
+    # strictly increasing, are sorted already and hold no duplicate
+    step = codes[1:] - codes[:-1]
+    if (step >= 0).all() and ((step > 0) | (elapsed[1:] > elapsed[:-1])).all():
+        sorted_codes, times, powers = codes, elapsed, power
+    else:
+        order = np.lexsort((elapsed, codes))  # stable: file order on ties
+        sorted_codes = codes[order]
+        times, powers = elapsed[order], power[order]
+        same = ((sorted_codes[1:] == sorted_codes[:-1])
+                & (times[1:] == times[:-1]))
+        if same.any():
+            row = int(order[1:][same].min())
+            n, error = _failure(lines, row, f"duplicate sample for node "
+                                f"{node_ids[codes[row]]!r} at elapsed_s="
+                                f"{float(elapsed[row])}")
     if error is not None:
         raise error
     if not n:

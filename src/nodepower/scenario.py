@@ -238,18 +238,18 @@ def load_scenario_spec(path) -> ScenarioSpec:
     naming the intensities (``grid_average = 428``). A file that cannot be
     read or parsed, or a missing, unknown or invalid value, raises
     ``ConfigError``."""
-    parser = read_ini(path, "scenario spec")
-    if "scenario" not in parser:
+    sections = read_ini(path, "scenario spec")
+    if "scenario" not in sections:
         raise ConfigError(f"{path}: missing [scenario] section")
     kinds = {"nodes": int, "gpus_per_node": int, "loss_convention": str}
-    bands = "carbon_intensity_kg_per_mwh"
+    bands = sections.get("carbon_intensity_kg_per_mwh", {})
     try:
         return ScenarioSpec(
             **{key: kinds.get(key, float)(value)
-               for key, value in parser["scenario"].items()},
+               for key, value in sections["scenario"].items()},
             carbon_intensity_kg_per_mwh={
-                name: float(value) for name, value in parser.items(bands)
-            } if bands in parser else {},
+                name: float(value) for name, value in bands.items()
+            },
         )
     except (TypeError, ValueError) as exc:  # TypeError: key missing or unknown
         raise ConfigError(f"{path}: invalid scenario spec: {exc}") from exc

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import configparser
 import csv
 import dataclasses
 import io
 import itertools
 import math
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nodepower import flops, ingest
+from nodepower import files, flops, ingest
 from nodepower.data import desk_dir
 from nodepower.ingest import (
     ConfigError,
@@ -25,6 +27,8 @@ from nodepower.ingest import (
     write_trace_file,
 )
 from nodepower.reference import Architecture_CNN, Architecture_LLM
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _trace(wid="w1", node="n1", values=(5.0, 6.0, 7.0), dt=2.0):
@@ -595,6 +599,9 @@ class TestTraceTypes:
             _node_trace([0.0], [0.0])
         with pytest.raises(ValueError, match="power_kw"):
             _node_trace([0.0, 2.0], [5.0, -1.0])
+        # decreasing, negative and a NaN power: the first check words it
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            _node_trace([2.0, -1.0], [5.0, np.nan])
 
     def test_columns_must_align(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -845,6 +852,8 @@ class TestConfigLoading:
         body = LLM_CONFIG.replace("source = SMC", "source = 100% SMC")
         path = _write_config(tmp_path, body)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        # configparser reads it: the clean reader declines a CR
+        assert files._read_clean_ini(path.read_bytes().decode()) is None
         record = ingest.load_workload_config(path)
         assert record.source == "100% SMC"
         assert record.arch_params.vocab_size == 100
@@ -857,6 +866,99 @@ class TestConfigLoading:
         with pytest.warns(flops.FlopsMismatchWarning):
             tagged = ingest.with_compute(record)
         assert tagged.compute is not None
+
+
+def _configparser_sections(text):
+    """The sections configparser reads from text, in file order, as
+    ``read_ini`` sets it up; raises ``configparser.Error``."""
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
+    parser.read_file(io.StringIO(text, newline=None))
+    return [(s, list(parser.items(s))) for s in parser.sections()]
+
+
+def _mostly(clean, odd):
+    """One of clean or odd, each clean one drawn 30 times as often."""
+    return st.sampled_from(clean * 30 + odd)
+
+
+_INI_NAMES = _mostly(
+    ["a", "b", "A", "a b", "k:v", "%"],
+    [" a ", "", "DEFAULT", "a]b", "[c", "\u00e9"],
+)
+_INI_KEYS = _mostly(
+    ["k", "K", "key", "a b", "%", "k[1]"],
+    ["", "x:y", "\u00e9", "#k", " k", "k;", "[k]"],
+)
+_INI_VALUES = _mostly(
+    ["1", "", "v w", "100%", "%(k)s", "a=b", "c:d", "[x]", "1 "],
+    ["1 # c", "1 ; c", "1#c", "\u00e9"],
+)
+_INI_DELIMITERS = _mostly(["=", " = "], [":", " : ", "\t=\t"])
+_INI_INDENTS = _mostly([""], [" ", "\t"])
+# comments, blank lines, continuations, bare keys, duplicates, DEFAULT
+_INI_EXTRAS = _mostly(
+    ["", "# c", "; c"],
+    ["  # c", " ", "\t", "  cont", "\tcont", "k", "[a]", "k = 2", "K=3",
+     "[DEFAULT]"],
+)
+_INI_ENDINGS = _mostly(["\n"], ["\r\n", "\r"])
+
+
+@st.composite
+def _ini_texts(draw):
+    lines = []
+    for name in draw(st.lists(_INI_NAMES, min_size=1, max_size=3,
+                              unique=True)):
+        lines.append(f"[{name}]")
+        for key in draw(st.lists(_INI_KEYS, max_size=4, unique_by=str.lower)):
+            lines.append(draw(_INI_INDENTS) + key + draw(_INI_DELIMITERS)
+                         + draw(_INI_VALUES))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_INI_EXTRAS))
+    return "".join(line + draw(_INI_ENDINGS) for line in lines)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=_ini_texts())
+def test_clean_ini_reader_agrees_with_configparser(text):
+    """Where the clean reader accepts a text, its sections, keys and values
+    are configparser's, in the same order; where configparser fails, it
+    declines, so that configparser words the error."""
+    clean = files._read_clean_ini(text)
+    try:
+        expected = _configparser_sections(text)
+    except configparser.Error:
+        assert clean is None
+        return
+    if clean is not None:
+        assert [(s, list(d.items())) for s, d in clean.items()] == expected
+
+
+def test_shipped_ini_files_take_the_clean_reader():
+    paths = [*sorted(desk_dir().glob("*.ini")),
+             ROOT / "demos" / "fleet.ini"]
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        clean = files._read_clean_ini(text)
+        assert clean is not None, path
+        expected = _configparser_sections(text)
+        assert [(s, list(d.items())) for s, d in clean.items()] == expected
+
+
+def test_other_ini_text_is_read_by_configparser(tmp_path):
+    # a default section is merged into every section, as configparser's
+    # items() merges it; an indented line continues a value
+    path = tmp_path / "a.ini"
+    path.write_text("[DEFAULT]\nd = 1\n[a]\nk = v\n  w\n", encoding="utf-8")
+    assert files.read_ini(path) == {"a": {"d": "1", "k": "v\nw"}}
+    path.write_text("[a]\nk = 1\nK = 2\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=(
+        r"invalid config syntax \(While reading from .*a\.ini.* \[line  3\]: "
+        r"option 'k' in section 'a' already exists\)"
+    )):
+        files.read_ini(path)
 
 
 class TestManifest:

@@ -1,6 +1,7 @@
 """Runtime dependencies: numpy only. scipy comes with the test extra, and no
 command may import it; ``import nodepower``, ``--help``, ``scenario`` and
-``flops`` do not import numpy either."""
+``flops`` do not import numpy either, and clean configs do not import
+configparser."""
 
 from __future__ import annotations
 
@@ -102,6 +103,21 @@ def test_scenario_and_flops_do_not_import_numpy(tmp_path):
             for p in (tmp_path / name).iterdir()
         }
         assert written == GOLDEN_OUT[name][0]
+
+
+def test_clean_configs_do_not_import_configparser(tmp_path):
+    """The desk configs and the fleet spec are clean INI text, which
+    ``read_ini`` reads without configparser."""
+    commands = [
+        ["scenario", "--spec", str(ROOT / "demos" / "fleet.ini")],
+        ["flops", *map(str, sorted(desk_dir().glob("*.ini")))],
+        ["fit", "--manifest", str(desk_manifest()),
+         "--exclusions", str(desk_exclusions()), "--form", "arch-fe",
+         "--out", str(tmp_path / "fit"),
+         "--pin-timestamp", "2026-01-01T00:00:00Z"],
+    ]
+    got, stderr = _guarded_run("configparser", commands, tmp_path)
+    assert got == {"codes": [0] * len(commands), "loaded": []}, stderr
 
 
 # Runs each command in turn in one fresh interpreter, then writes the exit
