@@ -348,21 +348,12 @@ class _Objective:
             params[name] = user[:, i:i + 1]
         return params
 
-    def residual(
-        self, theta: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Workload-mean residuals, (B, n), and the shape values g the
-        curve was built from, (B, n), which ``derivatives`` at the same
-        theta takes back."""
-        curve, g = self.spec.curve_and_g(
+    def residual(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Workload-mean residuals at theta, (B, n)."""
+        return self._take(self.y, rows) - self.spec.curve(
             self._params(self.user(theta, rows)),
             self._take(self.x, rows), self._take(self.is_llm, rows),
         )
-        r = self._take(self.y, rows) - curve
-        # a shape that no free parameter enters is one row for all
-        if g.shape != r.shape:
-            g = np.broadcast_to(g, r.shape).copy()
-        return r, g
 
     def sse(self, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Weighted SSE of each problem from its residuals, (B,)."""
@@ -388,30 +379,22 @@ class _Objective:
         return self._columns(grad, (len(theta), x.shape[-1]))
 
     def derivatives(
-        self, theta: np.ndarray, rows: np.ndarray, g: Any = None
+        self, theta: np.ndarray, rows: np.ndarray
     ) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
         """The Jacobian d curve / d theta, one (B, n) array per free
         parameter, and the curve's second derivatives in theta, {(i, j):
         (B, n)} for i <= j, on the pairs of free parameters where they are
-        not zero everywhere; from one shape evaluation, reusing the shape
-        values ``g`` from ``residual`` at theta when given. On the map's
-        scale the map gives the derivatives of the shape's argument."""
+        not zero everywhere; from one shape evaluation at theta. On the
+        map's scale the map gives the derivatives of the shape's
+        argument."""
         x = self._take(self.x, rows)
         user = self.user(theta, rows)
-        argument = None
-        if self.map is not None:
-            first, second = self.map.derivatives(
-                [user[:, i:i + 1] for i in self.mapped],
-                self._constants(rows), x,
-            )
-            names = self.map.params
-            argument = (
-                {names[i]: d for i, d in first.items()},
-                {(names[i], names[j]): d for (i, j), d in second.items()},
-            )
+        argument = None if self.map is None else self.map.derivatives(
+            [user[:, i:i + 1] for i in self.mapped], self._constants(rows), x
+        )
         grad, second = self.spec.derivatives(
-            self._params(user), x, self._take(self.is_llm, rows), g,
-            self.free, argument,
+            self._params(user), x, self._take(self.is_llm, rows), self.free,
+            argument,
         )
         J = self._columns(grad, (len(theta), x.shape[-1]))
         H = {
@@ -495,14 +478,13 @@ def _step(
     theta: np.ndarray,
     rows: np.ndarray,
     r: np.ndarray,
-    g: np.ndarray,
 ) -> np.ndarray:
-    """Each problem's step from theta, where its residuals are r and its
-    shape values g: ``_lstsq_step`` with the curvature from the form
-    table's second derivatives. That is the Newton step where H is
-    positive definite and the step finite, and the Gauss-Newton step
-    elsewhere and in a stage where no free parameter has curvature."""
-    J, second = objective.derivatives(theta, rows, g)
+    """Each problem's step from theta, where its residuals are r:
+    ``_lstsq_step`` with the curvature from the form table's second
+    derivatives. That is the Newton step where H is positive definite and
+    the step finite, and the Gauss-Newton step elsewhere and in a stage
+    where no free parameter has curvature."""
+    J, second = objective.derivatives(theta, rows)
     return _lstsq_step(
         J, r, {ij: _row_sum(r * h) for ij, h in second.items()}
     )
@@ -524,11 +506,10 @@ def _gauss_newton(
     """Damped hybrid Newton / Gauss-Newton on B independent problems at
     once.
 
-    Each iteration takes one derivative evaluation per problem, from the
-    shape values kept from the residual evaluation that accepted its point,
-    and the step of ``_step``: Newton where H = J'J - S is positive
-    definite and the Newton step finite, Gauss-Newton otherwise, and
-    Gauss-Newton wherever no free parameter has a second derivative. Each
+    Each iteration takes one derivative evaluation per problem, from its
+    point alone, and the step of ``_step``: Newton where H = J'J - S is
+    positive definite and the Newton step finite, Gauss-Newton otherwise,
+    and Gauss-Newton wherever no free parameter has a second derivative. Each
     problem takes the first scale 2^-j of its step, j = 0 ..
     ``MAX_HALVINGS`` - 1, at which its SSE does not rise. It stops
     converged on a relative step below ``tol``; unconverged on a non-finite
@@ -544,10 +525,10 @@ def _gauss_newton(
     halving at a time would give it. Memory is bounded per evaluation: no
     call to ``_Objective.residual``, and no ``_step``, takes more than
     size = ``BATCH_ELEMENTS`` // n problems (n workloads each), or size // k
-    problems at k scales. The residuals and shape values carried between
-    iterations are bounded by ``LIVE_ELEMENTS``: a batch of more than
-    ``LIVE_ELEMENTS`` // n problems (and more than size) runs in slices of
-    that many, each in its own loop.
+    problems at k scales. The residuals carried between iterations are
+    bounded by ``LIVE_ELEMENTS``: a batch of more than ``LIVE_ELEMENTS`` //
+    n problems (and more than size) runs in slices of that many, each in
+    its own loop.
     """
     # Problems are independent and every sum runs along one problem's row,
     # so each is bit-identical alone, in any call and in any slice. A call
@@ -571,10 +552,10 @@ def _gauss_newton(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lower = objective.lower
         theta = np.maximum(theta0, lower)
-        resid, g = (np.concatenate(a) for a in zip(*(
+        resid = np.concatenate([
             objective.residual(theta[i:i + size], rows[i:i + size])
             for i in range(0, len(theta), size)
-        )))
+        ])
         sse = objective.sse(resid, rows)
         converged = np.zeros(len(theta), dtype=bool)
         live = np.arange(len(theta))  # problems still iterating
@@ -583,8 +564,7 @@ def _gauss_newton(
             for i in range(0, len(live), size):
                 these = live[i:i + size]
                 step[i:i + size] = _step(
-                    objective, theta[these], rows[these], resid[these],
-                    g[these],
+                    objective, theta[these], rows[these], resid[these]
                 )
             finite = np.isfinite(step).all(axis=-1)
             # the problems still halving: index, point, step, table, SSE limit
@@ -610,7 +590,7 @@ def _gauss_newton(
                         at[s, None] + scales[:, None] * step[s, None], lower
                     ).reshape(-1, len(lower))
                     cand_rows = np.repeat(at_rows[s], k)
-                    cand_resid, cand_g = objective.residual(cand, cand_rows)
+                    cand_resid = objective.residual(cand, cand_rows)
                     cand_sse = objective.sse(cand_resid, cand_rows)
                     down = cand_sse.reshape(-1, k) <= limit[s, None]
                     hit = down.any(axis=-1)
@@ -622,7 +602,6 @@ def _gauss_newton(
                     small = _relative_change(cand[pick], at[s][hit]) < tol
                     theta[moved] = cand[pick]
                     resid[moved] = cand_resid[pick]
-                    g[moved] = cand_g[pick]
                     sse[moved] = cand_sse[pick]
                     converged[moved[small]] = True
                     going.append(moved[~small])
@@ -721,7 +700,7 @@ def _winners(
         t = tables[i:i + size]
         y = objective._take(objective.y, t)
         ok[t] = _relative_offsets(
-            objective.residual(theta[t], t)[0],
+            objective.residual(theta[t], t),
             objective.derivatives(theta[t], t)[0],
             np.sqrt(_EPS * np.mean(y * y, axis=-1)),
         ) <= OFFSET_TOL
@@ -846,7 +825,7 @@ def wnls_fit(
             np.column_stack(
                 [g[0] for g in objective.gradient(theta, rows)]
             ),
-            objective.residual(theta, rows)[0][0],
+            objective.residual(theta, rows)[0],
             np.ones(clusters),
             table.workload_ids,
         )

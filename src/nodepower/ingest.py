@@ -239,10 +239,10 @@ def parse_trace_file(
     """Parse one workload's trace file into per-node traces.
 
     The text is read once and each column is checked as a whole. Clean text
-    (see ``_load_clean``) is parsed by one ``np.loadtxt`` call; other text,
-    and clean text that fails a check, by ``csv.reader``, which alone words
-    the errors. On bad input the error names the first offending row in
-    file order; within a row the checks run in the order: field count,
+    (see ``_load_clean``) is parsed by one ``np.loadtxt`` call, other text
+    by ``csv.reader``; both paths share the checks on the numbers, so an
+    error reads the same on either. On bad input the error names the first
+    offending row in file order; within a row the checks run in the order: field count,
     workload id, node id, numbers, negative elapsed time, power, non-finite
     value, duplicate.
 
@@ -272,10 +272,8 @@ def parse_trace_file(
     text = read_text(path_or_stream, TraceFormatError, "trace file")
     clean = _load_clean(text, workload_id)
     if clean is not None:
-        try:
-            return _traces(workload_id, *clean, range(2, len(clean[1]) + 2))
-        except TraceFormatError:
-            pass  # csv.reader's path words the error
+        # clean text has no blank line: row i is on csv's line i + 2
+        return _traces(workload_id, *clean, range(2, len(clean[1]) + 2))
     header, lines, (wids, node_text, elapsed_text, power_text), error = (
         _tokenize(text)
     )

@@ -117,32 +117,29 @@ ALPHA_FLOOR = 1e-6   # positivity guard for the log-scale saturation constant
 
 # Each shape g is a function of one argument w: the saturation ratio of
 # alpha, the logistic of its linear predictor z. A shape function
-# g(params on the user scale, x, values=None) returns g (or the values
-# given: g at the same point, from an earlier call) and two functions that
-# a curve never calls: ``slopes()`` gives dg/dw and d2g/dw2, and
-# ``argument(names)`` gives w's derivatives in the named shape parameters,
-# {name: dw/dname} and {(a, b): d2w/da db} on the pairs, a before b, where
-# they are not zero everywhere. The curve's derivatives follow by the
-# chain rule (``FormSpec.derivatives``), and an optimizer map gives w's
-# derivatives on its own scale in place of ``argument``'s.
+# g(params on the user scale, x) returns g and two functions that a curve
+# never calls: ``slopes()`` gives dg/dw and d2g/dw2, and ``argument()``
+# gives w's derivatives in every shape parameter, {name: dw/dname} and
+# {(a, b): d2w/da db} on the pairs, a before b, where they are not zero
+# everywhere. The curve's derivatives follow by the chain rule
+# (``FormSpec.derivatives``), and an optimizer map gives w's derivatives
+# on its own scale in place of ``argument``'s.
 
 
-def _saturation(p: Mapping[str, Any], x: np.ndarray, ratio: Any = None):
+def _saturation(p: Mapping[str, Any], x: np.ndarray):
     """x / (alpha + x): half of the magnitude is reached at x = alpha. The
     argument is alpha itself."""
     alpha = p["alpha"]
-    if ratio is None:
-        ratio = x / (alpha + x)
 
     def slopes():
         shift = alpha + x
         slope = -x / np.square(shift)
         return slope, -2.0 * slope / shift
 
-    def argument(names: tuple[str, ...]):
+    def argument():
         return {"alpha": 1.0}, {}
 
-    return ratio, slopes, argument
+    return x / (alpha + x), slopes, argument
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
@@ -153,31 +150,25 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -708.0), 708.0)))
 
 
-def _logistic_shape(p: Mapping[str, Any], x: np.ndarray, s: Any = None):
+def _logistic_shape(p: Mapping[str, Any], x: np.ndarray):
     """logistic(z), z = (x - x0) / k: midpoint x0, steepness k."""
     x0, k = p["x0"], p["k"]
-
-    def z():
-        return (x - x0) / k
-
-    if s is None:
-        s = _logistic(z())
+    z = (x - x0) / k
+    s = _logistic(z)
 
     def slopes():
         slope = s * (1.0 - s)
         return slope, slope * (1.0 - 2.0 * s)
 
-    def argument(names: tuple[str, ...]):
+    def argument():
         # dz/dx0 = -1/k and dz/dk = -z/k; d2z/dx0 dk = 1/k^2 and d2z/dk2 =
         # 2 z/k^2
         inv = 1.0 / k
-        first: dict[str, Any] = {"x0": -inv}
-        second: dict[tuple[str, str], Any] = {("x0", "k"): inv * inv}
-        if "k" in names:
-            dk = z() * -inv
-            first["k"] = dk
-            second["k", "k"] = dk * (-2.0 * inv)
-        return first, second
+        dk = z * -inv
+        return (
+            {"x0": -inv, "k": dk},
+            {("x0", "k"): inv * inv, ("k", "k"): dk * (-2.0 * inv)},
+        )
 
     return s, slopes, argument
 
@@ -245,10 +236,12 @@ class OptimizerMap:
     * ``forward(u, c)`` gives theta, ``inverse(theta, c)`` gives u, NaN
       where theta lies outside the map's domain;
     * ``derivatives(u, c, x)``, at the point u and with x the problems'
-      intensities (B, n), gives the Jacobian {i: dw/dtheta_i} and the
-      second derivatives {(i, j): d2w/dtheta_i dtheta_j}, i <= j, of the
-      shape's argument w (see ``_saturation``), on their entries that are
-      not zero everywhere.
+      intensities (B, n), gives the Jacobian {a: dw/dtheta_a} and the
+      second derivatives {(a, b): d2w/dtheta_a dtheta_b}, a before b in
+      ``params``, of the shape's argument w (see ``_saturation``), on
+      their entries that are not zero everywhere. Each key is the name in
+      ``params`` of a coordinate's parameter, as in the shape's own
+      ``argument()``.
     """
 
     params: tuple[str, ...]
@@ -265,7 +258,7 @@ def _log10_map(name: str) -> OptimizerMap:
 
     def derivatives(u: list, c: tuple, x: Any) -> tuple[dict, dict]:
         d = u[0] * _LN10
-        return {0: d}, {(0, 0): d * _LN10}
+        return {name: d}, {(name, name): d * _LN10}
 
     return OptimizerMap(
         params=(name,),
@@ -310,7 +303,7 @@ _LINEAR_PREDICTOR = OptimizerMap(
     params=("x0", "k"),
     forward=_predictor_forward,
     inverse=_predictor_inverse,
-    derivatives=lambda u, c, x: ({0: 1.0, 1: (x - c[0]) / c[1]}, {}),
+    derivatives=lambda u, c, x: ({"x0": 1.0, "k": (x - c[0]) / c[1]}, {}),
     constants=_moments,
 )
 
@@ -323,8 +316,8 @@ class FormSpec:
 
     # beta: one parameter name, or one per architecture {arch: name}
     magnitudes: str | Mapping[str, str]
-    # the shape function, g(params on the user scale, x, values=None) ->
-    # (g, slopes, argument): see ``_saturation``
+    # the shape function, g(params on the user scale, x) -> (g, slopes,
+    # argument): see ``_saturation``
     g: Callable[..., tuple[Any, Callable, Callable]]
     shape: tuple[str, ...]         # g's parameters, estimated in stage 1
     stage2_free: tuple[str, ...]   # estimated in stage 2
@@ -375,10 +368,8 @@ class FormSpec:
             return p[m]
         return np.where(is_llm, p[m[Architecture_LLM]], p[m[Architecture_CNN]])
 
-    def _g(self, p: Mapping[str, Any], x: np.ndarray, values: Any = None):
-        return self.g(
-            p, np.power(10.0, x) if self.raw_operations else x, values
-        )
+    def _g(self, p: Mapping[str, Any], x: np.ndarray):
+        return self.g(p, np.power(10.0, x) if self.raw_operations else x)
 
     def _per_beta(self, values: Any, is_llm: np.ndarray) -> dict[str, Any]:
         """{beta name: ``values`` on the rows that beta scales, 0 on the
@@ -391,15 +382,7 @@ class FormSpec:
     def curve(self, p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
         """Power in kW from the parameters ``p`` on the user scale, log10
         intensities ``x`` and an LLM mask that broadcasts against x."""
-        return self.curve_and_g(p, x, is_llm)[0]
-
-    def curve_and_g(
-        self, p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
-    ) -> tuple[Any, Any]:
-        """The curve, arguments as for ``curve``, and the shape values g it
-        was built from, which ``derivatives`` takes back."""
-        g = self._g(p, x)[0]
-        return p["p_idle_kw"] + self._beta(p, is_llm) * g, g
+        return p["p_idle_kw"] + self._beta(p, is_llm) * self._g(p, x)[0]
 
     def gradient(
         self, p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
@@ -412,7 +395,6 @@ class FormSpec:
         p: Mapping[str, Any],
         x: np.ndarray,
         is_llm: np.ndarray,
-        g: Any = None,
         names: tuple[str, ...] | None = None,
         argument: tuple[dict, dict] | None = None,
     ) -> tuple[dict[str, Any], dict[tuple[str, str], Any]]:
@@ -421,23 +403,22 @@ class FormSpec:
         ``params``, on the pairs where they are not zero everywhere: beta *
         d2g between shape parameters, dg between a magnitude and a shape
         parameter. Both hold only the parameters ``names`` (default all).
-        Arguments as for ``curve``; ``g``, the shape values at ``p`` from
-        ``curve_and_g``, saves evaluating the shape function again. Given
-        ``argument``, the derivatives of the shape's argument on an
-        optimizer map's scale ({name: dw/dname}, {(a, b): d2w/da db}, each
-        name standing for its own coordinate), the shape parameters'
+        Arguments as for ``curve``. Given ``argument``, the derivatives of
+        the shape's argument on an optimizer map's scale, as its
+        ``derivatives`` gives them ({name: dw/dname}, {(a, b): d2w/da db},
+        each name standing for its own coordinate), the shape parameters'
         derivatives are on that scale.
 
         By the chain rule through the argument w: beta dg/da = beta g'
         dw/da and beta d2g/da db = beta (g'' dw/da dw/db + g' d2w/da db).
         """
         names = self.params if names is None else names
-        g, slopes, user_argument = self._g(p, x, g)
+        g, slopes, user_argument = self._g(p, x)
         shape = tuple(n for n in self.shape if n in names)
         gradient: dict[str, Any] = {}
         second: dict[tuple[str, str], Any] = {}
         if shape:
-            dw, d2w = argument or user_argument(shape)
+            dw, d2w = argument or user_argument()
             d1, d2 = slopes()
             beta = self._beta(p, is_llm)
             b1, b2 = beta * d1, beta * d2

@@ -237,12 +237,21 @@ def load_scenario_spec(path) -> ScenarioSpec:
     default) and an optional ``[carbon_intensity_kg_per_mwh]`` section
     naming the intensities (``grid_average = 428``). A file that cannot be
     read or parsed, or a missing, unknown or invalid value, raises
-    ``ConfigError``."""
+    ``ConfigError``, as does an intensity named like a ``[scenario]`` key:
+    that is how a ``[DEFAULT]`` key, which the reader merges into every
+    section, would otherwise turn up as an intensity."""
     sections = read_ini(path, "scenario spec")
     if "scenario" not in sections:
         raise ConfigError(f"{path}: missing [scenario] section")
     kinds = {"nodes": int, "gpus_per_node": int, "loss_convention": str}
     bands = sections.get("carbon_intensity_kg_per_mwh", {})
+    shared = [name for name in bands if name in sections["scenario"]]
+    if shared:
+        raise ConfigError(
+            f"{path}: invalid scenario spec: [carbon_intensity_kg_per_mwh] "
+            f"and [scenario] both hold {', '.join(shared)} (from a "
+            "[DEFAULT] section?)"
+        )
     try:
         return ScenarioSpec(
             **{key: kinds.get(key, float)(value)

@@ -406,6 +406,11 @@ BAD_INPUT = {
             "pue = 1.1", "pue_facility = 1.1"
         )),
     ],
+    # a [DEFAULT] key is merged into every section, the intensities too
+    "spec-default-key-becomes-an-intensity": lambda t: [
+        "scenario", "--spec", _written(t, "s.ini", "[DEFAULT]\npue = 1.2\n"
+            + Path(FLEET).read_text().replace("pue = 1.1\n", "")),
+    ],
     "manifest-nul-byte": lambda t: [
         "fit", "--manifest",
         _written(t, "m.csv", "config,trace\nw\0.ini,t.csv\n"),

@@ -1187,13 +1187,13 @@ def _reference_gauss_newton(objective, theta0, rows, tol, max_iter):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lower = objective.lower
         theta = np.maximum(theta0, lower)
-        resid, g = objective.residual(theta, rows)
+        resid = objective.residual(theta, rows)
         sse = objective.sse(resid, rows)
         converged = np.zeros(len(theta), dtype=bool)
         live = np.arange(len(theta))
         for _ in range(max_iter):
             step = fitmod._step(
-                objective, theta[live], rows[live], resid[live], g[live]
+                objective, theta[live], rows[live], resid[live]
             )
             finite = np.isfinite(step).all(axis=-1)
             todo = live[finite]
@@ -1205,7 +1205,7 @@ def _reference_gauss_newton(objective, theta0, rows, tol, max_iter):
             scale = 1.0
             for _ in range(fitmod.MAX_HALVINGS):
                 cand = np.maximum(at + scale * step, lower)
-                cand_resid, cand_g = objective.residual(cand, at_rows)
+                cand_resid = objective.residual(cand, at_rows)
                 cand_sse = objective.sse(cand_resid, at_rows)
                 down = cand_sse <= limit
                 if down.any():
@@ -1213,7 +1213,6 @@ def _reference_gauss_newton(objective, theta0, rows, tol, max_iter):
                     small = fitmod._relative_change(cand[down], at[down]) < tol
                     theta[moved] = cand[down]
                     resid[moved] = cand_resid[down]
-                    g[moved] = cand_g[down]
                     sse[moved] = cand_sse[down]
                     converged[moved[small]] = True
                     going.append(moved[~small])
@@ -1596,19 +1595,6 @@ class TestHybridStep:
                     err_msg=f"{case} ({i}, {j})",
                 )
 
-    def test_kept_shape_values_give_the_fresh_derivatives(
-        self, desk_dataset
-    ):
-        objective, theta0, rows = _loocv_batch(desk_dataset, ModelForm.SIGMOID)
-        _, g = objective.residual(theta0, rows)
-        kept = objective.derivatives(theta0, rows, g)
-        fresh = objective.derivatives(theta0, rows)
-        for got, want in zip(kept[0], fresh[0]):
-            assert np.array_equal(got, want)
-        assert kept[1].keys() == fresh[1].keys()
-        for key in fresh[1]:
-            assert np.array_equal(kept[1][key], fresh[1][key])
-
     @pytest.mark.parametrize("form", STAGE1_FORMS, ids=lambda f: f.value)
     @pytest.mark.parametrize("data", ["desk", "synthetic-0", "synthetic-1"])
     def test_tied_starts_give_one_estimate(
@@ -1763,7 +1749,7 @@ class TestOptimizerMap:
         rows = np.zeros(len(theta), dtype=int)
         with np.errstate(divide="ignore"):  # as in the kernel
             user = objective.user(theta, rows)
-            sse = objective.sse(objective.residual(theta, rows)[0], rows)
+            sse = objective.sse(objective.residual(theta, rows), rows)
         assert np.isfinite(user[:2]).all()
         assert (user[:2, 1] >= model.K_FLOOR).all()
         assert np.isnan(user[2:]).all()
@@ -1800,8 +1786,8 @@ class TestOptimizerMap:
             step[0, i] = h
             # the curve is the table's means less the residuals
             numeric = (
-                objective.residual(theta - step, rows)[0]
-                - objective.residual(theta + step, rows)[0]
+                objective.residual(theta - step, rows)
+                - objective.residual(theta + step, rows)
             ) / (2.0 * h)
             np.testing.assert_allclose(
                 J[i], numeric, rtol=1e-6,

@@ -575,6 +575,25 @@ def test_clean_traces_never_reach_csv_reader(monkeypatch):
     assert len(via_csv[-1]) == 64  # traces, not an error message
 
 
+@pytest.mark.parametrize("row", [
+    "w1,n2,-1.0,5.0", "w1,n2,0.0,0.0", "w1,n2,0.0,-5.0", "w1,n2,nan,5.0",
+    "w1,n2,0.0,inf", "w1,n2,2.0,5.0", "w1,n1,0.0,5.0",
+])
+def test_clean_text_that_fails_a_check_is_read_once(row, monkeypatch):
+    """A clean text with a bad number, a duplicate sample, or one that
+    repeats an earlier row out of time order raises csv.reader's message
+    for the same rows (its CRLF twin) without being tokenized again."""
+    text = TRACE_TEXT + row + "\n"
+    via_csv = _outcome(parse_trace_file, text.replace("\n", "\r\n"))
+    assert via_csv.startswith("line "), via_csv
+
+    def tokenize(text):
+        raise AssertionError("clean text reached csv.reader")
+
+    monkeypatch.setattr(ingest, "_tokenize", tokenize)
+    assert _outcome(parse_trace_file, text) == via_csv
+
+
 def _node_trace(elapsed, power):
     return NodeTrace(
         workload_id="w", node_id="n", elapsed_s=elapsed, power_kw=power
