@@ -242,9 +242,9 @@ def parse_trace_file(
     (see ``_load_clean``) is parsed by one ``np.loadtxt`` call, other text
     by ``csv.reader``; both paths share the checks on the numbers, so an
     error reads the same on either. On bad input the error names the first
-    offending row in file order; within a row the checks run in the order: field count,
-    workload id, node id, numbers, negative elapsed time, power, non-finite
-    value, duplicate.
+    offending row in file order; within a row the checks run in the order:
+    field count, workload id, node id, numbers, negative elapsed time,
+    power, non-finite value, duplicate.
 
     Parameters
     ----------

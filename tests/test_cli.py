@@ -408,8 +408,9 @@ BAD_INPUT = {
     ],
     # a [DEFAULT] key is merged into every section, the intensities too
     "spec-default-key-becomes-an-intensity": lambda t: [
-        "scenario", "--spec", _written(t, "s.ini", "[DEFAULT]\npue = 1.2\n"
-            + Path(FLEET).read_text().replace("pue = 1.1\n", "")),
+        "scenario", "--spec", _written(t, "s.ini", "[DEFAULT]\npue = 1.2\n" + (
+            Path(FLEET).read_text().replace("pue = 1.1\n", "")
+        )),
     ],
     "manifest-nul-byte": lambda t: [
         "fit", "--manifest",
