@@ -9,9 +9,11 @@ specs), and CSV and JSON files are written with ``write_csv`` and
 
 The module imports no numpy, and neither do ``flops``, ``reference``,
 ``scenario`` and ``cli``: with the package's lazy ``__init__``, that is
-all ``nodepower scenario`` and ``nodepower flops`` load. ``configparser``
-is imported only for INI text outside the subset ``read_ini`` reads
-itself.
+all ``nodepower scenario`` and ``nodepower flops`` load. ``flops`` is
+imported only where a config's architecture is parsed or a compute
+estimate attached, so ``nodepower scenario`` does not load it.
+``configparser`` is imported only for INI text outside the subset
+``read_ini`` reads itself.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from . import flops
 from .reference import Architecture_CNN, Architecture_LLM
 
 if TYPE_CHECKING:
+    from . import flops
     from .ingest import NodeTrace
 
 # an INI file's sections: section name -> lowercased key -> value
@@ -281,6 +283,8 @@ def _get(section: dict[str, str], name: str, key: str, kind=str):
 def _parse_llm_section(
     section: dict[str, str], total_gpus: int
 ) -> flops.LlmArch:
+    from . import flops
+
     llm = Architecture_LLM
     common = dict(
         hidden_size=_get(section, llm, "hidden_size", int),
@@ -314,6 +318,8 @@ def _parse_llm_section(
 
 
 def _parse_cnn_section(section: dict[str, str]) -> flops.CnnArch:
+    from . import flops
+
     cnn = Architecture_CNN
     return flops.CnnArch(
         flops_per_image=(
@@ -381,6 +387,8 @@ def with_compute(record: WorkloadRecord) -> WorkloadRecord:
     computed value is what the dataset uses either way. Every model form
     needs a finite intensity above one operation per node (x > 0).
     """
+    from . import flops
+
     if record.arch_params is None:
         raise ConfigError(
             f"{record.workload_id}: no architecture parameters; cannot "

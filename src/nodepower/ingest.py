@@ -16,6 +16,14 @@ The two input error types, the file readers and writers and
 workload-config parsing live in ``nodepower.files``, which imports no
 numpy; they stay importable from here.
 
+A manifest's trace files are read one by one, and their clean texts
+(see ``_clean_text``) are parsed in batches of at most ``BATCH_ROWS``
+data lines: one ``np.loadtxt`` call, one node-id coding and one set of
+checks per batch, since on short traces those fixed costs outweigh the
+rows. A larger file, and text that is not clean, is parsed alone, and a
+batch that fails a check is parsed again one file at a time, so records
+and errors are those of loading each workload in turn.
+
 Energy is average power times node count times duration. That is how the
 reference summaries were built (their reported energies reproduce within
 rounding), and it keeps 2-second and 5-minute sampling comparable without
@@ -30,7 +38,7 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -136,66 +144,123 @@ class WorkloadSummary:
 
 _TRACE_HEADER = ("workload_id", "node_id", "elapsed_s", "power_kw")
 
+# Data lines per np.loadtxt call when a manifest's clean trace files are
+# parsed together; a file with more lines is parsed alone. A batch holds
+# its texts, lines and table at once, so a larger bound raises peak memory
+# while saving little more: past a few dozen files a batch, the per-file
+# text checks and traces outweigh the per-call cost.
+BATCH_ROWS = 2048
 
 # Besides the newline, what csv.reader or str.strip treats specially in
 # ASCII text: the quote, CR, NUL and whitespace.
 _NOT_CLEAN = '"\r\0 \t\v\f\x1c\x1d\x1e\x1f'
 
 
-def _load_clean(
-    text: str, workload_id: str
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
-    """The distinct node ids, each row's node code and the two number
-    columns of clean trace text, in file order; None for other text.
+class _CleanText(NamedTuple):
+    """A clean trace text (see ``_clean_text``), the number of its lines
+    that start with the workload id (its data lines, if it is clean), and
+    the width in UCS-4 units that ``np.loadtxt`` gives its node ids."""
+
+    workload_id: str
+    text: str
+    rows: int
+    width: int
+
+
+def _clean_text(text: str, workload_id: str) -> _CleanText | None:
+    """The text, if it may be clean trace text; None for other text.
 
     Clean text is ASCII with no quote, CR, NUL, empty node id or whitespace
     but newlines. It starts with the exact header, and every data line has
     four fields, the first ``workload_id``, and fits the csv field limit.
-    One ``np.loadtxt`` call reads the other three, whose numbers are those
-    ``float`` reads: both parse with ``PyOS_string_to_double``, and loadtxt
-    rejects what only ``float`` takes, such as ``1_0``.
+    ``np.loadtxt`` reads the other three (see ``_parse_clean``). The text
+    is checked as a whole here; that no other line follows the header is
+    checked when it is split into lines, as it is parsed.
     """
     if (not text.isascii() or any(c in text for c in _NOT_CLEAN)
             or ",," in text or "," in workload_id or "\n" in workload_id):
         return None
-    # split on "\n" only: str.splitlines also splits on \v, \f and \x1c-\x1e
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    rows = len(lines) - 1
+    rows = text.count("\n" + workload_id + ",")
+    header = ",".join(_TRACE_HEADER) + "\n"
     # no line reaches the field size limit when every aligned block of half
     # of it holds a newline
     block = max(csv.field_size_limit() // 2, 1)
     # loadtxt needs four fields on each line; three commas a line make it
     # exactly four
-    if (rows < 1 or lines[0] != ",".join(_TRACE_HEADER)
-            or text.count(",") != 3 * len(lines)
-            or text.count("\n" + workload_id + ",") != rows
+    if (rows < 1 or not text.startswith(header)
+            or text.count(",") != 3 * (rows + 1)
             or any(text.find("\n", i, i + block) < 0
                    for i in range(0, len(text) - block + 1, block))):
         return None
     # room for node ids twice as long as the first row's, or as long as the
     # mean line, and one UCS-4 unit more that stays zero unless an id was
-    # cut short
-    width = min(2 * len(lines[1].split(",", 2)[1]), len(text) // rows) + 1
+    # cut short (a first data line without the workload id fails the line
+    # count in _parse_clean before the width is used)
+    start = len(header) + len(workload_id) + 1
+    first = text.find(",", start) - start
+    width = min(2 * first, len(text) // rows) + 1
+    return _CleanText(workload_id, text, rows, width)
+
+
+def _parse_clean(
+    texts: Sequence[_CleanText],
+) -> list[tuple[NodeTrace, ...]] | None:
+    """Each clean text's traces, all parsed by one ``np.loadtxt`` call and
+    checked together; None if a text holds a line that does not start with
+    its workload id, if loadtxt rejects a line or cuts a node id short, or,
+    for more than one text, if a check fails.
+
+    The numbers are those ``float`` reads: both parse with
+    ``PyOS_string_to_double``, and loadtxt rejects what only ``float``
+    takes, such as ``1_0``. Node ids are coded per (text, id), so each
+    text's codes follow the last text's and the checks of ``_traces`` see
+    each text on its own. One text is the batch of one: a check that fails
+    raises its error, on csv's line (row i is on line i + 2).
+    """
+    width = max(t.width for t in texts)
+    data: list[str] = []
+    for t in texts:
+        # split on "\n" only: str.splitlines also splits on \v, \f and
+        # \x1c-\x1e
+        lines = t.text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        if len(lines) != t.rows + 1:  # say, a blank line
+            return None
+        data += lines[1:]
+    del lines
     try:
         table = np.loadtxt(
-            lines, [("node", f"U{width}"), ("elapsed", "f8"), ("power", "f8")],
-            comments=None, delimiter=",", skiprows=1, usecols=(1, 2, 3),
-            ndmin=1,
+            data, [("node", f"U{width}"), ("elapsed", "f8"), ("power", "f8")],
+            comments=None, delimiter=",", usecols=(1, 2, 3), ndmin=1,
         )
     except ValueError:
         return None
+    del data  # the lines take more memory than the text: free them early
+    rows = len(table)
     if table.view(np.uint32).reshape(rows, -1)[:, width - 1].any():
         return None
-    # node ids are coded run by run: a file holds few runs of equal ids
+    # node ids are coded run by run: a text holds few runs of equal ids,
+    # and each text starts a run
     nodes = table["node"]
-    heads = np.flatnonzero(np.concatenate(([True], nodes[1:] != nodes[:-1])))
-    node_ids: dict[str, int] = {}
-    run_codes = [node_ids.setdefault(v, len(node_ids))
-                 for v in nodes[heads].tolist()]
-    codes = np.repeat(run_codes, np.diff(heads, append=rows))
-    return list(node_ids), codes, table["elapsed"], table["power"]
+    firsts = np.cumsum([0] + [t.rows for t in texts[:-1]])
+    new = np.concatenate(([True], nodes[1:] != nodes[:-1]))
+    new[firsts] = True
+    heads = np.flatnonzero(new)
+    owner = np.searchsorted(firsts, heads, "right") - 1
+    node_ids: dict[tuple[int, str], int] = {}
+    run_codes = [node_ids.setdefault(key, len(node_ids))
+                 for key in zip(owner.tolist(), nodes[heads].tolist())]
+    counts = [0] * len(texts)
+    for i, _ in node_ids:
+        counts[i] += 1
+    return _traces(
+        [(t.workload_id, n) for t, n in zip(texts, counts)],
+        [node for _, node in node_ids],
+        np.repeat(run_codes, np.diff(heads, append=rows)),
+        table["elapsed"], table["power"],
+        range(2, rows + 2) if len(texts) == 1 else None,
+    )
 
 
 def _tokenize(
@@ -239,12 +304,14 @@ def parse_trace_file(
     """Parse one workload's trace file into per-node traces.
 
     The text is read once and each column is checked as a whole. Clean text
-    (see ``_load_clean``) is parsed by one ``np.loadtxt`` call, other text
-    by ``csv.reader``; both paths share the checks on the numbers, so an
-    error reads the same on either. On bad input the error names the first
-    offending row in file order; within a row the checks run in the order:
-    field count, workload id, node id, numbers, negative elapsed time,
-    power, non-finite value, duplicate.
+    (see ``_clean_text``) is parsed as a batch of one by ``_parse_clean``,
+    the parser ``load_manifest`` gives batches of several files: one
+    ``np.loadtxt`` call. Other text, and clean text that loadtxt rejects,
+    is parsed by ``csv.reader``. Both paths share the checks on the
+    numbers, so an error reads the same on either. On bad input the error
+    names the first offending row in file order; within a row the checks
+    run in the order: field count, workload id, node id, numbers, negative
+    elapsed time, power, non-finite value, duplicate.
 
     Parameters
     ----------
@@ -270,10 +337,19 @@ def parse_trace_file(
         message names the 1-based line), or a file that cannot be read.
     """
     text = read_text(path_or_stream, TraceFormatError, "trace file")
-    clean = _load_clean(text, workload_id)
+    return _parse_text(text, _clean_text(text, workload_id), workload_id)
+
+
+def _parse_text(
+    text: str, clean: _CleanText | None, workload_id: str
+) -> tuple[NodeTrace, ...]:
+    """The traces of one trace text: clean text (``clean``, from
+    ``_clean_text``) as the batch of one; other text, and clean text that
+    ``np.loadtxt`` rejects, by ``csv.reader``."""
     if clean is not None:
-        # clean text has no blank line: row i is on csv's line i + 2
-        return _traces(workload_id, *clean, range(2, len(clean[1]) + 2))
+        traces = _parse_clean([clean])
+        if traces is not None:
+            return traces[0]
     header, lines, (wids, node_text, elapsed_text, power_text), error = (
         _tokenize(text)
     )
@@ -314,8 +390,9 @@ def parse_trace_file(
         map(code_of.__getitem__, islice(node_text, n)), np.intp, n
     )
     return _traces(
-        workload_id, list(node_ids), codes, elapsed, power, lines, error
-    )
+        [(workload_id, len(node_ids))], list(node_ids), codes, elapsed, power,
+        lines, error,
+    )[0]
 
 
 def _failure(
@@ -328,18 +405,26 @@ def _failure(
 
 
 def _traces(
-    workload_id: str, node_ids: list[str], codes: np.ndarray,
-    elapsed: np.ndarray, power: np.ndarray, lines: Sequence[int],
-    error: Exception | None = None,
-) -> tuple[NodeTrace, ...]:
+    workloads: Sequence[tuple[str, int]], node_ids: list[str],
+    codes: np.ndarray, elapsed: np.ndarray, power: np.ndarray,
+    lines: Sequence[int] | None, error: Exception | None = None,
+) -> list[tuple[NodeTrace, ...]] | None:
     """The traces of the rows that passed the checks so far, ``len(codes)``
     of them (a code indexes ``node_ids``), if their numbers pass; else the
-    error of the first offending row."""
+    error of the first offending row.
+
+    ``workloads`` holds each text's workload id and node count, in code
+    order: the codes of one text are above those of the texts before it.
+    Without ``lines`` (a batch of several texts), a check that fails
+    returns None instead of wording an error.
+    """
     n = len(codes)
     # one pass over each column accepts every row; the loop words the
     # first failure
     if not (n and 0 <= elapsed[:n].min() and elapsed[:n].max() < np.inf
             and 0 < power[:n].min() and power[:n].max() < np.inf):
+        if lines is None:
+            return None
         for bad, message in (
             (elapsed < 0, "negative elapsed_s ({e})"),
             (~(power > 0), "non-positive power_kw ({p})"),
@@ -364,6 +449,8 @@ def _traces(
         same = ((sorted_codes[1:] == sorted_codes[:-1])
                 & (times[1:] == times[:-1]))
         if same.any():
+            if lines is None:
+                return None
             row = int(order[1:][same].min())
             n, error = _failure(lines, row, f"duplicate sample for node "
                                 f"{node_ids[codes[row]]!r} at elapsed_s="
@@ -377,10 +464,13 @@ def _traces(
     ).tolist()
     # each trace owns a copy: slices would keep the file's whole sorted
     # columns alive, one large block per file, which fragments the heap
-    return tuple(
-        NodeTrace(workload_id, node_id, times[a:b].copy(), powers[a:b].copy())
-        for node_id, a, b in zip(node_ids, [0] + ends, ends)
-    )
+    spans = zip(node_ids, [0] + ends, ends)
+    return [
+        tuple(NodeTrace(workload_id, node_id, times[a:b].copy(),
+                        powers[a:b].copy())
+              for node_id, a, b in islice(spans, count))
+        for workload_id, count in workloads
+    ]
 
 
 def _floats(texts: Sequence[str], n: int) -> np.ndarray:
@@ -627,17 +717,64 @@ def assemble_dataset(records: Iterable[WorkloadRecord]) -> WorkloadTable:
 # manifests and exclusion files
 # ---------------------------------------------------------------------------
 
+class _Workload(NamedTuple):
+    """A workload's config record and trace text, read but not parsed."""
+
+    record: WorkloadRecord
+    trace_path: str | Path
+    text: str
+    clean: _CleanText | None  # see _clean_text
+
+
+def _read_workload(
+    config_path: str | Path, trace_path: str | Path
+) -> _Workload:
+    record = load_workload_config(config_path)
+    text = read_text(trace_path, TraceFormatError, "trace file")
+    return _Workload(
+        record, trace_path, text, _clean_text(text, record.workload_id)
+    )
+
+
+def _with_traces(
+    workload: _Workload, traces: tuple[NodeTrace, ...] | None = None
+) -> WorkloadRecord:
+    """The workload's record holding its traces, parsed from its own text
+    unless given. An error in the text is prefixed with the trace file's
+    path, and more traced nodes than the config's node count raise
+    ``ConfigError``."""
+    path = workload.trace_path
+    if traces is None:
+        try:
+            traces = _parse_text(
+                workload.text, workload.clean, workload.record.workload_id
+            )
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{path}: {exc}") from exc
+    try:
+        return replace(workload.record, traces=traces)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _with_batch_traces(batch: Sequence[_Workload]) -> list[WorkloadRecord]:
+    """The records of a batch of workloads, in order. Several clean texts
+    are parsed together; a batch that fails a check is parsed again one
+    text at a time, so the error raised is that of the first workload
+    that fails."""
+    traces = _parse_clean([w.clean for w in batch]) if len(batch) > 1 else None
+    if traces is None:
+        return [_with_traces(w) for w in batch]
+    return [_with_traces(w, t) for w, t in zip(batch, traces)]
+
+
 def load_workload(
     config_path: str | Path, trace_path: str | Path
 ) -> WorkloadRecord:
-    """Config plus traces: one fully populated record. More traced nodes
-    than the config's node count raise ``ConfigError``."""
-    record = load_workload_config(config_path)
-    traces = parse_trace_file(trace_path, record.workload_id)
-    try:
-        return replace(record, traces=traces)
-    except ValueError as exc:
-        raise ConfigError(f"{trace_path}: {exc}") from exc
+    """Config plus traces: one fully populated record. An error in the
+    trace text names the trace file, and more traced nodes than the
+    config's node count raise ``ConfigError``."""
+    return _with_traces(_read_workload(config_path, trace_path))
 
 
 def _read_pairs(
@@ -670,15 +807,38 @@ def load_manifest(path: str | Path) -> tuple[WorkloadRecord, ...]:
     """Load every (config, trace) pair named by a manifest file.
 
     Paths inside the manifest resolve relative to the manifest's directory.
+    Each workload's config and trace text are read in manifest order, and
+    runs of clean texts (see ``_clean_text``) of at most ``BATCH_ROWS``
+    data lines in all are parsed together: one ``np.loadtxt`` call and one
+    set of checks per batch (see ``_parse_clean``). A text that is not
+    clean, or has ``BATCH_ROWS`` lines or more, is parsed alone. Records,
+    traces and errors are those of ``load_workload`` called on each pair
+    in turn: the first workload that fails raises, its config checked
+    before its trace.
     """
     path = Path(path)
-    records = tuple(
-        load_workload(path.parent / config, path.parent / trace)
-        for config, trace in _read_pairs(path, ("config", "trace"), "manifest")
-    )
+    records: list[WorkloadRecord] = []
+    batch: list[_Workload] = []
+    rows = 0
+    for config, trace in _read_pairs(path, ("config", "trace"), "manifest"):
+        try:
+            workload = _read_workload(path.parent / config, path.parent / trace)
+        except ValueError:
+            _with_batch_traces(batch)  # an earlier workload's error first
+            raise
+        size = workload.clean.rows if workload.clean else BATCH_ROWS
+        if rows + size > BATCH_ROWS:
+            records += _with_batch_traces(batch)
+            batch, rows = [], 0
+        batch.append(workload)
+        rows += size
+        if rows >= BATCH_ROWS:  # parsed before the next text is read
+            records += _with_batch_traces(batch)
+            batch, rows = [], 0
+    records += _with_batch_traces(batch)
     if not records:
         raise ConfigError(f"{path}: manifest lists no workloads")
-    return records
+    return tuple(records)
 
 
 def load_and_assemble(

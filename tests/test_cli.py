@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -143,7 +144,8 @@ class TestFit:
         rc = main(["fit", "--manifest", str(manifest), "--out", str(tmp_path)])
         assert rc == 3
         assert capsys.readouterr().err.startswith(
-            "nodepower: error: input: line 2: field larger than field limit"
+            f"nodepower: error: input: {trace}: line 2: field larger than "
+            "field limit"
         )
 
 
@@ -518,6 +520,22 @@ def test_error_line_is_printable_ascii(tmp_path, capsys):
     line = capsys.readouterr().err.removesuffix("\n")
     assert "w\\x00.ini" in line, line
     assert line.isascii() and line.isprintable(), line
+
+
+def test_trace_row_error_names_its_file(tmp_path, capsys):
+    desk = tmp_path / "desk"
+    shutil.copytree(desk_dir(), desk)
+    trace = desk / "traces" / "smc-llama-70b-8.csv"
+    lines = trace.read_text().split("\n")
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",-1.0"
+    trace.write_text("\n".join(lines))
+    argv = ["fit", "--manifest", str(desk / "manifest.csv"),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"nodepower: error: input: {trace}: line 5: non-positive power_kw "
+        "(-1.0)\n"
+    )
 
 
 @pytest.mark.parametrize("rating, message", [

@@ -1012,6 +1012,188 @@ class TestManifest:
         )
 
 
+def _trace_lines(wid, rows, end="\n"):
+    """Trace text of ``wid`` holding rows given as ``node,elapsed,power``."""
+    header = ",".join(ingest._TRACE_HEADER)
+    return end.join([header, *(f"{wid},{row}" for row in rows)]) + end
+
+
+def _write_manifest(tmp_path, traces, nodes=4):
+    """A manifest of one LLM workload per trace text (a function of the
+    workload id), ``w0``, ``w1``, ..., each config allowing ``nodes``
+    nodes; the (config, trace) paths in manifest order."""
+    lines, pairs = ["config,trace"], []
+    for i, trace in enumerate(traces):
+        wid = f"w{i}"
+        config = _write_config(tmp_path, LLM_CONFIG.replace(
+            "id = w1", f"id = {wid}").replace("nodes = 2", f"nodes = {nodes}"),
+            f"{wid}.ini")
+        path = tmp_path / f"{wid}.csv"
+        path.write_bytes(trace(wid).encode())
+        lines.append(f"{wid}.ini,{wid}.csv")
+        pairs.append((config, path))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return manifest, pairs
+
+
+def _columns(traces):
+    return [(t.workload_id, t.node_id, t.elapsed_s.tobytes(),
+             t.power_kw.tobytes()) for t in traces]
+
+
+# clean, CRLF (csv.reader), out of time order (lexsort), interleaved
+# nodes, a node id longer than the widths the others give (np.loadtxt
+# would cut it short in a batch), a node id an earlier file also uses,
+# and a blank line (csv.reader)
+_MIXED_TRACES = [
+    lambda w: _trace_lines(w, ["n1,0.0,5.5", "n1,2.0,6.0", "n1,4.0,6.5"]),
+    lambda w: _trace_lines(w, ["n1,0.0,5.0", "n2,0.0,7.0"], "\r\n"),
+    lambda w: _trace_lines(w, ["n2,4.0,5.0", "n2,2.0,6.0", "n1,2.0,7.0",
+                               "n1,0.0,8.0"]),
+    lambda w: _trace_lines(w, ["n1,0.0,5.0", "n2,0.0,6.0", "n1,2.0,7.0",
+                               "n2,2.0,8.0"]),
+    lambda w: _trace_lines(w, ["a,0.0,5.0", "abcdefghijkl,0.0,6.0"]),
+    lambda w: _trace_lines(w, ["n1,0.0,9.0", "n3,0.0,9.5"]),
+    lambda w: _trace_lines(w, ["n1,0.0,5.0"]) + f"\n{w},n1,2.0,6.0\n",
+]
+
+
+@pytest.mark.parametrize("bound", [1, 5, ingest.BATCH_ROWS])
+def test_manifest_batches_parse_as_each_file_alone(bound, tmp_path,
+                                                    monkeypatch):
+    manifest, pairs = _write_manifest(tmp_path, _MIXED_TRACES)
+    monkeypatch.setattr(ingest, "BATCH_ROWS", bound)
+    records = ingest.load_manifest(manifest)
+    alone = [ingest.load_workload(config, trace) for config, trace in pairs]
+    assert [dataclasses.replace(r, traces=()) for r in records] == [
+        dataclasses.replace(r, traces=()) for r in alone
+    ]
+    assert [_columns(r.traces) for r in records] == [
+        _columns(parse_trace_file(trace, f"w{i}"))
+        for i, (_, trace) in enumerate(pairs)
+    ] == [_columns(r.traces) for r in alone]
+
+
+@pytest.mark.parametrize("text", [
+    "workload_id,node_id,elapsed_s,power_kw\nw1,n1,0.0,5.0\n\n"
+    "w1,n1,2.0,-1.0\n",
+    "workload_id,node_id,elapsed_s,power_kw\nw1,n1,0.0,5.0\n\n",
+])
+def test_blank_lines_keep_their_line_numbers(text):
+    """Text that passes the whole-text checks but holds a blank line, which
+    np.loadtxt would skip, is read by csv.reader, which counts it."""
+    assert _outcome(parse_trace_file, text) == _outcome(
+        parse_trace_file, text.replace("\n", "\r\n")
+    )
+
+
+@pytest.mark.parametrize("bound, sizes", [
+    (8, [3, 4, 2, 12, 1, 5, 6, 8, 7]),
+    (64, [20] * 9),
+    (ingest.BATCH_ROWS, [66] * 60),
+])
+def test_manifest_batches_keep_to_the_bound(bound, sizes, tmp_path,
+                                            monkeypatch):
+    """No np.loadtxt call reads more data lines than the larger of the
+    bound and the largest file, and files under the bound share calls."""
+    traces = [
+        lambda w, n=n: _trace_lines(w, [f"n{t % 2},{t // 2}.0,5.0"
+                                        for t in range(n)])
+        for n in sizes
+    ]
+    manifest, _ = _write_manifest(tmp_path, traces)
+    monkeypatch.setattr(ingest, "BATCH_ROWS", bound)
+    calls = []
+    real = np.loadtxt
+    monkeypatch.setattr(
+        np, "loadtxt", lambda data, *a, **k: calls.append(len(data))
+        or real(data, *a, **k)
+    )
+    records = ingest.load_manifest(manifest)
+    assert [sum(t.elapsed_s.size for t in r.traces) for r in records] == sizes
+    assert sum(calls) == sum(sizes)
+    assert max(calls) <= max(bound, max(sizes))
+    assert len(calls) < len(sizes)
+
+
+@pytest.mark.parametrize("defects", [
+    {2: "row", 4: "config"},
+    {1: "row", 3: "row"},
+    {1: "nodes", 3: "row"},
+    {3: "row", 1: "duplicate"},
+    {2: "row", 3: "missing"},
+    {0: "csv-row", 2: "row"},
+])
+def test_manifest_raises_the_first_workloads_error(defects, tmp_path):
+    """The error is that of loading each workload in turn: the first
+    failing workload in manifest order, its config before its trace. Bad
+    rows sit on a different line in each file, so the message tells the
+    workloads apart."""
+    def trace(i):
+        rows = [f"n1,{t}.0,5.0" for t in range(6)]
+        kind = defects.get(i)
+        if kind in ("row", "csv-row"):
+            rows[i] = f"n1,{i}.0,-1.0"
+        elif kind == "duplicate":
+            rows[i] = rows[i - 1]
+        elif kind == "nodes":  # five nodes for a config that allows four
+            rows = [f"n{t},0.0,5.0" for t in range(5)]
+        end = "\r\n" if kind == "csv-row" else "\n"
+        return lambda w: _trace_lines(w, rows, end)
+
+    manifest, pairs = _write_manifest(tmp_path, [trace(i) for i in range(6)])
+    for i, kind in defects.items():
+        if kind == "config":
+            pairs[i][0].write_text(
+                pairs[i][0].read_text().replace("nodes = 4", "nodes = four")
+            )
+        elif kind == "missing":
+            pairs[i][1].unlink()
+
+    def outcome(load, *args):
+        try:
+            load(*args)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return None
+
+    first = min(defects)
+    expected = outcome(ingest.load_workload, *pairs[first])
+    assert expected is not None
+    assert next(o for o in (outcome(ingest.load_workload, *pair)
+                            for pair in pairs) if o) == expected
+    assert outcome(ingest.load_manifest, manifest) == expected
+
+
+def test_trace_errors_name_the_trace_file_once(tmp_path):
+    rows = ["n1,0.0,5.0", "n1,2.0,5.0", "n1,4.0,-1.0"]
+    manifest, pairs = _write_manifest(
+        tmp_path, [lambda w: _trace_lines(w, rows[:2]),
+                   lambda w: _trace_lines(w, rows)],
+    )
+    config, trace = pairs[1]
+    message = "line 4: non-positive power_kw (-1.0)"
+    with pytest.raises(TraceFormatError) as alone:
+        parse_trace_file(trace, "w1")
+    assert str(alone.value) == message
+    for load, args in ((ingest.load_workload, pairs[1]),
+                       (ingest.load_manifest, (manifest,))):
+        with pytest.raises(TraceFormatError) as exc:
+            load(*args)
+        assert str(exc.value) == f"{trace}: {message}"
+    # a file that cannot be read is named by read_text alone
+    trace.unlink()
+    with pytest.raises(TraceFormatError) as alone:
+        parse_trace_file(trace, "w1")
+    assert str(alone.value).startswith(f"{trace}: cannot read trace file")
+    for load, args in ((ingest.load_workload, pairs[1]),
+                       (ingest.load_manifest, (manifest,))):
+        with pytest.raises(TraceFormatError) as exc:
+            load(*args)
+        assert str(exc.value) == str(alone.value)
+
+
 class TestDeskDataset:
     def test_shape(self, desk_dataset):
         assert desk_dataset.n_observations == 7450

@@ -135,6 +135,20 @@ with open(sys.argv[4], "w") as f:
 """
 
 
+def _loaded_run(commands, modules, tmp_path):
+    """The exit codes of the commands, run in one fresh interpreter, and
+    which of the modules got loaded."""
+    result = tmp_path / "result.json"
+    src = str(Path(nodepower.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", LOADED_RUN, src,
+         json.dumps(commands), json.dumps(modules), str(result)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(result.read_text()), proc.stderr
+
+
 def test_fit_and_loocv_do_not_load_numpy_ma_or_char(tmp_path):
     """numpy loads ``numpy.ma`` on the first ``np.unique`` of floats or
     ``np.percentile``, and ``numpy.char`` with ``numpy.strings`` on the
@@ -150,17 +164,19 @@ def test_fit_and_loocv_do_not_load_numpy_ma_or_char(tmp_path):
         ["loocv", *data, "--form", "sigmoid",
          "--out", str(tmp_path / "loocv")],
     ]
-    modules = ["numpy.ma", "numpy.char", "numpy.strings"]
-    result = tmp_path / "result.json"
-    src = str(Path(nodepower.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", LOADED_RUN, src,
-         json.dumps(commands), json.dumps(modules), str(result)],
-        capture_output=True, text=True,
+    got, stderr = _loaded_run(
+        commands, ["numpy.ma", "numpy.char", "numpy.strings"], tmp_path
     )
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(result.read_text())
-    assert got == {"codes": [0, 0, 0], "loaded": []}, proc.stderr
+    assert got == {"codes": [0, 0, 0], "loaded": []}, stderr
+
+
+def test_scenario_does_not_load_flops(tmp_path):
+    """A scenario reads no workload config, so it needs no operation
+    counts: ``nodepower.files`` imports ``flops`` only where a config's
+    architecture is parsed or a compute estimate attached."""
+    commands = [["scenario", "--spec", str(ROOT / "demos" / "fleet.ini")]]
+    got, stderr = _loaded_run(commands, ["nodepower.flops"], tmp_path)
+    assert got == {"codes": [0], "loaded": []}, stderr
 
 
 def test_scipy_is_not_a_runtime_dependency():

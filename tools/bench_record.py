@@ -1,6 +1,7 @@
 """Write the record of a benchmark comparison as ``BENCH_<pr>.json``.
 
-    python3 tools/bench_record.py PARENT_OUT CHANGE_OUT BENCH_17.json
+    python3 tools/bench_record.py PARENT_OUT CHANGE_OUT BENCH_20.json
+        [PARENT_COMMIT CHANGE_COMMIT]
 
 PARENT_OUT and CHANGE_OUT are the ``bench/out`` directories of two
 checkouts, the parent commit's and the change's, each filled by
@@ -11,6 +12,9 @@ workload and end-to-end metric, each side's quartiles, the pair count, the
 change's win share, its gain and the verdict. It adds the two commits, the
 host's CPU count, the Python and numpy versions the runs reported, and
 whether the runs' checkouts held compiled bytecode of the package.
+``bench/run.py`` reads the commit from the checkout's ``.git``, so runs
+made in a ``git archive`` export report ``unknown``; PARENT_COMMIT and
+CHANGE_COMMIT, when given, are recorded for those runs.
 """
 
 from __future__ import annotations
@@ -41,8 +45,11 @@ def _one(runs: list[dict], key: str) -> object:
     return found[0] if len(found) == 1 else found
 
 
-def _side(out: Path, runs: list[dict]) -> dict:
+def _side(out: Path, runs: list[dict], commit: str | None) -> dict:
     checkout = out.resolve().parent.parent
+    if commit:
+        runs = [{**r, "commit": commit} if r.get("commit") == "unknown"
+                else r for r in runs]
     return {
         "commit": _one(runs, "commit"),
         "runs": len(runs),
@@ -56,12 +63,13 @@ def _side(out: Path, runs: list[dict]) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 3:
+    if len(argv) not in (3, 5):
         print(__doc__, file=sys.stderr)
         return 2
     compare = _compare()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent_out, change_out, target = Path(argv[0]), Path(argv[1]), argv[2]
+    parent_commit, change_commit = argv[3:] or (None, None)
     parent_runs = compare.load_runs(parent_out)
     change_runs = compare.load_runs(change_out)
     if not parent_runs or not change_runs:
@@ -69,8 +77,8 @@ def main(argv: list[str]) -> int:
         return 2
     every = parent_runs + change_runs
     record = {
-        "parent": _side(parent_out, parent_runs),
-        "change": _side(change_out, change_runs),
+        "parent": _side(parent_out, parent_runs, parent_commit),
+        "change": _side(change_out, change_runs, change_commit),
         "cpu_count": _one(every, "cpu_count"),
         "python": _one(every, "python"),
         "numpy": _one(every, "numpy"),
