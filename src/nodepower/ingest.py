@@ -38,7 +38,7 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -822,10 +822,13 @@ def load_manifest(path: str | Path) -> tuple[WorkloadRecord, ...]:
     rows = 0
     for config, trace in _read_pairs(path, ("config", "trace"), "manifest"):
         try:
-            workload = _read_workload(path.parent / config, path.parent / trace)
-        except ValueError:
+            workload = _read_workload(
+                path.parent / config, path.parent / trace
+            )
+        except (ConfigError, TraceFormatError):
             _with_batch_traces(batch)  # an earlier workload's error first
             raise
+        # text that is not clean fills a batch: it is parsed alone
         size = workload.clean.rows if workload.clean else BATCH_ROWS
         if rows + size > BATCH_ROWS:
             records += _with_batch_traces(batch)
