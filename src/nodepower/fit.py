@@ -36,26 +36,27 @@ from the same shape evaluation as the Jacobian, and a problem whose
 H = J'J - S is positive definite takes the Newton step H^-1 J'r; the others,
 and every stage where no free parameter has curvature (the magnitudes of the
 saturation forms), take the Gauss-Newton step (a hybrid method: Fletcher &
-Xu 1987, *IMA J. Numer. Anal.* 7). All starts of a fit, and in ``loocv``
-every start of every holdout, iterate together as one array problem in
-one loop: the parameters of B problems form a (B, p) array, each problem
-halves its own step and stops on its own, and both steps are solved in
-closed form from one Gram-Schmidt. Each iteration tries every problem's
-full step; the problems whose full step raises the SSE then try their
-halvings together, several scales per problem in one evaluation. Memory is
-bounded per evaluation, not per problem: no curve or derivative evaluation,
-halvings and the optimum tests of the winners included, takes more than
-``BATCH_ELEMENTS`` problems x workloads, so a large batch makes more calls,
-not larger ones. The residuals carried between iterations are bounded
-too: a batch of more than ``LIVE_ELEMENTS`` problems x workloads runs in
-slices of that size, each in its own loop. Every reduction runs along one
-problem's row, so each problem is bit-identical to a run on its own, and the
-halvings give the bits that trying one scale at a time would. Every stage,
-with one free parameter or two, converges in one way only: a small final
-step, at a full-rank Jacobian, with a relative offset of at most 1e-3; the
-step and the offset test share one Gram-Schmidt and its rank rule.
-Everything is deterministic: same data in, same estimates out, to the last
-bit.
+Xu 1987, *IMA J. Numer. Anal.* 7). All starts of a fit iterate together
+as one array problem in one loop, and so do ``loocv``'s holdouts, one
+start each: the lowest-SSE point of the holdout's own start grid, scored
+without iterating. The parameters of B problems form a (B, p) array,
+each problem halves its own step and stops on its own, and both steps are
+solved in closed form from one Gram-Schmidt. Each iteration tries every
+problem's full step; the problems whose full step raises the SSE then try
+their halvings together, several scales per problem in one evaluation.
+Memory is bounded per evaluation, not per problem: no curve or derivative
+evaluation, halvings and the optimum tests of the winners included, takes
+more than ``BATCH_ELEMENTS`` problems x workloads, so a large batch makes
+more calls, not larger ones. The residuals carried between iterations are
+bounded too: a batch of more than ``LIVE_ELEMENTS`` problems x workloads
+runs in slices of that size, each in its own loop. Every reduction runs
+along one problem's row, so each problem is bit-identical to a run on its
+own, and the halvings give the bits that trying one scale at a time would.
+Every stage, with one free parameter or two, converges in one way only: a
+small final step, at a full-rank Jacobian, with a relative offset of at
+most 1e-3; the step and the offset test share one Gram-Schmidt and its
+rank rule. Everything is deterministic: same data in, same estimates out,
+to the last bit.
 
 Every curve, gradient and parameter role comes from the form table,
 ``nodepower.model.FORMS``; this module holds no formula of its own and
@@ -644,24 +645,69 @@ def _start_points(
     return objective.internal(user, rows), rows, counts
 
 
+def _lowest_sse_starts(
+    objective: _Objective,
+    theta0: np.ndarray,
+    rows: np.ndarray,
+    counts: Sequence[int],
+) -> np.ndarray:
+    """Index into ``theta0`` of each table's first start, in start order,
+    with the lowest weighted SSE, NaN read as +inf. The starts lie in
+    table order, ``counts[t]`` of them for table t; each is scored once,
+    without iterating, in calls of at most ``_per_call`` problems."""
+    size = _per_call(objective)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sse = np.concatenate([
+            objective.sse(
+                objective.residual(theta0[i:i + size], rows[i:i + size]),
+                rows[i:i + size],
+            )
+            for i in range(0, len(theta0), size)
+        ])
+    sse[np.isnan(sse)] = np.inf
+    return _first_lowest(sse, counts)
+
+
+def _first_lowest(
+    sse: np.ndarray, counts: Sequence[int], rel: float = 0.0
+) -> np.ndarray:
+    """Index of each table's first SSE that is at most the table's lowest
+    times (1 + ``rel``), or of its first if every one is NaN. The SSEs lie
+    in table order, ``counts[t]`` of them for table t."""
+    first = np.cumsum([0, *counts[:-1]])
+    lowest = np.fmin.reduceat(sse, first)
+    within = sse <= np.repeat(lowest * (1.0 + rel), counts)
+    index = np.where(within, np.arange(len(sse)), len(sse))
+    picks = np.minimum.reduceat(index, first)
+    return np.where(picks < len(sse), picks, first)
+
+
 def _check_identified(
     spec: FormSpec, free: tuple[str, ...], x: np.ndarray, arch: np.ndarray
 ) -> None:
-    """Raise DegenerateDataError unless one table's intensities ``x`` and
-    architectures ``arch`` can identify the free parameters."""
-    # the size of np.unique(x), all NaNs one value; np.unique on floats
-    # would load numpy.ma, which a fresh process need not import
-    values = x.tolist()
-    if len({v for v in values if v == v}) + any(v != v for v in values) < 2:
-        raise DegenerateDataError(
-            "need at least two distinct intensity values"
-        )
+    """Raise DegenerateDataError unless the intensities ``x`` and
+    architectures ``arch`` of every table, one table or one per row, can
+    identify the free parameters. The first table that cannot names the
+    reason, its distinct intensities checked first."""
+    # distinct values as np.unique counts them, all NaNs one value (NaNs
+    # sort last); np.unique on floats would load numpy.ma, which a fresh
+    # process need not import
+    s = np.sort(np.atleast_2d(x), axis=-1)
+    distinct = (s.shape[-1] > 0) + np.count_nonzero(
+        ~((s[:, 1:] == s[:, :-1]) | np.isnan(s[:, :-1])), axis=-1
+    )
+    checks = [(distinct < 2, "need at least two distinct intensity values")]
     for name in free:
         needed = spec.per_arch.get(name)
-        if needed is not None and not np.any(arch == needed):
-            raise DegenerateDataError(
-                f"no {needed.upper()} observations to identify {name}"
-            )
+        if needed is not None:
+            checks.append((
+                ~np.any(np.atleast_2d(arch) == needed, axis=-1),
+                f"no {needed.upper()} observations to identify {name}",
+            ))
+    failed = np.array([f for f, _ in checks])  # (checks, tables)
+    if failed.any():
+        first = failed[:, np.argmax(failed.any(axis=0))]
+        raise DegenerateDataError(checks[int(np.argmax(first))][1])
 
 
 def _winners(
@@ -679,16 +725,10 @@ def _winners(
     a full-rank Jacobian with a relative offset of at most ``OFFSET_TOL``,
     whatever the number of free parameters.
     """
-    picks = []
-    start = 0
-    for count in counts:
-        # starts that reach one optimum differ in SSE only by rounding:
-        # take the first, in start order, within rounding of the lowest
-        # SSE, so that the winner does not depend on summation order
-        mine = sse[start:start + count]
-        lowest = np.fmin.reduce(mine)
-        picks.append(start + int(np.argmax(mine <= lowest * (1.0 + 1e-12))))
-        start += count
+    # starts that reach one optimum differ in SSE only by rounding: take
+    # the first, in start order, within rounding of the lowest SSE, so that
+    # the winner does not depend on summation order
+    picks = _first_lowest(sse, counts, 1e-12)
     theta, sse, ok = theta[picks], sse[picks], converged[picks]
     # a run can also stop on a small step where the Jacobian has rank 1,
     # as at a sigmoid's edge c1 -> 0+ (a curve flat over the data), or
@@ -705,6 +745,22 @@ def _winners(
             np.sqrt(_EPS * np.mean(y * y, axis=-1)),
         ) <= OFFSET_TOL
     return theta, sse, ok
+
+
+def _multi_start(
+    objective: _Objective,
+    tol: float,
+    max_iter: int,
+    starts: Sequence[Mapping[str, float]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_winners`` of every table's ``_start_points`` (``starts``, or the
+    form table's), all iterated as one batch."""
+    theta0, rows, counts = _start_points(objective, starts)
+    return _winners(
+        objective,
+        *_gauss_newton(objective, theta0, rows, tol, max_iter),
+        counts,
+    )
 
 
 def _not_converged(form: ModelForm, max_iterations: int) -> Exception:
@@ -799,13 +855,8 @@ def wnls_fit(
     objective = _Objective(
         spec, fixed, free, table, np.arange(len(table.x))[None]
     )
-    theta0, rows, counts = _start_points(objective, starts)
-    theta, sse, ok = _winners(
-        objective,
-        *_gauss_newton(
-            objective, theta0, rows, convergence_tol, max_iterations
-        ),
-        counts,
+    theta, sse, ok = _multi_start(
+        objective, convergence_tol, max_iterations, starts
     )
     if not ok[0]:
         raise _not_converged(form, max_iterations)
@@ -1085,6 +1136,16 @@ def loocv(
     holdouts, plus two flags: workloads whose omission moves any parameter
     more than two SDs from the holdout mean, and the single most divergent
     holdout per parameter.
+
+    A holdout's shape is the stage-1 fit of ``wnls_fit`` on the table
+    without that workload, from one start: every point of the start grid
+    that fit would use is scored once, and the first with the lowest
+    weighted SSE (NaN read as +inf) iterates. So the kernel runs one
+    problem per holdout, all in one batch, and each holdout's estimates
+    are bit for bit those of that ``wnls_fit`` run from that start alone,
+    and equal its multi-start fit to rounding. A holdout whose run is not
+    at an optimum iterates its whole grid instead, as that fit would; if
+    that fails too, ``loocv`` raises NonConvergenceError.
     """
     config = config or FitConfig()
     workloads = table.workloads()
@@ -1100,19 +1161,32 @@ def loocv(
     cols = np.arange(g - 1)
     keep = cols + (cols >= np.arange(g)[:, None])
     objective = _Objective(spec, fixed, free, table, keep)
-    # each holdout gets the starts its own stage-1 fit would; all (holdout,
-    # start) problems iterate as one batch
+    _check_identified(spec, free, objective.x, objective.arch)
+    # every point of each holdout's own stage-1 start grid is scored, and
+    # only the first with the lowest SSE iterates: one problem per holdout
     theta0, rows, counts = _start_points(objective)
-    runs = _gauss_newton(
-        objective, theta0, rows, config.convergence_tol,
-        config.max_iterations,
+    holdouts = np.arange(g)
+    theta, _, ok = _winners(
+        objective,
+        *_gauss_newton(
+            objective,
+            theta0[_lowest_sse_starts(objective, theta0, rows, counts)],
+            holdouts, config.convergence_tol, config.max_iterations,
+        ),
+        [1] * g,
     )
-    theta, _, ok = _winners(objective, *runs, counts)
-    for h in range(g):
-        _check_identified(spec, free, objective.x[h], objective.arch[h])
-        if not ok[h]:
+    optima = objective.user(theta, holdouts)
+    # a holdout whose run is not at an optimum iterates its whole grid,
+    # as its own stage-1 fit would
+    fallback = np.flatnonzero(~ok)
+    if fallback.size:
+        rerun = _Objective(spec, fixed, free, table, keep[fallback])
+        theta, _, ok = _multi_start(
+            rerun, config.convergence_tol, config.max_iterations
+        )
+        if not ok.all():
             raise _not_converged(stage_form, config.max_iterations)
-    optima = objective.user(theta, np.arange(g))
+        optima[fallback] = rerun.user(theta, np.arange(len(fallback)))
     per_holdout = {
         wid: {n: float(v) for n, v in zip(free, optima[h])}
         for h, wid in enumerate(workloads)

@@ -170,15 +170,16 @@ class _CleanText(NamedTuple):
 def _clean_text(text: str, workload_id: str) -> _CleanText | None:
     """The text, if it may be clean trace text; None for other text.
 
-    Clean text is ASCII with no quote, CR, NUL, empty node id or whitespace
-    but newlines. It starts with the exact header, and every data line has
+    Clean text is ASCII with no quote, CR, NUL or whitespace but
+    newlines. It starts with the exact header, and every data line has
     four fields, the first ``workload_id``, and fits the csv field limit.
-    ``np.loadtxt`` reads the other three (see ``_parse_clean``). The text
-    is checked as a whole here; that no other line follows the header is
-    checked when it is split into lines, as it is parsed.
+    ``np.loadtxt`` reads the other three (see ``_parse_clean``), and it
+    rejects an empty number. The text is checked as a whole here; that no
+    other line follows the header is checked when it is split into lines,
+    and that no node id is empty once they are parsed.
     """
     if (not text.isascii() or any(c in text for c in _NOT_CLEAN)
-            or ",," in text or "," in workload_id or "\n" in workload_id):
+            or "," in workload_id or "\n" in workload_id):
         return None
     rows = text.count("\n" + workload_id + ",")
     header = ",".join(_TRACE_HEADER) + "\n"
@@ -207,8 +208,8 @@ def _parse_clean(
 ) -> list[tuple[NodeTrace, ...]] | None:
     """Each clean text's traces, all parsed by one ``np.loadtxt`` call and
     checked together; None if a text holds a line that does not start with
-    its workload id, if loadtxt rejects a line or cuts a node id short, or,
-    for more than one text, if a check fails.
+    its workload id, if loadtxt rejects a line or cuts a node id short, if
+    a node id is empty, or, for more than one text, if a check fails.
 
     The numbers are those ``float`` reads: both parse with
     ``PyOS_string_to_double``, and loadtxt rejects what only ``float``
@@ -238,11 +239,12 @@ def _parse_clean(
         return None
     del data  # the lines take more memory than the text: free them early
     rows = len(table)
-    if table.view(np.uint32).reshape(rows, -1)[:, width - 1].any():
+    nodes = table["node"]
+    if (table.view(np.uint32).reshape(rows, -1)[:, width - 1].any()
+            or (nodes == "").any()):
         return None
     # node ids are coded run by run: a text holds few runs of equal ids,
     # and each text starts a run
-    nodes = table["node"]
     firsts = np.cumsum([0] + [t.rows for t in texts[:-1]])
     new = np.concatenate(([True], nodes[1:] != nodes[:-1]))
     new[firsts] = True

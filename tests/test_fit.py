@@ -9,6 +9,7 @@ covariance against an explicit dense-matrix construction.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import subprocess
 import sys
 import warnings
@@ -263,6 +264,27 @@ class TestPreconditions:
                 fitmod._check_identified(spec, ("alpha",), x, arch)
         else:
             fitmod._check_identified(spec, ("alpha",), x, arch)
+
+    def test_tables_checked_together_as_one_at_a_time(self):
+        # one table per row: the error is that of the first table that
+        # fails alone, its intensities checked before its architectures
+        spec = FORMS[ModelForm.LOG_ASYMPTOTIC_ARCH_FE]
+        free = ("beta_llm_kw", "beta_cnn_kw")
+        llm, cnn = Architecture_LLM, Architecture_CNN
+        x = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
+        arch = np.array([[llm, cnn, llm], [llm, llm, llm], [cnn, cnn, cnn]])
+        fitmod._check_identified(spec, free, x[[0, 0]], arch[[0, 0]])
+        for order in itertools.permutations(range(3)):
+            for t in order:
+                try:
+                    fitmod._check_identified(spec, free, x[t], arch[t])
+                except DegenerateDataError as exc:
+                    want = str(exc)
+                    break
+            rows = list(order)
+            with pytest.raises(DegenerateDataError) as got:
+                fitmod._check_identified(spec, free, x[rows], arch[rows])
+            assert str(got.value) == want, order
 
     def test_at_most_two_free_parameters(self):
         ds = noise_free_dataset()
@@ -1058,6 +1080,24 @@ def _stage1_sse(table, form, estimates, config):
     return float(np.sum(e * e) + np.sum(table.within_ss / table.n))
 
 
+def _lowest_sse_start(table, form, config):
+    """The start ``loocv`` iterates for a holdout whose table is ``table``:
+    the first point of its stage-1 start grid with the lowest SSE, picked
+    by ``fit._lowest_sse_starts`` on a one-table objective (user scale)."""
+    stage_form, fixed, free = fitmod._stage1_constraints(form, config)
+    spec = FORMS[stage_form]
+    objective = fitmod._Objective(
+        spec, fixed, free, table, np.arange(len(table.x))[None]
+    )
+    pick = fitmod._lowest_sse_starts(
+        objective, *fitmod._start_points(objective)
+    )
+    grid = list(dict.fromkeys(
+        tuple(float(s[n]) for n in free) for s in spec.starts(table.x)
+    ))
+    return dict(zip(free, grid[int(pick[0])]))
+
+
 class TestBatchedLoocv:
     @pytest.mark.parametrize(
         "form", (*LOOCV_FORMS, ModelForm.SIMPLE_ASYMPTOTIC),
@@ -1067,23 +1107,93 @@ class TestBatchedLoocv:
     def test_each_holdout_equals_its_own_stage1_fit(
         self, form, data, desk_dataset, many_workload_dataset
     ):
+        # bit for bit a stage-1 fit from the holdout's lowest-SSE grid
+        # start, and within rounding of the fit from its whole grid
         ds = desk_dataset if data == "desk" else many_workload_dataset
         config = FitConfig()
         table = ds
         rep = loocv(ds, form, config)
         assert list(rep.per_holdout) == list(table.workloads())
+        fixed, shape = _stage1_fixed(config), FORMS[form].shape
         for wid, estimates in rep.per_holdout.items():
+            held = table.drop([wid])
             alone = wnls_fit(
-                table.drop([wid]), form, _stage1_fixed(config),
-                FORMS[form].shape, compute_se=False,
+                held, form, fixed, shape, compute_se=False,
+                starts=[_lowest_sse_start(held, form, config)],
             )
             assert estimates == alone.estimates, wid
+            multi = wnls_fit(held, form, fixed, shape, compute_se=False)
+            for name in shape:
+                assert estimates[name] == pytest.approx(
+                    multi.estimates[name], rel=1e-12, abs=0.0
+                ), wid
+            assert alone.weighted_sse <= multi.weighted_sse * (1.0 + 1e-12)
+
+    def test_a_holdout_off_the_optimum_reruns_its_grid(
+        self, desk_dataset, monkeypatch
+    ):
+        # one holdout starts at the ridge start of TestRelativeOffset, which
+        # stops unconverged; that holdout alone iterates its whole grid
+        config = FitConfig()
+        table = desk_dataset
+        form = ModelForm.SIGMOID
+        want = loocv(table, form, config)
+        h = 3
+        wid = table.workloads()[h]
+        ridge = {"x0": 9.0, "k": 0.1}
+        assert ridge.items() <= FORMS[form].starts(None)[0].items()
+        with pytest.raises(NonConvergenceError):
+            wnls_fit(
+                table.drop([wid]), form, _stage1_fixed(config),
+                FORMS[form].shape, starts=[ridge], compute_se=False,
+            )
+        choose = fitmod._lowest_sse_starts
+
+        def ridge_start(objective, theta0, rows, counts):
+            picks = choose(objective, theta0, rows, counts)
+            picks[h] = np.flatnonzero(rows == h)[0]  # the grid's first
+            return picks
+
+        reruns = []
+        multi_start = fitmod._multi_start
+
+        def spy(objective, *args):
+            reruns.append(len(objective.x))
+            return multi_start(objective, *args)
+
+        monkeypatch.setattr(fitmod, "_lowest_sse_starts", ridge_start)
+        monkeypatch.setattr(fitmod, "_multi_start", spy)
+        got = loocv(table, form, config)
+        assert reruns == [1]
+        alone = wnls_fit(
+            table.drop([wid]), form, _stage1_fixed(config),
+            FORMS[form].shape, compute_se=False,
+        )
+        assert got.per_holdout[wid] == alone.estimates
+        for other in table.workloads():
+            if other != wid:
+                assert got.per_holdout[other] == want.per_holdout[other]
 
     @pytest.mark.parametrize("form", LOOCV_FORMS, ids=lambda f: f.value)
     def test_desk_holdouts_at_most_grid_minimum(self, form, desk_dataset):
         config = FitConfig()
         table = desk_dataset
         rep = loocv(desk_dataset, form, config)
+        for wid, estimates in rep.per_holdout.items():
+            held = table.drop([wid])
+            sse = _stage1_sse(held, form, estimates, config)
+            grid = _stage1_grid_min(held, form, config)
+            assert sse <= grid * (1.0 + 1e-12), wid
+
+    @pytest.mark.parametrize("form", LOOCV_FORMS, ids=lambda f: f.value)
+    def test_many_holdouts_at_most_grid_minimum(
+        self, form, many_workload_dataset
+    ):
+        # each holdout iterates one start: the dense grid is the evidence
+        # that it is the optimum, on 36 workloads as on the desk's nine
+        config = FitConfig()
+        table = many_workload_dataset
+        rep = loocv(table, form, config)
         for wid, estimates in rep.per_holdout.items():
             held = table.drop([wid])
             sse = _stage1_sse(held, form, estimates, config)

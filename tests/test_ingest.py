@@ -1166,6 +1166,35 @@ def test_manifest_raises_the_first_workloads_error(defects, tmp_path):
     assert outcome(ingest.load_manifest, manifest) == expected
 
 
+@pytest.mark.parametrize("row, message", [
+    (",2.0,5.0", "line 3: empty node_id"),
+    ("n1,2.0,", "line 3: non-numeric elapsed_s or power_kw"),
+])
+def test_an_empty_field_in_clean_looking_text(row, message, tmp_path,
+                                             monkeypatch):
+    """Text that passes the whole-text checks but holds an empty node id
+    or power on a middle line raises csv.reader's message for that line,
+    alone and from a batch of several files."""
+    rows = ["n1,0.0,5.0", row, "n1,4.0,6.0"]
+    assert _outcome(parse_trace_file, _trace_lines("w1", rows)) == message
+    good = ["n1,0.0,5.0", "n1,2.0,6.0"]
+    manifest, pairs = _write_manifest(
+        tmp_path, [lambda w: _trace_lines(w, good),
+                   lambda w: _trace_lines(w, rows),
+                   lambda w: _trace_lines(w, good)],
+    )
+    calls = []
+    real = np.loadtxt
+    monkeypatch.setattr(
+        np, "loadtxt", lambda data, *a, **k: calls.append(len(data))
+        or real(data, *a, **k)
+    )
+    with pytest.raises(TraceFormatError) as exc:
+        ingest.load_manifest(manifest)
+    assert str(exc.value) == f"{pairs[1][1]}: {message}"
+    assert calls[0] == 2 * len(good) + len(rows)  # one batch of all three
+
+
 def test_trace_errors_name_the_trace_file_once(tmp_path):
     rows = ["n1,0.0,5.0", "n1,2.0,5.0", "n1,4.0,-1.0"]
     manifest, pairs = _write_manifest(
