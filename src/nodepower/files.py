@@ -80,6 +80,10 @@ class NonConvergenceError(RuntimeError):
 class UnknownWorkloadError(KeyError):
     """An exclusion policy named a workload the dataset does not contain."""
 
+    def __str__(self) -> str:
+        # KeyError would show the repr of its message, in quotes
+        return Exception.__str__(self)
+
 
 class LeakageError(ValueError):
     """A validation workload appears in the model's training provenance."""

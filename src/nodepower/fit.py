@@ -47,11 +47,13 @@ their halvings together, several scales per problem in one evaluation.
 Memory is bounded per evaluation, not per problem: no curve or derivative
 evaluation, halvings and the optimum tests of the winners included, takes
 more than ``BATCH_ELEMENTS`` problems x workloads, so a large batch makes
-more calls, not larger ones. The residuals carried between iterations are
-bounded too: a batch of more than ``LIVE_ELEMENTS`` problems x workloads
-runs in slices of that size, each in its own loop. Every reduction runs
-along one problem's row, so each problem is bit-identical to a run on its
-own, and the halvings give the bits that trying one scale at a time would.
+more calls, not larger ones. Between iterations a loop carries one
+residual row per problem: a fit's S starts x n workloads, or ``loocv``'s G
+holdouts x (G - 1), the size of the table its objective already holds. A
+holdout whose run misses its optimum is refit by ``wnls_fit`` on its own
+table. Every reduction runs along one problem's row, so each problem is
+bit-identical to a run on its own, and the halvings give the bits that
+trying one scale at a time would.
 Every stage, with one free parameter or two, converges in one way only: a
 small final step, at a full-rank Jacobian, with a relative offset of at
 most 1e-3; the step and the offset test share one Gram-Schmidt and its
@@ -215,7 +217,6 @@ def apply_exclusions(
 OFFSET_TOL = 1e-3  # Bates & Watts' suggested relative-offset threshold
 MAX_HALVINGS = 40  # step scales tried per iteration before a problem stops
 BATCH_ELEMENTS = 8192  # problems x workloads per curve or derivative call
-LIVE_ELEMENTS = 8 * BATCH_ELEMENTS  # problems x workloads in one loop
 _EPS = float(np.finfo(float).eps)
 
 
@@ -517,37 +518,23 @@ def _gauss_newton(
     step, on no scale that descends, or after ``max_iter`` iterations.
     Returns theta (B, p), SSE (B,) and the converged flags (B,).
 
-    Every problem of the batch, or of a slice as below, iterates in one
-    loop. An iteration tries every live problem's full step; the problems
-    whose full step raises the SSE then try their halvings together: the m
-    problems still halving try k scales each, with k = size // m, at least
-    1 and at most the scales left. The scales are exact powers of two, so
-    every candidate, and the one accepted, has the bits that trying one
-    halving at a time would give it. Memory is bounded per evaluation: no
-    call to ``_Objective.residual``, and no ``_step``, takes more than
-    size = ``BATCH_ELEMENTS`` // n problems (n workloads each), or size // k
-    problems at k scales. The residuals carried between iterations are
-    bounded by ``LIVE_ELEMENTS``: a batch of more than ``LIVE_ELEMENTS`` //
-    n problems (and more than size) runs in slices of that many, each in
-    its own loop.
+    Every problem of the batch iterates in one loop. An iteration tries
+    every live problem's full step; the problems whose full step raises the
+    SSE then try their halvings together: the m problems still halving try
+    k scales each, with k = size // m, at least 1 and at most the scales
+    left. The scales are exact powers of two, so every candidate, and the
+    one accepted, has the bits that trying one halving at a time would give
+    it. Memory is bounded per evaluation: no call to
+    ``_Objective.residual``, and no ``_step``, takes more than size =
+    ``BATCH_ELEMENTS`` // n problems (n workloads each), or size // k
+    problems at k scales. Between iterations the loop carries one residual
+    row per problem, (B, n).
     """
     # Problems are independent and every sum runs along one problem's row,
-    # so each is bit-identical alone, in any call and in any slice. A call
-    # holds about ten (problems, n) arrays at once (the curve, its
-    # gradient, the step), and a LOOCV batch grows with the square of the
-    # workloads: hence the two bounds.
-    n = objective.x.shape[-1]
+    # so each is bit-identical alone and in any call. A call holds about
+    # ten (problems, n) arrays at once (the curve, its gradient, the step):
+    # hence the bound per call.
     size = _per_call(objective)
-    room = max(size, LIVE_ELEMENTS // n)
-    if len(theta0) > room:
-        parts = [
-            _gauss_newton(
-                objective, theta0[i:i + room], rows[i:i + room], tol,
-                max_iter,
-            )
-            for i in range(0, len(theta0), room)
-        ]
-        return tuple(np.concatenate(a) for a in zip(*parts))
     # a step or candidate that overflows or divides by zero is non-finite,
     # which the rules below read as a stop or a rejection
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -1144,8 +1131,10 @@ def loocv(
     problem per holdout, all in one batch, and each holdout's estimates
     are bit for bit those of that ``wnls_fit`` run from that start alone,
     and equal its multi-start fit to rounding. A holdout whose run is not
-    at an optimum iterates its whole grid instead, as that fit would; if
-    that fails too, ``loocv`` raises NonConvergenceError.
+    at an optimum is refit by that ``wnls_fit`` itself, from its whole
+    grid, one holdout at a time in table order; the first such fit that
+    fails raises its NonConvergenceError. So no kernel batch of ``loocv``
+    holds more problems than the larger of the holdouts and one grid.
     """
     config = config or FitConfig()
     workloads = table.workloads()
@@ -1176,21 +1165,20 @@ def loocv(
         [1] * g,
     )
     optima = objective.user(theta, holdouts)
-    # a holdout whose run is not at an optimum iterates its whole grid,
-    # as its own stage-1 fit would
-    fallback = np.flatnonzero(~ok)
-    if fallback.size:
-        rerun = _Objective(spec, fixed, free, table, keep[fallback])
-        theta, _, ok = _multi_start(
-            rerun, config.convergence_tol, config.max_iterations
-        )
-        if not ok.all():
-            raise _not_converged(stage_form, config.max_iterations)
-        optima[fallback] = rerun.user(theta, np.arange(len(fallback)))
     per_holdout = {
         wid: {n: float(v) for n, v in zip(free, optima[h])}
         for h, wid in enumerate(workloads)
     }
+    # a holdout whose run is not at an optimum is refit by its own
+    # stage-1 fit, which iterates its whole grid
+    for h in np.flatnonzero(~ok):
+        wid = workloads[h]
+        per_holdout[wid] = wnls_fit(
+            table.drop([wid]), stage_form, fixed, free,
+            convergence_tol=config.convergence_tol,
+            max_iterations=config.max_iterations,
+            compute_se=False,
+        ).estimates
     parameters = FORMS[form].shape
     mean: dict[str, float] = {}
     sd: dict[str, float] = {}

@@ -125,8 +125,9 @@ class TestFit:
             "fit", "--manifest", MANIFEST, "--exclusions", str(bad),
         ])
         assert rc == 7
-        assert capsys.readouterr().err.startswith(
-            "nodepower: error: unknown-workload:"
+        assert capsys.readouterr().err == (
+            "nodepower: error: unknown-workload: exclusion names unknown "
+            "workload 'no-such-run'\n"
         )
 
     def test_oversized_field_is_input_error(self, tmp_path, capsys):

@@ -1174,6 +1174,47 @@ class TestBatchedLoocv:
             if other != wid:
                 assert got.per_holdout[other] == want.per_holdout[other]
 
+    def test_reruns_bounded_by_one_grid(self, desk_dataset, monkeypatch):
+        # two holdouts start at the ridge start and miss their optimum; each
+        # is refit alone, so no kernel batch holds more than the larger of
+        # the G holdouts and one grid of S starts
+        config = FitConfig()
+        table = desk_dataset
+        form = ModelForm.SIGMOID
+        want = loocv(table, form, config)
+        workloads = table.workloads()
+        forced = (2, 5)
+        choose = fitmod._lowest_sse_starts
+
+        def ridge_start(objective, theta0, rows, counts):
+            picks = choose(objective, theta0, rows, counts)
+            for h in forced:
+                picks[h] = np.flatnonzero(rows == h)[0]  # the grid's first
+            return picks
+
+        batches = []
+        gauss_newton = fitmod._gauss_newton
+
+        def spy(objective, theta0, *args):
+            batches.append(len(theta0))
+            return gauss_newton(objective, theta0, *args)
+
+        monkeypatch.setattr(fitmod, "_lowest_sse_starts", ridge_start)
+        monkeypatch.setattr(fitmod, "_gauss_newton", spy)
+        got = loocv(table, form, config)
+        grid = len(FORMS[form].starts(None))
+        assert max(batches) <= max(len(workloads), grid) == 10
+        assert batches == [len(workloads), grid, grid]  # a rerun each
+        for h, wid in enumerate(workloads):
+            if h in forced:
+                alone = wnls_fit(
+                    table.drop([wid]), form, _stage1_fixed(config),
+                    FORMS[form].shape, compute_se=False,
+                )
+                assert got.per_holdout[wid] == alone.estimates, wid
+            else:
+                assert got.per_holdout[wid] == want.per_holdout[wid], wid
+
     @pytest.mark.parametrize("form", LOOCV_FORMS, ids=lambda f: f.value)
     def test_desk_holdouts_at_most_grid_minimum(self, form, desk_dataset):
         config = FitConfig()
@@ -1469,17 +1510,16 @@ class TestOneLoop:
         assert max(residual) <= bound
         assert max(derivatives) <= bound
 
-    @pytest.mark.parametrize(
-        "batch, live", [(1, None), (3, None), (7, None), (3, 3), (1, 7)]
-    )
+    # each id keeps the "-None" of the per-loop bound the kernel no longer
+    # has, so that the ids stay stable
+    @pytest.mark.parametrize("batch", [1, 3, 7], ids=lambda b: f"{b}-None")
     @pytest.mark.parametrize(
         "form", LOOCV_BATCH_FORMS, ids=lambda f: f.value
     )
     def test_loocv_bit_identical_at_any_bound(
-        self, form, batch, live, desk_dataset, monkeypatch
+        self, form, batch, desk_dataset, monkeypatch
     ):
-        # BATCH_ELEMENTS (and LIVE_ELEMENTS, which cuts the batch into
-        # slices) at small multiples of the n workloads of a holdout
+        # BATCH_ELEMENTS at small multiples of the n workloads of a holdout
         want = loocv(desk_dataset, form)
         objective, theta0, rows = _loocv_batch(desk_dataset, form)
         runs = {
@@ -1488,8 +1528,6 @@ class TestOneLoop:
         }
         n = len(desk_dataset.workload_ids) - 1
         monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", batch * n)
-        if live is not None:
-            monkeypatch.setattr(fitmod, "LIVE_ELEMENTS", live * n)
         got = loocv(desk_dataset, form)
         assert got.per_holdout == want.per_holdout
         assert (got.mean, got.sd) == (want.mean, want.sd)

@@ -9,7 +9,8 @@ checkouts on the same inputs. For each fit or scan in them (a path such as
 below that path is equal, or else the largest relative difference of two
 numbers there, |a - b| / max(|a|, |b|), and the path of the number where it
 lies. A value that is not a number and differs (an error message, a flag
-list of another length) prints ``differs`` and its path. The exit code is
+list of another length), and a zero whose sign differs, print ``differs``
+and the path. The exit code is
 0 when everything is identical and 1 otherwise.
 """
 
@@ -46,16 +47,15 @@ def _number(value: object) -> float | None:
 def _difference(a: object, b: object) -> float:
     """0 for equal values, the relative difference of two finite numbers,
     and inf for any other two different values (a leaf that one side lacks
-    reads as None)."""
+    reads as None). Two ``float.hex`` strings that differ but compare equal
+    are +0.0 and -0.0, which differ in their sign bit: inf."""
     if a == b:
         return 0.0
     x, y = _number(a), _number(b)
-    if x is None or y is None:
+    if x is None or y is None or x == y:
         return math.inf
     if not (math.isfinite(x) and math.isfinite(y)):
         return math.inf
-    if x == y:
-        return 0.0
     return abs(x - y) / max(abs(x), abs(y))
 
 
