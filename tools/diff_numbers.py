@@ -10,8 +10,8 @@ below that path is equal, or else the largest relative difference of two
 numbers there, |a - b| / max(|a|, |b|), and the path of the number where it
 lies. A value that is not a number and differs (an error message, a flag
 list of another length), and a zero whose sign differs, print ``differs``
-and the path. The exit code is
-0 when everything is identical and 1 otherwise.
+and the path. The exit code is 0 when everything is identical and 1
+otherwise.
 """
 
 from __future__ import annotations
