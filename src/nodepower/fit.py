@@ -36,23 +36,22 @@ from the same shape evaluation as the Jacobian, and a problem whose
 H = J'J - S is positive definite takes the Newton step H^-1 J'r; the others,
 and every stage where no free parameter has curvature (the magnitudes of the
 saturation forms), take the Gauss-Newton step (a hybrid method: Fletcher &
-Xu 1987, *IMA J. Numer. Anal.* 7). All starts of a fit iterate together
-as one array problem in one loop, and so do ``loocv``'s holdouts, one
-start each: the lowest-SSE point of the holdout's own start grid, scored
-without iterating. The parameters of B problems form a (B, p) array,
-each problem halves its own step and stops on its own, and both steps are
-solved in closed form from one Gram-Schmidt. Each iteration tries every
-problem's full step; the problems whose full step raises the SSE then try
-their halvings together, several scales per problem in one evaluation.
-Memory is bounded per evaluation, not per problem: no curve or derivative
-evaluation, halvings and the optimum tests of the winners included, takes
-more than ``BATCH_ELEMENTS`` problems x workloads, so a large batch makes
-more calls, not larger ones. Between iterations a loop carries one
-residual row per problem: a fit's S starts x n workloads, or ``loocv``'s G
-holdouts x (G - 1), the size of the table its objective already holds. A
-holdout whose run misses its optimum is refit by ``wnls_fit`` on its own
-table. Every reduction runs along one problem's row, so each problem is
-bit-identical to a run on its own, and the halvings give the bits that
+Xu 1987, *IMA J. Numer. Anal.* 7). Every point of a fit's start grid is
+scored once, without iterating, and only the first with the lowest SSE
+iterates; a run that misses its optimum reruns the whole grid. ``loocv``'s
+G holdouts iterate one such start each, as one array problem in one loop:
+the parameters of B problems form a (B, p) array, each problem halves its
+own step and stops on its own, and both steps are solved in closed form
+from one Gram-Schmidt. Each iteration tries every problem's full step; the
+problems whose full step raises the SSE then try their halvings together,
+several scales per problem in one evaluation. Memory is bounded per
+evaluation, not per problem: no curve or derivative evaluation, halvings
+and the optimum tests of the winners included, takes more than
+``BATCH_ELEMENTS`` problems x workloads, so a large batch makes more calls,
+not larger ones. A batch holds at most the larger of G holdouts and one
+grid of S starts, and carries one residual row per problem between
+iterations. Every reduction runs along one problem's row, so each problem
+is bit-identical to a run on its own, and the halvings give the bits that
 trying one scale at a time would.
 Every stage, with one free parameter or two, converges in one way only: a
 small final step, at a full-rank Jacobian, with a relative offset of at
@@ -498,13 +497,27 @@ def _per_call(objective: _Objective) -> int:
     return max(1, BATCH_ELEMENTS // objective.x.shape[-1])
 
 
+def _residuals(
+    objective: _Objective, theta: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Residual rows of B problems, (B, n), in calls of at most
+    ``_per_call`` problems."""
+    size = _per_call(objective)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.concatenate([
+            objective.residual(theta[i:i + size], rows[i:i + size])
+            for i in range(0, len(theta), size)
+        ])
+
+
 def _gauss_newton(
     objective: _Objective,
     theta0: np.ndarray,
     rows: np.ndarray,
+    resid0: np.ndarray,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped hybrid Newton / Gauss-Newton on B independent problems at
     once.
 
@@ -516,7 +529,9 @@ def _gauss_newton(
     ``MAX_HALVINGS`` - 1, at which its SSE does not rise. It stops
     converged on a relative step below ``tol``; unconverged on a non-finite
     step, on no scale that descends, or after ``max_iter`` iterations.
-    Returns theta (B, p), SSE (B,) and the converged flags (B,).
+    ``theta0`` lies at or above the lower bounds, with residual rows
+    ``resid0``. Returns theta (B, p), SSE (B,), the converged flags (B,)
+    and the residual rows (B, n).
 
     Every problem of the batch iterates in one loop. An iteration tries
     every live problem's full step; the problems whose full step raises the
@@ -539,11 +554,7 @@ def _gauss_newton(
     # which the rules below read as a stop or a rejection
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lower = objective.lower
-        theta = np.maximum(theta0, lower)
-        resid = np.concatenate([
-            objective.residual(theta[i:i + size], rows[i:i + size])
-            for i in range(0, len(theta), size)
-        ])
+        theta, resid = theta0.copy(), resid0.copy()
         sse = objective.sse(resid, rows)
         converged = np.zeros(len(theta), dtype=bool)
         live = np.arange(len(theta))  # problems still iterating
@@ -599,7 +610,7 @@ def _gauss_newton(
             live = np.concatenate(going)
             if not live.size:
                 break
-    return theta, sse, converged
+    return theta, sse, converged, resid
 
 
 def _start_points(
@@ -637,22 +648,16 @@ def _lowest_sse_starts(
     theta0: np.ndarray,
     rows: np.ndarray,
     counts: Sequence[int],
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Index into ``theta0`` of each table's first start, in start order,
-    with the lowest weighted SSE, NaN read as +inf. The starts lie in
-    table order, ``counts[t]`` of them for table t; each is scored once,
-    without iterating, in calls of at most ``_per_call`` problems."""
-    size = _per_call(objective)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sse = np.concatenate([
-            objective.sse(
-                objective.residual(theta0[i:i + size], rows[i:i + size]),
-                rows[i:i + size],
-            )
-            for i in range(0, len(theta0), size)
-        ])
+    with the lowest weighted SSE, NaN read as +inf, and the residual rows
+    of every start, (S, n). The starts lie in table order, ``counts[t]`` of
+    them for table t; each is scored once, without iterating."""
+    resid = _residuals(objective, theta0, rows)
+    with np.errstate(over="ignore"):
+        sse = objective.sse(resid, rows)
     sse[np.isnan(sse)] = np.inf
-    return _first_lowest(sse, counts)
+    return _first_lowest(sse, counts), resid
 
 
 def _first_lowest(
@@ -698,15 +703,14 @@ def _check_identified(
 
 
 def _winners(
-    objective: _Objective,
-    theta: np.ndarray,
-    sse: np.ndarray,
-    converged: np.ndarray,
-    counts: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The optimum of each table from its starts' runs: theta (T, p), its
-    SSE (T,) and whether it is an optimum (T,). The runs lie in table
-    order, ``counts[t]`` of them for table t.
+    objective: _Objective, rows: np.ndarray, counts: Sequence[int],
+    theta: np.ndarray, sse: np.ndarray, converged: np.ndarray,
+    resid: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The optimum of each table from its runs, as ``_gauss_newton``
+    returns them: theta, SSE, whether it is an optimum and residual rows,
+    one row per table. The runs lie in table order, ``counts[i]`` of them
+    for the i-th table; ``rows`` names each run's table.
 
     A winning run is at an optimum only if it stopped on a small step at
     a full-rank Jacobian with a relative offset of at most ``OFFSET_TOL``,
@@ -716,38 +720,57 @@ def _winners(
     # the first, in start order, within rounding of the lowest SSE, so that
     # the winner does not depend on summation order
     picks = _first_lowest(sse, counts, 1e-12)
-    theta, sse, ok = theta[picks], sse[picks], converged[picks]
+    tables = rows[picks]
+    theta, sse, ok, resid = (a[picks] for a in (theta, sse, converged, resid))
     # a run can also stop on a small step where the Jacobian has rank 1,
     # as at a sigmoid's edge c1 -> 0+ (a curve flat over the data), or
     # short of the optimum; residuals below sqrt(eps) of the data's RMS are
     # rounding. The tables share calls, as many as the kernel's bound lets.
-    tables = np.flatnonzero(ok)
+    runs = np.flatnonzero(ok)
     size = _per_call(objective)
-    for i in range(0, len(tables), size):
-        t = tables[i:i + size]
-        y = objective._take(objective.y, t)
-        ok[t] = _relative_offsets(
-            objective.residual(theta[t], t),
-            objective.derivatives(theta[t], t)[0],
+    for i in range(0, len(runs), size):
+        w = runs[i:i + size]
+        y = objective._take(objective.y, tables[w])
+        ok[w] = _relative_offsets(
+            resid[w],
+            objective.derivatives(theta[w], tables[w])[0],
             np.sqrt(_EPS * np.mean(y * y, axis=-1)),
         ) <= OFFSET_TOL
-    return theta, sse, ok
+    return theta, sse, ok, resid
 
 
-def _multi_start(
-    objective: _Objective,
-    tol: float,
-    max_iter: int,
+def _optima(
+    objective: _Objective, form: ModelForm, tol: float, max_iter: int,
     starts: Sequence[Mapping[str, float]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_winners`` of every table's ``_start_points`` (``starts``, or the
-    form table's), all iterated as one batch."""
+    """The optimum of every table from its ``_start_points`` (``starts``,
+    or the form table's): theta (T, p), SSE (T,) and residual rows (T, n).
+
+    Each table's first lowest-SSE start (``_lowest_sse_starts``) iterates,
+    all T as one batch. A table whose run ``_winners`` does not pass
+    reruns its whole start list as one batch, one table at a time in table
+    order; the first rerun that fails too raises NonConvergenceError for
+    ``form``. So no batch holds more than the larger of T problems and one
+    table's starts.
+    """
     theta0, rows, counts = _start_points(objective, starts)
-    return _winners(
-        objective,
-        *_gauss_newton(objective, theta0, rows, tol, max_iter),
-        counts,
-    )
+    picks, resid0 = _lowest_sse_starts(objective, theta0, rows, counts)
+
+    def run(s: np.ndarray, per_table: Sequence[int]):
+        return _winners(objective, rows[s], per_table, *_gauss_newton(
+            objective, theta0[s], rows[s], resid0[s], tol, max_iter
+        ))
+
+    theta, sse, ok, resid = run(picks, [1] * len(counts))
+    for t in np.flatnonzero(~ok):
+        # a list of one start would rerun the run that just failed
+        if counts[t] > 1:
+            theta[t], sse[t], ok[t], resid[t] = (
+                a[0] for a in run(rows == t, [counts[t]])
+            )
+        if not ok[t]:
+            raise _not_converged(form, max_iter)
+    return theta, sse, resid
 
 
 def _not_converged(form: ModelForm, max_iterations: int) -> Exception:
@@ -788,8 +811,10 @@ def wnls_fit(
         Start points (user scale). Defaults to the form table's start
         points taken on the free parameters, duplicates dropped: the
         multi-start grid when the shape is free, one start otherwise.
-        All starts are iterated together as one batch. Of the starts that
-        reach the lowest SSE (within 1e-12 relative), the first wins.
+        Every start is scored once, and only the first with the lowest
+        weighted SSE (NaN read as +inf) iterates. If its run is not at an
+        optimum, all the starts iterate as one batch, and of those that
+        reach the lowest SSE (within 1e-12 relative) the first wins.
     compute_se : bool
         Attach cluster-robust standard errors. Point estimates are
         independent of this flag.
@@ -797,11 +822,11 @@ def wnls_fit(
     Returns
     -------
     FitResult
-        Its ``converged`` means stationary, and the lowest SSE of the
-        starts run: the winning start passed the step, rank and offset
-        tests. It does not mean the global optimum. A start the grid does
-        not hold, such as a single caller-given one, can converge at a
-        stationary point whose SSE lies above the optimum's.
+        Its ``converged`` means stationary: the run that iterated, or the
+        rerun's winner, passed the step, rank and offset tests. It does
+        not mean the global optimum. A start the grid does not hold, such
+        as a single caller-given one, can converge at a stationary point
+        whose SSE lies above the optimum's.
 
     Raises
     ------
@@ -810,11 +835,11 @@ def wnls_fit(
         identify the free parameters (for example an architecture magnitude
         with no observations of that architecture).
     NonConvergenceError
-        The lowest-SSE start did not reach an optimum: it did not stop on
-        a relative step below ``convergence_tol`` within
-        ``max_iterations``, or it stopped at a rank-deficient Jacobian or
-        a relative offset above ``OFFSET_TOL``. This holds for one free
-        parameter as for two; no other search backs the fit up.
+        Neither the lowest-SSE start nor the rerun of all the starts
+        reached an optimum: the run did not stop on a relative step below
+        ``convergence_tol`` within ``max_iterations``, or it stopped at a
+        rank-deficient Jacobian or a relative offset above ``OFFSET_TOL``.
+        This holds for one free parameter as for two.
     """
     free = tuple(free_params)
     if len(free) == 0:
@@ -842,11 +867,9 @@ def wnls_fit(
     objective = _Objective(
         spec, fixed, free, table, np.arange(len(table.x))[None]
     )
-    theta, sse, ok = _multi_start(
-        objective, convergence_tol, max_iterations, starts
+    theta, sse, resid = _optima(
+        objective, form, convergence_tol, max_iterations, starts
     )
-    if not ok[0]:
-        raise _not_converged(form, max_iterations)
     rows = np.zeros(1, dtype=int)
     optimum = objective.user(theta, rows)[0]
     estimates = {n: float(v) for n, v in zip(free, optimum)}
@@ -863,7 +886,7 @@ def wnls_fit(
             np.column_stack(
                 [g[0] for g in objective.gradient(theta, rows)]
             ),
-            objective.residual(theta, rows)[0],
+            resid[0],
             np.ones(clusters),
             table.workload_ids,
         )
@@ -1124,17 +1147,13 @@ def loocv(
     more than two SDs from the holdout mean, and the single most divergent
     holdout per parameter.
 
-    A holdout's shape is the stage-1 fit of ``wnls_fit`` on the table
-    without that workload, from one start: every point of the start grid
-    that fit would use is scored once, and the first with the lowest
-    weighted SSE (NaN read as +inf) iterates. So the kernel runs one
-    problem per holdout, all in one batch, and each holdout's estimates
-    are bit for bit those of that ``wnls_fit`` run from that start alone,
-    and equal its multi-start fit to rounding. A holdout whose run is not
-    at an optimum is refit by that ``wnls_fit`` itself, from its whole
-    grid, one holdout at a time in table order; the first such fit that
-    fails raises its NonConvergenceError. So no kernel batch of ``loocv``
-    holds more problems than the larger of the holdouts and one grid.
+    A holdout's shape is, bit for bit, the stage-1 fit of ``wnls_fit`` on
+    the table without that workload, by that fit's rule: each holdout
+    iterates its lowest-SSE start, all in one batch, and a holdout whose
+    run misses its optimum reruns its own grid, one at a time in table
+    order. So no batch holds more problems than the larger of the holdouts
+    and one grid. The first rerun that fails raises that fit's
+    NonConvergenceError.
     """
     config = config or FitConfig()
     workloads = table.workloads()
@@ -1151,34 +1170,14 @@ def loocv(
     keep = cols + (cols >= np.arange(g)[:, None])
     objective = _Objective(spec, fixed, free, table, keep)
     _check_identified(spec, free, objective.x, objective.arch)
-    # every point of each holdout's own stage-1 start grid is scored, and
-    # only the first with the lowest SSE iterates: one problem per holdout
-    theta0, rows, counts = _start_points(objective)
-    holdouts = np.arange(g)
-    theta, _, ok = _winners(
-        objective,
-        *_gauss_newton(
-            objective,
-            theta0[_lowest_sse_starts(objective, theta0, rows, counts)],
-            holdouts, config.convergence_tol, config.max_iterations,
-        ),
-        [1] * g,
+    theta, _, _ = _optima(
+        objective, stage_form, config.convergence_tol, config.max_iterations
     )
-    optima = objective.user(theta, holdouts)
+    optima = objective.user(theta, np.arange(g))
     per_holdout = {
         wid: {n: float(v) for n, v in zip(free, optima[h])}
         for h, wid in enumerate(workloads)
     }
-    # a holdout whose run is not at an optimum is refit by its own
-    # stage-1 fit, which iterates its whole grid
-    for h in np.flatnonzero(~ok):
-        wid = workloads[h]
-        per_holdout[wid] = wnls_fit(
-            table.drop([wid]), stage_form, fixed, free,
-            convergence_tol=config.convergence_tol,
-            max_iterations=config.max_iterations,
-            compute_se=False,
-        ).estimates
     parameters = FORMS[form].shape
     mean: dict[str, float] = {}
     sd: dict[str, float] = {}

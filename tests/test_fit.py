@@ -1089,13 +1089,44 @@ def _lowest_sse_start(table, form, config):
     objective = fitmod._Objective(
         spec, fixed, free, table, np.arange(len(table.x))[None]
     )
-    pick = fitmod._lowest_sse_starts(
+    pick, _ = fitmod._lowest_sse_starts(
         objective, *fitmod._start_points(objective)
     )
     grid = list(dict.fromkeys(
         tuple(float(s[n]) for n in free) for s in spec.starts(table.x)
     ))
     return dict(zip(free, grid[int(pick[0])]))
+
+
+def _grid_run(table, form, fixed, free):
+    """A stage fit of ``table`` that iterates every point of its start
+    grid as one batch, the winner taken by ``fit._winners``: user-scale
+    estimates, weighted SSE and whether it is at an optimum."""
+    objective = fitmod._Objective(
+        FORMS[form], fixed, free, table, np.arange(len(table.x))[None]
+    )
+    theta0, rows, counts = fitmod._start_points(objective)
+    theta, sse, ok, _ = fitmod._winners(
+        objective, rows, counts, *_kernel(objective, theta0, rows, 1e-8, 200)
+    )
+    optimum = objective.user(theta, rows[:1])[0]
+    return (
+        {n: float(v) for n, v in zip(free, optimum)}, float(sse[0]),
+        bool(ok[0]),
+    )
+
+
+def _batches(monkeypatch):
+    """Spy on ``fit._gauss_newton``: the list of its batches' sizes."""
+    batches = []
+    gauss_newton = fitmod._gauss_newton
+
+    def spy(objective, theta0, *args):
+        batches.append(len(theta0))
+        return gauss_newton(objective, theta0, *args)
+
+    monkeypatch.setattr(fitmod, "_gauss_newton", spy)
+    return batches
 
 
 class TestBatchedLoocv:
@@ -1122,12 +1153,12 @@ class TestBatchedLoocv:
                 starts=[_lowest_sse_start(held, form, config)],
             )
             assert estimates == alone.estimates, wid
-            multi = wnls_fit(held, form, fixed, shape, compute_se=False)
+            grid, grid_sse, _ = _grid_run(held, form, fixed, shape)
             for name in shape:
                 assert estimates[name] == pytest.approx(
-                    multi.estimates[name], rel=1e-12, abs=0.0
+                    grid[name], rel=1e-12, abs=0.0
                 ), wid
-            assert alone.weighted_sse <= multi.weighted_sse * (1.0 + 1e-12)
+            assert alone.weighted_sse <= grid_sse * (1.0 + 1e-12)
 
     def test_a_holdout_off_the_optimum_reruns_its_grid(
         self, desk_dataset, monkeypatch
@@ -1147,71 +1178,61 @@ class TestBatchedLoocv:
                 table.drop([wid]), form, _stage1_fixed(config),
                 FORMS[form].shape, starts=[ridge], compute_se=False,
             )
+        grid, _, _ = _grid_run(
+            table.drop([wid]), form, _stage1_fixed(config), FORMS[form].shape
+        )
         choose = fitmod._lowest_sse_starts
 
         def ridge_start(objective, theta0, rows, counts):
-            picks = choose(objective, theta0, rows, counts)
+            picks, resid = choose(objective, theta0, rows, counts)
             picks[h] = np.flatnonzero(rows == h)[0]  # the grid's first
-            return picks
-
-        reruns = []
-        multi_start = fitmod._multi_start
-
-        def spy(objective, *args):
-            reruns.append(len(objective.x))
-            return multi_start(objective, *args)
+            return picks, resid
 
         monkeypatch.setattr(fitmod, "_lowest_sse_starts", ridge_start)
-        monkeypatch.setattr(fitmod, "_multi_start", spy)
+        batches = _batches(monkeypatch)
         got = loocv(table, form, config)
-        assert reruns == [1]
-        alone = wnls_fit(
-            table.drop([wid]), form, _stage1_fixed(config),
-            FORMS[form].shape, compute_se=False,
-        )
-        assert got.per_holdout[wid] == alone.estimates
+        # the holdouts' batch, then that holdout's grid once
+        grid_size = len(FORMS[form].starts(None))
+        assert batches == [len(table.workloads()), grid_size]
+        assert got.per_holdout[wid] == grid
         for other in table.workloads():
             if other != wid:
                 assert got.per_holdout[other] == want.per_holdout[other]
 
     def test_reruns_bounded_by_one_grid(self, desk_dataset, monkeypatch):
         # two holdouts start at the ridge start and miss their optimum; each
-        # is refit alone, so no kernel batch holds more than the larger of
-        # the G holdouts and one grid of S starts
+        # reruns its own grid alone, so no kernel batch holds more than the
+        # larger of the G holdouts and one grid of S starts
         config = FitConfig()
         table = desk_dataset
         form = ModelForm.SIGMOID
         want = loocv(table, form, config)
         workloads = table.workloads()
         forced = (2, 5)
+        grids = {
+            h: _grid_run(
+                table.drop([workloads[h]]), form, _stage1_fixed(config),
+                FORMS[form].shape,
+            )[0]
+            for h in forced
+        }
         choose = fitmod._lowest_sse_starts
 
         def ridge_start(objective, theta0, rows, counts):
-            picks = choose(objective, theta0, rows, counts)
+            picks, resid = choose(objective, theta0, rows, counts)
             for h in forced:
                 picks[h] = np.flatnonzero(rows == h)[0]  # the grid's first
-            return picks
-
-        batches = []
-        gauss_newton = fitmod._gauss_newton
-
-        def spy(objective, theta0, *args):
-            batches.append(len(theta0))
-            return gauss_newton(objective, theta0, *args)
+            return picks, resid
 
         monkeypatch.setattr(fitmod, "_lowest_sse_starts", ridge_start)
-        monkeypatch.setattr(fitmod, "_gauss_newton", spy)
+        batches = _batches(monkeypatch)
         got = loocv(table, form, config)
         grid = len(FORMS[form].starts(None))
         assert max(batches) <= max(len(workloads), grid) == 10
         assert batches == [len(workloads), grid, grid]  # a rerun each
         for h, wid in enumerate(workloads):
             if h in forced:
-                alone = wnls_fit(
-                    table.drop([wid]), form, _stage1_fixed(config),
-                    FORMS[form].shape, compute_se=False,
-                )
-                assert got.per_holdout[wid] == alone.estimates, wid
+                assert got.per_holdout[wid] == grids[h], wid
             else:
                 assert got.per_holdout[wid] == want.per_holdout[wid], wid
 
@@ -1286,15 +1307,15 @@ class TestBatchedLoocv:
             spec, _stage1_fixed(config), spec.shape, table, keep
         )
         theta0, rows, _ = fitmod._start_points(objective)
-        batch = fitmod._gauss_newton(objective, theta0, rows, 1e-8, 200)
+        batch = _kernel(objective, theta0, rows, 1e-8, 200)
         for i in range(len(theta0)):
-            one = fitmod._gauss_newton(
+            one = _kernel(
                 objective, theta0[i:i + 1], rows[i:i + 1], 1e-8, 200
             )
             for got, want in zip(one, batch):
                 assert np.array_equal(got, want[i:i + 1]), i
         monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", 3 * (g - 1))
-        sliced = fitmod._gauss_newton(objective, theta0, rows, 1e-8, 200)
+        sliced = _kernel(objective, theta0, rows, 1e-8, 200)
         for got, want in zip(sliced, batch):
             assert np.array_equal(got, want)
 
@@ -1317,9 +1338,83 @@ class TestBatchedLoocv:
                 )
 
 
+class TestOneStartPerFit:
+    """A fit iterates one start, the first lowest-SSE point of its grid,
+    and reruns the whole grid only when that run misses its optimum."""
+
+    @pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
+    def test_desk_stage1_runs_one_problem(
+        self, form, desk_dataset, desk_exclusion_policy, monkeypatch
+    ):
+        batches = _batches(monkeypatch)
+        two_stage_fit(
+            desk_dataset, form, FitConfig(exclusions=desk_exclusion_policy)
+        )
+        assert batches == [1, 1]  # stage 1, then stage 2 from one start
+
+    def test_a_miss_reruns_the_grid_once(
+        self, desk_dataset, desk_exclusion_policy, monkeypatch
+    ):
+        # the fit starts at the ridge start of TestRelativeOffset, which
+        # stops unconverged; it then iterates its whole grid, once
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        form = ModelForm.SIGMOID
+        fixed, shape = _stage1_fixed(FitConfig()), FORMS[form].shape
+        ridge = {"x0": 9.0, "k": 0.1}
+        assert ridge.items() <= FORMS[form].starts(None)[0].items()
+        grid, grid_sse, ok = _grid_run(table, form, fixed, shape)
+        assert ok
+        choose = fitmod._lowest_sse_starts
+
+        def ridge_start(objective, theta0, rows, counts):
+            picks, resid = choose(objective, theta0, rows, counts)
+            return np.zeros_like(picks), resid  # the grid's first
+
+        monkeypatch.setattr(fitmod, "_lowest_sse_starts", ridge_start)
+        batches = _batches(monkeypatch)
+        got = wnls_fit(table, form, fixed, shape, compute_se=False)
+        assert batches == [1, len(FORMS[form].starts(None))]
+        assert got.estimates == grid
+        assert got.weighted_sse == grid_sse
+
+    @pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
+    @pytest.mark.parametrize("data", ["desk-all", "desk-excluded", "many"])
+    def test_stage1_agrees_with_its_grid_run(
+        self, form, data, desk_dataset, desk_exclusion_policy,
+        many_workload_dataset,
+    ):
+        table = {
+            "desk-all": desk_dataset,
+            "desk-excluded": apply_exclusions(
+                desk_dataset, desk_exclusion_policy
+            ),
+            "many": many_workload_dataset,
+        }[data]
+        config = FitConfig()
+        stage1 = two_stage_fit(table, form, config).stage1
+        grid, grid_sse, ok = _grid_run(
+            table, *fitmod._stage1_constraints(form, config)
+        )
+        assert ok
+        for name, value in grid.items():
+            assert stage1.estimates[name] == pytest.approx(
+                value, rel=1e-12, abs=0.0
+            ), name
+        assert stage1.weighted_sse <= grid_sse * (1.0 + 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # step halvings tried as one batch
 # ---------------------------------------------------------------------------
+
+def _kernel(objective, theta0, rows, tol, max_iter):
+    """``fit._gauss_newton`` from ``theta0``, given its residual rows as
+    ``fit._lowest_sse_starts`` scores them."""
+    return fitmod._gauss_newton(
+        objective, theta0, rows, fitmod._residuals(objective, theta0, rows),
+        tol, max_iter,
+    )
+
 
 def _reference_gauss_newton(objective, theta0, rows, tol, max_iter):
     """The kernel as it was before halvings were batched: one curve
@@ -1374,7 +1469,7 @@ def _reference_gauss_newton(objective, theta0, rows, tol, max_iter):
                     at_rows, limit = at_rows[up], limit[up]
                 scale *= 0.5
             live = np.concatenate(going)
-    return theta, sse, converged
+    return theta, sse, converged, resid
 
 
 def _loocv_batch(table, form):
@@ -1440,9 +1535,14 @@ class TestBatchedHalving:
                 fitmod, "BATCH_ELEMENTS", batch[0].x.shape[-1]
             )
         want = _reference_gauss_newton(*batch, 1e-8, 200)
-        got = fitmod._gauss_newton(*batch, 1e-8, 200)
+        got = _kernel(*batch, 1e-8, 200)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+        # the residual rows it returns are those of its final points
+        objective, _, rows = batch
+        assert np.array_equal(
+            got[3], fitmod._residuals(objective, got[0], rows)
+        )
         if problem == "ridge":
             assert not got[2].any()
 
@@ -1457,7 +1557,7 @@ class TestBatchedHalving:
         objective, theta0, rows = _loocv_batch(table, ModelForm.SIGMOID)
         bound = max(1, fitmod.BATCH_ELEMENTS // objective.x.shape[-1])
         seen = _call_rows(monkeypatch)
-        fitmod._gauss_newton(objective, theta0, rows, 1e-8, 200)
+        _kernel(objective, theta0, rows, 1e-8, 200)
         assert max(seen) <= bound
         # unsliced, some call must have tried several scales per problem
         assert len(theta0) > bound or max(seen) > len(theta0)
@@ -1523,7 +1623,7 @@ class TestOneLoop:
         want = loocv(desk_dataset, form)
         objective, theta0, rows = _loocv_batch(desk_dataset, form)
         runs = {
-            m: fitmod._gauss_newton(objective, theta0, rows, 1e-8, m)
+            m: _kernel(objective, theta0, rows, 1e-8, m)
             for m in (3, 200)
         }
         n = len(desk_dataset.workload_ids) - 1
@@ -1532,7 +1632,7 @@ class TestOneLoop:
         assert got.per_holdout == want.per_holdout
         assert (got.mean, got.sd) == (want.mean, want.sd)
         for max_iter, runs_want in runs.items():
-            runs_got = fitmod._gauss_newton(
+            runs_got = _kernel(
                 objective, theta0, rows, 1e-8, max_iter
             )
             for g, w in zip(runs_got, runs_want):
@@ -1757,7 +1857,7 @@ class TestHybridStep:
             if data == "desk" else synthetic_tables[int(data[-1])]
         )
         objective, theta0 = _stage1_objective(table, form)
-        theta, sse, converged = fitmod._gauss_newton(
+        theta, sse, converged, _ = _kernel(
             objective, theta0, np.zeros(len(theta0), dtype=int), 1e-8, 200
         )
         tied = sse <= np.fmin.reduce(sse) * (1.0 + 1e-12)
@@ -1954,7 +2054,7 @@ class TestOptimizerMap:
         ends = {}
         for start in FORMS[ModelForm.SIGMOID].starts(None):
             theta0, rows, _ = fitmod._start_points(objective, [start])
-            theta, _, converged = fitmod._gauss_newton(
+            theta, _, converged, _ = _kernel(
                 objective, theta0, rows, 1e-8, 200
             )
             c1 = theta[0, 1]

@@ -42,14 +42,14 @@ DUMP = {
 }
 
 
-def _diff(tmp_path, a, b, capsys):
+def _diff(tmp_path, a, b, capsys, options=()):
     """diff_numbers' exit code and stdout lines for dumps a and b."""
     paths = []
     for name, dump in (("a.json", a), ("b.json", b)):
         path = tmp_path / name
         path.write_text(json.dumps(dump))
         paths.append(str(path))
-    rc = diff_numbers.main(paths)
+    rc = diff_numbers.main([*paths, *options])
     return rc, capsys.readouterr().out.splitlines()
 
 
@@ -107,6 +107,35 @@ class TestDiffNumbers:
         rc, lines = _diff(tmp_path, DUMP, other, capsys)
         assert rc == 1
         assert f"{where.split('/')[0]}: differs at {where}" in lines
+
+    @pytest.mark.parametrize("tol, rc", [(1e-15, 0), (1e-16, 1), (0.0, 1)])
+    def test_rel_bounds_the_relative_difference(
+        self, tol, rc, tmp_path, capsys
+    ):
+        # one ulp at 9.8 is about 1.8e-16 relative
+        path = ("loocv", "all", "sigmoid", "mean", "x0")
+        moved = math.nextafter(9.8, math.inf).hex()
+        args = [] if tol == 0.0 else ["--rel", str(tol)]
+        got, _ = _diff(tmp_path, DUMP, _changed(path, moved), capsys, args)
+        assert got == rc
+
+    @pytest.mark.parametrize("change", [
+        ("loocv", "all", "sigmoid", "flagged_outliers"),
+        ("two_stage_fit", "all", "asymptotic"),
+        ("loocv", "all", "sigmoid", "mean", "k"),
+    ], ids=["missing leaf", "error string", "sign of zero"])
+    def test_rel_never_forgives_a_value_that_is_not_close(
+        self, change, tmp_path, capsys
+    ):
+        value = {
+            "flagged_outliers": [], "asymptotic": "NonConvergenceError: x",
+            "k": (-0.0).hex(),
+        }[change[-1]]
+        rc, _ = _diff(
+            tmp_path, DUMP, _changed(change, value), capsys,
+            ["--rel", "1e-3"],
+        )
+        assert rc == 1
 
 
 def test_dump_numbers_on_the_desk_set():

@@ -1,6 +1,6 @@
 """Compare two outputs of ``tools/dump_numbers.py``, number by number.
 
-    python3 tools/diff_numbers.py A B
+    python3 tools/diff_numbers.py A B [--rel TOL]
 
 A and B are the JSON files ``tools/dump_numbers.py`` printed for two
 checkouts on the same inputs. For each fit or scan in them (a path such as
@@ -11,11 +11,14 @@ numbers there, |a - b| / max(|a|, |b|), and the path of the number where it
 lies. A value that is not a number and differs (an error message, a flag
 list of another length), and a zero whose sign differs, print ``differs``
 and the path. The exit code is 0 when everything is identical and 1
-otherwise.
+otherwise. With ``--rel TOL`` it is 0 when every pair of numbers differs by
+at most TOL relative and no value is missing, non-numeric and different,
+or a zero of the other sign; the printed lines are the same.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
@@ -74,10 +77,19 @@ def compare(a: dict, b: dict) -> dict[str, tuple[float, str]]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    a, b = (json.loads(open(p, encoding="utf-8").read()) for p in argv)
+    parser = argparse.ArgumentParser(
+        description="Compare two outputs of tools/dump_numbers.py."
+    )
+    parser.add_argument("a")
+    parser.add_argument("b")
+    parser.add_argument(
+        "--rel", type=float, default=0.0, metavar="TOL",
+        help="largest relative difference that exits 0 (default: exact)",
+    )
+    args = parser.parse_args(argv)
+    a, b = (
+        json.loads(open(p, encoding="utf-8").read()) for p in (args.a, args.b)
+    )
     worst = compare(a, b)
     for group in sorted(worst, key=lambda g: (g.count("/") == 0, g)):
         diff, where = worst[group]
@@ -87,7 +99,7 @@ def main(argv: list[str]) -> int:
             print(f"{group}: differs at {where}")
         else:
             print(f"{group}: {diff:.2g} at {where}")
-    return 0 if all(d == 0.0 for d, _ in worst.values()) else 1
+    return 0 if all(d <= args.rel for d, _ in worst.values()) else 1
 
 
 if __name__ == "__main__":
