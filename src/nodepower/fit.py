@@ -42,16 +42,19 @@ iterates; a run that misses its optimum reruns the whole grid. ``loocv``'s
 G holdouts iterate one such start each, as one array problem in one loop:
 the parameters of B problems form a (B, p) array, each problem halves its
 own step and stops on its own, and both steps are solved in closed form
-from one Gram-Schmidt. Each iteration tries every problem's full step; the
-problems whose full step raises the SSE then try their halvings together,
-several scales per problem in one evaluation. Memory is bounded per
-evaluation, not per problem: no curve or derivative evaluation, halvings
-and the optimum tests of the winners included, takes more than
-``BATCH_ELEMENTS`` problems x workloads, so a large batch makes more calls,
-not larger ones. A batch holds at most the larger of G holdouts and one
-grid of S starts, and carries one residual row per problem between
-iterations. Every reduction runs along one problem's row, so each problem
-is bit-identical to a run on its own, and the halvings give the bits that
+from one Gram-Schmidt. Each iteration takes the live problems a call at a
+time: their derivatives, their steps, and their full steps in one plain
+pass, which most problems end with; the problems whose full step raises the
+SSE then try their halvings together, several scales per problem in one
+evaluation. Memory is bounded per evaluation, not per problem: no curve or
+derivative evaluation, halvings and the optimum tests of the winners
+included, takes more than ``BATCH_ELEMENTS`` problems x workloads, so a
+large batch makes more calls, not larger ones. A batch holds at most the
+larger of G holdouts and one grid of S starts, and carries each problem's
+residual row and user-scale point between iterations, so that no point's
+residuals are evaluated, or its parameters mapped back to the user scale,
+twice. Every reduction runs along one problem's row, so each problem is
+bit-identical to a run on its own, and the halvings give the bits that
 trying one scale at a time would.
 Every stage, with one free parameter or two, converges in one way only: a
 small final step, at a full-rank Jacobian, with a relative offset of at
@@ -73,6 +76,13 @@ a step can land on and take many halvings to leave, while on (c0, c1) it
 is the edge c1 -> 0+, and the bound k >= K_FLOOR is c1 <= sd / K_FLOOR. A
 step outside the map's domain is rejected like one that raises the SSE.
 Starts, reported estimates and standard errors are on the user scale.
+Without a map the user scale is the optimizer's, and the standard errors
+take the Jacobian that the optimum test evaluated; with one, they take the
+curve's gradient at the user-scale optimum. Everything about an objective
+that no evaluation changes (parameter positions, masks, 10^x, the map's
+per-table constants) is taken once per objective (``FormSpec.resolve``),
+so an evaluation is the form's arithmetic and the gathers of each
+problem's table.
 """
 
 from __future__ import annotations
@@ -90,7 +100,9 @@ from .files import (
     UnknownWorkloadError,
 )
 from .ingest import EXCLUSION_REASONS, WorkloadTable
-from .model import FORMS, FittedModel, FormSpec, ModelForm, PowerParams
+from .model import (
+    FORMS, FittedModel, FormSpec, ModelForm, PowerParams, _take,
+)
 from .reference import (
     Architecture_LLM,
     BURN_POWER_KW,
@@ -267,13 +279,17 @@ class _Objective:
     the rows of a (B, p) array ``theta``, and ``rows`` (B,) names each
     problem's table. With one table every problem reads its columns as they
     are, broadcast. Every step is elementwise or a sum along the last axis,
-    so a problem's numbers do not depend on the batch it runs in.
+    so a problem's numbers do not depend on the batch it runs in. The
+    form's curve and derivatives come from ``FormSpec.resolve``, taken once
+    on the T tables.
 
     The optimizer's scale is the user scale, but for the shape parameters
     when they are exactly those of the form table's optimizer map
     (``FormSpec.optimizer_map``): then theta holds the map's coordinates in
-    their columns, with the map's constants taken from each table's
-    intensities.
+    their columns, with the map's constants taken once from each table's
+    intensities. An evaluation takes the problems' points on the user scale
+    too, ``user`` (B, p), where the caller has them, so that no point is
+    mapped back twice; without a map, ``user`` is theta itself.
     """
 
     def __init__(
@@ -285,15 +301,15 @@ class _Objective:
         keep: np.ndarray,
     ) -> None:
         self.spec = spec
-        self.fixed = dict(fixed)
         self.free = free
-        self.position = {n: i for i, n in enumerate(free)}
+        position = {n: i for i, n in enumerate(free)}
         self.x = table.x[keep]
+        self.arch = table.arch[keep]
         shape = tuple(n for n in spec.shape if n in free)
         m = spec.optimizer_map
         self.map = m if m is not None and m.params == shape else None
         mapped = () if self.map is None else self.map.params
-        self.mapped = [self.position[n] for n in mapped]
+        self.mapped = [position[n] for n in mapped]
         self.constants = () if self.map is None else m.constants(self.x)
         # the map bounds its own coordinates; the others are clipped to the
         # form table's lower bounds
@@ -301,19 +317,13 @@ class _Objective:
             -np.inf if n in mapped else spec.lower.get(n, -np.inf)
             for n in free
         ])
-        self.arch = table.arch[keep]
-        # only a form with a magnitude per architecture reads the mask
-        self.is_llm = (
-            self.arch == Architecture_LLM if spec.per_arch
-            else np.zeros((1, 1), dtype=bool)
+        self.form = spec.resolve(
+            fixed, free, self.x,
+            self.arch == Architecture_LLM if spec.per_arch else None,
         )
         self.y = table.mean_kw[keep]
         # the weighted SSE's part that no curve can explain
         self.within = _row_sum((table.within_ss / table.n)[keep])
-
-    @staticmethod
-    def _take(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return column[0] if len(column) == 1 else column[rows]
 
     def _mapped(
         self, values: np.ndarray, rows: np.ndarray, inverse: bool
@@ -332,7 +342,7 @@ class _Objective:
         return out
 
     def _constants(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(self._take(c, rows) for c in self.constants)
+        return tuple(_take(c, rows) for c in self.constants)
 
     def user(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Free parameters on the user scale, (B, p); NaN outside the
@@ -343,44 +353,39 @@ class _Objective:
         """Free parameters on the optimizer's scale, (B, p)."""
         return self._mapped(user, rows, inverse=False)
 
-    def _params(self, user: np.ndarray) -> dict[str, Any]:
-        params: dict[str, Any] = dict(self.fixed)
-        for i, name in enumerate(self.free):
-            params[name] = user[:, i:i + 1]
-        return params
+    @staticmethod
+    def _split(user: np.ndarray) -> list[np.ndarray]:
+        return [user[:, i:i + 1] for i in range(user.shape[1])]
 
-    def residual(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def residual(
+        self, theta: np.ndarray, rows: np.ndarray,
+        user: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Workload-mean residuals at theta, (B, n)."""
-        return self._take(self.y, rows) - self.spec.curve(
-            self._params(self.user(theta, rows)),
-            self._take(self.x, rows), self._take(self.is_llm, rows),
-        )
+        if user is None:
+            user = self.user(theta, rows)
+        return _take(self.y, rows) - self.form.curve(self._split(user), rows)
 
     def sse(self, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Weighted SSE of each problem from its residuals, (B,)."""
-        return _row_sum(r * r) + self._take(self.within, rows)
+        return _row_sum(r * r) + _take(self.within, rows)
 
-    def _columns(self, d: Mapping[str, Any], shape: tuple[int, int]):
+    def _columns(self, J: list, count: int) -> list[np.ndarray]:
         # a column that no free parameter enters is one row for all
+        shape = (count, self.x.shape[-1])
         return [
-            c if c.shape == shape else np.broadcast_to(c, shape)
-            for c in (d[n] for n in self.free)
+            c if c.shape == shape else np.broadcast_to(c, shape) for c in J
         ]
 
-    def gradient(
-        self, theta: np.ndarray, rows: np.ndarray
-    ) -> list[np.ndarray]:
-        """d curve / d user-scale parameter, one (B, n) array per free
-        parameter."""
-        x = self._take(self.x, rows)
-        grad = self.spec.gradient(
-            self._params(self.user(theta, rows)), x,
-            self._take(self.is_llm, rows),
-        )
-        return self._columns(grad, (len(theta), x.shape[-1]))
+    def gradient(self, user: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+        """d curve / d user-scale parameter at the user-scale points
+        ``user`` (B, p), one (B, n) array per free parameter."""
+        J, _ = self.form.derivatives(self._split(user), rows)
+        return self._columns(J, len(user))
 
     def derivatives(
-        self, theta: np.ndarray, rows: np.ndarray
+        self, theta: np.ndarray, rows: np.ndarray,
+        user: np.ndarray | None = None,
     ) -> tuple[list[np.ndarray], dict[tuple[int, int], np.ndarray]]:
         """The Jacobian d curve / d theta, one (B, n) array per free
         parameter, and the curve's second derivatives in theta, {(i, j):
@@ -388,21 +393,14 @@ class _Objective:
         not zero everywhere; from one shape evaluation at theta. On the
         map's scale the map gives the derivatives of the shape's
         argument."""
-        x = self._take(self.x, rows)
-        user = self.user(theta, rows)
+        if user is None:
+            user = self.user(theta, rows)
+        u = self._split(user)
         argument = None if self.map is None else self.map.derivatives(
-            [user[:, i:i + 1] for i in self.mapped], self._constants(rows), x
+            [u[i] for i in self.mapped], self._constants(rows)
         )
-        grad, second = self.spec.derivatives(
-            self._params(user), x, self._take(self.is_llm, rows), self.free,
-            argument,
-        )
-        J = self._columns(grad, (len(theta), x.shape[-1]))
-        H = {
-            tuple(sorted((self.position[a], self.position[b]))): h
-            for (a, b), h in second.items()
-        }
-        return J, H
+        J, H = self.form.derivatives(u, rows, argument)
+        return self._columns(J, len(theta)), H
 
 
 def _gram_schmidt(
@@ -425,7 +423,7 @@ def _gram_schmidt(
     v = J[1] - r12[:, None] * q1
     r22 = np.sqrt(_row_sum(v * v))
     sine = r22 / np.sqrt(_row_sum(J[1] * J[1]))
-    r22[~(sine > _EPS * J[1].shape[-1])] = np.nan
+    r22 = np.where(sine > _EPS * J[1].shape[-1], r22, np.nan)
     return r11, q1, r12, v, r22
 
 
@@ -451,11 +449,11 @@ def _lstsq_step(
         if curvature:
             h11 = r11 * r11 - curvature[0, 0]
             newton = r11 * b1 / h11
-            take = (h11 > 0) & np.isfinite(newton)
-            d[take, 0] = newton[take]
+            np.copyto(d[:, 0], newton, where=(h11 > 0) & np.isfinite(newton))
         return d
     b2 = _row_sum(v * r)  # r22 times the second entry of Q'r
-    d[:, 1] = b2 / (r22 * r22)
+    r22r22 = r22 * r22
+    d[:, 1] = b2 / r22r22
     d[:, 0] = (b1 - r12 * d[:, 1]) / r11
     if curvature:
         s11, s12, s22 = (
@@ -463,14 +461,14 @@ def _lstsq_step(
         )
         h11 = r11 * r11 - s11
         h12 = r11 * r12 - s12
-        h22 = r12 * r12 + r22 * r22 - s22
+        h22 = r12 * r12 + r22r22 - s22
         g1, g2 = r11 * b1, r12 * b1 + b2  # J'r
         det = h11 * h22 - h12 * h12
         n1 = (h22 * g1 - h12 * g2) / det
         n2 = (h11 * g2 - h12 * g1) / det
         take = (h11 > 0) & (det > 0) & np.isfinite(n1) & np.isfinite(n2)
-        d[take, 0] = n1[take]
-        d[take, 1] = n2[take]
+        np.copyto(d[:, 0], n1, where=take)
+        np.copyto(d[:, 1], n2, where=take)
     return d
 
 
@@ -479,13 +477,14 @@ def _step(
     theta: np.ndarray,
     rows: np.ndarray,
     r: np.ndarray,
+    user: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Each problem's step from theta, where its residuals are r:
-    ``_lstsq_step`` with the curvature from the form table's second
-    derivatives. That is the Newton step where H is positive definite and
-    the step finite, and the Gauss-Newton step elsewhere and in a stage
-    where no free parameter has curvature."""
-    J, second = objective.derivatives(theta, rows)
+    """Each problem's step from theta, where its residuals are r and its
+    user-scale point ``user``: ``_lstsq_step`` with the curvature from the
+    form table's second derivatives. That is the Newton step where H is
+    positive definite and the step finite, and the Gauss-Newton step
+    elsewhere and in a stage where no free parameter has curvature."""
+    J, second = objective.derivatives(theta, rows, user)
     return _lstsq_step(
         J, r, {ij: _row_sum(r * h) for ij, h in second.items()}
     )
@@ -498,14 +497,20 @@ def _per_call(objective: _Objective) -> int:
 
 
 def _residuals(
-    objective: _Objective, theta: np.ndarray, rows: np.ndarray
+    objective: _Objective, theta: np.ndarray, rows: np.ndarray,
+    user: np.ndarray | None = None,
 ) -> np.ndarray:
     """Residual rows of B problems, (B, n), in calls of at most
-    ``_per_call`` problems."""
+    ``_per_call`` problems, from their user-scale points ``user`` when
+    given."""
     size = _per_call(objective)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if user is None:
+            user = objective.user(theta, rows)
         return np.concatenate([
-            objective.residual(theta[i:i + size], rows[i:i + size])
+            objective.residual(
+                theta[i:i + size], rows[i:i + size], user[i:i + size]
+            )
             for i in range(0, len(theta), size)
         ])
 
@@ -515,9 +520,10 @@ def _gauss_newton(
     theta0: np.ndarray,
     rows: np.ndarray,
     resid0: np.ndarray,
+    user0: np.ndarray,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped hybrid Newton / Gauss-Newton on B independent problems at
     once.
 
@@ -530,87 +536,123 @@ def _gauss_newton(
     converged on a relative step below ``tol``; unconverged on a non-finite
     step, on no scale that descends, or after ``max_iter`` iterations.
     ``theta0`` lies at or above the lower bounds, with residual rows
-    ``resid0``. Returns theta (B, p), SSE (B,), the converged flags (B,)
-    and the residual rows (B, n).
+    ``resid0`` and user-scale points ``user0`` (theta0 itself without an
+    optimizer map). Returns theta (B, p), SSE (B,), the converged flags
+    (B,), the residual rows (B, n) and the user-scale points (B, p).
 
-    Every problem of the batch iterates in one loop. An iteration tries
-    every live problem's full step; the problems whose full step raises the
-    SSE then try their halvings together: the m problems still halving try
-    k scales each, with k = size // m, at least 1 and at most the scales
-    left. The scales are exact powers of two, so every candidate, and the
-    one accepted, has the bits that trying one halving at a time would give
-    it. Memory is bounded per evaluation: no call to
-    ``_Objective.residual``, and no ``_step``, takes more than size =
-    ``BATCH_ELEMENTS`` // n problems (n workloads each), or size // k
-    problems at k scales. Between iterations the loop carries one residual
-    row per problem, (B, n).
+    Every problem of the batch iterates in one loop. An iteration takes
+    the live problems in calls of at most size = ``BATCH_ELEMENTS`` // n
+    problems (n workloads each): each call evaluates their derivatives,
+    their steps and their full steps, a plain pass that most problems end
+    with. The problems whose full step raises the SSE then try their
+    halvings together: the m problems still halving try k scales each,
+    with k = size // m, at least 1 and at most the scales left, and no
+    call takes more than size // k problems at k scales. The scales are
+    exact powers of two, so every candidate, and the one accepted, has the
+    bits that trying one halving at a time would give it. Between
+    iterations the loop carries each problem's point, its residual row
+    (B, n) and its user-scale point, so that no point is mapped back to
+    the user scale twice.
     """
     # Problems are independent and every sum runs along one problem's row,
     # so each is bit-identical alone and in any call. A call holds about
     # ten (problems, n) arrays at once (the curve, its gradient, the step):
     # hence the bound per call.
     size = _per_call(objective)
+    carry = objective.map is not None  # else the user scale is theta
+    lower = objective.lower
+    theta, resid = theta0.copy(), resid0.copy()
+    user = user0.copy() if carry else theta
+    with np.errstate(over="ignore"):
+        sse = objective.sse(resid, rows)
+    converged = np.zeros(len(theta), dtype=bool)
+    going: list[np.ndarray] = []  # problems that moved, not converged
+    missed: list[tuple] = []  # problems whose candidates all missed
+
+    def accept(todo, at, at_rows, limit, step, cand, k):
+        # k candidates per problem of todo, problem by problem: each
+        # problem moves to its first one whose SSE is at most its limit
+        cand_rows = at_rows if k == 1 else np.repeat(at_rows, k)
+        cand_user = objective.user(cand, cand_rows) if carry else cand
+        cand_resid = objective.residual(cand, cand_rows, cand_user)
+        cand_sse = objective.sse(cand_resid, cand_rows)
+        if k == 1:
+            hit = cand_sse <= limit
+            every = hit.all()
+            pick = None if every else hit
+        else:
+            down = cand_sse.reshape(-1, k) <= limit[:, None]
+            hit = down.any(axis=-1)
+            every = hit.all()
+            pick = (np.arange(len(hit)) * k + down.argmax(axis=-1))[hit]
+        if pick is not None:
+            cand, cand_user, cand_resid, cand_sse = (
+                a[pick] for a in (cand, cand_user, cand_resid, cand_sse)
+            )
+        if not every:
+            miss = ~hit
+            missed.append(tuple(
+                a[miss] for a in (todo, at, at_rows, limit, step)
+            ))
+            todo, at = todo[hit], at[hit]
+        small = _relative_change(cand, at) < tol
+        theta[todo] = cand
+        if carry:
+            user[todo] = cand_user
+        resid[todo] = cand_resid
+        sse[todo] = cand_sse
+        converged[todo[small]] = True
+        going.append(todo[~small])
+
     # a step or candidate that overflows or divides by zero is non-finite,
     # which the rules below read as a stop or a rejection
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lower = objective.lower
-        theta, resid = theta0.copy(), resid0.copy()
-        sse = objective.sse(resid, rows)
-        converged = np.zeros(len(theta), dtype=bool)
         live = np.arange(len(theta))  # problems still iterating
         for _ in range(max_iter):
-            step = np.empty((len(live), len(lower)))
+            going.clear()
+            missed.clear()
+            # derivatives, steps and the plain full-step pass, per call
             for i in range(0, len(live), size):
-                these = live[i:i + size]
-                step[i:i + size] = _step(
-                    objective, theta[these], rows[these], resid[these]
+                todo = live[i:i + size]
+                at, at_rows = theta[todo], rows[todo]
+                step = _step(
+                    objective, at, at_rows, resid[todo], user[todo]
                 )
-            finite = np.isfinite(step).all(axis=-1)
-            # the problems still halving: index, point, step, table, SSE limit
-            todo = live[finite]
-            if not todo.size:
-                break
-            at, step, at_rows = theta[todo], step[finite], rows[todo]
-            limit = sse[todo] * (1.0 + 1e-14) + 1e-300
-            going = [todo[:0]]
-            # scales 2^-j from j = 0, k per problem: the full step alone
-            # first (most problems stop there), then as many as fit a call
-            j = 0
-            while todo.size and j < MAX_HALVINGS:
-                k = 1 if not j else min(
-                    MAX_HALVINGS - j, max(1, size // len(todo))
+                finite = np.isfinite(step).all(axis=-1)
+                if not finite.all():
+                    todo, at, at_rows, step = (
+                        a[finite] for a in (todo, at, at_rows, step)
+                    )
+                if todo.size:
+                    accept(
+                        todo, at, at_rows,
+                        sse[todo] * (1.0 + 1e-14) + 1e-300, step,
+                        np.maximum(at + step, lower), 1,
+                    )
+            # the misses' halvings from 2^-1, as many scales as fit a call
+            j = 1
+            while missed and j < MAX_HALVINGS:
+                todo, at, at_rows, limit, step = (
+                    np.concatenate(a) for a in zip(*missed)
                 )
+                missed.clear()
+                k = min(MAX_HALVINGS - j, max(1, size // len(todo)))
                 scales = 0.5 ** np.arange(j, j + k)
-                miss = np.empty(len(todo), dtype=bool)
                 per = max(1, size // k)  # problems per call
                 for i in range(0, len(todo), per):
                     s = slice(i, i + per)
                     cand = np.maximum(
                         at[s, None] + scales[:, None] * step[s, None], lower
                     ).reshape(-1, len(lower))
-                    cand_rows = np.repeat(at_rows[s], k)
-                    cand_resid = objective.residual(cand, cand_rows)
-                    cand_sse = objective.sse(cand_resid, cand_rows)
-                    down = cand_sse.reshape(-1, k) <= limit[s, None]
-                    hit = down.any(axis=-1)
-                    miss[s] = ~hit
-                    pick = (
-                        np.arange(len(hit)) * k + down.argmax(axis=-1)
-                    )[hit]
-                    moved = todo[s][hit]
-                    small = _relative_change(cand[pick], at[s][hit]) < tol
-                    theta[moved] = cand[pick]
-                    resid[moved] = cand_resid[pick]
-                    sse[moved] = cand_sse[pick]
-                    converged[moved[small]] = True
-                    going.append(moved[~small])
-                todo, at, step = todo[miss], at[miss], step[miss]
-                at_rows, limit = at_rows[miss], limit[miss]
+                    accept(
+                        todo[s], at[s], at_rows[s], limit[s], step[s], cand,
+                        k,
+                    )
                 j += k
-            live = np.concatenate(going)
+            live = np.concatenate(going) if going else live[:0]
             if not live.size:
                 break
-    return theta, sse, converged, resid
+    return theta, sse, converged, resid, user
 
 
 def _start_points(
@@ -648,16 +690,18 @@ def _lowest_sse_starts(
     theta0: np.ndarray,
     rows: np.ndarray,
     counts: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Index into ``theta0`` of each table's first start, in start order,
-    with the lowest weighted SSE, NaN read as +inf, and the residual rows
-    of every start, (S, n). The starts lie in table order, ``counts[t]`` of
-    them for table t; each is scored once, without iterating."""
-    resid = _residuals(objective, theta0, rows)
-    with np.errstate(over="ignore"):
+    with the lowest weighted SSE, NaN read as +inf, and every start's
+    residual row and user-scale point, (S, n) and (S, p). The starts lie
+    in table order, ``counts[t]`` of them for table t; each is mapped to
+    the user scale and scored once, without iterating."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        user = objective.user(theta0, rows)
+        resid = _residuals(objective, theta0, rows, user)
         sse = objective.sse(resid, rows)
     sse[np.isnan(sse)] = np.inf
-    return _first_lowest(sse, counts), resid
+    return _first_lowest(sse, counts), (resid, user)
 
 
 def _first_lowest(
@@ -705,12 +749,14 @@ def _check_identified(
 def _winners(
     objective: _Objective, rows: np.ndarray, counts: Sequence[int],
     theta: np.ndarray, sse: np.ndarray, converged: np.ndarray,
-    resid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    resid: np.ndarray, user: np.ndarray,
+) -> tuple[np.ndarray, ...]:
     """The optimum of each table from its runs, as ``_gauss_newton``
-    returns them: theta, SSE, whether it is an optimum and residual rows,
-    one row per table. The runs lie in table order, ``counts[i]`` of them
-    for the i-th table; ``rows`` names each run's table.
+    returns them: theta, SSE, whether it is an optimum, residual rows and
+    user-scale points, one row per table, and the Jacobian d curve / d
+    theta there, (T, n, p), on the rows that are at an optimum. The runs
+    lie in table order, ``counts[i]`` of them for the i-th table; ``rows``
+    names each run's table.
 
     A winning run is at an optimum only if it stopped on a small step at
     a full-rank Jacobian with a relative offset of at most ``OFFSET_TOL``,
@@ -721,7 +767,10 @@ def _winners(
     # the winner does not depend on summation order
     picks = _first_lowest(sse, counts, 1e-12)
     tables = rows[picks]
-    theta, sse, ok, resid = (a[picks] for a in (theta, sse, converged, resid))
+    theta, sse, ok, resid, user = (
+        a[picks] for a in (theta, sse, converged, resid, user)
+    )
+    jacobian = np.empty((len(picks), resid.shape[-1], theta.shape[-1]))
     # a run can also stop on a small step where the Jacobian has rank 1,
     # as at a sigmoid's edge c1 -> 0+ (a curve flat over the data), or
     # short of the optimum; residuals below sqrt(eps) of the data's RMS are
@@ -730,21 +779,23 @@ def _winners(
     size = _per_call(objective)
     for i in range(0, len(runs), size):
         w = runs[i:i + size]
-        y = objective._take(objective.y, tables[w])
+        y = _take(objective.y, tables[w])
+        J = objective.derivatives(theta[w], tables[w], user[w])[0]
+        # (n, p) per table in C order, as np.column_stack builds it
+        jacobian[w] = np.stack(J, axis=-1)
         ok[w] = _relative_offsets(
-            resid[w],
-            objective.derivatives(theta[w], tables[w])[0],
-            np.sqrt(_EPS * np.mean(y * y, axis=-1)),
+            resid[w], J, np.sqrt(_EPS * np.mean(y * y, axis=-1)),
         ) <= OFFSET_TOL
-    return theta, sse, ok, resid
+    return theta, sse, ok, resid, user, jacobian
 
 
 def _optima(
     objective: _Objective, form: ModelForm, tol: float, max_iter: int,
     starts: Sequence[Mapping[str, float]] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The optimum of every table from its ``_start_points`` (``starts``,
-    or the form table's): theta (T, p), SSE (T,) and residual rows (T, n).
+    or the form table's): the user-scale point (T, p), SSE (T,), residual
+    rows (T, n) and the Jacobian d curve / d theta (T, n, p).
 
     Each table's first lowest-SSE start (``_lowest_sse_starts``) iterates,
     all T as one batch. A table whose run ``_winners`` does not pass
@@ -754,23 +805,25 @@ def _optima(
     table's starts.
     """
     theta0, rows, counts = _start_points(objective, starts)
-    picks, resid0 = _lowest_sse_starts(objective, theta0, rows, counts)
+    picks, (resid0, user0) = _lowest_sse_starts(
+        objective, theta0, rows, counts
+    )
 
     def run(s: np.ndarray, per_table: Sequence[int]):
         return _winners(objective, rows[s], per_table, *_gauss_newton(
-            objective, theta0[s], rows[s], resid0[s], tol, max_iter
+            objective, theta0[s], rows[s], resid0[s], user0[s], tol,
+            max_iter,
         ))
 
-    theta, sse, ok, resid = run(picks, [1] * len(counts))
+    _, sse, ok, resid, user, jacobian = out = run(picks, [1] * len(counts))
     for t in np.flatnonzero(~ok):
         # a list of one start would rerun the run that just failed
         if counts[t] > 1:
-            theta[t], sse[t], ok[t], resid[t] = (
-                a[0] for a in run(rows == t, [counts[t]])
-            )
+            for a, b in zip(out, run(rows == t, [counts[t]])):
+                a[t] = b[0]
         if not ok[t]:
             raise _not_converged(form, max_iter)
-    return theta, sse, resid
+    return user, sse, resid, jacobian
 
 
 def _not_converged(form: ModelForm, max_iterations: int) -> Exception:
@@ -867,12 +920,10 @@ def wnls_fit(
     objective = _Objective(
         spec, fixed, free, table, np.arange(len(table.x))[None]
     )
-    theta, sse, resid = _optima(
+    user, sse, resid, jacobian = _optima(
         objective, form, convergence_tol, max_iterations, starts
     )
-    rows = np.zeros(1, dtype=int)
-    optimum = objective.user(theta, rows)[0]
-    estimates = {n: float(v) for n, v in zip(free, optimum)}
+    estimates = {n: float(v) for n, v in zip(free, user[0])}
 
     robust_se: dict[str, float] = {}
     t_value: dict[str, float] = {}
@@ -881,11 +932,11 @@ def wnls_fit(
     clusters = len(table.workload_ids)
     if compute_se:
         # one row per cluster, unit weights: the per-observation sandwich,
-        # on the reported parameter scale
+        # on the reported parameter scale, which is theta's without a map
         cov = cluster_robust_covariance(
-            np.column_stack(
-                [g[0] for g in objective.gradient(theta, rows)]
-            ),
+            jacobian[0] if objective.map is None else np.column_stack([
+                g[0] for g in objective.gradient(user, np.zeros(1, int))
+            ]),
             resid[0],
             np.ones(clusters),
             table.workload_ids,
@@ -1170,10 +1221,9 @@ def loocv(
     keep = cols + (cols >= np.arange(g)[:, None])
     objective = _Objective(spec, fixed, free, table, keep)
     _check_identified(spec, free, objective.x, objective.arch)
-    theta, _, _ = _optima(
+    optima = _optima(
         objective, stage_form, config.convergence_tol, config.max_iterations
-    )
-    optima = objective.user(theta, np.arange(g))
+    )[0]
     per_holdout = {
         wid: {n: float(v) for n, v in zip(free, optima[h])}
         for h, wid in enumerate(workloads)

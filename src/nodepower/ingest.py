@@ -121,6 +121,21 @@ class NodeTrace:
         if not (np.isfinite(elapsed).all() and np.isfinite(power).all()):
             raise ValueError(f"{name}: elapsed_s and power_kw must be finite")
 
+    @classmethod
+    def _checked(
+        cls, workload_id: str, node_id: str, elapsed_s: np.ndarray,
+        power_kw: np.ndarray,
+    ) -> "NodeTrace":
+        """A trace from float64 columns that have passed this class's
+        checks already, as ``_traces`` checks a file's whole columns:
+        built without checking them again."""
+        trace = object.__new__(cls)
+        trace.__dict__.update(
+            workload_id=workload_id, node_id=node_id, elapsed_s=elapsed_s,
+            power_kw=power_kw,
+        )
+        return trace
+
 
 @dataclass(frozen=True)
 class WorkloadSummary:
@@ -465,11 +480,12 @@ def _traces(
         np.bincount(sorted_codes, minlength=len(node_ids))
     ).tolist()
     # each trace owns a copy: slices would keep the file's whole sorted
-    # columns alive, one large block per file, which fragments the heap
+    # columns alive, one large block per file, which fragments the heap.
+    # The checks above cover NodeTrace's own, so they are not run again.
     spans = zip(node_ids, [0] + ends, ends)
     return [
-        tuple(NodeTrace(workload_id, node_id, times[a:b].copy(),
-                        powers[a:b].copy())
+        tuple(NodeTrace._checked(workload_id, node_id, times[a:b].copy(),
+                                 powers[a:b].copy())
               for node_id, a, b in islice(spans, count))
         for workload_id, count in workloads
     ]

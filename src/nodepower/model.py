@@ -47,6 +47,7 @@ __all__ = [
     "FormSpec",
     "FORMS",
     "OptimizerMap",
+    "ResolvedForm",
     "PowerParams",
     "TdpConfig",
     "FittedModel",
@@ -122,8 +123,8 @@ ALPHA_FLOOR = 1e-6   # positivity guard for the log-scale saturation constant
 # gives w's derivatives in every shape parameter, {name: dw/dname} and
 # {(a, b): d2w/da db} on the pairs, a before b, where they are not zero
 # everywhere. The curve's derivatives follow by the chain rule
-# (``FormSpec.derivatives``), and an optimizer map gives w's derivatives
-# on its own scale in place of ``argument``'s.
+# (``ResolvedForm.derivatives``), and an optimizer map gives w's
+# derivatives on its own scale in place of ``argument``'s.
 
 
 def _saturation(p: Mapping[str, Any], x: np.ndarray):
@@ -229,25 +230,24 @@ class OptimizerMap:
     ``params`` when they are exactly the free shape parameters, and its
     map to the user scale u, on which they are reported. Each function
     takes columns, one (B, 1) array per parameter in the order of
-    ``params``, and the constants that ``constants`` takes from each
-    table's intensities x (T, n), one (T, 1) array each, here taken per
-    problem:
+    ``params``, and the constants that ``constants`` takes once from each
+    table's intensities x (T, n), one (T, 1) or (T, n) array each, here
+    taken per problem:
 
     * ``forward(u, c)`` gives theta, ``inverse(theta, c)`` gives u, NaN
       where theta lies outside the map's domain;
-    * ``derivatives(u, c, x)``, at the point u and with x the problems'
-      intensities (B, n), gives the Jacobian {a: dw/dtheta_a} and the
-      second derivatives {(a, b): d2w/dtheta_a dtheta_b}, a before b in
-      ``params``, of the shape's argument w (see ``_saturation``), on
-      their entries that are not zero everywhere. Each key is the name in
-      ``params`` of a coordinate's parameter, as in the shape's own
-      ``argument()``.
+    * ``derivatives(u, c)``, at the point u, gives the Jacobian {a:
+      dw/dtheta_a} and the second derivatives {(a, b): d2w/dtheta_a
+      dtheta_b}, a before b in ``params``, of the shape's argument w (see
+      ``_saturation``), on their entries that are not zero everywhere.
+      Each key is the name in ``params`` of a coordinate's parameter, as
+      in the shape's own ``argument()``.
     """
 
     params: tuple[str, ...]
     forward: Callable[[list, tuple], list]
     inverse: Callable[[list, tuple], list]
-    derivatives: Callable[[list, tuple, Any], tuple[dict, dict]]
+    derivatives: Callable[[list, tuple], tuple[dict, dict]]
     constants: Callable[[np.ndarray], tuple] = lambda x: ()
 
 
@@ -256,7 +256,7 @@ def _log10_map(name: str) -> OptimizerMap:
     parameter that spans decades: dw/dtheta = w ln 10, d2w/dtheta2 =
     w ln 10 ln 10."""
 
-    def derivatives(u: list, c: tuple, x: Any) -> tuple[dict, dict]:
+    def derivatives(u: list, c: tuple) -> tuple[dict, dict]:
         d = u[0] * _LN10
         return {name: d}, {(name, name): d * _LN10}
 
@@ -268,22 +268,28 @@ def _log10_map(name: str) -> OptimizerMap:
     )
 
 
-def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _standardized(
+    x: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each table's mean and population SD of its intensities x (T, n),
-    (T, 1) each, summed along one table's row."""
+    (T, 1) each, summed along one table's row, and its standardized
+    intensities t = (x - mean) / sd, (T, n)."""
     n = x.shape[-1]
     mean = np.add.reduce(x, axis=-1)[:, None] / n
     dev = x - mean
-    return mean, np.sqrt(np.add.reduce(dev * dev, axis=-1)[:, None] / n)
+    sd = np.sqrt(np.add.reduce(dev * dev, axis=-1)[:, None] / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a table of one intensity has no scale; the fit rejects it
+        return mean, sd, dev / sd
 
 
 def _predictor_forward(u: list, c: tuple) -> list:
-    (x0, k), (mean, sd) = u, c
+    (x0, k), (mean, sd, _) = u, c
     return [(mean - x0) / k, sd / k]
 
 
 def _predictor_inverse(theta: list, c: tuple) -> list:
-    (c0, c1), (mean, sd) = theta, c
+    (c0, c1), (mean, sd, _) = theta, c
     k = sd / c1
     k = np.where((c1 > 0.0) & (k >= K_FLOOR), k, np.nan)  # c1 <= sd/K_FLOOR
     return [mean - c0 * k, k]
@@ -303,8 +309,8 @@ _LINEAR_PREDICTOR = OptimizerMap(
     params=("x0", "k"),
     forward=_predictor_forward,
     inverse=_predictor_inverse,
-    derivatives=lambda u, c, x: ({"x0": 1.0, "k": (x - c[0]) / c[1]}, {}),
-    constants=_moments,
+    derivatives=lambda u, c: ({"x0": 1.0, "k": c[2]}, {}),
+    constants=_standardized,
 )
 
 
@@ -362,27 +368,31 @@ class FormSpec:
         grid = self.shape_starts
         return [{**start, **s} for s in (grid(x) if callable(grid) else grid)]
 
-    def _beta(self, p: Mapping[str, Any], is_llm: np.ndarray) -> Any:
-        m = self.magnitudes
-        if isinstance(m, str):
-            return p[m]
-        return np.where(is_llm, p[m[Architecture_LLM]], p[m[Architecture_CNN]])
+    def resolve(
+        self,
+        fixed: Mapping[str, Any],
+        free: tuple[str, ...],
+        x: np.ndarray,
+        is_llm: Any = None,
+    ) -> "ResolvedForm":
+        """The form with the parameters ``free`` left free and the others
+        at ``fixed``, on the T tables of ``x`` and ``is_llm``: see
+        ``ResolvedForm``."""
+        return ResolvedForm(self, fixed, free, x, is_llm)
 
-    def _g(self, p: Mapping[str, Any], x: np.ndarray):
-        return self.g(p, np.power(10.0, x) if self.raw_operations else x)
-
-    def _per_beta(self, values: Any, is_llm: np.ndarray) -> dict[str, Any]:
-        """{beta name: ``values`` on the rows that beta scales, 0 on the
-        others}."""
-        return {
-            name: np.where(is_llm == (arch == Architecture_LLM), values, 0.0)
-            for name, arch in self.per_arch.items()
-        } or {self.magnitudes: values}
+    def _one_table(
+        self, p: Mapping[str, Any], names: tuple[str, ...], x: Any,
+        is_llm: Any,
+    ) -> "ResolvedForm":
+        return self.resolve(
+            {n: v for n, v in p.items() if n not in names}, names,
+            np.asarray(x)[None], np.asarray(is_llm)[None],
+        )
 
     def curve(self, p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray):
         """Power in kW from the parameters ``p`` on the user scale, log10
         intensities ``x`` and an LLM mask that broadcasts against x."""
-        return p["p_idle_kw"] + self._beta(p, is_llm) * self._g(p, x)[0]
+        return self._one_table(p, (), x, is_llm).curve([], None)
 
     def gradient(
         self, p: Mapping[str, Any], x: np.ndarray, is_llm: np.ndarray
@@ -398,54 +408,146 @@ class FormSpec:
         names: tuple[str, ...] | None = None,
         argument: tuple[dict, dict] | None = None,
     ) -> tuple[dict[str, Any], dict[tuple[str, str], Any]]:
-        """The curve's gradient {name: d curve / d p[name]} and its second
-        derivatives {(a, b): d2 curve / d p[a] d p[b]}, a before b in
-        ``params``, on the pairs where they are not zero everywhere: beta *
-        d2g between shape parameters, dg between a magnitude and a shape
-        parameter. Both hold only the parameters ``names`` (default all).
-        Arguments as for ``curve``. Given ``argument``, the derivatives of
-        the shape's argument on an optimizer map's scale, as its
-        ``derivatives`` gives them ({name: dw/dname}, {(a, b): d2w/da db},
-        each name standing for its own coordinate), the shape parameters'
-        derivatives are on that scale.
+        """``ResolvedForm.derivatives`` over the parameters ``names``
+        (default all), keyed by name: the gradient {name: d curve /
+        d p[name]} and the second derivatives {(a, b): d2 curve / d p[a]
+        d p[b]}, a before b in ``params``. Arguments as for ``curve``."""
+        names = self.params if names is None else tuple(names)
+        J, H = self._one_table(p, names, x, is_llm).derivatives(
+            [p[n] for n in names], None, argument
+        )
+        order = self.params.index
+        return dict(zip(names, J)), {
+            tuple(sorted((names[i], names[j]), key=order)): h
+            for (i, j), h in H.items()
+        }
+
+
+def _on(mask: np.ndarray | None, values: Any) -> Any:
+    """``values`` on the rows of ``mask`` and 0 on the others; every row
+    where there is no mask."""
+    return values if mask is None else np.where(mask, values, 0.0)
+
+
+def _take(column: Any, rows: np.ndarray | None) -> Any:
+    """Each problem's table of a per-table array, (B, ...): with one table,
+    that table, which broadcasts."""
+    return column[0] if len(column) == 1 else column[rows]
+
+
+class ResolvedForm:
+    """One form, p_idle + beta * g(x; shape), with the parameters ``free``
+    left free and the others fixed at ``fixed``, on T tables: ``x`` (T, n)
+    holds each table's log10 intensities and ``is_llm`` (T, n) its LLM
+    mask, which only a form with a magnitude per architecture reads.
+    Everything that no evaluation changes is taken once: the fixed values,
+    the position of each free parameter, the shape's input (10^x for the
+    raw-operations form) and the rows that each free magnitude scales.
+
+    An evaluation takes the free parameters on the user scale, ``u``, one
+    (B, 1) column or one number per name in ``free``, and ``rows`` (B,),
+    the table of each problem; with one table every problem reads it as it
+    is, broadcast. So a call is the form's arithmetic and the gathers of
+    each problem's table.
+    """
+
+    def __init__(
+        self,
+        spec: FormSpec,
+        fixed: Mapping[str, Any],
+        free: tuple[str, ...],
+        x: np.ndarray,
+        is_llm: Any,
+    ) -> None:
+        self.g = spec.g
+        self.free = free
+        self.fixed = dict(fixed)
+        position = {n: i for i, n in enumerate(free)}
+        self.w = np.power(10.0, x) if spec.raw_operations else x
+        self.idle = position.get("p_idle_kw")
+        # the free shape parameters in the shape's order, with positions
+        self.shape = tuple(
+            (n, position[n]) for n in spec.shape if n in position
+        )
+        m = spec.magnitudes
+        self.is_llm = is_llm
+        if isinstance(m, str):
+            self.magnitude = m
+            self.betas = [(position[m], None)] if m in position else []
+        else:
+            # one magnitude per architecture: the LLM's and the CNN's
+            self.magnitude = (m[Architecture_LLM], m[Architecture_CNN])
+            # each free magnitude's position and the rows it scales
+            self.betas = [
+                (position[name], is_llm == (arch == Architecture_LLM))
+                for name, arch in spec.per_arch.items() if name in position
+            ]
+
+    def _params(self, u: list) -> dict[str, Any]:
+        p = dict(self.fixed)
+        p.update(zip(self.free, u))
+        return p
+
+    def _beta(self, p: Mapping[str, Any], rows: np.ndarray | None) -> Any:
+        if isinstance(self.magnitude, str):
+            return p[self.magnitude]
+        llm, cnn = self.magnitude
+        return np.where(_take(self.is_llm, rows), p[llm], p[cnn])
+
+    def curve(self, u: list, rows: np.ndarray | None) -> Any:
+        """Power in kW."""
+        p = self._params(u)
+        return p["p_idle_kw"] + self._beta(p, rows) * self.g(
+            p, _take(self.w, rows)
+        )[0]
+
+    def derivatives(
+        self,
+        u: list,
+        rows: np.ndarray | None,
+        argument: tuple[dict, dict] | None = None,
+    ) -> tuple[list[Any], dict[tuple[int, int], Any]]:
+        """The curve's gradient, one entry per free parameter in the order
+        of ``free``, and its second derivatives {(i, j): d2 curve / d u_i
+        d u_j}, i <= j, on the pairs of free parameters where they are not
+        zero everywhere: beta d2g between shape parameters, dg between a
+        magnitude and a shape parameter. Given ``argument``, the
+        derivatives of the shape's argument on an optimizer map's scale, as
+        its ``derivatives`` gives them ({name: dw/dname}, {(a, b):
+        d2w/da db}, each name standing for its own coordinate), the shape
+        parameters' derivatives are on that scale.
 
         By the chain rule through the argument w: beta dg/da = beta g'
         dw/da and beta d2g/da db = beta (g'' dw/da dw/db + g' d2w/da db).
         """
-        names = self.params if names is None else names
-        g, slopes, user_argument = self._g(p, x)
-        shape = tuple(n for n in self.shape if n in names)
-        gradient: dict[str, Any] = {}
-        second: dict[tuple[str, str], Any] = {}
+        p = self._params(u)
+        w = _take(self.w, rows)
+        g, slopes, user_argument = self.g(p, w)
+        J: list[Any] = [None] * len(self.free)
+        H: dict[tuple[int, int], Any] = {}
+        shape = self.shape
         if shape:
             dw, d2w = argument or user_argument()
             d1, d2 = slopes()
-            beta = self._beta(p, is_llm)
+            beta = self._beta(p, rows)
             b1, b2 = beta * d1, beta * d2
-            b2w = {a: _times(b2, dw[a]) for a in shape}
-            for i, a in enumerate(shape):
-                gradient[a] = _times(b1, dw[a])
-                for b in shape[i:]:
+            b2w = {a: _times(b2, dw[a]) for a, _ in shape}
+            for k, (a, i) in enumerate(shape):
+                J[i] = _times(b1, dw[a])
+                for b, j in shape[k:]:
                     h = _times(b2w[b], dw[a])
-                    second[a, b] = (
+                    H[min(i, j), max(i, j)] = (
                         h + _times(b1, d2w[a, b]) if (a, b) in d2w else h
                     )
-        if any(b in names for b in self.betas):
-            gradient.update(self._per_beta(g, is_llm))
-            for a in shape:
+        for i, scaled in self.betas:
+            mask = None if scaled is None else _take(scaled, rows)
+            J[i] = _on(mask, g)
+            for a, j in shape:
                 # d2 curve / dbeta da = dg/da on the rows beta scales
-                cross = self._per_beta(_times(d1, dw[a]), is_llm)
-                for beta, h in cross.items():
-                    second[beta, a] = h
-        if "p_idle_kw" in names:
-            gradient["p_idle_kw"] = np.ones_like(x)
-        return (
-            {n: gradient[n] for n in names},
-            {
-                (a, b): h for (a, b), h in second.items()
-                if a in names and b in names
-            },
-        )
+                H[min(i, j), max(i, j)] = _on(mask, _times(d1, dw[a]))
+        if self.idle is not None:
+            J[self.idle] = np.ones_like(w)
+        return J, H
 
 
 FORMS: dict[ModelForm, FormSpec] = {

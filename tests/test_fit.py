@@ -1106,8 +1106,8 @@ def _grid_run(table, form, fixed, free):
         FORMS[form], fixed, free, table, np.arange(len(table.x))[None]
     )
     theta0, rows, counts = fitmod._start_points(objective)
-    theta, sse, ok, _ = fitmod._winners(
-        objective, rows, counts, *_kernel(objective, theta0, rows, 1e-8, 200)
+    theta, sse, ok, *_ = fitmod._winners(
+        objective, rows, counts, *_run(objective, theta0, rows, 1e-8, 200)
     )
     optimum = objective.user(theta, rows[:1])[0]
     return (
@@ -1407,13 +1407,20 @@ class TestOneStartPerFit:
 # step halvings tried as one batch
 # ---------------------------------------------------------------------------
 
-def _kernel(objective, theta0, rows, tol, max_iter):
-    """``fit._gauss_newton`` from ``theta0``, given its residual rows as
-    ``fit._lowest_sse_starts`` scores them."""
+def _run(objective, theta0, rows, tol, max_iter):
+    """``fit._gauss_newton`` from ``theta0``, given its residual rows and
+    user-scale points as ``fit._lowest_sse_starts`` scores them."""
+    user0 = objective.user(theta0, rows)
     return fitmod._gauss_newton(
-        objective, theta0, rows, fitmod._residuals(objective, theta0, rows),
+        objective, theta0, rows,
+        fitmod._residuals(objective, theta0, rows, user0), user0,
         tol, max_iter,
     )
+
+
+def _kernel(objective, theta0, rows, tol, max_iter):
+    """``_run``'s theta, SSE, converged flags and residual rows."""
+    return _run(objective, theta0, rows, tol, max_iter)[:4]
 
 
 def _reference_gauss_newton(objective, theta0, rows, tol, max_iter):
@@ -2085,6 +2092,119 @@ class TestOptimizerMap:
         loocv(apply_exclusions(desk_dataset, desk_exclusion_policy),
               ModelForm.SIGMOID)
         assert 1 <= len(iterations) <= 16
+
+
+# ---------------------------------------------------------------------------
+# each point mapped back once; the standard errors' Jacobian
+# ---------------------------------------------------------------------------
+
+def _map_backs(monkeypatch):
+    """Spy on the sigmoid map's inverse (``model._predictor_inverse``)
+    while ``fit._gauss_newton`` runs: per kernel run, the list of the
+    points it maps back to the user scale, each as the bytes of its
+    coordinates (c0, c1) and its table's mean and SD."""
+    runs, inside = [], []
+    spec = FORMS[ModelForm.SIGMOID]
+    inverse = spec.optimizer_map.inverse
+
+    def spy(theta, c):
+        if inside:
+            points = np.concatenate(
+                np.broadcast_arrays(*theta, *c[:2]), axis=-1
+            )
+            runs[-1].extend(row.tobytes() for row in points)
+        return inverse(theta, c)
+
+    gauss_newton = fitmod._gauss_newton
+
+    def kernel(*args):
+        runs.append([])
+        inside.append(True)
+        try:
+            return gauss_newton(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setitem(FORMS, ModelForm.SIGMOID, replace(
+        spec, optimizer_map=replace(spec.optimizer_map, inverse=spy)
+    ))
+    monkeypatch.setattr(fitmod, "_gauss_newton", kernel)
+    return runs
+
+
+class TestOneMapBackPerPoint:
+    @pytest.mark.parametrize("exclude", [False, True])
+    @pytest.mark.parametrize("call", ["loocv", "two_stage_fit"])
+    def test_no_point_of_a_run_is_mapped_back_twice(
+        self, call, exclude, desk_dataset, desk_exclusion_policy,
+        monkeypatch,
+    ):
+        # the kernel carries each point's user-scale parameters with theta,
+        # so neither the derivatives at an accepted point nor the offset
+        # test map it back again
+        policy = desk_exclusion_policy if exclude else ()
+        runs = _map_backs(monkeypatch)
+        if call == "loocv":
+            loocv(apply_exclusions(desk_dataset, policy), ModelForm.SIGMOID)
+        else:
+            two_stage_fit(
+                desk_dataset, ModelForm.SIGMOID, FitConfig(exclusions=policy)
+            )
+        # LOOCV's holdouts and stage 1 run on the map's (c0, c1); stage 2
+        # frees k and the magnitude, which it iterates as they are
+        assert runs[0] and not any(runs[1:])
+        for points in runs:
+            twice = len(points) - len(set(points))
+            assert twice == 0
+
+
+class TestStandardErrorJacobian:
+    @pytest.mark.parametrize("exclude", [False, True])
+    @pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
+    def test_equal_to_the_gradient_at_the_optimum(
+        self, form, exclude, desk_dataset, desk_exclusion_policy,
+        monkeypatch,
+    ):
+        # without an optimizer map the standard errors take the Jacobian
+        # of the offset test; with one, the fit calls gradient. Either way
+        # they equal those from objective.gradient at the optimum
+        config = FitConfig(
+            exclusions=desk_exclusion_policy if exclude else ()
+        )
+        table = apply_exclusions(desk_dataset, config.exclusions)
+        calls = _call_rows(monkeypatch, "gradient")
+        result = two_stage_fit(desk_dataset, form, config)
+        gradient_calls = len(calls)
+        mapped = 0
+        rows = np.zeros(1, dtype=int)
+        for stage in (result.stage1, result):
+            objective = fitmod._Objective(
+                FORMS[stage.form], stage.fixed, stage.param_order, table,
+                np.arange(len(table.x))[None],
+            )
+            mapped += objective.map is not None
+            user = np.array([[stage.estimates[n] for n in stage.param_order]])
+            cov = cluster_robust_covariance(
+                np.column_stack(
+                    [g[0] for g in objective.gradient(user, rows)]
+                ),
+                objective.residual(
+                    objective.internal(user, rows), rows, user
+                )[0],
+                np.ones(len(table.workload_ids)), table.workload_ids,
+            )
+            assert stage.covariance == tuple(
+                tuple(float(v) for v in row) for row in cov
+            )
+            assert stage.robust_se == {
+                n: float(np.sqrt(max(cov[i, i], 0.0)))
+                for i, n in enumerate(stage.param_order)
+            }
+        # stage 1 of simple (log10 alpha) and of the sigmoid (c0, c1)
+        assert mapped == (
+            form in (ModelForm.SIMPLE_ASYMPTOTIC, ModelForm.SIGMOID)
+        )
+        assert gradient_calls == mapped
 
 
 class TestTwoSidedTTail:

@@ -1223,6 +1223,29 @@ def test_trace_errors_name_the_trace_file_once(tmp_path):
         assert str(exc.value) == str(alone.value)
 
 
+def test_parsed_traces_are_checked_once(monkeypatch):
+    # a manifest's traces pass the checks on their file's whole columns,
+    # and are built without NodeTrace's own checks, which each would pass
+    checked = []
+    post_init = NodeTrace.__post_init__
+
+    def spy(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(NodeTrace, "__post_init__", spy)
+    traces = [
+        t for r in ingest.load_manifest(desk_dir() / "manifest.csv")
+        for t in r.traces
+    ]
+    assert traces and not checked
+    for t in traces:
+        again = NodeTrace(t.workload_id, t.node_id, t.elapsed_s, t.power_kw)
+        assert again.elapsed_s is t.elapsed_s and again.power_kw is t.power_kw
+        assert t.elapsed_s.dtype == t.power_kw.dtype == np.float64
+    assert len(checked) == len(traces)
+
+
 class TestDeskDataset:
     def test_shape(self, desk_dataset):
         assert desk_dataset.n_observations == 7450

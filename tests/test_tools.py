@@ -15,6 +15,7 @@ from nodepower.data import desk_exclusions, desk_manifest
 from nodepower.model import ModelForm
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+DESK_NUMBERS = Path(__file__).resolve().parent / "desk-numbers.json"
 
 
 def _tool(name: str):
@@ -138,7 +139,7 @@ class TestDiffNumbers:
         assert rc == 1
 
 
-def test_dump_numbers_on_the_desk_set():
+def test_dump_numbers_on_the_desk_set(tmp_path, capsys):
     dump = dump_numbers.dump(str(desk_manifest()), str(desk_exclusions()))
     assert set(dump) == {"two_stage_fit", "loocv"}
     forms = {
@@ -152,3 +153,13 @@ def test_dump_numbers_on_the_desk_set():
             for form, result in results.items():
                 # a fit or scan that raised would print as a string
                 assert isinstance(result, dict), (section, form, result)
+    # every number within 1e-12 relative of the pinned dump: a change that
+    # moves a fit or LOOCV number regenerates the file, with
+    #   PYTHONPATH=src python3 tools/dump_numbers.py \
+    #     src/nodepower/data/desk/manifest.csv \
+    #     src/nodepower/data/desk/exclusions.csv > tests/desk-numbers.json
+    # and says why in CHANGES.md
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps(dump))
+    rc = diff_numbers.main([str(DESK_NUMBERS), str(path), "--rel", "1e-12"])
+    assert rc == 0, capsys.readouterr().out
