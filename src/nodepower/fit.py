@@ -335,14 +335,19 @@ class _Objective:
         out = values.copy()
         f = self.map.inverse if inverse else self.map.forward
         columns = f(
-            [values[:, i:i + 1] for i in self.mapped], self._constants(rows)
+            [values[:, i:i + 1] for i in self.mapped],
+            self._constants(rows, self.map.scale_constants),
         )
         for i, column in zip(self.mapped, columns):
             out[:, i:i + 1] = column
         return out
 
-    def _constants(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(_take(c, rows) for c in self.constants)
+    def _constants(
+        self, rows: np.ndarray, count: int | None = None
+    ) -> tuple[np.ndarray, ...]:
+        """The problems' rows of the map's first ``count`` constants (all
+        of them by default)."""
+        return tuple(_take(c, rows) for c in self.constants[:count])
 
     def user(self, theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Free parameters on the user scale, (B, p); NaN outside the

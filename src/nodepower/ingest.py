@@ -22,7 +22,10 @@ data lines: one ``np.loadtxt`` call, one node-id coding and one set of
 checks per batch, since on short traces those fixed costs outweigh the
 rows. A larger file, and text that is not clean, is parsed alone, and a
 batch that fails a check is parsed again one file at a time, so records
-and errors are those of loading each workload in turn.
+and errors are those of loading each workload in turn. A larger clean
+file is split into pieces of ``BATCH_ROWS`` lines, one ``np.loadtxt``
+call each, so that the lines and table in memory at once are bounded per
+call, not per file; its checks still run on its whole columns.
 
 Energy is average power times node count times duration. That is how the
 reference summaries were built (their reported energies reproduce within
@@ -40,7 +43,7 @@ import io
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,11 +162,13 @@ class WorkloadSummary:
 
 _TRACE_HEADER = ("workload_id", "node_id", "elapsed_s", "power_kw")
 
-# Data lines per np.loadtxt call when a manifest's clean trace files are
-# parsed together; a file with more lines is parsed alone. A batch holds
-# its texts, lines and table at once, so a larger bound raises peak memory
-# while saving little more: past a few dozen files a batch, the per-file
-# text checks and traces outweigh the per-call cost.
+# Data lines per np.loadtxt call: a manifest's clean trace files are
+# parsed together in batches of at most this many, and a file with more
+# lines is parsed alone, this many at a time. Besides the texts, a call
+# holds its lines and table at once (about 170 bytes a line on the
+# benchmark's traces), so a larger bound raises peak memory while saving
+# little more: past a few dozen files a batch, the per-file text checks
+# and traces outweigh the per-call cost.
 BATCH_ROWS = 2048
 
 # Besides the newline, what csv.reader or str.strip treats specially in
@@ -190,8 +195,8 @@ def _clean_text(text: str, workload_id: str) -> _CleanText | None:
     four fields, the first ``workload_id``, and fits the csv field limit.
     ``np.loadtxt`` reads the other three (see ``_parse_clean``), and it
     rejects an empty number. The text is checked as a whole here; that no
-    other line follows the header is checked when it is split into lines,
-    and that no node id is empty once they are parsed.
+    other line follows the header is checked when it is split into pieces
+    (see ``_pieces``), and that no node id is empty once they are parsed.
     """
     if (not text.isascii() or any(c in text for c in _NOT_CLEAN)
             or "," in workload_id or "\n" in workload_id):
@@ -210,23 +215,77 @@ def _clean_text(text: str, workload_id: str) -> _CleanText | None:
         return None
     # room for node ids twice as long as the first row's, or as long as the
     # mean line, and one UCS-4 unit more that stays zero unless an id was
-    # cut short (a first data line without the workload id fails the line
-    # count in _parse_clean before the width is used)
+    # cut short. A first data line without the workload id still leaves a
+    # comma at or after start, the one after the id on a later line, so
+    # the width is at least one; _pieces then finds the line that is no
+    # data row
     start = len(header) + len(workload_id) + 1
     first = text.find(",", start) - start
     width = min(2 * first, len(text) // rows) + 1
     return _CleanText(workload_id, text, rows, width)
 
 
+def _pieces(
+    texts: Sequence[_CleanText],
+) -> Iterator[tuple[list[str], list[int], list[int]] | None]:
+    """The data lines of clean texts, ``BATCH_ROWS`` lines at a time
+    across texts (the last piece may hold fewer), each piece with the row
+    where each text starts in it (or the piece starts) and that text's
+    index; None, and no more pieces, once a text proves to hold a line
+    that is not a data row.
+
+    A text is split without a list of its whole lines: each cut is found
+    from the mean length of the text's lines left, and moved back to the
+    room left in the piece. A text whose data rows do not reach its end
+    holds another line, such as a blank one; within them, a blank line
+    would give ``np.loadtxt`` fewer rows than lines.
+    """
+    lines: list[str] = []
+    firsts: list[int] = []
+    owners: list[int] = []
+    header = len(",".join(_TRACE_HEADER)) + 1
+    for i, t in enumerate(texts):
+        text, a, left = t.text, header, t.rows
+        while left:
+            keep = min(BATCH_ROWS - len(lines), left)
+            b = text.find("\n", a + keep * (len(text) - a) // left) + 1
+            b = b or len(text)
+            # split on "\n" only: str.splitlines also splits on \v, \f and
+            # \x1c-\x1e
+            part = text[a:b].split("\n")
+            if not part[-1]:
+                part.pop()
+            for _ in range(len(part) - keep):
+                b = text.rfind("\n", a, b - 1) + 1
+                part.pop()
+            if not owners or owners[-1] != i:
+                firsts.append(len(lines))
+                owners.append(i)
+            lines += part
+            a, left = b, left - len(part)
+            if len(lines) == BATCH_ROWS:
+                yield lines, firsts, owners
+                lines, firsts, owners = [], [], []
+        if a < len(text):
+            yield None
+            return
+    if lines:
+        yield lines, firsts, owners
+
+
 def _parse_clean(
     texts: Sequence[_CleanText],
 ) -> list[tuple[NodeTrace, ...]] | None:
-    """Each clean text's traces, all parsed by one ``np.loadtxt`` call and
+    """Each clean text's traces, parsed by one ``np.loadtxt`` call per
+    piece of at most ``BATCH_ROWS`` data lines (see ``_pieces``) and
     checked together; None if a text holds a line that does not start with
     its workload id, if loadtxt rejects a line or cuts a node id short, if
     a node id is empty, or, for more than one text, if a check fails.
 
-    The numbers are those ``float`` reads: both parse with
+    Each piece keeps only its node-id runs' codes and its numbers, written
+    into columns that span every text, so the lines and loadtxt's table
+    (node ids as fixed-width strings) of one piece are all that exists at
+    once. The numbers are those ``float`` reads: both parse with
     ``PyOS_string_to_double``, and loadtxt rejects what only ``float``
     takes, such as ``1_0``. Node ids are coded per (text, id), so each
     text's codes follow the last text's and the checks of ``_traces`` see
@@ -234,48 +293,52 @@ def _parse_clean(
     raises its error, on csv's line (row i is on line i + 2).
     """
     width = max(t.width for t in texts)
-    data: list[str] = []
-    for t in texts:
-        # split on "\n" only: str.splitlines also splits on \v, \f and
-        # \x1c-\x1e
-        lines = t.text.split("\n")
-        if not lines[-1]:
-            lines.pop()
-        if len(lines) != t.rows + 1:  # say, a blank line
-            return None
-        data += lines[1:]
-    del lines
-    try:
-        table = np.loadtxt(
-            data, [("node", f"U{width}"), ("elapsed", "f8"), ("power", "f8")],
-            comments=None, delimiter=",", usecols=(1, 2, 3), ndmin=1,
-        )
-    except ValueError:
-        return None
-    del data  # the lines take more memory than the text: free them early
-    rows = len(table)
-    nodes = table["node"]
-    if (table.view(np.uint32).reshape(rows, -1)[:, width - 1].any()
-            or (nodes == "").any()):
-        return None
-    # node ids are coded run by run: a text holds few runs of equal ids,
-    # and each text starts a run
-    firsts = np.cumsum([0] + [t.rows for t in texts[:-1]])
-    new = np.concatenate(([True], nodes[1:] != nodes[:-1]))
-    new[firsts] = True
-    heads = np.flatnonzero(new)
-    owner = np.searchsorted(firsts, heads, "right") - 1
+    dtype = [("node", f"U{width}"), ("elapsed", "f8"), ("power", "f8")]
+    rows = sum(t.rows for t in texts)
+    codes = np.empty(rows, np.intp)
+    elapsed, power = np.empty(rows), np.empty(rows)
     node_ids: dict[tuple[int, str], int] = {}
-    run_codes = [node_ids.setdefault(key, len(node_ids))
-                 for key in zip(owner.tolist(), nodes[heads].tolist())]
+    end = 0
+    for piece in _pieces(texts):
+        if piece is None:
+            return None
+        lines, firsts, owners = piece
+        # a blank line is no data row: loadtxt skips it, and warns of a
+        # piece of nothing else
+        if not any(lines):
+            return None
+        try:
+            table = np.loadtxt(lines, dtype, comments=None, delimiter=",",
+                               usecols=(1, 2, 3), ndmin=1)
+        except ValueError:
+            return None
+        if len(table) < len(lines):
+            return None
+        start, end = end, end + len(table)
+        nodes = table["node"]
+        if (table.view(np.uint32).reshape(end - start, -1)[:, width - 1].any()
+                or (nodes == "").any()):
+            return None
+        # node ids are coded run by run: a text holds few runs of equal
+        # ids. Each text and each piece starts a run; a run that goes on
+        # from the last piece finds its code in node_ids
+        new = np.concatenate(([True], nodes[1:] != nodes[:-1]))
+        new[firsts] = True
+        heads = np.flatnonzero(new)
+        owner = np.take(owners, np.searchsorted(firsts, heads, "right") - 1)
+        run_codes = [node_ids.setdefault(key, len(node_ids))
+                     for key in zip(owner.tolist(), nodes[heads].tolist())]
+        codes[start:end] = np.repeat(
+            run_codes, np.diff(heads, append=end - start)
+        )
+        elapsed[start:end] = table["elapsed"]
+        power[start:end] = table["power"]
     counts = [0] * len(texts)
     for i, _ in node_ids:
         counts[i] += 1
     return _traces(
         [(t.workload_id, n) for t, n in zip(texts, counts)],
-        [node for _, node in node_ids],
-        np.repeat(run_codes, np.diff(heads, append=rows)),
-        table["elapsed"], table["power"],
+        [node for _, node in node_ids], codes, elapsed, power,
         range(2, rows + 2) if len(texts) == 1 else None,
     )
 
@@ -323,12 +386,13 @@ def parse_trace_file(
     The text is read once and each column is checked as a whole. Clean text
     (see ``_clean_text``) is parsed as a batch of one by ``_parse_clean``,
     the parser ``load_manifest`` gives batches of several files: one
-    ``np.loadtxt`` call. Other text, and clean text that loadtxt rejects,
-    is parsed by ``csv.reader``. Both paths share the checks on the
-    numbers, so an error reads the same on either. On bad input the error
-    names the first offending row in file order; within a row the checks
-    run in the order: field count, workload id, node id, numbers, negative
-    elapsed time, power, non-finite value, duplicate.
+    ``np.loadtxt`` call per ``BATCH_ROWS`` lines. Other text, and clean
+    text that loadtxt rejects, is parsed by ``csv.reader``. Both paths
+    share the checks on the numbers, so an error reads the same on either.
+    On bad input the error names the first offending row in file order;
+    within a row the checks run in the order: field count, workload id,
+    node id, numbers, negative elapsed time, power, non-finite value,
+    duplicate.
 
     Parameters
     ----------
@@ -829,10 +893,11 @@ def load_manifest(path: str | Path) -> tuple[WorkloadRecord, ...]:
     runs of clean texts (see ``_clean_text``) of at most ``BATCH_ROWS``
     data lines in all are parsed together: one ``np.loadtxt`` call and one
     set of checks per batch (see ``_parse_clean``). A text that is not
-    clean, or has ``BATCH_ROWS`` lines or more, is parsed alone. Records,
-    traces and errors are those of ``load_workload`` called on each pair
-    in turn: the first workload that fails raises, its config checked
-    before its trace.
+    clean, or has ``BATCH_ROWS`` lines or more, is parsed alone, a clean
+    one in pieces of ``BATCH_ROWS`` lines, so no loadtxt call reads more
+    lines than that. Records, traces and errors are those of
+    ``load_workload`` called on each pair in turn: the first workload that
+    fails raises, its config checked before its trace.
     """
     path = Path(path)
     records: list[WorkloadRecord] = []

@@ -235,7 +235,9 @@ class OptimizerMap:
     taken per problem:
 
     * ``forward(u, c)`` gives theta, ``inverse(theta, c)`` gives u, NaN
-      where theta lies outside the map's domain;
+      where theta lies outside the map's domain; c holds only the first
+      ``scale_constants`` constants, the ones the map between the scales
+      reads;
     * ``derivatives(u, c)``, at the point u, gives the Jacobian {a:
       dw/dtheta_a} and the second derivatives {(a, b): d2w/dtheta_a
       dtheta_b}, a before b in ``params``, of the shape's argument w (see
@@ -249,6 +251,7 @@ class OptimizerMap:
     inverse: Callable[[list, tuple], list]
     derivatives: Callable[[list, tuple], tuple[dict, dict]]
     constants: Callable[[np.ndarray], tuple] = lambda x: ()
+    scale_constants: int = 0
 
 
 def _log10_map(name: str) -> OptimizerMap:
@@ -284,12 +287,12 @@ def _standardized(
 
 
 def _predictor_forward(u: list, c: tuple) -> list:
-    (x0, k), (mean, sd, _) = u, c
+    (x0, k), (mean, sd) = u, c
     return [(mean - x0) / k, sd / k]
 
 
 def _predictor_inverse(theta: list, c: tuple) -> list:
-    (c0, c1), (mean, sd, _) = theta, c
+    (c0, c1), (mean, sd) = theta, c
     k = sd / c1
     k = np.where((c1 > 0.0) & (k >= K_FLOOR), k, np.nan)  # c1 <= sd/K_FLOOR
     return [mean - c0 * k, k]
@@ -311,6 +314,7 @@ _LINEAR_PREDICTOR = OptimizerMap(
     inverse=_predictor_inverse,
     derivatives=lambda u, c: ({"x0": 1.0, "k": c[2]}, {}),
     constants=_standardized,
+    scale_constants=2,
 )
 
 

@@ -9,6 +9,8 @@ import io
 import itertools
 import math
 import textwrap
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1115,6 +1117,138 @@ def test_manifest_batches_keep_to_the_bound(bound, sizes, tmp_path,
     assert sum(calls) == sum(sizes)
     assert max(calls) <= max(bound, max(sizes))
     assert len(calls) < len(sizes)
+
+
+# one long clean file of w1: a run of n1 across pieces of 7, interleaved
+# n2 and n3, a node id longer than the first row's that only a later piece
+# holds, then n1 and n2 revisited
+_LONG_ROWS = (
+    [f"n1,{t}.0,{5 + t / 8}" for t in range(10)]
+    + [f"n{2 + t % 2},{t // 2}.0,6.5" for t in range(9)]
+    + [f"n10x,{t}.0,7.25" for t in range(3)]
+    + [f"n1,{10 + t}.0,5.5" for t in range(5)]
+    + [f"n2,{5 + t}.0,6.0" for t in range(4)]
+)
+
+# defects inserted as row 24 (line 26): a non-positive power, a repeat of
+# the row before, and an earlier time of n3 out of time order
+_LONG_DEFECTS = {
+    "power": "n1,11.5,-2.0",
+    "duplicate": "n1,11.0,5.5",
+    "order": "n3,1.0,6.0",
+}
+
+
+@pytest.mark.parametrize("defect", [None, *_LONG_DEFECTS])
+def test_piece_boundaries_change_nothing(defect, monkeypatch):
+    """Whatever the bound on a piece's lines, a long clean file gives the
+    traces, or the error and line, that csv.reader gives for its CRLF twin,
+    without reaching csv.reader."""
+    rows = list(_LONG_ROWS)
+    if defect:
+        rows.insert(24, _LONG_DEFECTS[defect])
+    text = _trace_lines("w1", rows)[:-1]  # no final newline
+    via_csv = _outcome(parse_trace_file, text.replace("\n", "\r\n"))
+    if defect:
+        assert via_csv.startswith("line 26: "), via_csv
+    else:
+        assert [node for node, *_ in via_csv] == ["n1", "n2", "n3", "n10x"]
+
+    def tokenize(text):
+        raise AssertionError("clean text reached csv.reader")
+
+    monkeypatch.setattr(ingest, "_tokenize", tokenize)
+    for bound in (1, 2, 7, ingest.BATCH_ROWS):
+        monkeypatch.setattr(ingest, "BATCH_ROWS", bound)
+        assert _outcome(parse_trace_file, text) == via_csv, bound
+
+
+@pytest.mark.parametrize("extra", [["", ""], ["x"]])
+@pytest.mark.parametrize("at", [0, 8, 24, len(_LONG_ROWS)])
+def test_other_lines_in_any_piece(extra, at, monkeypatch):
+    """Blank lines, or a line without a comma, after the header, inside a
+    long text or at its end send it to csv.reader, which counts or rejects
+    them, whatever piece they fall in; a piece of blank lines alone raises
+    no loadtxt warning."""
+    lines = _trace_lines("w1", _LONG_ROWS).split("\n")
+    lines[at + 1:at + 1] = extra
+    text = "\n".join(lines)
+    via_csv = _outcome(parse_trace_file, text.replace("\n", "\r\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bound in (1, 2, 7, ingest.BATCH_ROWS):
+            monkeypatch.setattr(ingest, "BATCH_ROWS", bound)
+            assert _outcome(parse_trace_file, text) == via_csv, bound
+
+
+def test_a_blank_line_that_ends_a_piece_of_a_batch(tmp_path, monkeypatch):
+    """A file whose first line after the header is blank, in a batch whose
+    piece ends on that line, is parsed alone, as the other files are."""
+    rows = ["n1,0.0,5.0", "n1,2.0,6.0"]
+    manifest, pairs = _write_manifest(tmp_path, [
+        lambda w: _trace_lines(w, rows),
+        lambda w: _trace_lines(w, ["n1,0.0,7.0"]).replace("\n", "\n\n", 1),
+    ])
+    monkeypatch.setattr(ingest, "BATCH_ROWS", 3)
+    records = ingest.load_manifest(manifest)
+    assert [_columns(r.traces) for r in records] == [
+        _columns(ingest.load_workload(*pair).traces) for pair in pairs
+    ]
+
+
+@pytest.mark.parametrize("bound, sizes", [
+    (8, [3, 20, 2, 9, 8, 1]),
+    (64, [200]),
+])
+def test_no_loadtxt_call_reads_more_than_the_bound(bound, sizes, tmp_path,
+                                                   monkeypatch):
+    """Files longer than the bound are parsed in pieces of at most
+    ``BATCH_ROWS`` lines, full but for each file's last, from a manifest
+    and alone, and give the traces of the file parsed in one piece."""
+    traces = [
+        lambda w, n=n: _trace_lines(w, [f"n{t % 3},{t // 3}.0,5.0"
+                                        for t in range(n)])
+        for n in sizes
+    ]
+    manifest, pairs = _write_manifest(tmp_path, traces)
+    whole = [_columns(parse_trace_file(trace, f"w{i}"))
+             for i, (_, trace) in enumerate(pairs)]
+    monkeypatch.setattr(ingest, "BATCH_ROWS", bound)
+    calls = []
+    real = np.loadtxt
+    monkeypatch.setattr(
+        np, "loadtxt", lambda data, *a, **k: calls.append(len(data))
+        or real(data, *a, **k)
+    )
+    records = ingest.load_manifest(manifest)
+    assert [_columns(r.traces) for r in records] == whole
+    assert sum(calls) == sum(sizes)
+    assert max(calls) <= bound
+    for i, (_, trace) in enumerate(pairs):
+        calls.clear()
+        assert _columns(parse_trace_file(trace, f"w{i}")) == whole[i]
+        assert calls == [bound] * (sizes[i] // bound) + (
+            [sizes[i] % bound] if sizes[i] % bound else []
+        )
+
+
+def test_parse_memory_is_bounded_per_piece(tmp_path):
+    """Parsing a clean file of 200,000 rows takes at most 120 bytes per row
+    at its peak (tracemalloc), the text read and the 16 bytes per row of
+    the traces included: the lines and loadtxt's table of one piece are
+    all that exists of them at once."""
+    path = tmp_path / "large.csv"
+    path.write_text(_large_trace_text(nodes=64, samples=3125))
+    parse_trace_file(io.StringIO(TRACE_TEXT), "w1")  # first-call costs
+    tracemalloc.start()
+    try:
+        traces = parse_trace_file(path, "syn-w")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = sum(t.elapsed_s.size for t in traces)
+    assert rows == 200_000
+    assert peak / rows <= 120
 
 
 @pytest.mark.parametrize("defects", [
