@@ -43,19 +43,20 @@ G holdouts iterate one such start each, as one array problem in one loop:
 the parameters of B problems form a (B, p) array, each problem halves its
 own step and stops on its own, and both steps are solved in closed form
 from one Gram-Schmidt. Each iteration takes the live problems a call at a
-time: their derivatives, their steps, and their full steps in one plain
-pass, which most problems end with; the problems whose full step raises the
-SSE then try their halvings together, several scales per problem in one
-evaluation. Memory is bounded per evaluation, not per problem: no curve or
-derivative evaluation, halvings and the optimum tests of the winners
-included, takes more than ``BATCH_ELEMENTS`` problems x workloads, so a
-large batch makes more calls, not larger ones. A batch holds at most the
-larger of G holdouts and one grid of S starts, and carries each problem's
-residual row and user-scale point between iterations, so that no point's
-residuals are evaluated, or its parameters mapped back to the user scale,
-twice. Every reduction runs along one problem's row, so each problem is
-bit-identical to a run on its own, and the halvings give the bits that
-trying one scale at a time would.
+time: their derivatives and their steps, then the scales 1, 1/2, 1/4, ...
+one at a time, each evaluation holding one candidate per problem of the
+call that no scale has moved yet. Most problems move at the full step and
+the rest seldom need a second halving, so one scale per evaluation is all
+the halving backtrack (Dennis & Schnabel, section 6.3) takes. Memory is
+bounded per evaluation, not per problem: no curve or derivative
+evaluation, halvings and the optimum tests of the winners included, takes
+more than ``BATCH_ELEMENTS`` problems x workloads, so a large batch makes
+more calls, not larger ones. A batch holds at most the larger of G
+holdouts and one grid of S starts, and carries each problem's residual row
+and user-scale point between iterations, so that no point's residuals are
+evaluated, or its parameters mapped back to the user scale, twice. Every
+reduction runs along one problem's row, so each problem is bit-identical to
+a run on its own.
 Every stage, with one free parameter or two, converges in one way only: a
 small final step, at a full-rank Jacobian, with a relative offset of at
 most 1e-3; the step and the offset test share one Gram-Schmidt and its
@@ -226,7 +227,9 @@ def apply_exclusions(
 # ---------------------------------------------------------------------------
 
 OFFSET_TOL = 1e-3  # Bates & Watts' suggested relative-offset threshold
-MAX_HALVINGS = 40  # step scales tried per iteration before a problem stops
+# step scales 2^-j tried per iteration, one per evaluation, before a
+# problem stops
+MAX_HALVINGS = 40
 BATCH_ELEMENTS = 8192  # problems x workloads per curve or derivative call
 _EPS = float(np.finfo(float).eps)
 
@@ -546,15 +549,11 @@ def _gauss_newton(
     (B,), the residual rows (B, n) and the user-scale points (B, p).
 
     Every problem of the batch iterates in one loop. An iteration takes
-    the live problems in calls of at most size = ``BATCH_ELEMENTS`` // n
-    problems (n workloads each): each call evaluates their derivatives,
-    their steps and their full steps, a plain pass that most problems end
-    with. The problems whose full step raises the SSE then try their
-    halvings together: the m problems still halving try k scales each,
-    with k = size // m, at least 1 and at most the scales left, and no
-    call takes more than size // k problems at k scales. The scales are
-    exact powers of two, so every candidate, and the one accepted, has the
-    bits that trying one halving at a time would give it. Between
+    the live problems in calls of at most ``BATCH_ELEMENTS`` // n problems
+    (n workloads each): each call evaluates their derivatives and their
+    steps, then tries one scale at a time, 1, 1/2, 1/4 and so on, on the
+    problems of the call that no scale has yet moved, one candidate per
+    problem per evaluation; most problems move at the full step. Between
     iterations the loop carries each problem's point, its residual row
     (B, n) and its user-scale point, so that no point is mapped back to
     the user scale twice.
@@ -564,97 +563,55 @@ def _gauss_newton(
     # ten (problems, n) arrays at once (the curve, its gradient, the step):
     # hence the bound per call.
     size = _per_call(objective)
-    carry = objective.map is not None  # else the user scale is theta
     lower = objective.lower
-    theta, resid = theta0.copy(), resid0.copy()
-    user = user0.copy() if carry else theta
+    theta, resid, user = theta0.copy(), resid0.copy(), user0.copy()
     with np.errstate(over="ignore"):
         sse = objective.sse(resid, rows)
     converged = np.zeros(len(theta), dtype=bool)
-    going: list[np.ndarray] = []  # problems that moved, not converged
-    missed: list[tuple] = []  # problems whose candidates all missed
-
-    def accept(todo, at, at_rows, limit, step, cand, k):
-        # k candidates per problem of todo, problem by problem: each
-        # problem moves to its first one whose SSE is at most its limit
-        cand_rows = at_rows if k == 1 else np.repeat(at_rows, k)
-        cand_user = objective.user(cand, cand_rows) if carry else cand
-        cand_resid = objective.residual(cand, cand_rows, cand_user)
-        cand_sse = objective.sse(cand_resid, cand_rows)
-        if k == 1:
-            hit = cand_sse <= limit
-            every = hit.all()
-            pick = None if every else hit
-        else:
-            down = cand_sse.reshape(-1, k) <= limit[:, None]
-            hit = down.any(axis=-1)
-            every = hit.all()
-            pick = (np.arange(len(hit)) * k + down.argmax(axis=-1))[hit]
-        if pick is not None:
-            cand, cand_user, cand_resid, cand_sse = (
-                a[pick] for a in (cand, cand_user, cand_resid, cand_sse)
-            )
-        if not every:
-            miss = ~hit
-            missed.append(tuple(
-                a[miss] for a in (todo, at, at_rows, limit, step)
-            ))
-            todo, at = todo[hit], at[hit]
-        small = _relative_change(cand, at) < tol
-        theta[todo] = cand
-        if carry:
-            user[todo] = cand_user
-        resid[todo] = cand_resid
-        sse[todo] = cand_sse
-        converged[todo[small]] = True
-        going.append(todo[~small])
-
     # a step or candidate that overflows or divides by zero is non-finite,
     # which the rules below read as a stop or a rejection
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         live = np.arange(len(theta))  # problems still iterating
         for _ in range(max_iter):
-            going.clear()
-            missed.clear()
-            # derivatives, steps and the plain full-step pass, per call
+            going = np.zeros(len(theta), dtype=bool)  # moved, not converged
             for i in range(0, len(live), size):
                 todo = live[i:i + size]
                 at, at_rows = theta[todo], rows[todo]
                 step = _step(
                     objective, at, at_rows, resid[todo], user[todo]
                 )
-                finite = np.isfinite(step).all(axis=-1)
-                if not finite.all():
-                    todo, at, at_rows, step = (
-                        a[finite] for a in (todo, at, at_rows, step)
-                    )
-                if todo.size:
-                    accept(
-                        todo, at, at_rows,
-                        sse[todo] * (1.0 + 1e-14) + 1e-300, step,
-                        np.maximum(at + step, lower), 1,
-                    )
-            # the misses' halvings from 2^-1, as many scales as fit a call
-            j = 1
-            while missed and j < MAX_HALVINGS:
-                todo, at, at_rows, limit, step = (
-                    np.concatenate(a) for a in zip(*missed)
-                )
-                missed.clear()
-                k = min(MAX_HALVINGS - j, max(1, size // len(todo)))
-                scales = 0.5 ** np.arange(j, j + k)
-                per = max(1, size // k)  # problems per call
-                for i in range(0, len(todo), per):
-                    s = slice(i, i + per)
-                    cand = np.maximum(
-                        at[s, None] + scales[:, None] * step[s, None], lower
-                    ).reshape(-1, len(lower))
-                    accept(
-                        todo[s], at[s], at_rows[s], limit[s], step[s], cand,
-                        k,
-                    )
-                j += k
-            live = np.concatenate(going) if going else live[:0]
+                limit = sse[todo] * (1.0 + 1e-14) + 1e-300
+                keep = np.isfinite(step).all(axis=-1)  # still halving
+                for j in range(MAX_HALVINGS):
+                    if not keep.all():
+                        todo, at, at_rows, limit, step = (
+                            a[keep] for a in (todo, at, at_rows, limit, step)
+                        )
+                        if not todo.size:
+                            break
+                    cand = np.maximum(at + 0.5 ** j * step, lower)
+                    cand_user = objective.user(cand, at_rows)
+                    cand_resid = objective.residual(cand, at_rows, cand_user)
+                    cand_sse = objective.sse(cand_resid, at_rows)
+                    hit = cand_sse <= limit
+                    small = _relative_change(cand, at) < tol
+                    keep, moved = ~hit, todo
+                    if keep.any():
+                        moved, cand, cand_user, cand_resid, cand_sse, small = (
+                            a[hit] for a in (
+                                todo, cand, cand_user, cand_resid, cand_sse,
+                                small,
+                            )
+                        )
+                    theta[moved] = cand
+                    user[moved] = cand_user
+                    resid[moved] = cand_resid
+                    sse[moved] = cand_sse
+                    converged[moved[small]] = True
+                    going[moved[~small]] = True
+                    if not keep.any():
+                        break
+            live = np.flatnonzero(going)
             if not live.size:
                 break
     return theta, sse, converged, resid, user

@@ -1424,8 +1424,9 @@ def _kernel(objective, theta0, rows, tol, max_iter):
 
 
 def _reference_gauss_newton(objective, theta0, rows, tol, max_iter):
-    """The kernel as it was before halvings were batched: one curve
-    evaluation per halving. Kept as the oracle for ``fit._gauss_newton``,
+    """The kernel's rule in its plainest form: fixed slices of the batch,
+    each iterated alone, with one curve evaluation per halving on every
+    live problem of the slice. Kept as the oracle for ``fit._gauss_newton``,
     with the kernel's own step, ``fit._step``."""
     size = max(1, fitmod.BATCH_ELEMENTS // objective.x.shape[-1])
     if len(theta0) > size:
@@ -1520,13 +1521,13 @@ def _call_rows(monkeypatch, method="residual"):
 
 
 class TestBatchedHalving:
-    @pytest.mark.parametrize("one_scale_per_call", [False, True])
+    @pytest.mark.parametrize("one_problem_per_call", [False, True])
     @pytest.mark.parametrize(
         "problem",
         ["loocv-sigmoid", "loocv-asymptotic", "loocv-simple", "ridge"],
     )
     def test_bit_identical_to_one_halving_per_call(
-        self, problem, one_scale_per_call, desk_dataset,
+        self, problem, one_problem_per_call, desk_dataset,
         desk_exclusion_policy, monkeypatch,
     ):
         if problem == "ridge":
@@ -1536,8 +1537,8 @@ class TestBatchedHalving:
         else:
             form = ModelForm.from_string(problem.removeprefix("loocv-"))
             batch = _loocv_batch(desk_dataset, form)
-        if one_scale_per_call:
-            # a slice of one problem, which tries one scale per call
+        if one_problem_per_call:
+            # a slice of one problem: every call holds one candidate row
             monkeypatch.setattr(
                 fitmod, "BATCH_ELEMENTS", batch[0].x.shape[-1]
             )
@@ -1566,25 +1567,30 @@ class TestBatchedHalving:
         seen = _call_rows(monkeypatch)
         _kernel(objective, theta0, rows, 1e-8, 200)
         assert max(seen) <= bound
-        # unsliced, some call must have tried several scales per problem
-        assert len(theta0) > bound or max(seen) > len(theta0)
+        # one candidate per problem: no call holds more rows than the
+        # batch has problems
+        assert max(seen) <= len(theta0)
 
     def test_residual_calls_within_budget(
         self, desk_dataset, desk_exclusion_policy, monkeypatch
     ):
-        # the desk sigmoid needs 28 curve evaluations for its LOOCV and 31
-        # for its fit (9 in stage 2, which Gauss-Newton alone took 98);
-        # one per halving needed 301 and 360, on the (x0, k) scale
+        # the desk sigmoid's LOOCV takes 11 curve evaluations of 122
+        # candidate rows in all, and its fit 15 of 24 (7 in stage 2); one
+        # evaluation per problem and halving needed 301 and 360 on the
+        # (x0, k) scale, and halving calls that tried several scales per
+        # problem took 387 and 62 rows
         table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         seen = _call_rows(monkeypatch)
         loocv(table, ModelForm.SIGMOID)
         assert len(seen) <= 80
+        assert sum(seen) <= 150
         seen.clear()
         two_stage_fit(
             desk_dataset, ModelForm.SIGMOID,
             FitConfig(exclusions=desk_exclusion_policy),
         )
         assert len(seen) <= 65
+        assert sum(seen) <= 30
 
 
 # ---------------------------------------------------------------------------
