@@ -581,7 +581,7 @@ def _gauss_newton(
                     objective, at, at_rows, resid[todo], user[todo]
                 )
                 limit = sse[todo] * (1.0 + 1e-14) + 1e-300
-                keep = np.isfinite(step).all(axis=-1)  # still halving
+                keep = np.isfinite(step).all(axis=-1)  # still trying
                 for j in range(MAX_HALVINGS):
                     if not keep.all():
                         todo, at, at_rows, limit, step = (

@@ -1575,7 +1575,7 @@ class TestBatchedHalving:
         self, desk_dataset, desk_exclusion_policy, monkeypatch
     ):
         # the desk sigmoid's LOOCV takes 11 curve evaluations of 122
-        # candidate rows in all, and its fit 15 of 24 (7 in stage 2); one
+        # residual rows in all, and its fit 15 of 24 (7 in stage 2); one
         # evaluation per problem and halving needed 301 and 360 on the
         # (x0, k) scale, and halving calls that tried several scales per
         # problem took 387 and 62 rows
