@@ -24,19 +24,36 @@ Econometrics*, section 3.1). Estimates, standard errors and the reported
 weighted SSE are those of the per-observation definition, and the tests
 check the grouped fit against it.
 
-With at most two free parameters per stage, the optimizer is a damped
-hybrid of Newton and Gauss-Newton steps with analytic derivatives and a
-fixed multi-start grid over the shape parameters (the objective has a mild
-ridge; restarts are cheaper than cleverness). The sigmoid is a
-large-residual problem, on which Gauss-Newton alone converges only
-linearly (Dennis & Schnabel, *Numerical Methods for Unconstrained
-Optimization*, section 10.2) and stops on its step test short of the
-optimum. So each iteration also takes the curvature S = sum_i r_i hess f_i
-from the same shape evaluation as the Jacobian, and a problem whose
-H = J'J - S is positive definite takes the Newton step H^-1 J'r; the others,
-and every stage where no free parameter has curvature (the magnitudes of the
-saturation forms), take the Gauss-Newton step (a hybrid method: Fletcher &
-Xu 1987, *IMA J. Numer. Anal.* 7). Every point of a fit's start grid is
+A stage has at most two free parameters, and its structure picks one of
+three solvers (variable projection's split of linear from nonlinear
+parameters: Golub & Pereyra 1973, *SIAM J. Numer. Anal.* 10:413):
+
+* a stage with no free shape parameter (stage 2 of ``simple``,
+  ``asymptotic`` and ``arch-fe``) is linear in its magnitudes, and one
+  least-squares step from one derivative evaluation solves it exactly; the
+  same Jacobian serves the offset test and the standard errors;
+* a stage whose one free parameter is the shape (stage 1 of those three
+  forms: alpha) scores ``SCAN_POINTS`` evenly spaced points of the form
+  table's scan domain, on the optimizer's scale, in calls within the
+  bound below, and polishes the best point with the kernel's hybrid step,
+  kept between that point's scan neighbours. The scan certifies the
+  result: an optimum on the domain's edge, or above any scan point,
+  raises NonConvergenceError;
+* every other stage (the sigmoid's two, any caller-given starts, and
+  ``loocv``'s holdouts) runs the kernel below.
+
+The kernel is a damped hybrid of Newton and Gauss-Newton steps with
+analytic derivatives and a fixed multi-start grid over the shape
+parameters (the objective has a mild ridge; restarts are cheaper than
+cleverness). The sigmoid is a large-residual problem, on which
+Gauss-Newton alone converges only linearly (Dennis & Schnabel, *Numerical
+Methods for Unconstrained Optimization*, section 10.2) and stops on its
+step test short of the optimum. So each iteration also takes the
+curvature S = sum_i r_i hess f_i from the same shape evaluation as the
+Jacobian, and a problem whose H = J'J - S is positive definite takes the
+Newton step H^-1 J'r; the others, and every stage where no free parameter
+has curvature, take the Gauss-Newton step (a hybrid method: Fletcher & Xu
+1987, *IMA J. Numer. Anal.* 7). Every point of a fit's start grid is
 scored once, without iterating, and only the first with the lowest SSE
 iterates; a run that misses its optimum reruns the whole grid. ``loocv``'s
 G holdouts iterate one such start each, as one array problem in one loop:
@@ -58,10 +75,10 @@ evaluated, or its parameters mapped back to the user scale, twice. Every
 reduction runs along one problem's row, so each problem is bit-identical to
 a run on its own.
 Every stage, with one free parameter or two, converges in one way only: a
-small final step, at a full-rank Jacobian, with a relative offset of at
-most 1e-3; the step and the offset test share one Gram-Schmidt and its
-rank rule. Everything is deterministic: same data in, same estimates out,
-to the last bit.
+small final step (none for the exact solution), at a full-rank Jacobian,
+with a relative offset of at most 1e-3; the step and the offset test
+share one Gram-Schmidt and its rank rule. Everything is deterministic:
+same data in, same estimates out, to the last bit.
 
 Every curve, gradient and parameter role comes from the form table,
 ``nodepower.model.FORMS``; this module holds no formula of its own and
@@ -231,6 +248,7 @@ OFFSET_TOL = 1e-3  # Bates & Watts' suggested relative-offset threshold
 # problem stops
 MAX_HALVINGS = 40
 BATCH_ELEMENTS = 8192  # problems x workloads per curve or derivative call
+SCAN_POINTS = 201  # evenly spaced points of a one-parameter scan
 _EPS = float(np.finfo(float).eps)
 
 
@@ -741,14 +759,26 @@ def _winners(
     size = _per_call(objective)
     for i in range(0, len(runs), size):
         w = runs[i:i + size]
-        y = _take(objective.y, tables[w])
         J = objective.derivatives(theta[w], tables[w], user[w])[0]
         # (n, p) per table in C order, as np.column_stack builds it
         jacobian[w] = np.stack(J, axis=-1)
-        ok[w] = _relative_offsets(
-            resid[w], J, np.sqrt(_EPS * np.mean(y * y, axis=-1)),
-        ) <= OFFSET_TOL
+        ok[w] = _at_optimum(objective, tables[w], resid[w], J)
     return theta, sse, ok, resid, user, jacobian
+
+
+def _at_optimum(
+    objective: _Objective, tables: np.ndarray, resid: np.ndarray,
+    J: list[np.ndarray],
+) -> np.ndarray:
+    """Whether each of B points passes the rank and offset tests, given
+    its table ``tables`` (B,), its residual row ``resid`` (B, n) and the
+    Jacobian columns ``J`` there: a full-rank J and a relative offset of
+    at most ``OFFSET_TOL``, residuals below sqrt(eps) of the data's RMS
+    read as rounding."""
+    y = _take(objective.y, tables)
+    return _relative_offsets(
+        resid, J, np.sqrt(_EPS * np.mean(y * y, axis=-1))
+    ) <= OFFSET_TOL
 
 
 def _optima(
@@ -796,6 +826,108 @@ def _not_converged(form: ModelForm, max_iterations: int) -> Exception:
     )
 
 
+def _linear_optimum(
+    objective: _Objective, form: ModelForm, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The optimum of a stage with no free shape parameter, as ``_optima``
+    returns it. The curve is linear in its free parameters, f(0) + J theta
+    with J the same everywhere, so one least-squares step from theta = 0
+    reaches the optimum; the Jacobian of that one derivative evaluation
+    also serves the rank and offset tests. Raises NonConvergenceError for
+    ``form`` where it fails them."""
+    rows = np.zeros(1, dtype=int)
+    theta = np.zeros((1, len(objective.free)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        J = objective.derivatives(theta, rows)[0]
+        theta = theta + _lstsq_step(J, objective.residual(theta, rows))
+        resid = objective.residual(theta, rows)
+        sse = objective.sse(resid, rows)
+        if not _at_optimum(objective, rows, resid, J)[0]:
+            raise _not_converged(form, max_iter)
+    return theta, sse, resid, np.stack(J, axis=-1)
+
+
+def _polish(
+    objective: _Objective,
+    scan: tuple[np.ndarray, ...],
+    i: int,
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray, np.ndarray]:
+    """Polish point ``i`` of a one-parameter scan (its points (S, 1) on
+    the optimizer's scale, residual rows (S, n), user-scale points (S, 1)
+    and SSEs (S,)) with the steps of ``_step``, kept between the scan
+    points on either side of i. As in ``_gauss_newton``, each iteration
+    takes the first scale 2^-j of its step at which the SSE does not rise,
+    and the polish converges on a relative step below ``tol``; it stops
+    unconverged on a non-finite step, on no scale that descends, or after
+    ``max_iter`` iterations. Returns theta (1, 1), SSE (1,), whether it
+    converged, the residual row (1, n) and the user-scale point (1, 1).
+    Called under ``_scanned_optimum``'s ``np.errstate``."""
+    grid = scan[0]
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    rows = np.zeros(1, dtype=int)
+    theta, resid, user, sse = (a[i:i + 1] for a in scan)
+    for _ in range(max_iter):
+        step = _step(objective, theta, rows, resid, user)
+        if not np.isfinite(step).all():
+            break
+        for j in range(MAX_HALVINGS):
+            cand = np.clip(theta + 0.5 ** j * step, lo, hi)
+            cand_user = objective.user(cand, rows)
+            cand_resid = objective.residual(cand, rows, cand_user)
+            cand_sse = objective.sse(cand_resid, rows)
+            if cand_sse[0] <= sse[0] * (1.0 + 1e-14) + 1e-300:
+                break
+        else:
+            break
+        small = _relative_change(cand, theta)[0] < tol
+        theta, resid, user, sse = cand, cand_resid, cand_user, cand_sse
+        if small:
+            return theta, sse, True, resid, user
+    return theta, sse, False, resid, user
+
+
+def _scanned_optimum(
+    objective: _Objective, form: ModelForm, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The optimum of a stage whose one free parameter is the shape, as
+    ``_optima`` returns it: the lowest-SSE point (the first, NaN read as
+    +inf) of ``SCAN_POINTS`` evenly spaced points of the form table's scan
+    domain, on the optimizer's scale, then ``_polish``ed. The scan
+    certifies the result: NonConvergenceError for ``form`` if the optimum
+    lies on the domain's edge or above a scan point (beyond 1e-12 relative
+    rounding), and, as for every stage, if the polish did not converge or
+    its point fails the rank and offset tests."""
+    lo, hi = objective.spec.scan
+    grid = np.linspace(lo, hi, SCAN_POINTS)[:, None]
+    rows = np.zeros(SCAN_POINTS, dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        user = objective.user(grid, rows)
+        resid = _residuals(objective, grid, rows, user)
+        sse = objective.sse(resid, rows)
+        sse[np.isnan(sse)] = np.inf
+        theta, best, ok, resid, user = _polish(
+            objective, (grid, resid, user, sse), int(np.argmin(sse)), tol,
+            max_iter,
+        )
+        J = objective.derivatives(theta, rows[:1], user)[0]
+        ok = ok and _at_optimum(objective, rows[:1], resid, J)[0]
+    where = (
+        "on the edge of" if not lo < theta[0, 0] < hi
+        else "above a point of" if best[0] > sse.min() * (1.0 + 1e-12)
+        else None
+    )
+    if where:
+        raise NonConvergenceError(
+            f"{form.value} fit's optimum lies {where} its scan over "
+            f"[{lo:g}, {hi:g}]"
+        )
+    if not ok:
+        raise _not_converged(form, max_iter)
+    return user, best, resid, np.stack(J, axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # the weighted fit
 # ---------------------------------------------------------------------------
@@ -814,6 +946,20 @@ def wnls_fit(
 ) -> FitResult:
     """Minimize the weighted squared error over the named free parameters.
 
+    The stage's structure picks the solver:
+
+    * no free shape parameter (magnitudes and idle only): the curve is
+      linear in the free parameters, and one least-squares step solves it
+      exactly; ``starts`` is not read;
+    * the form's one shape parameter alone, where the form table gives it
+      a scan domain (alpha of ``simple``, ``asymptotic`` and ``arch-fe``),
+      and the default starts: a scan of ``SCAN_POINTS`` evenly spaced
+      points of that domain, on the optimizer's scale, whose best point
+      is polished with the kernel's step, kept between its scan
+      neighbours;
+    * otherwise (caller-given starts, the sigmoid's two-parameter
+      stages): the multi-start kernel below.
+
     Parameters
     ----------
     table : WorkloadTable
@@ -823,13 +969,14 @@ def wnls_fit(
     free_params : sequence of str
         Names to estimate; at most two.
     starts : sequence of mappings, optional
-        Start points (user scale). Defaults to the form table's start
-        points taken on the free parameters, duplicates dropped: the
-        multi-start grid when the shape is free, one start otherwise.
-        Every start is scored once, and only the first with the lowest
-        weighted SSE (NaN read as +inf) iterates. If its run is not at an
-        optimum, all the starts iterate as one batch, and of those that
-        reach the lowest SSE (within 1e-12 relative) the first wins.
+        Start points (user scale) for the kernel. Defaults to the form
+        table's start points taken on the free parameters, duplicates
+        dropped: the multi-start grid when the shape is free, one start
+        otherwise. Every start is scored once, and only the first with the
+        lowest weighted SSE (NaN read as +inf) iterates. If its run is not
+        at an optimum, all the starts iterate as one batch, and of those
+        that reach the lowest SSE (within 1e-12 relative) the first wins.
+        A scanned stage given starts runs the kernel from them instead.
     compute_se : bool
         Attach cluster-robust standard errors. Point estimates are
         independent of this flag.
@@ -837,11 +984,13 @@ def wnls_fit(
     Returns
     -------
     FitResult
-        Its ``converged`` means stationary: the run that iterated, or the
-        rerun's winner, passed the step, rank and offset tests. It does
-        not mean the global optimum. A start the grid does not hold, such
-        as a single caller-given one, can converge at a stationary point
-        whose SSE lies above the optimum's.
+        Its ``converged`` means stationary: the exact solution, the
+        polished scan point, or the kernel's run or rerun winner passed
+        the step, rank and offset tests. A scanned stage is also at most
+        its scan's lowest SSE, strictly inside the domain. A kernel run
+        does not certify the global optimum: a start the grid does not
+        hold, such as a single caller-given one, can converge at a
+        stationary point whose SSE lies above the optimum's.
 
     Raises
     ------
@@ -851,10 +1000,13 @@ def wnls_fit(
         with no observations of that architecture).
     NonConvergenceError
         Neither the lowest-SSE start nor the rerun of all the starts
-        reached an optimum: the run did not stop on a relative step below
-        ``convergence_tol`` within ``max_iterations``, or it stopped at a
-        rank-deficient Jacobian or a relative offset above ``OFFSET_TOL``.
-        This holds for one free parameter as for two.
+        reached an optimum, or the polish of a scan did not: the run did
+        not stop on a relative step below ``convergence_tol`` within
+        ``max_iterations``, or it stopped at a rank-deficient Jacobian or
+        a relative offset above ``OFFSET_TOL``. This holds for one free
+        parameter as for two, and for the exact solution's Jacobian and
+        offset. A scanned stage also raises when its optimum lies on the
+        edge of the domain or above a scan point.
     """
     free = tuple(free_params)
     if len(free) == 0:
@@ -882,9 +1034,18 @@ def wnls_fit(
     objective = _Objective(
         spec, fixed, free, table, np.arange(len(table.x))[None]
     )
-    user, sse, resid, jacobian = _optima(
-        objective, form, convergence_tol, max_iterations, starts
-    )
+    if not set(free) & set(spec.shape):
+        user, sse, resid, jacobian = _linear_optimum(
+            objective, form, max_iterations
+        )
+    elif starts is None and spec.scan is not None and free == spec.shape:
+        user, sse, resid, jacobian = _scanned_optimum(
+            objective, form, convergence_tol, max_iterations
+        )
+    else:
+        user, sse, resid, jacobian = _optima(
+            objective, form, convergence_tol, max_iterations, starts
+        )
     estimates = {n: float(v) for n, v in zip(free, user[0])}
 
     robust_se: dict[str, float] = {}
@@ -1160,12 +1321,15 @@ def loocv(
     more than two SDs from the holdout mean, and the single most divergent
     holdout per parameter.
 
-    A holdout's shape is, bit for bit, the stage-1 fit of ``wnls_fit`` on
-    the table without that workload, by that fit's rule: each holdout
-    iterates its lowest-SSE start, all in one batch, and a holdout whose
-    run misses its optimum reruns its own grid, one at a time in table
-    order. So no batch holds more problems than the larger of the holdouts
-    and one grid. The first rerun that fails raises that fit's
+    Every holdout runs the multi-start kernel of ``wnls_fit``: each
+    iterates its lowest-SSE grid start, all in one batch, and a holdout
+    whose run misses its optimum reruns its own grid, one at a time in
+    table order. So no batch holds more problems than the larger of the
+    holdouts and one grid, and a holdout's shape is, bit for bit,
+    ``wnls_fit`` on the table without that workload, run from that
+    table's lowest-SSE grid start. It matches the default stage-1 fit of
+    that table (for the saturation forms, a polished scan) up to
+    rounding. The first rerun that fails raises that fit's
     NonConvergenceError.
     """
     config = config or FitConfig()

@@ -11,9 +11,10 @@ node power in kW as p_idle + beta * g(x; shape), with one of two shapes:
 ``FORMS`` is the one place a form is defined: per form it holds the
 magnitudes (one beta, or one per architecture), the shape function, which
 parameters each fit stage estimates, which may be negative, the scale the
-fit iterates the shape on (``OptimizerMap``), the lower bounds and the
-shape start points; the parameter order, the curve, its gradient and its
-second derivatives follow. Prediction, validation and ``nodepower.fit``
+fit iterates the shape on (``OptimizerMap``), the lower bounds, the
+shape start points and the domain the fit scans a lone shape parameter
+over; the parameter order, the curve, its gradient and its second
+derivatives follow. Prediction, validation and ``nodepower.fit``
 read it. The form names are ``ModelForm``, which lives in
 ``nodepower.files`` so the CLI can offer them without numpy.
 
@@ -114,6 +115,11 @@ class PowerParams:
 
 K_FLOOR = 1e-3       # sigmoid steepness bound: stops collapse to a step
 ALPHA_FLOOR = 1e-6   # positivity guard for the log-scale saturation constant
+# the domains the fit scans alpha over, on its own scale: the half-power
+# log10 intensity alpha up to 100, and the raw-operations form's log10 alpha
+# over [0, 40]; the bundled and generated sets' workloads lie at x = 10-18
+_ALPHA_SCAN = (ALPHA_FLOOR, 100.0)
+_LOG10_ALPHA_SCAN = (0.0, 40.0)
 
 
 # Each shape g is a function of one argument w: the saturation ratio of
@@ -345,6 +351,9 @@ class FormSpec:
     # parameters are the map's; the user scale otherwise
     optimizer_map: OptimizerMap | None = None
     lower: Mapping[str, float] = field(default_factory=dict)  # user scale
+    # a stage whose one free parameter is the form's only shape parameter
+    # scans this domain, on the fit's scale (``nodepower.fit.wnls_fit``)
+    scan: tuple[float, float] | None = None
 
     @property
     def per_arch(self) -> dict[str, str]:
@@ -565,6 +574,7 @@ FORMS: dict[ModelForm, FormSpec] = {
         raw_operations=True,
         # alpha spans six decades: Newton steps on the raw axis are useless
         optimizer_map=_log10_map("alpha"),
+        scan=_LOG10_ALPHA_SCAN,
     ),
     ModelForm.LOG_ASYMPTOTIC: FormSpec(
         magnitudes="beta_comp_kw",
@@ -574,6 +584,7 @@ FORMS: dict[ModelForm, FormSpec] = {
         stage1_form=ModelForm.LOG_ASYMPTOTIC,
         shape_starts=_LOG_ALPHA_STARTS,
         lower={"alpha": ALPHA_FLOOR},
+        scan=_ALPHA_SCAN,
     ),
     ModelForm.LOG_ASYMPTOTIC_ARCH_FE: FormSpec(
         magnitudes={
@@ -586,6 +597,7 @@ FORMS: dict[ModelForm, FormSpec] = {
         stage1_form=ModelForm.LOG_ASYMPTOTIC,
         shape_starts=_LOG_ALPHA_STARTS,
         lower={"alpha": ALPHA_FLOOR},
+        scan=_ALPHA_SCAN,
     ),
     ModelForm.SIGMOID: FormSpec(
         magnitudes="beta_comp_kw",

@@ -1350,7 +1350,10 @@ class TestOneStartPerFit:
         two_stage_fit(
             desk_dataset, form, FitConfig(exclusions=desk_exclusion_policy)
         )
-        assert batches == [1, 1]  # stage 1, then stage 2 from one start
+        # the sigmoid's stage 1, then its stage 2 from one start; the
+        # saturation forms scan alpha and solve their magnitudes exactly
+        want = [1, 1] if form is ModelForm.SIGMOID else []
+        assert batches == want
 
     def test_a_miss_reruns_the_grid_once(
         self, desk_dataset, desk_exclusion_policy, monkeypatch
@@ -1378,18 +1381,21 @@ class TestOneStartPerFit:
         assert got.weighted_sse == grid_sse
 
     @pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
-    @pytest.mark.parametrize("data", ["desk-all", "desk-excluded", "many"])
+    @pytest.mark.parametrize(
+        "data", ["desk-all", "desk-excluded", "many", "sixty"]
+    )
     def test_stage1_agrees_with_its_grid_run(
         self, form, data, desk_dataset, desk_exclusion_policy,
         many_workload_dataset,
     ):
         table = {
-            "desk-all": desk_dataset,
-            "desk-excluded": apply_exclusions(
+            "desk-all": lambda: desk_dataset,
+            "desk-excluded": lambda: apply_exclusions(
                 desk_dataset, desk_exclusion_policy
             ),
-            "many": many_workload_dataset,
-        }[data]
+            "many": lambda: many_workload_dataset,
+            "sixty": sixty_workload_dataset,
+        }[data]()
         config = FitConfig()
         stage1 = two_stage_fit(table, form, config).stage1
         grid, grid_sse, ok = _grid_run(
@@ -1401,6 +1407,93 @@ class TestOneStartPerFit:
                 value, rel=1e-12, abs=0.0
             ), name
         assert stage1.weighted_sse <= grid_sse * (1.0 + 1e-12)
+
+
+SATURATION_FORMS = (
+    ModelForm.SIMPLE_ASYMPTOTIC,
+    ModelForm.LOG_ASYMPTOTIC,
+    ModelForm.LOG_ASYMPTOTIC_ARCH_FE,
+)
+
+
+def _scan_sses(table, form, config):
+    """The user-scale alpha of every point of the stage-1 scan of ``form``
+    on ``table``, with its weighted SSE by this module's own formulas."""
+    stage_form, fixed, free = fitmod._stage1_constraints(form, config)
+    objective = fitmod._Objective(
+        FORMS[stage_form], fixed, free, table, np.arange(len(table.x))[None]
+    )
+    grid = np.linspace(*FORMS[stage_form].scan, fitmod.SCAN_POINTS)
+    alpha = objective.user(grid[:, None], np.zeros(len(grid), int))[:, 0]
+    sse = [
+        _stage1_sse(table, form, {"alpha": float(a)}, config) for a in alpha
+    ]
+    return alpha, np.array(sse)
+
+
+class TestScanCertificate:
+    """Stage 1 of a saturation form scans alpha over the form table's
+    domain and polishes the best point; the scan certifies the result."""
+
+    @pytest.mark.parametrize(
+        "form", SATURATION_FORMS, ids=lambda f: f.value
+    )
+    @pytest.mark.parametrize("data", ["desk-all", "desk-excluded", "many"])
+    def test_stage1_is_certified_by_its_scan(
+        self, form, data, desk_dataset, desk_exclusion_policy,
+        many_workload_dataset, monkeypatch,
+    ):
+        table = {
+            "desk-all": desk_dataset,
+            "desk-excluded": apply_exclusions(
+                desk_dataset, desk_exclusion_policy
+            ),
+            "many": many_workload_dataset,
+        }[data]
+        config = FitConfig()
+        batches = _batches(monkeypatch)
+        stage1 = two_stage_fit(table, form, config).stage1
+        assert batches == []
+        alpha, sse = _scan_sses(table, form, config)
+        assert stage1.weighted_sse <= sse.min() * (1.0 + 1e-12)
+        assert alpha[0] < stage1.estimates["alpha"] < alpha[-1]
+
+    @pytest.mark.parametrize(
+        "form", SATURATION_FORMS, ids=lambda f: f.value
+    )
+    def test_a_lower_scan_point_raises(
+        self, form, desk_dataset, desk_exclusion_policy, monkeypatch
+    ):
+        # polished from a point 20 scan steps above the best, the optimum
+        # stops at the edge of that point's neighbours, above the scan's
+        # minimum
+        polish = fitmod._polish
+
+        def far(objective, scan, i, tol, max_iter):
+            return polish(objective, scan, i + 20, tol, max_iter)
+
+        monkeypatch.setattr(fitmod, "_polish", far)
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        with pytest.raises(NonConvergenceError, match="above a point"):
+            two_stage_fit(table, form, FitConfig())
+
+    @pytest.mark.parametrize(
+        "form", SATURATION_FORMS, ids=lambda f: f.value
+    )
+    def test_a_best_point_on_the_domain_edge_raises(
+        self, form, desk_dataset, desk_exclusion_policy, monkeypatch
+    ):
+        # a domain that ends one unit (one decade on the simple form's
+        # log10 scale) below the optimum, alpha = 5.44 or 10^12.34
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        stage_form = fitmod._stage1_constraints(form, FitConfig())[0]
+        spec = FORMS[stage_form]
+        end = 11.3 if spec.optimizer_map is not None else 4.4
+        monkeypatch.setitem(
+            FORMS, stage_form, replace(spec, scan=(spec.scan[0], end))
+        )
+        with pytest.raises(NonConvergenceError, match="on the edge"):
+            two_stage_fit(table, form, FitConfig())
 
 
 # ---------------------------------------------------------------------------
