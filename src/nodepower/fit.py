@@ -35,12 +35,15 @@ parameters: Golub & Pereyra 1973, *SIAM J. Numer. Anal.* 10:413):
 * a stage whose one free parameter is the shape (stage 1 of those three
   forms: alpha) scores ``SCAN_POINTS`` evenly spaced points of the form
   table's scan domain, on the optimizer's scale, in calls within the
-  bound below, and polishes the best point with the kernel's hybrid step,
-  kept between that point's scan neighbours. The scan certifies the
-  result: an optimum on the domain's edge, or above any scan point,
-  raises NonConvergenceError;
-* every other stage (the sigmoid's two, any caller-given starts, and
-  ``loocv``'s holdouts) runs the kernel below.
+  bound below, and runs the kernel below from the best point, bounded by
+  that point's scan neighbours. The scan certifies the result: an optimum
+  on the domain's edge, or above any scan point, raises
+  NonConvergenceError. ``loocv`` of such a stage is one scan of the whole
+  table, a stacked scan: each holdout's scan SSEs are sums of that scan's
+  squared residuals, and every holdout runs what ``wnls_fit`` runs on its
+  table, its G runs one batch;
+* every other stage (the sigmoid's two, and any caller-given starts) runs
+  the kernel from a start grid, as do the sigmoid's holdouts.
 
 The kernel is a damped hybrid of Newton and Gauss-Newton steps with
 analytic derivatives and a fixed multi-start grid over the shape
@@ -55,16 +58,18 @@ Newton step H^-1 J'r; the others, and every stage where no free parameter
 has curvature, take the Gauss-Newton step (a hybrid method: Fletcher & Xu
 1987, *IMA J. Numer. Anal.* 7). Every point of a fit's start grid is
 scored once, without iterating, and only the first with the lowest SSE
-iterates; a run that misses its optimum reruns the whole grid. ``loocv``'s
-G holdouts iterate one such start each, as one array problem in one loop:
-the parameters of B problems form a (B, p) array, each problem halves its
-own step and stops on its own, and both steps are solved in closed form
-from one Gram-Schmidt. Each iteration takes the live problems a call at a
-time: their derivatives and their steps, then the scales 1, 1/2, 1/4, ...
-one at a time, each evaluation holding one candidate per problem of the
-call that no scale has moved yet. Most problems move at the full step and
-the rest seldom need a second halving, so one scale per evaluation is all
-the halving backtrack (Dennis & Schnabel, section 6.3) takes. Memory is
+iterates; a run that misses its optimum reruns the whole grid. The
+sigmoid's G holdouts iterate one such start each, and a scanned stage's
+one scan point each, as one array problem in one loop: the parameters of
+B problems form a (B, p) array, each problem halves its own step, is
+clipped to its own bounds and stops on its own, and both steps are solved
+in closed form from one Gram-Schmidt. Each iteration takes the live
+problems a call at a time: their derivatives and their steps, then the
+scales 1, 1/2, 1/4, ... one at a time, each evaluation holding one
+candidate per problem of the call that no scale has moved yet. Most
+problems move at the full step and the rest seldom need a second halving,
+so one scale per evaluation is all the halving backtrack (Dennis &
+Schnabel, section 6.3) takes. Memory is
 bounded per evaluation, not per problem: no curve or derivative
 evaluation, halvings and the optimum tests of the winners included, takes
 more than ``BATCH_ELEMENTS`` problems x workloads, so a large batch makes
@@ -326,6 +331,7 @@ class _Objective:
         position = {n: i for i, n in enumerate(free)}
         self.x = table.x[keep]
         self.arch = table.arch[keep]
+        self.keep = keep
         shape = tuple(n for n in spec.shape if n in free)
         m = spec.optimizer_map
         self.map = m if m is not None and m.params == shape else None
@@ -549,6 +555,7 @@ def _gauss_newton(
     user0: np.ndarray,
     tol: float,
     max_iter: int,
+    bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped hybrid Newton / Gauss-Newton on B independent problems at
     once.
@@ -561,9 +568,11 @@ def _gauss_newton(
     ``MAX_HALVINGS`` - 1, at which its SSE does not rise. It stops
     converged on a relative step below ``tol``; unconverged on a non-finite
     step, on no scale that descends, or after ``max_iter`` iterations.
-    ``theta0`` lies at or above the lower bounds, with residual rows
-    ``resid0`` and user-scale points ``user0`` (theta0 itself without an
-    optimizer map). Returns theta (B, p), SSE (B,), the converged flags
+    Every candidate is clipped to the problem's ``bounds``, lower and
+    upper (B, p) on the optimizer's scale, by default the objective's
+    lower bounds and +inf. ``theta0`` lies within the bounds, with residual
+    rows ``resid0`` and user-scale points ``user0`` (theta0 itself without
+    an optimizer map). Returns theta (B, p), SSE (B,), the converged flags
     (B,), the residual rows (B, n) and the user-scale points (B, p).
 
     Every problem of the batch iterates in one loop. An iteration takes
@@ -581,7 +590,10 @@ def _gauss_newton(
     # ten (problems, n) arrays at once (the curve, its gradient, the step):
     # hence the bound per call.
     size = _per_call(objective)
-    lower = objective.lower
+    lower, upper = (
+        np.broadcast_to(b, theta0.shape)
+        for b in (bounds or (objective.lower, np.inf))
+    )
     theta, resid, user = theta0.copy(), resid0.copy(), user0.copy()
     with np.errstate(over="ignore"):
         sse = objective.sse(resid, rows)
@@ -595,6 +607,7 @@ def _gauss_newton(
             for i in range(0, len(live), size):
                 todo = live[i:i + size]
                 at, at_rows = theta[todo], rows[todo]
+                lo, hi = lower[todo], upper[todo]
                 step = _step(
                     objective, at, at_rows, resid[todo], user[todo]
                 )
@@ -602,12 +615,13 @@ def _gauss_newton(
                 keep = np.isfinite(step).all(axis=-1)  # still trying
                 for j in range(MAX_HALVINGS):
                     if not keep.all():
-                        todo, at, at_rows, limit, step = (
-                            a[keep] for a in (todo, at, at_rows, limit, step)
+                        todo, at, at_rows, limit, step, lo, hi = (
+                            a[keep]
+                            for a in (todo, at, at_rows, limit, step, lo, hi)
                         )
                         if not todo.size:
                             break
-                    cand = np.maximum(at + 0.5 ** j * step, lower)
+                    cand = np.minimum(np.maximum(at + 0.5 ** j * step, lo), hi)
                     cand_user = objective.user(cand, at_rows)
                     cand_resid = objective.residual(cand, at_rows, cand_user)
                     cand_sse = objective.sse(cand_resid, at_rows)
@@ -642,27 +656,22 @@ def _start_points(
     """Every table's start points on the optimizer's scale, (S, p), the
     table of each, (S,), and the count per table: the user-scale
     ``starts``, by default the form table's, one per distinct point on the
-    free parameters and raised to their lower bounds. A grid that does not
-    read the intensities is built once and mapped through every table's
-    constants in one call."""
+    free parameters and raised to their lower bounds, the same for every
+    table and mapped through every table's constants in one call. Raises
+    ValueError where there is no start point (``simple``'s form table has
+    no default grid)."""
     spec, free = objective.spec, objective.free
     tables = len(objective.x)
-
-    def distinct(grid: Sequence[Mapping[str, float]]) -> np.ndarray:
-        return np.array(list(dict.fromkeys(
-            tuple(float(s[n]) for n in free) for s in grid
-        )), dtype=float)
-
-    if starts is None and callable(spec.shape_starts):
-        points = [distinct(spec.starts(x)) for x in objective.x]
-    else:
-        grid = spec.starts(None) if starts is None else starts
-        points = [distinct(grid)] * tables
-    counts = [len(p) for p in points]
-    rows = np.repeat(np.arange(tables), counts)
+    points = np.array(list(dict.fromkeys(
+        tuple(float(s[n]) for n in free)
+        for s in (spec.starts() if starts is None else starts)
+    )), dtype=float)
+    if not len(points):
+        raise ValueError(f"no start points for {', '.join(free)}: give starts")
+    rows = np.repeat(np.arange(tables), len(points))
     lower = [spec.lower.get(n, -np.inf) for n in free]
-    user = np.maximum(np.concatenate(points), lower)
-    return objective.internal(user, rows), rows, counts
+    user = np.maximum(np.tile(points, (tables, 1)), lower)
+    return objective.internal(user, rows), rows, [len(points)] * tables
 
 
 def _lowest_sse_starts(
@@ -732,38 +741,48 @@ def _winners(
     resid: np.ndarray, user: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """The optimum of each table from its runs, as ``_gauss_newton``
-    returns them: theta, SSE, whether it is an optimum, residual rows and
-    user-scale points, one row per table, and the Jacobian d curve / d
-    theta there, (T, n, p), on the rows that are at an optimum. The runs
-    lie in table order, ``counts[i]`` of them for the i-th table; ``rows``
-    names each run's table.
-
-    A winning run is at an optimum only if it stopped on a small step at
-    a full-rank Jacobian with a relative offset of at most ``OFFSET_TOL``,
-    whatever the number of free parameters.
+    returns them: theta, SSE, whether it is an optimum (``_tested``),
+    residual rows and user-scale points, one row per table, and the
+    Jacobian d curve / d theta there, (T, n, p), on the rows that are at an
+    optimum. The runs lie in table order, ``counts[i]`` of them for the
+    i-th table; ``rows`` names each run's table.
     """
     # starts that reach one optimum differ in SSE only by rounding: take
     # the first, in start order, within rounding of the lowest SSE, so that
     # the winner does not depend on summation order
     picks = _first_lowest(sse, counts, 1e-12)
-    tables = rows[picks]
     theta, sse, ok, resid, user = (
         a[picks] for a in (theta, sse, converged, resid, user)
     )
-    jacobian = np.empty((len(picks), resid.shape[-1], theta.shape[-1]))
+    ok, jacobian = _tested(objective, rows[picks], theta, ok, resid, user)
+    return theta, sse, ok, resid, user, jacobian
+
+
+def _tested(
+    objective: _Objective, tables: np.ndarray, theta: np.ndarray,
+    converged: np.ndarray, resid: np.ndarray, user: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each of B runs, of the tables ``tables`` (B,), is at an
+    optimum, (B,), and the Jacobian d curve / d theta there, (B, n, p), on
+    the runs that are. A run is at an optimum only if it stopped on a small
+    step (``converged``) at a full-rank Jacobian with a relative offset of
+    at most ``OFFSET_TOL`` (``_at_optimum``), whatever the number of free
+    parameters."""
+    ok = converged.copy()
+    jacobian = np.empty((len(ok), resid.shape[-1], theta.shape[-1]))
     # a run can also stop on a small step where the Jacobian has rank 1,
     # as at a sigmoid's edge c1 -> 0+ (a curve flat over the data), or
-    # short of the optimum; residuals below sqrt(eps) of the data's RMS are
-    # rounding. The tables share calls, as many as the kernel's bound lets.
+    # short of the optimum. The runs share calls, as many as the kernel's
+    # bound lets.
     runs = np.flatnonzero(ok)
     size = _per_call(objective)
     for i in range(0, len(runs), size):
         w = runs[i:i + size]
         J = objective.derivatives(theta[w], tables[w], user[w])[0]
-        # (n, p) per table in C order, as np.column_stack builds it
+        # (n, p) per run in C order, as np.column_stack builds it
         jacobian[w] = np.stack(J, axis=-1)
         ok[w] = _at_optimum(objective, tables[w], resid[w], J)
-    return theta, sse, ok, resid, user, jacobian
+    return ok, jacobian
 
 
 def _at_optimum(
@@ -847,85 +866,75 @@ def _linear_optimum(
     return theta, sse, resid, np.stack(J, axis=-1)
 
 
-def _polish(
-    objective: _Objective,
-    scan: tuple[np.ndarray, ...],
-    i: int,
-    tol: float,
+def _scan_best(sse: np.ndarray) -> np.ndarray:
+    """Index of each table's first lowest SSE along a scan, (T,), from the
+    SSEs (S, T) of its S points, none of them NaN."""
+    return np.argmin(sse, axis=0)
+
+
+def _scanned_optima(
+    objective: _Objective, whole: _Objective, form: ModelForm, tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray, np.ndarray]:
-    """Polish point ``i`` of a one-parameter scan (its points (S, 1) on
-    the optimizer's scale, residual rows (S, n), user-scale points (S, 1)
-    and SSEs (S,)) with the steps of ``_step``, kept between the scan
-    points on either side of i. As in ``_gauss_newton``, each iteration
-    takes the first scale 2^-j of its step at which the SSE does not rise,
-    and the polish converges on a relative step below ``tol``; it stops
-    unconverged on a non-finite step, on no scale that descends, or after
-    ``max_iter`` iterations. Returns theta (1, 1), SSE (1,), whether it
-    converged, the residual row (1, n) and the user-scale point (1, 1).
-    Called under ``_scanned_optimum``'s ``np.errstate``."""
-    grid = scan[0]
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    rows = np.zeros(1, dtype=int)
-    theta, resid, user, sse = (a[i:i + 1] for a in scan)
-    for _ in range(max_iter):
-        step = _step(objective, theta, rows, resid, user)
-        if not np.isfinite(step).all():
-            break
-        for j in range(MAX_HALVINGS):
-            cand = np.clip(theta + 0.5 ** j * step, lo, hi)
-            cand_user = objective.user(cand, rows)
-            cand_resid = objective.residual(cand, rows, cand_user)
-            cand_sse = objective.sse(cand_resid, rows)
-            if cand_sse[0] <= sse[0] * (1.0 + 1e-14) + 1e-300:
-                break
-        else:
-            break
-        small = _relative_change(cand, theta)[0] < tol
-        theta, resid, user, sse = cand, cand_resid, cand_user, cand_sse
-        if small:
-            return theta, sse, True, resid, user
-    return theta, sse, False, resid, user
-
-
-def _scanned_optimum(
-    objective: _Objective, form: ModelForm, tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The optimum of a stage whose one free parameter is the shape, as
-    ``_optima`` returns it: the lowest-SSE point (the first, NaN read as
-    +inf) of ``SCAN_POINTS`` evenly spaced points of the form table's scan
-    domain, on the optimizer's scale, then ``_polish``ed. The scan
-    certifies the result: NonConvergenceError for ``form`` if the optimum
-    lies on the domain's edge or above a scan point (beyond 1e-12 relative
-    rounding), and, as for every stage, if the polish did not converge or
-    its point fails the rank and offset tests."""
+    """The optimum of every table of a stage whose one free parameter is
+    the shape, as ``_optima`` returns it. The T tables are ``whole``'s one
+    table itself (``objective`` is ``whole``), or its T holdouts: table h
+    is that table without row h.
+
+    ``SCAN_POINTS`` evenly spaced points of the form table's scan domain,
+    on the optimizer's scale, are evaluated once on the whole table: a
+    scanned form's map reads no table constants, so every residual is the
+    float each table's own objective computes. A holdout's SSE at a point
+    is the sum of its squared residuals before h, plus the sum after h,
+    plus its within part: cumulative sums, never the total less row h's,
+    which cancels where the other rows fit closely. Each table's first
+    lowest point (``_scan_best``, NaN read as +inf) starts, with its
+    residual row gathered from the scan, a run of ``_gauss_newton`` kept
+    between that point's scan neighbours, all T as one batch, and
+    ``_tested`` applies the rank and offset tests. The scan certifies each
+    result: NonConvergenceError for ``form``, that of the first failing
+    table in table order, if the optimum lies on the domain's edge or above
+    a point of its scan (beyond 1e-12 relative rounding), or if its run did
+    not converge or fails the rank and offset tests."""
     lo, hi = objective.spec.scan
     grid = np.linspace(lo, hi, SCAN_POINTS)[:, None]
     rows = np.zeros(SCAN_POINTS, dtype=int)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        user = objective.user(grid, rows)
-        resid = _residuals(objective, grid, rows, user)
-        sse = objective.sse(resid, rows)
-        sse[np.isnan(sse)] = np.inf
-        theta, best, ok, resid, user = _polish(
-            objective, (grid, resid, user, sse), int(np.argmin(sse)), tol,
-            max_iter,
-        )
-        J = objective.derivatives(theta, rows[:1], user)[0]
-        ok = ok and _at_optimum(objective, rows[:1], resid, J)[0]
-    where = (
-        "on the edge of" if not lo < theta[0, 0] < hi
-        else "above a point of" if best[0] > sse.min() * (1.0 + 1e-12)
-        else None
+        user = whole.user(grid, rows)
+        resid = _residuals(whole, grid, rows, user)
+        if objective is whole:
+            sse = whole.sse(resid, rows)[:, None]
+        else:
+            square, zero = resid * resid, np.zeros((SCAN_POINTS, 1))
+            before = np.cumsum(square[:, :-1], axis=1)
+            after = np.cumsum(square[:, :0:-1], axis=1)[:, ::-1]
+            sse = (
+                np.concatenate([zero, before], axis=1)
+                + np.concatenate([after, zero], axis=1)
+                + objective.within
+            )
+    sse[np.isnan(sse)] = np.inf
+    best = _scan_best(sse)
+    tables = np.arange(len(best))
+    left, right = np.maximum(best - 1, 0), np.minimum(best + 1, len(grid) - 1)
+    theta, optimum, converged, resid, user = _gauss_newton(
+        objective, grid[best], tables, resid[best[:, None], objective.keep],
+        user[best], tol, max_iter, (grid[left], grid[right]),
     )
-    if where:
+    ok, jacobian = _tested(objective, tables, theta, converged, resid, user)
+    edge = ~((lo < theta[:, 0]) & (theta[:, 0] < hi))
+    above = optimum > sse.min(axis=0) * (1.0 + 1e-12)
+    failed = edge | above | ~ok
+    if failed.any():
+        t = int(np.argmax(failed))
+        if not (edge[t] or above[t]):
+            raise _not_converged(form, max_iter)
+        where = "on the edge of" if edge[t] else "above a point of"
         raise NonConvergenceError(
             f"{form.value} fit's optimum lies {where} its scan over "
             f"[{lo:g}, {hi:g}]"
         )
-    if not ok:
-        raise _not_converged(form, max_iter)
-    return user, best, resid, np.stack(J, axis=-1)
+    return user, optimum, resid, jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -954,8 +963,8 @@ def wnls_fit(
     * the form's one shape parameter alone, where the form table gives it
       a scan domain (alpha of ``simple``, ``asymptotic`` and ``arch-fe``),
       and the default starts: a scan of ``SCAN_POINTS`` evenly spaced
-      points of that domain, on the optimizer's scale, whose best point
-      is polished with the kernel's step, kept between its scan
+      points of that domain, on the optimizer's scale, whose first lowest
+      point starts one run of the kernel, bounded by that point's scan
       neighbours;
     * otherwise (caller-given starts, the sigmoid's two-parameter
       stages): the multi-start kernel below.
@@ -984,9 +993,9 @@ def wnls_fit(
     Returns
     -------
     FitResult
-        Its ``converged`` means stationary: the exact solution, the
-        polished scan point, or the kernel's run or rerun winner passed
-        the step, rank and offset tests. A scanned stage is also at most
+        Its ``converged`` means stationary: the exact solution, the run
+        from the scan's best point, or the kernel's run or rerun winner
+        passed the step, rank and offset tests. A scanned stage is also at most
         its scan's lowest SSE, strictly inside the domain. A kernel run
         does not certify the global optimum: a start the grid does not
         hold, such as a single caller-given one, can converge at a
@@ -1000,13 +1009,13 @@ def wnls_fit(
         with no observations of that architecture).
     NonConvergenceError
         Neither the lowest-SSE start nor the rerun of all the starts
-        reached an optimum, or the polish of a scan did not: the run did
-        not stop on a relative step below ``convergence_tol`` within
-        ``max_iterations``, or it stopped at a rank-deficient Jacobian or
-        a relative offset above ``OFFSET_TOL``. This holds for one free
-        parameter as for two, and for the exact solution's Jacobian and
-        offset. A scanned stage also raises when its optimum lies on the
-        edge of the domain or above a scan point.
+        reached an optimum, or the run from a scan's best point did not:
+        the run did not stop on a relative step below ``convergence_tol``
+        within ``max_iterations``, or it stopped at a rank-deficient
+        Jacobian or a relative offset above ``OFFSET_TOL``. This holds for
+        one free parameter as for two, and for the exact solution's
+        Jacobian and offset. A scanned stage also raises when its optimum
+        lies on the edge of the domain or above a scan point.
     """
     free = tuple(free_params)
     if len(free) == 0:
@@ -1039,8 +1048,8 @@ def wnls_fit(
             objective, form, max_iterations
         )
     elif starts is None and spec.scan is not None and free == spec.shape:
-        user, sse, resid, jacobian = _scanned_optimum(
-            objective, form, convergence_tol, max_iterations
+        user, sse, resid, jacobian = _scanned_optima(
+            objective, objective, form, convergence_tol, max_iterations
         )
     else:
         user, sse, resid, jacobian = _optima(
@@ -1321,15 +1330,22 @@ def loocv(
     more than two SDs from the holdout mean, and the single most divergent
     holdout per parameter.
 
-    Every holdout runs the multi-start kernel of ``wnls_fit``: each
-    iterates its lowest-SSE grid start, all in one batch, and a holdout
-    whose run misses its optimum reruns its own grid, one at a time in
-    table order. So no batch holds more problems than the larger of the
-    holdouts and one grid, and a holdout's shape is, bit for bit,
+    A saturation form's holdouts (``simple``, ``asymptotic``,
+    ``arch-fe``) are the rows of one scan of the whole table: each
+    holdout's scan SSEs are the sums of its rows' squared residuals there,
+    and its first lowest scan point starts its run of the kernel, all in
+    one batch. So a holdout's shape is, bit for bit, the default
+    ``wnls_fit`` of the table without that workload, and the first holdout
+    that fails raises that fit's NonConvergenceError.
+
+    The sigmoid's holdouts run the multi-start kernel of ``wnls_fit``:
+    each iterates its lowest-SSE grid start, all in one batch, and a
+    holdout whose run misses its optimum reruns its own grid, one at a
+    time in table order. So no batch holds more problems than the larger
+    of the holdouts and one grid, and a holdout's shape is, bit for bit,
     ``wnls_fit`` on the table without that workload, run from that
-    table's lowest-SSE grid start. It matches the default stage-1 fit of
-    that table (for the saturation forms, a polished scan) up to
-    rounding. The first rerun that fails raises that fit's
+    table's lowest-SSE grid start; it matches that table's default fit up
+    to rounding. The first rerun that fails raises that fit's
     NonConvergenceError.
     """
     config = config or FitConfig()
@@ -1347,11 +1363,14 @@ def loocv(
     keep = cols + (cols >= np.arange(g)[:, None])
     objective = _Objective(spec, fixed, free, table, keep)
     _check_identified(spec, free, objective.x, objective.arch)
-    optima = _optima(
-        objective, stage_form, config.convergence_tol, config.max_iterations
-    )[0]
+    tol, max_iter = config.convergence_tol, config.max_iterations
+    if spec.scan is not None and free == spec.shape:
+        whole = _Objective(spec, fixed, free, table, np.arange(g)[None])
+        optima = _scanned_optima(objective, whole, stage_form, tol, max_iter)
+    else:
+        optima = _optima(objective, stage_form, tol, max_iter)
     per_holdout = {
-        wid: {n: float(v) for n, v in zip(free, optima[h])}
+        wid: {n: float(v) for n, v in zip(free, optima[0][h])}
         for h, wid in enumerate(workloads)
     }
     parameters = FORMS[form].shape

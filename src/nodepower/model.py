@@ -12,9 +12,9 @@ node power in kW as p_idle + beta * g(x; shape), with one of two shapes:
 magnitudes (one beta, or one per architecture), the shape function, which
 parameters each fit stage estimates, which may be negative, the scale the
 fit iterates the shape on (``OptimizerMap``), the lower bounds, the
-shape start points and the domain the fit scans a lone shape parameter
-over; the parameter order, the curve, its gradient and its second
-derivatives follow. Prediction, validation and ``nodepower.fit``
+shape start points of the fit's multi-start kernel (none for ``simple``)
+and the domain the fit scans a lone shape parameter over; the parameter
+order, the curve, its gradient and its second derivatives follow. Prediction, validation and ``nodepower.fit``
 read it. The form names are ``ModelForm``, which lives in
 ``nodepower.files`` so the CLI can offer them without numpy.
 
@@ -195,28 +195,6 @@ _START_BETA_KW = 6.6
 _LOG_ALPHA_STARTS = tuple({"alpha": a} for a in (1.0, 3.0, 5.0, 8.0, 12.0))
 
 
-def _raw_alpha_starts(x: np.ndarray) -> list[dict[str, float]]:
-    # alpha is on the raw-operations scale: start at the workloads' own
-    # intensities (one per workload, however densely each was sampled)
-    return [{"alpha": 10.0 ** q}
-            for q in _percentiles(x, (10, 30, 50, 70, 90))]
-
-
-def _percentiles(x: np.ndarray, qs: tuple[float, ...]) -> list[float]:
-    """``np.percentile(x, qs)`` (its default, linear method) over ``sorted``
-    values, equal bit for bit but for the sign of a zero result:
-    ``np.percentile`` imports ``numpy.ma``, which a fresh process pays."""
-    v = sorted(np.ravel(x).astype(float).tolist())
-    out = []
-    for q in qs:
-        index = (len(v) - 1) * (q / 100)
-        below = math.floor(index)
-        a, b, g = v[below], v[min(below + 1, len(v) - 1)], index - below
-        # numpy's _lerp: from the nearer end, so exact at both
-        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
-    return out
-
-
 _SIGMOID_STARTS = tuple(
     {"x0": m, "k": k}
     for m in (9.0, 11.0, 13.0, 15.0, 17.0) for k in (0.1, 1.0)
@@ -338,12 +316,10 @@ class FormSpec:
     shape: tuple[str, ...]         # g's parameters, estimated in stage 1
     stage2_free: tuple[str, ...]   # estimated in stage 2
     stage1_form: ModelForm         # the form stage 1 fits
-    # the shape parameters' start points (user scale): one grid, or a
-    # function of the workloads' intensities x
-    shape_starts: (
-        tuple[dict[str, float], ...]
-        | Callable[[np.ndarray], list[dict[str, float]]]
-    )
+    # the shape parameters' start points (user scale) for the fit's
+    # multi-start kernel, which no default stage of a scanned form reads;
+    # ``simple`` has none, so a kernel fit of its alpha takes given starts
+    shape_starts: tuple[dict[str, float], ...]
     raw_operations: bool = False   # g reads 10^x rather than x
     positive_x: bool = True        # defined for x > 0 only
     signed: tuple[str, ...] = ()   # may be zero or negative
@@ -352,7 +328,8 @@ class FormSpec:
     optimizer_map: OptimizerMap | None = None
     lower: Mapping[str, float] = field(default_factory=dict)  # user scale
     # a stage whose one free parameter is the form's only shape parameter
-    # scans this domain, on the fit's scale (``nodepower.fit.wnls_fit``)
+    # scans this domain, on the fit's scale (``nodepower.fit.wnls_fit``,
+    # and ``loocv``'s holdouts as rows of one scan)
     scan: tuple[float, float] | None = None
 
     @property
@@ -372,14 +349,12 @@ class FormSpec:
         """Every parameter, in reporting order."""
         return ("p_idle_kw", *self.betas, *self.shape)
 
-    def starts(self, x: np.ndarray | None) -> list[dict[str, float]]:
-        """Start points on the user scale, from the workloads' intensities
-        ``x`` (one per workload), which a fixed grid ignores (``None``
-        then will do)."""
+    def starts(self) -> list[dict[str, float]]:
+        """Start points on the user scale: the shape grid, each with the
+        start magnitudes."""
         start = {"p_idle_kw": _START_IDLE_KW}
         start.update(dict.fromkeys(self.betas, _START_BETA_KW))
-        grid = self.shape_starts
-        return [{**start, **s} for s in (grid(x) if callable(grid) else grid)]
+        return [{**start, **s} for s in self.shape_starts]
 
     def resolve(
         self,
@@ -570,7 +545,7 @@ FORMS: dict[ModelForm, FormSpec] = {
         shape=("alpha",),
         stage2_free=("beta_comp_kw",),
         stage1_form=ModelForm.SIMPLE_ASYMPTOTIC,
-        shape_starts=_raw_alpha_starts,
+        shape_starts=(),
         raw_operations=True,
         # alpha spans six decades: Newton steps on the raw axis are useless
         optimizer_map=_log10_map("alpha"),

@@ -418,6 +418,20 @@ def cluster_loop_covariance(J, e, w, ids):
     return bread_inv @ meat @ bread_inv * (G / (G - 1.0))
 
 
+def hot_workload_dataset():
+    """Seven workloads on the asymptotic curve, noise-free, and an eighth
+    1.5 kW above it."""
+    groups = [
+        (f"w{j}", x, Architecture_LLM, [asym(x, 1.8, 6.6, 5.0)] * 3)
+        for j, x in enumerate(XS)
+    ]
+    groups.append(
+        ("hot", 12.0, Architecture_LLM,
+         [asym(12.0, 1.8, 6.6, 5.0) + 1.5] * 3)
+    )
+    return make_dataset(groups)
+
+
 def sixty_workload_dataset():
     """60 workloads of both architectures, 5 to 29 samples each, around
     the arch-fe curve with a magnitude per architecture."""
@@ -701,16 +715,8 @@ class TestLoocv:
         assert rep.flagged_outliers == ()
 
     def test_divergent_workload_flagged(self):
-        groups = [
-            (f"w{j}", x, Architecture_LLM, [asym(x, 1.8, 6.6, 5.0)] * 3)
-            for j, x in enumerate(XS)
-        ]
         # one workload 1.5 kW hot: omitting it moves the shape hard
-        groups.append(
-            ("hot", 12.0, Architecture_LLM,
-             [asym(12.0, 1.8, 6.6, 5.0) + 1.5] * 3)
-        )
-        ds = make_dataset(groups)
+        ds = hot_workload_dataset()
         rep = loocv(ds, ModelForm.LOG_ASYMPTOTIC)
         assert rep.most_divergent["alpha"] == "hot"
         assert "hot" in rep.flagged_outliers
@@ -901,7 +907,7 @@ class TestMultiStart:
         fixed = {"p_idle_kw": 1.8, "beta_comp_kw": 6.6}
         shape = FORMS[form].shape
         single = []
-        for s in FORMS[form].starts(table.x):
+        for s in FORMS[form].starts():
             try:
                 single.append(wnls_fit(
                     table, form, fixed, shape, starts=[s], compute_se=False
@@ -1093,19 +1099,27 @@ def _lowest_sse_start(table, form, config):
         objective, *fitmod._start_points(objective)
     )
     grid = list(dict.fromkeys(
-        tuple(float(s[n]) for n in free) for s in spec.starts(table.x)
+        tuple(float(s[n]) for n in free) for s in spec.starts()
     ))
     return dict(zip(free, grid[int(pick[0])]))
 
 
-def _grid_run(table, form, fixed, free):
+def _percentile_starts(x):
+    """The simple form's alpha starts on a table's intensities ``x``: the
+    raw operations at their 10th to 90th percentiles."""
+    qs = (10, 30, 50, 70, 90)
+    return [{"alpha": 10.0 ** q} for q in np.percentile(x, qs)]
+
+
+def _grid_run(table, form, fixed, free, starts=None):
     """A stage fit of ``table`` that iterates every point of its start
-    grid as one batch, the winner taken by ``fit._winners``: user-scale
-    estimates, weighted SSE and whether it is at an optimum."""
+    grid (``starts``, by default the form table's) as one batch, the
+    winner taken by ``fit._winners``: user-scale estimates, weighted SSE
+    and whether it is at an optimum."""
     objective = fitmod._Objective(
         FORMS[form], fixed, free, table, np.arange(len(table.x))[None]
     )
-    theta0, rows, counts = fitmod._start_points(objective)
+    theta0, rows, counts = fitmod._start_points(objective, starts)
     theta, sse, ok, *_ = fitmod._winners(
         objective, rows, counts, *_run(objective, theta0, rows, 1e-8, 200)
     )
@@ -1129,36 +1143,104 @@ def _batches(monkeypatch):
     return batches
 
 
+def _assert_first_holdouts_message(table, form):
+    """With one iteration allowed, ``loocv`` raises the non-convergence
+    message of ``wnls_fit`` on the first holdout's table."""
+    config = FitConfig(max_iterations=1)
+    with pytest.raises(NonConvergenceError) as alone:
+        wnls_fit(
+            table.drop([table.workloads()[0]]), form,
+            _stage1_fixed(config), FORMS[form].shape,
+            max_iterations=1, compute_se=False,
+        )
+    with pytest.raises(NonConvergenceError) as batched:
+        loocv(table, form, config)
+    assert str(batched.value) == str(alone.value)
+
+
 class TestBatchedLoocv:
     @pytest.mark.parametrize(
         "form", (*LOOCV_FORMS, ModelForm.SIMPLE_ASYMPTOTIC),
         ids=lambda f: f.value,
     )
-    @pytest.mark.parametrize("data", ["desk", "many"])
+    @pytest.mark.parametrize("data", ["desk", "many", "sixty"])
     def test_each_holdout_equals_its_own_stage1_fit(
         self, form, data, desk_dataset, many_workload_dataset
     ):
-        # bit for bit a stage-1 fit from the holdout's lowest-SSE grid
-        # start, and within rounding of the fit from its whole grid
-        ds = desk_dataset if data == "desk" else many_workload_dataset
+        # bit for bit the holdout table's stage-1 fit: for a saturation
+        # form its default fit (a scan and its polish), for the sigmoid a
+        # fit from the holdout's lowest-SSE grid start; and within rounding
+        # of the fit from its whole grid
+        table = {
+            "desk": lambda: desk_dataset,
+            "many": lambda: many_workload_dataset,
+            "sixty": sixty_workload_dataset,
+        }[data]()
         config = FitConfig()
-        table = ds
-        rep = loocv(ds, form, config)
+        rep = loocv(table, form, config)
         assert list(rep.per_holdout) == list(table.workloads())
         fixed, shape = _stage1_fixed(config), FORMS[form].shape
         for wid, estimates in rep.per_holdout.items():
             held = table.drop([wid])
+            starts = None
+            if form is ModelForm.SIGMOID:
+                starts = [_lowest_sse_start(held, form, config)]
             alone = wnls_fit(
-                held, form, fixed, shape, compute_se=False,
-                starts=[_lowest_sse_start(held, form, config)],
+                held, form, fixed, shape, compute_se=False, starts=starts,
             )
             assert estimates == alone.estimates, wid
-            grid, grid_sse, _ = _grid_run(held, form, fixed, shape)
+            grid, grid_sse, _ = _grid_run(
+                held, form, fixed, shape,
+                _percentile_starts(held.x)
+                if form is ModelForm.SIMPLE_ASYMPTOTIC else None,
+            )
             for name in shape:
                 assert estimates[name] == pytest.approx(
                     grid[name], rel=1e-12, abs=0.0
                 ), wid
             assert alone.weighted_sse <= grid_sse * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "form", [ModelForm.LOG_ASYMPTOTIC, ModelForm.SIMPLE_ASYMPTOTIC],
+        ids=lambda f: f.value,
+    )
+    @pytest.mark.parametrize("data", ["desk", "hot"])
+    def test_holdout_scan_sums_match_each_holdouts_own_scan(
+        self, form, data, desk_dataset, monkeypatch
+    ):
+        # each holdout's scan SSEs, summed before and after the held-out
+        # workload from the one scan of the whole table, against the scan
+        # of the holdout's own objective: within G eps relative, and the
+        # same first lowest point
+        table = desk_dataset if data == "desk" else hot_workload_dataset()
+        seen = []
+        pick = fitmod._scan_best
+
+        def spy(sse):
+            seen.append(sse.copy())
+            return pick(sse)
+
+        monkeypatch.setattr(fitmod, "_scan_best", spy)
+        config = FitConfig()
+        loocv(table, form, config)
+        (sums,) = seen
+        workloads = table.workloads()
+        assert sums.shape == (fitmod.SCAN_POINTS, len(workloads))
+        stage_form, fixed, free = fitmod._stage1_constraints(form, config)
+        spec = FORMS[stage_form]
+        grid = np.linspace(*spec.scan, fitmod.SCAN_POINTS)[:, None]
+        rows = np.zeros(len(grid), dtype=int)
+        for h, wid in enumerate(workloads):
+            held = table.drop([wid])
+            own = fitmod._Objective(
+                spec, fixed, free, held, np.arange(len(held.x))[None]
+            )
+            sse = own.sse(fitmod._residuals(own, grid, rows), rows)
+            np.testing.assert_allclose(
+                sums[:, h], sse, rtol=len(workloads) * fitmod._EPS, atol=0.0,
+                err_msg=wid,
+            )
+            assert np.argmin(sums[:, h]) == np.argmin(sse), wid
 
     def test_a_holdout_off_the_optimum_reruns_its_grid(
         self, desk_dataset, monkeypatch
@@ -1172,7 +1254,7 @@ class TestBatchedLoocv:
         h = 3
         wid = table.workloads()[h]
         ridge = {"x0": 9.0, "k": 0.1}
-        assert ridge.items() <= FORMS[form].starts(None)[0].items()
+        assert ridge.items() <= FORMS[form].starts()[0].items()
         with pytest.raises(NonConvergenceError):
             wnls_fit(
                 table.drop([wid]), form, _stage1_fixed(config),
@@ -1192,7 +1274,7 @@ class TestBatchedLoocv:
         batches = _batches(monkeypatch)
         got = loocv(table, form, config)
         # the holdouts' batch, then that holdout's grid once
-        grid_size = len(FORMS[form].starts(None))
+        grid_size = len(FORMS[form].starts())
         assert batches == [len(table.workloads()), grid_size]
         assert got.per_holdout[wid] == grid
         for other in table.workloads():
@@ -1227,7 +1309,7 @@ class TestBatchedLoocv:
         monkeypatch.setattr(fitmod, "_lowest_sse_starts", ridge_start)
         batches = _batches(monkeypatch)
         got = loocv(table, form, config)
-        grid = len(FORMS[form].starts(None))
+        grid = len(FORMS[form].starts())
         assert max(batches) <= max(len(workloads), grid) == 10
         assert batches == [len(workloads), grid, grid]  # a rerun each
         for h, wid in enumerate(workloads):
@@ -1279,18 +1361,15 @@ class TestBatchedLoocv:
     def test_non_convergence_keeps_the_single_fit_message(
         self, desk_dataset
     ):
-        config = FitConfig(max_iterations=1)
-        table = desk_dataset
-        form = ModelForm.SIGMOID
-        with pytest.raises(NonConvergenceError) as alone:
-            wnls_fit(
-                table.drop([table.workloads()[0]]), form,
-                _stage1_fixed(config), FORMS[form].shape,
-                max_iterations=1, compute_se=False,
-            )
-        with pytest.raises(NonConvergenceError) as batched:
-            loocv(desk_dataset, form, config)
-        assert str(batched.value) == str(alone.value)
+        _assert_first_holdouts_message(desk_dataset, ModelForm.SIGMOID)
+
+    @pytest.mark.parametrize("form", [
+        ModelForm.LOG_ASYMPTOTIC, ModelForm.SIMPLE_ASYMPTOTIC,
+    ], ids=lambda f: f.value)
+    def test_a_scanned_holdouts_non_convergence_keeps_its_message(
+        self, form, desk_dataset
+    ):
+        _assert_first_holdouts_message(desk_dataset, form)
 
     def test_each_problem_alone_matches_the_batch(
         self, desk_dataset, monkeypatch
@@ -1351,8 +1430,9 @@ class TestOneStartPerFit:
             desk_dataset, form, FitConfig(exclusions=desk_exclusion_policy)
         )
         # the sigmoid's stage 1, then its stage 2 from one start; the
-        # saturation forms scan alpha and solve their magnitudes exactly
-        want = [1, 1] if form is ModelForm.SIGMOID else []
+        # saturation forms polish their alpha scan's best point and solve
+        # their magnitudes exactly
+        want = [1, 1] if form is ModelForm.SIGMOID else [1]
         assert batches == want
 
     def test_a_miss_reruns_the_grid_once(
@@ -1364,7 +1444,7 @@ class TestOneStartPerFit:
         form = ModelForm.SIGMOID
         fixed, shape = _stage1_fixed(FitConfig()), FORMS[form].shape
         ridge = {"x0": 9.0, "k": 0.1}
-        assert ridge.items() <= FORMS[form].starts(None)[0].items()
+        assert ridge.items() <= FORMS[form].starts()[0].items()
         grid, grid_sse, ok = _grid_run(table, form, fixed, shape)
         assert ok
         choose = fitmod._lowest_sse_starts
@@ -1376,7 +1456,7 @@ class TestOneStartPerFit:
         monkeypatch.setattr(fitmod, "_lowest_sse_starts", ridge_start)
         batches = _batches(monkeypatch)
         got = wnls_fit(table, form, fixed, shape, compute_se=False)
-        assert batches == [1, len(FORMS[form].starts(None))]
+        assert batches == [1, len(FORMS[form].starts())]
         assert got.estimates == grid
         assert got.weighted_sse == grid_sse
 
@@ -1399,7 +1479,9 @@ class TestOneStartPerFit:
         config = FitConfig()
         stage1 = two_stage_fit(table, form, config).stage1
         grid, grid_sse, ok = _grid_run(
-            table, *fitmod._stage1_constraints(form, config)
+            table, *fitmod._stage1_constraints(form, config),
+            _percentile_starts(table.x)
+            if form is ModelForm.SIMPLE_ASYMPTOTIC else None,
         )
         assert ok
         for name, value in grid.items():
@@ -1453,7 +1535,7 @@ class TestScanCertificate:
         config = FitConfig()
         batches = _batches(monkeypatch)
         stage1 = two_stage_fit(table, form, config).stage1
-        assert batches == []
+        assert batches == [1]  # the polish of the scan's best point
         alpha, sse = _scan_sses(table, form, config)
         assert stage1.weighted_sse <= sse.min() * (1.0 + 1e-12)
         assert alpha[0] < stage1.estimates["alpha"] < alpha[-1]
@@ -1467,15 +1549,58 @@ class TestScanCertificate:
         # polished from a point 20 scan steps above the best, the optimum
         # stops at the edge of that point's neighbours, above the scan's
         # minimum
-        polish = fitmod._polish
+        pick = fitmod._scan_best
 
-        def far(objective, scan, i, tol, max_iter):
-            return polish(objective, scan, i + 20, tol, max_iter)
+        def far(sse):
+            return pick(sse) + 20
 
-        monkeypatch.setattr(fitmod, "_polish", far)
+        monkeypatch.setattr(fitmod, "_scan_best", far)
         table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         with pytest.raises(NonConvergenceError, match="above a point"):
             two_stage_fit(table, form, FitConfig())
+
+    @pytest.mark.parametrize(
+        "form", SATURATION_FORMS, ids=lambda f: f.value
+    )
+    def test_a_run_from_below_the_best_point_raises(
+        self, form, desk_dataset, desk_exclusion_policy, monkeypatch
+    ):
+        # run from five scan steps below the best, the optimum stops at its
+        # upper bound, that point's upper neighbour: in a fit, and in every
+        # LOOCV holdout
+        pick = fitmod._scan_best
+
+        def below(sse):
+            return pick(sse) - 5
+
+        monkeypatch.setattr(fitmod, "_scan_best", below)
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        with pytest.raises(NonConvergenceError, match="above a point"):
+            two_stage_fit(table, form, FitConfig())
+        with pytest.raises(NonConvergenceError, match="above a point"):
+            loocv(table, form, FitConfig())
+
+    def test_a_kernel_fit_of_simple_needs_given_starts(self, desk_dataset):
+        # the simple form's alpha is scanned wherever it is fitted alone;
+        # to fit it with a magnitude the caller gives the start points
+        form = ModelForm.SIMPLE_ASYMPTOTIC
+        fixed, free = {"p_idle_kw": 1.8}, ("beta_comp_kw", "alpha")
+        with pytest.raises(ValueError, match="no start points"):
+            wnls_fit(desk_dataset, form, fixed, free)
+        fit = wnls_fit(
+            desk_dataset, form, fixed, free,
+            starts=[{"beta_comp_kw": 6.6, "alpha": 1e12}],
+        )
+        assert fit.converged
+
+    def test_scanned_maps_read_no_table_constants(self, desk_dataset):
+        # LOOCV scores every holdout from one scan of the whole table, which
+        # holds only where the scale the scan runs on is the same for every
+        # table
+        x = desk_dataset.x[None]
+        for spec in FORMS.values():
+            if spec.scan is not None and spec.optimizer_map is not None:
+                assert spec.optimizer_map.constants(x) == ()
 
     @pytest.mark.parametrize(
         "form", SATURATION_FORMS, ids=lambda f: f.value
@@ -1581,8 +1706,15 @@ def _loocv_batch(table, form):
     g = len(table.workload_ids)
     keep = np.array([np.delete(np.arange(g), h) for h in range(g)])
     objective = fitmod._Objective(spec, fixed, free, table, keep)
-    theta0, rows, _ = fitmod._start_points(objective)
-    return objective, theta0, rows
+    if form is not ModelForm.SIMPLE_ASYMPTOTIC:
+        theta0, rows, _ = fitmod._start_points(objective)
+        return objective, theta0, rows
+    # the simple form has no default grid: each holdout's percentile starts
+    user = np.array([
+        [s["alpha"]] for x in objective.x for s in _percentile_starts(x)
+    ])
+    rows = np.repeat(np.arange(g), len(user) // g)
+    return objective, objective.internal(user, rows), rows
 
 
 def _ridge_batch(table):
@@ -1845,13 +1977,17 @@ class TestClosedFormStep:
 # ---------------------------------------------------------------------------
 
 def _stage1_objective(table, form):
-    """The stage-1 objective of ``form`` on one table, and its starts."""
+    """The stage-1 objective of ``form`` on one table, and its starts (the
+    simple form's on the table's percentiles)."""
     stage_form, fixed, free = fitmod._stage1_constraints(form, FitConfig())
     spec = FORMS[stage_form]
     objective = fitmod._Objective(
         spec, fixed, free, table, np.arange(len(table.x))[None]
     )
-    return objective, fitmod._start_points(objective)[0]
+    starts = None
+    if form is ModelForm.SIMPLE_ASYMPTOTIC:
+        starts = _percentile_starts(table.x)
+    return objective, fitmod._start_points(objective, starts)[0]
 
 
 @pytest.fixture(scope="module")
@@ -2056,7 +2192,7 @@ class TestOptimizerMap:
         objective = _sigmoid_stage1(table)
         x = table.x
         mean, sd = x.mean(), x.std()
-        starts = FORMS[ModelForm.SIGMOID].starts(None)
+        starts = FORMS[ModelForm.SIGMOID].starts()
         theta, rows, _ = fitmod._start_points(objective, starts)
         user = np.array([[s["x0"], s["k"]] for s in starts])
         np.testing.assert_allclose(
@@ -2158,7 +2294,7 @@ class TestOptimizerMap:
         objective = _sigmoid_stage1(table)
         edge = table.x.std() / model.K_FLOOR
         ends = {}
-        for start in FORMS[ModelForm.SIGMOID].starts(None):
+        for start in FORMS[ModelForm.SIGMOID].starts():
             theta0, rows, _ = fitmod._start_points(objective, [start])
             theta, _, converged, _ = _kernel(
                 objective, theta0, rows, 1e-8, 200

@@ -505,34 +505,3 @@ def test_sigmoid_symmetry_about_midpoint(p_idle, beta, x0, k, offset):
     below = predict_power(ModelForm.SIGMOID, pp, x0 - offset * k)
     mid = p_idle + beta / 2.0
     assert (above - mid) == pytest.approx(-(below - mid), abs=1e-9 * beta)
-
-
-@given(st.lists(
-    st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False, width=64),
-        st.sampled_from([11.0, 11.5, 14.25, -0.0, 0.0]),  # ties
-    ),
-    min_size=1, max_size=60,
-))
-def test_percentiles_match_numpy_bit_for_bit(values):
-    qs = (0, 10, 30, 50, 70, 90, 100)
-    x = np.array(values)
-    want = np.percentile(x, qs)
-    if not np.isfinite(want).all():  # b - a overflows in numpy as well
-        return
-    # + 0.0 makes -0.0 positive: sorted() and numpy's partition can leave
-    # -0.0 and 0.0, which compare equal, in either order
-    got = np.array(model._percentiles(x, qs)) + 0.0
-    assert got.tobytes() == (want + 0.0).tobytes()
-
-
-def test_percentiles_match_numpy_on_random_intensities():
-    rng = np.random.default_rng(15)
-    qs = (10, 30, 50, 70, 90)
-    for n in range(1, 400):
-        x = rng.uniform(9.0, 18.0, n).round(int(rng.integers(1, 17)))
-        got = np.array(model._percentiles(x, qs))
-        assert got.tobytes() == np.percentile(x, qs).tobytes(), n
-    assert model._raw_alpha_starts(x) == [
-        {"alpha": 10.0 ** float(q)} for q in np.percentile(x, qs)
-    ]

@@ -161,13 +161,14 @@ def test_fit_and_loocv_do_not_load_numpy_ma_or_char(tmp_path):
          "--pin-timestamp", "2026-01-01T00:00:00Z"]
         for form in ("arch-fe", "simple")
     ] + [
-        ["loocv", *data, "--form", "sigmoid",
-         "--out", str(tmp_path / "loocv")],
+        ["loocv", *data, "--form", form,
+         "--out", str(tmp_path / f"loocv-{form}")]
+        for form in ("asymptotic", "simple", "sigmoid")
     ]
     got, stderr = _loaded_run(
         commands, ["numpy.ma", "numpy.char", "numpy.strings"], tmp_path
     )
-    assert got == {"codes": [0, 0, 0], "loaded": []}, stderr
+    assert got == {"codes": [0] * 5, "loaded": []}, stderr
 
 
 def test_scenario_does_not_load_flops(tmp_path):
