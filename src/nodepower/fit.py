@@ -38,12 +38,10 @@ parameters: Golub & Pereyra 1973, *SIAM J. Numer. Anal.* 10:413):
   bound below, and runs the kernel below from the best point, bounded by
   that point's scan neighbours. The scan certifies the result: an optimum
   on the domain's edge, or above any scan point, raises
-  NonConvergenceError. ``loocv`` of such a stage is one scan of the whole
-  table, a stacked scan: each holdout's scan SSEs are sums of that scan's
-  squared residuals, and every holdout runs what ``wnls_fit`` runs on its
-  table, its G runs one batch;
-* every other stage (the sigmoid's two, and any caller-given starts) runs
-  the kernel from a start grid, as do the sigmoid's holdouts.
+  NonConvergenceError. ``loocv``'s holdouts of such a stage are the rows
+  of one scan of the whole table, and their runs one batch;
+* every other stage (the sigmoid's two, and any caller-given starts), and
+  the sigmoid's holdouts, run the kernel from a start grid.
 
 The kernel is a damped hybrid of Newton and Gauss-Newton steps with
 analytic derivatives and a fixed multi-start grid over the shape
@@ -69,16 +67,15 @@ scales 1, 1/2, 1/4, ... one at a time, each evaluation holding one
 candidate per problem of the call that no scale has moved yet. Most
 problems move at the full step and the rest seldom need a second halving,
 so one scale per evaluation is all the halving backtrack (Dennis &
-Schnabel, section 6.3) takes. Memory is
-bounded per evaluation, not per problem: no curve or derivative
-evaluation, halvings and the optimum tests of the winners included, takes
-more than ``BATCH_ELEMENTS`` problems x workloads, so a large batch makes
-more calls, not larger ones. A batch holds at most the larger of G
-holdouts and one grid of S starts, and carries each problem's residual row
-and user-scale point between iterations, so that no point's residuals are
-evaluated, or its parameters mapped back to the user scale, twice. Every
-reduction runs along one problem's row, so each problem is bit-identical to
-a run on its own.
+Schnabel, section 6.3) takes. Memory is bounded per evaluation, not per
+problem: no curve or derivative evaluation, halvings and the optimum tests
+of the winners included, takes more than ``BATCH_ELEMENTS`` problems x
+workloads, so a large batch makes more calls, not larger ones. A batch
+holds at most the larger of G holdouts and one grid of S starts, and
+carries each problem's residual row and user-scale point between
+iterations, so that no point's residuals are evaluated, or its parameters
+mapped back to the user scale, twice. Every reduction runs along one
+problem's row, so each problem is bit-identical to a run on its own.
 Every stage, with one free parameter or two, converges in one way only: a
 small final step (none for the exact solution), at a full-rank Jacobian,
 with a relative offset of at most 1e-3; the step and the offset test
@@ -882,20 +879,16 @@ def _scanned_optima(
     is that table without row h.
 
     ``SCAN_POINTS`` evenly spaced points of the form table's scan domain,
-    on the optimizer's scale, are evaluated once on the whole table: a
-    scanned form's map reads no table constants, so every residual is the
-    float each table's own objective computes. A holdout's SSE at a point
-    is the sum of its squared residuals before h, plus the sum after h,
-    plus its within part: cumulative sums, never the total less row h's,
-    which cancels where the other rows fit closely. Each table's first
-    lowest point (``_scan_best``, NaN read as +inf) starts, with its
-    residual row gathered from the scan, a run of ``_gauss_newton`` kept
-    between that point's scan neighbours, all T as one batch, and
-    ``_tested`` applies the rank and offset tests. The scan certifies each
-    result: NonConvergenceError for ``form``, that of the first failing
-    table in table order, if the optimum lies on the domain's edge or above
-    a point of its scan (beyond 1e-12 relative rounding), or if its run did
-    not converge or fails the rank and offset tests."""
+    on the optimizer's scale, are evaluated once on the whole table (a
+    scanned form's map reads no table constants, so each residual is the
+    float a table's own objective computes). A holdout's SSE at a point is
+    the sum of its squares before h plus the sum after h, never the total
+    less row h's, which cancels where the other rows fit closely. Each
+    table's first lowest point (NaN read as +inf) starts a run of
+    ``_gauss_newton`` bounded by that point's scan neighbours, all T as one
+    batch. NonConvergenceError for ``form``, that of the first failing
+    table, if an optimum lies on the domain's edge or above a point of its
+    scan (beyond 1e-12 relative rounding), or fails ``_tested``."""
     lo, hi = objective.spec.scan
     grid = np.linspace(lo, hi, SCAN_POINTS)[:, None]
     rows = np.zeros(SCAN_POINTS, dtype=int)
@@ -1331,22 +1324,15 @@ def loocv(
     holdout per parameter.
 
     A saturation form's holdouts (``simple``, ``asymptotic``,
-    ``arch-fe``) are the rows of one scan of the whole table: each
-    holdout's scan SSEs are the sums of its rows' squared residuals there,
-    and its first lowest scan point starts its run of the kernel, all in
-    one batch. So a holdout's shape is, bit for bit, the default
-    ``wnls_fit`` of the table without that workload, and the first holdout
-    that fails raises that fit's NonConvergenceError.
-
-    The sigmoid's holdouts run the multi-start kernel of ``wnls_fit``:
-    each iterates its lowest-SSE grid start, all in one batch, and a
-    holdout whose run misses its optimum reruns its own grid, one at a
-    time in table order. So no batch holds more problems than the larger
-    of the holdouts and one grid, and a holdout's shape is, bit for bit,
-    ``wnls_fit`` on the table without that workload, run from that
-    table's lowest-SSE grid start; it matches that table's default fit up
-    to rounding. The first rerun that fails raises that fit's
-    NonConvergenceError.
+    ``arch-fe``) are the rows of one scan of the whole table, and each runs,
+    bit for bit, what the default ``wnls_fit`` runs on the table without
+    that workload, all in one batch. The sigmoid's holdouts each iterate
+    their lowest-SSE grid start, all in one batch, and one whose run misses
+    its optimum reruns its own grid, one at a time in table order; each is,
+    bit for bit, ``wnls_fit`` of its table from that start, and its default
+    fit up to rounding. So no batch holds more problems than the larger of
+    the holdouts and one grid. The first holdout that fails, in table
+    order, raises that fit's NonConvergenceError.
     """
     config = config or FitConfig()
     workloads = table.workloads()

@@ -14,9 +14,10 @@ parameters each fit stage estimates, which may be negative, the scale the
 fit iterates the shape on (``OptimizerMap``), the lower bounds, the
 shape start points of the fit's multi-start kernel (none for ``simple``)
 and the domain the fit scans a lone shape parameter over; the parameter
-order, the curve, its gradient and its second derivatives follow. Prediction, validation and ``nodepower.fit``
-read it. The form names are ``ModelForm``, which lives in
-``nodepower.files`` so the CLI can offer them without numpy.
+order, the curve, its gradient and its second derivatives follow.
+Prediction, validation and ``nodepower.fit`` read it. The form names are
+``ModelForm``, which lives in ``nodepower.files`` so the CLI can offer
+them without numpy.
 
 The simple raw-scale variant is kept for completeness but has no calibrated
 preset: the published shape values only make sense on the log scale. Every

@@ -1168,9 +1168,9 @@ class TestBatchedLoocv:
         self, form, data, desk_dataset, many_workload_dataset
     ):
         # bit for bit the holdout table's stage-1 fit: for a saturation
-        # form its default fit (a scan and its polish), for the sigmoid a
-        # fit from the holdout's lowest-SSE grid start; and within rounding
-        # of the fit from its whole grid
+        # form its default fit (a scan and a run from its best point), for
+        # the sigmoid a fit from the holdout's lowest-SSE grid start; and
+        # within rounding of the fit from its whole grid
         table = {
             "desk": lambda: desk_dataset,
             "many": lambda: many_workload_dataset,
@@ -1430,8 +1430,8 @@ class TestOneStartPerFit:
             desk_dataset, form, FitConfig(exclusions=desk_exclusion_policy)
         )
         # the sigmoid's stage 1, then its stage 2 from one start; the
-        # saturation forms polish their alpha scan's best point and solve
-        # their magnitudes exactly
+        # saturation forms run the kernel from their alpha scan's best
+        # point and solve their magnitudes exactly
         want = [1, 1] if form is ModelForm.SIGMOID else [1]
         assert batches == want
 
@@ -1515,7 +1515,8 @@ def _scan_sses(table, form, config):
 
 class TestScanCertificate:
     """Stage 1 of a saturation form scans alpha over the form table's
-    domain and polishes the best point; the scan certifies the result."""
+    domain and runs the kernel from the best point; the scan certifies the
+    result."""
 
     @pytest.mark.parametrize(
         "form", SATURATION_FORMS, ids=lambda f: f.value
@@ -1535,7 +1536,7 @@ class TestScanCertificate:
         config = FitConfig()
         batches = _batches(monkeypatch)
         stage1 = two_stage_fit(table, form, config).stage1
-        assert batches == [1]  # the polish of the scan's best point
+        assert batches == [1]  # the run from the scan's best point
         alpha, sse = _scan_sses(table, form, config)
         assert stage1.weighted_sse <= sse.min() * (1.0 + 1e-12)
         assert alpha[0] < stage1.estimates["alpha"] < alpha[-1]
@@ -1546,7 +1547,7 @@ class TestScanCertificate:
     def test_a_lower_scan_point_raises(
         self, form, desk_dataset, desk_exclusion_policy, monkeypatch
     ):
-        # polished from a point 20 scan steps above the best, the optimum
+        # run from a point 20 scan steps above the best, the optimum
         # stops at the edge of that point's neighbours, above the scan's
         # minimum
         pick = fitmod._scan_best
