@@ -25,23 +25,25 @@ weighted SSE are those of the per-observation definition, and the tests
 check the grouped fit against it.
 
 A stage has at most two free parameters, and its structure picks one of
-three solvers (variable projection's split of linear from nonlinear
+two paths (variable projection's split of linear from nonlinear
 parameters: Golub & Pereyra 1973, *SIAM J. Numer. Anal.* 10:413):
 
 * a stage with no free shape parameter (stage 2 of ``simple``,
   ``asymptotic`` and ``arch-fe``) is linear in its magnitudes, and one
   least-squares step from one derivative evaluation solves it exactly; the
   same Jacobian serves the offset test and the standard errors;
-* a stage whose one free parameter is the shape (stage 1 of those three
-  forms: alpha) scores ``SCAN_POINTS`` evenly spaced points of the form
-  table's scan domain, on the optimizer's scale, in calls within the
-  bound below, and runs the kernel below from the best point, bounded by
-  that point's scan neighbours. The scan certifies the result: an optimum
-  on the domain's edge, or above any scan point, raises
-  NonConvergenceError. ``loocv``'s holdouts of such a stage are the rows
-  of one scan of the whole table, and their runs one batch;
-* every other stage (the sigmoid's two, and any caller-given starts), and
-  the sigmoid's holdouts, run the kernel from a start grid.
+* every other stage scores its candidate points once and runs the kernel
+  below from each table's first lowest one: a scan of ``SCAN_POINTS``
+  evenly spaced points of the form table's scan domain, on the optimizer's
+  scale, where the one free parameter is the form's lone shape parameter
+  (stage 1 of those three forms: alpha) and no starts are given, the run
+  bounded by its point's scan neighbours; else (the sigmoid's two stages,
+  and any caller-given starts) a start grid, a table whose run misses its
+  optimum rerunning its whole grid. The scan certifies the result: an
+  optimum on the domain's edge, or above any scan point, raises
+  NonConvergenceError. ``loocv``'s G holdouts take the same path as G
+  tables of one fit: every candidate is scored once on the whole table,
+  S x G curve values for S points, and the G runs are one batch.
 
 The kernel is a damped hybrid of Newton and Gauss-Newton steps with
 analytic derivatives and a fixed multi-start grid over the shape
@@ -54,14 +56,11 @@ curvature S = sum_i r_i hess f_i from the same shape evaluation as the
 Jacobian, and a problem whose H = J'J - S is positive definite takes the
 Newton step H^-1 J'r; the others, and every stage where no free parameter
 has curvature, take the Gauss-Newton step (a hybrid method: Fletcher & Xu
-1987, *IMA J. Numer. Anal.* 7). Every point of a fit's start grid is
-scored once, without iterating, and only the first with the lowest SSE
-iterates; a run that misses its optimum reruns the whole grid. The
-sigmoid's G holdouts iterate one such start each, and a scanned stage's
-one scan point each, as one array problem in one loop: the parameters of
-B problems form a (B, p) array, each problem halves its own step, is
-clipped to its own bounds and stops on its own, and both steps are solved
-in closed form from one Gram-Schmidt. Each iteration takes the live
+1987, *IMA J. Numer. Anal.* 7). A batch of runs, such as the G
+holdouts', is one array problem in one loop: the parameters of B problems
+form a (B, p) array, each problem halves its own step, is clipped to its
+own bounds and stops on its own, and both steps are solved in closed form
+from one Gram-Schmidt. Each iteration takes the live
 problems a call at a time: their derivatives and their steps, then the
 scales 1, 1/2, 1/4, ... one at a time, each evaluation holding one
 candidate per problem of the call that no scale has moved yet. Most
@@ -646,62 +645,35 @@ def _gauss_newton(
     return theta, sse, converged, resid, user
 
 
-def _start_points(
+def _user_starts(
     objective: _Objective,
     starts: Sequence[Mapping[str, float]] | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Every table's start points on the optimizer's scale, (S, p), the
-    table of each, (S,), and the count per table: the user-scale
-    ``starts``, by default the form table's, one per distinct point on the
-    free parameters and raised to their lower bounds, the same for every
-    table and mapped through every table's constants in one call. Raises
-    ValueError where there is no start point (``simple``'s form table has
-    no default grid)."""
+) -> np.ndarray:
+    """The user-scale start points, (S, p): ``starts``, by default the
+    form table's, one per distinct point on the free parameters, raised to
+    their lower bounds. Raises ValueError where there is none (``simple``'s
+    form table has no default grid)."""
     spec, free = objective.spec, objective.free
-    tables = len(objective.x)
     points = np.array(list(dict.fromkeys(
         tuple(float(s[n]) for n in free)
         for s in (spec.starts() if starts is None else starts)
     )), dtype=float)
     if not len(points):
         raise ValueError(f"no start points for {', '.join(free)}: give starts")
-    rows = np.repeat(np.arange(tables), len(points))
-    lower = [spec.lower.get(n, -np.inf) for n in free]
-    user = np.maximum(np.tile(points, (tables, 1)), lower)
-    return objective.internal(user, rows), rows, [len(points)] * tables
+    return np.maximum(points, [spec.lower.get(n, -np.inf) for n in free])
 
 
-def _lowest_sse_starts(
+def _start_points(
     objective: _Objective,
-    theta0: np.ndarray,
-    rows: np.ndarray,
-    counts: Sequence[int],
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Index into ``theta0`` of each table's first start, in start order,
-    with the lowest weighted SSE, NaN read as +inf, and every start's
-    residual row and user-scale point, (S, n) and (S, p). The starts lie
-    in table order, ``counts[t]`` of them for table t; each is mapped to
-    the user scale and scored once, without iterating."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        user = objective.user(theta0, rows)
-        resid = _residuals(objective, theta0, rows, user)
-        sse = objective.sse(resid, rows)
-    sse[np.isnan(sse)] = np.inf
-    return _first_lowest(sse, counts), (resid, user)
-
-
-def _first_lowest(
-    sse: np.ndarray, counts: Sequence[int], rel: float = 0.0
-) -> np.ndarray:
-    """Index of each table's first SSE that is at most the table's lowest
-    times (1 + ``rel``), or of its first if every one is NaN. The SSEs lie
-    in table order, ``counts[t]`` of them for table t."""
-    first = np.cumsum([0, *counts[:-1]])
-    lowest = np.fmin.reduceat(sse, first)
-    within = sse <= np.repeat(lowest * (1.0 + rel), counts)
-    index = np.where(within, np.arange(len(sse)), len(sse))
-    picks = np.minimum.reduceat(index, first)
-    return np.where(picks < len(sse), picks, first)
+    starts: Sequence[Mapping[str, float]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Every table's start points on the optimizer's scale, (S, p), the
+    table of each, (S,), and the count per table: ``_user_starts`` for
+    every table, mapped through every table's constants in one call."""
+    points, tables = _user_starts(objective, starts), len(objective.x)
+    rows = np.repeat(np.arange(tables), len(points))
+    theta = objective.internal(np.tile(points, (tables, 1)), rows)
+    return theta, rows, [len(points)] * tables
 
 
 def _check_identified(
@@ -745,9 +717,14 @@ def _winners(
     i-th table; ``rows`` names each run's table.
     """
     # starts that reach one optimum differ in SSE only by rounding: take
-    # the first, in start order, within rounding of the lowest SSE, so that
-    # the winner does not depend on summation order
-    picks = _first_lowest(sse, counts, 1e-12)
+    # the first, in start order, within rounding of the lowest SSE (the
+    # first of all where every one is NaN), so that the winner does not
+    # depend on summation order
+    first = np.cumsum([0, *counts[:-1]])
+    lowest = np.repeat(np.fmin.reduceat(sse, first) * (1.0 + 1e-12), counts)
+    index = np.where(sse <= lowest, np.arange(len(sse)), len(sse))
+    picks = np.minimum.reduceat(index, first)
+    picks = np.where(picks < len(sse), picks, first)
     theta, sse, ok, resid, user = (
         a[picks] for a in (theta, sse, converged, resid, user)
     )
@@ -797,41 +774,124 @@ def _at_optimum(
     ) <= OFFSET_TOL
 
 
+def _scores(
+    objective: _Objective, whole: _Objective, user: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted SSE (S, T) of S user-scale points ``user`` on each of
+    ``objective``'s T tables, NaN read as +inf, and their residual rows on
+    ``whole``'s one table, (S, G), from one evaluation there. ``objective``
+    is ``whole`` or its G holdouts, whose residuals are the whole table's
+    (a curve value at a workload depends on the point alone). Holdout h's
+    SSE is the sum of its squares before h plus the sum after h, plus its
+    within part, never the total less row h's, which cancels where the
+    other rows fit closely."""
+    rows = np.zeros(len(user), dtype=int)
+    resid = _residuals(whole, user, rows, user)  # theta is not read
+    if objective is whole:
+        sse = whole.sse(resid, rows)[:, None]
+    else:
+        square, zero = resid * resid, np.zeros((len(resid), 1))
+        sse = (
+            np.cumsum(np.hstack([zero, square[:, :-1]]), axis=1)
+            + np.cumsum(np.hstack([zero, square[:, :0:-1]]), axis=1)[:, ::-1]
+            + objective.within
+        )
+    sse[np.isnan(sse)] = np.inf
+    return sse, resid
+
+
+def _scan_best(sse: np.ndarray) -> np.ndarray:
+    """Index of each table's first lowest SSE, (T,), from the SSEs (S, T)
+    of its S candidate points, none of them NaN."""
+    return np.argmin(sse, axis=0)
+
+
 def _optima(
-    objective: _Objective, form: ModelForm, tol: float, max_iter: int,
-    starts: Sequence[Mapping[str, float]] | None = None,
+    objective: _Objective, whole: _Objective, form: ModelForm, tol: float,
+    max_iter: int, starts: Sequence[Mapping[str, float]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The optimum of every table from its ``_start_points`` (``starts``,
-    or the form table's): the user-scale point (T, p), SSE (T,), residual
-    rows (T, n) and the Jacobian d curve / d theta (T, n, p).
+    """The optimum of every table of a stage with a free shape parameter:
+    the user-scale point (T, p), SSE (T,), residual rows (T, n) and the
+    Jacobian d curve / d theta (T, n, p). The T tables are ``whole``'s one
+    table (``objective`` is ``whole``), or its T holdouts.
 
-    Each table's first lowest-SSE start (``_lowest_sse_starts``) iterates,
-    all T as one batch. A table whose run ``_winners`` does not pass
-    reruns its whole start list as one batch, one table at a time in table
-    order; the first rerun that fails too raises NonConvergenceError for
-    ``form``. So no batch holds more than the larger of T problems and one
-    table's starts.
+    The candidates are a scan, ``SCAN_POINTS`` evenly spaced points of the
+    form table's scan domain on the optimizer's scale (whose map reads no
+    table constants), where the one free parameter is the form's lone
+    shape parameter and no ``starts`` are given; else the start grid,
+    ``starts`` or the form table's, each mapped through its own table's
+    constants and back. ``_scores`` scores them all in one evaluation on
+    the whole table, S x G curve values: a holdout's grid at its exact
+    points, +inf where the round trip leaves the map's domain.
+
+    Each table's first lowest point (``_scan_best``) starts one run of
+    ``_gauss_newton``, all T as one batch, from its residual row,
+    gathered from the scores where they are its own (a scan, or one
+    table). A scan's run is bounded by its point's scan neighbours, and an
+    optimum on the domain's edge or above a scan point (beyond 1e-12
+    relative) raises NonConvergenceError for ``form``. A start grid's
+    table whose run fails ``_tested`` reruns its whole grid as one batch,
+    one table at a time in table order, and keeps its ``_winners``. The
+    first table that fails, in table order, raises.
     """
-    theta0, rows, counts = _start_points(objective, starts)
-    picks, (resid0, user0) = _lowest_sse_starts(
-        objective, theta0, rows, counts
+    spec, free = objective.spec, objective.free
+    scan = starts is None and spec.scan is not None and free == spec.shape
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if scan:
+            lo, hi = spec.scan
+            theta = np.linspace(lo, hi, SCAN_POINTS)[:, None]
+            user = whole.user(theta, np.zeros(SCAN_POINTS, dtype=int))
+            sse, resid = _scores(objective, whole, user)
+        else:
+            theta, rows, _ = _start_points(objective, starts)
+            user = objective.user(theta, rows)
+            points = user
+            if objective is not whole:  # a holdout scores the exact points
+                points = _user_starts(objective, starts)
+            sse, resid = _scores(objective, whole, points)
+            sse[np.isnan(user).any(axis=-1).reshape(-1, len(sse)).T] = np.inf
+    best = _scan_best(sse)
+    tables = np.arange(len(best))
+    pick = best if scan else tables * len(sse) + best
+    if scan or objective is whole:
+        resid0 = resid[best[:, None], objective.keep]
+    else:
+        resid0 = _residuals(objective, theta[pick], tables, user[pick])
+    bounds = None
+    if scan:
+        bounds = tuple(
+            theta[np.clip(best + d, 0, SCAN_POINTS - 1)] for d in (-1, 1)
+        )
+    at, optimum, converged, resid, at_user = _gauss_newton(
+        objective, theta[pick], tables, resid0, user[pick], tol, max_iter,
+        bounds,
     )
-
-    def run(s: np.ndarray, per_table: Sequence[int]):
-        return _winners(objective, rows[s], per_table, *_gauss_newton(
-            objective, theta0[s], rows[s], resid0[s], user0[s], tol,
-            max_iter,
-        ))
-
-    _, sse, ok, resid, user, jacobian = out = run(picks, [1] * len(counts))
-    for t in np.flatnonzero(~ok):
+    ok, jacobian = _tested(objective, tables, at, converged, resid, at_user)
+    edge = above = np.zeros(len(tables), dtype=bool)
+    if scan:
+        edge = ~((lo < at[:, 0]) & (at[:, 0] < hi))
+        above = optimum > sse.min(axis=0) * (1.0 + 1e-12)
+    for t in np.flatnonzero(edge | above | ~ok):
+        if edge[t] or above[t]:
+            where = "on the edge of" if edge[t] else "above a point of"
+            raise NonConvergenceError(
+                f"{form.value} fit's optimum lies {where} its scan over "
+                f"[{lo:g}, {hi:g}]"
+            )
         # a list of one start would rerun the run that just failed
-        if counts[t] > 1:
-            for a, b in zip(out, run(rows == t, [counts[t]])):
-                a[t] = b[0]
+        if not scan and len(sse) > 1:
+            s = rows == t
+            runs = _gauss_newton(
+                objective, theta[s], rows[s],
+                _residuals(objective, theta[s], rows[s], user[s]), user[s],
+                tol, max_iter,
+            )
+            _, optimum[t], ok[t], resid[t], at_user[t], jacobian[t] = (
+                a[0] for a in _winners(objective, rows[s], [len(sse)], *runs)
+            )
         if not ok[t]:
             raise _not_converged(form, max_iter)
-    return user, sse, resid, jacobian
+    return at_user, optimum, resid, jacobian
 
 
 def _not_converged(form: ModelForm, max_iterations: int) -> Exception:
@@ -863,73 +923,6 @@ def _linear_optimum(
     return theta, sse, resid, np.stack(J, axis=-1)
 
 
-def _scan_best(sse: np.ndarray) -> np.ndarray:
-    """Index of each table's first lowest SSE along a scan, (T,), from the
-    SSEs (S, T) of its S points, none of them NaN."""
-    return np.argmin(sse, axis=0)
-
-
-def _scanned_optima(
-    objective: _Objective, whole: _Objective, form: ModelForm, tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The optimum of every table of a stage whose one free parameter is
-    the shape, as ``_optima`` returns it. The T tables are ``whole``'s one
-    table itself (``objective`` is ``whole``), or its T holdouts: table h
-    is that table without row h.
-
-    ``SCAN_POINTS`` evenly spaced points of the form table's scan domain,
-    on the optimizer's scale, are evaluated once on the whole table (a
-    scanned form's map reads no table constants, so each residual is the
-    float a table's own objective computes). A holdout's SSE at a point is
-    the sum of its squares before h plus the sum after h, never the total
-    less row h's, which cancels where the other rows fit closely. Each
-    table's first lowest point (NaN read as +inf) starts a run of
-    ``_gauss_newton`` bounded by that point's scan neighbours, all T as one
-    batch. NonConvergenceError for ``form``, that of the first failing
-    table, if an optimum lies on the domain's edge or above a point of its
-    scan (beyond 1e-12 relative rounding), or fails ``_tested``."""
-    lo, hi = objective.spec.scan
-    grid = np.linspace(lo, hi, SCAN_POINTS)[:, None]
-    rows = np.zeros(SCAN_POINTS, dtype=int)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        user = whole.user(grid, rows)
-        resid = _residuals(whole, grid, rows, user)
-        if objective is whole:
-            sse = whole.sse(resid, rows)[:, None]
-        else:
-            square, zero = resid * resid, np.zeros((SCAN_POINTS, 1))
-            before = np.cumsum(square[:, :-1], axis=1)
-            after = np.cumsum(square[:, :0:-1], axis=1)[:, ::-1]
-            sse = (
-                np.concatenate([zero, before], axis=1)
-                + np.concatenate([after, zero], axis=1)
-                + objective.within
-            )
-    sse[np.isnan(sse)] = np.inf
-    best = _scan_best(sse)
-    tables = np.arange(len(best))
-    left, right = np.maximum(best - 1, 0), np.minimum(best + 1, len(grid) - 1)
-    theta, optimum, converged, resid, user = _gauss_newton(
-        objective, grid[best], tables, resid[best[:, None], objective.keep],
-        user[best], tol, max_iter, (grid[left], grid[right]),
-    )
-    ok, jacobian = _tested(objective, tables, theta, converged, resid, user)
-    edge = ~((lo < theta[:, 0]) & (theta[:, 0] < hi))
-    above = optimum > sse.min(axis=0) * (1.0 + 1e-12)
-    failed = edge | above | ~ok
-    if failed.any():
-        t = int(np.argmax(failed))
-        if not (edge[t] or above[t]):
-            raise _not_converged(form, max_iter)
-        where = "on the edge of" if edge[t] else "above a point of"
-        raise NonConvergenceError(
-            f"{form.value} fit's optimum lies {where} its scan over "
-            f"[{lo:g}, {hi:g}]"
-        )
-    return user, optimum, resid, jacobian
-
-
 # ---------------------------------------------------------------------------
 # the weighted fit
 # ---------------------------------------------------------------------------
@@ -948,19 +941,20 @@ def wnls_fit(
 ) -> FitResult:
     """Minimize the weighted squared error over the named free parameters.
 
-    The stage's structure picks the solver:
+    The stage's structure picks one of two paths:
 
     * no free shape parameter (magnitudes and idle only): the curve is
       linear in the free parameters, and one least-squares step solves it
       exactly; ``starts`` is not read;
-    * the form's one shape parameter alone, where the form table gives it
-      a scan domain (alpha of ``simple``, ``asymptotic`` and ``arch-fe``),
-      and the default starts: a scan of ``SCAN_POINTS`` evenly spaced
-      points of that domain, on the optimizer's scale, whose first lowest
-      point starts one run of the kernel, bounded by that point's scan
-      neighbours;
-    * otherwise (caller-given starts, the sigmoid's two-parameter
-      stages): the multi-start kernel below.
+    * otherwise ``_optima`` on the one table: every candidate point is
+      scored once, and the first with the lowest weighted SSE (NaN read
+      as +inf) starts one run of the kernel. The candidates are a scan of
+      ``SCAN_POINTS`` evenly spaced points of the form table's scan
+      domain, on the optimizer's scale, for the form's one shape
+      parameter alone with the default starts (alpha of ``simple``,
+      ``asymptotic`` and ``arch-fe``), the run bounded by its point's
+      scan neighbours; else (caller-given starts, the sigmoid's
+      two-parameter stages) the start grid.
 
     Parameters
     ----------
@@ -974,11 +968,11 @@ def wnls_fit(
         Start points (user scale) for the kernel. Defaults to the form
         table's start points taken on the free parameters, duplicates
         dropped: the multi-start grid when the shape is free, one start
-        otherwise. Every start is scored once, and only the first with the
-        lowest weighted SSE (NaN read as +inf) iterates. If its run is not
-        at an optimum, all the starts iterate as one batch, and of those
-        that reach the lowest SSE (within 1e-12 relative) the first wins.
-        A scanned stage given starts runs the kernel from them instead.
+        otherwise. Each is scored at its round trip through the optimizer's
+        scale. If the run of the lowest is not at an optimum, all the
+        starts iterate as one batch, and of those that reach the lowest SSE
+        (within 1e-12 relative) the first wins. A scanned stage given
+        starts runs the kernel from them instead of its scan.
     compute_se : bool
         Attach cluster-robust standard errors. Point estimates are
         independent of this flag.
@@ -987,9 +981,9 @@ def wnls_fit(
     -------
     FitResult
         Its ``converged`` means stationary: the exact solution, the run
-        from the scan's best point, or the kernel's run or rerun winner
-        passed the step, rank and offset tests. A scanned stage is also at most
-        its scan's lowest SSE, strictly inside the domain. A kernel run
+        from the best candidate, or the rerun's winner, passed the step,
+        rank and offset tests. A scanned stage is also at most its scan's
+        lowest SSE, strictly inside the domain. A kernel run
         does not certify the global optimum: a start the grid does not
         hold, such as a single caller-given one, can converge at a
         stationary point whose SSE lies above the optimum's.
@@ -1001,14 +995,13 @@ def wnls_fit(
         identify the free parameters (for example an architecture magnitude
         with no observations of that architecture).
     NonConvergenceError
-        Neither the lowest-SSE start nor the rerun of all the starts
-        reached an optimum, or the run from a scan's best point did not:
-        the run did not stop on a relative step below ``convergence_tol``
-        within ``max_iterations``, or it stopped at a rank-deficient
-        Jacobian or a relative offset above ``OFFSET_TOL``. This holds for
-        one free parameter as for two, and for the exact solution's
-        Jacobian and offset. A scanned stage also raises when its optimum
-        lies on the edge of the domain or above a scan point.
+        The run from the best candidate, and a start grid's rerun, did not
+        reach an optimum: it did not stop on a relative step below
+        ``convergence_tol`` within ``max_iterations``, or it stopped at a
+        rank-deficient Jacobian or a relative offset above ``OFFSET_TOL``.
+        This holds for one free parameter as for two, and for the exact
+        solution's Jacobian and offset. A scanned stage also raises when
+        its optimum lies on the edge of the domain or above a scan point.
     """
     free = tuple(free_params)
     if len(free) == 0:
@@ -1040,13 +1033,10 @@ def wnls_fit(
         user, sse, resid, jacobian = _linear_optimum(
             objective, form, max_iterations
         )
-    elif starts is None and spec.scan is not None and free == spec.shape:
-        user, sse, resid, jacobian = _scanned_optima(
-            objective, objective, form, convergence_tol, max_iterations
-        )
     else:
         user, sse, resid, jacobian = _optima(
-            objective, form, convergence_tol, max_iterations, starts
+            objective, objective, form, convergence_tol, max_iterations,
+            starts,
         )
     estimates = {n: float(v) for n, v in zip(free, user[0])}
 
@@ -1128,11 +1118,10 @@ def cluster_robust_covariance(
     e = np.asarray(residuals, dtype=float)
     w = np.asarray(weights, dtype=float)
     # each observation's cluster, numbered in order of first appearance
-    _, first, cluster = np.unique(
-        np.asarray(cluster_ids), return_index=True, return_inverse=True
-    )
-    cluster = np.argsort(np.argsort(first))[cluster]
-    n_clusters = len(first)
+    ids = np.asarray(cluster_ids).tolist()
+    number = {c: i for i, c in enumerate(dict.fromkeys(ids))}
+    cluster = np.array([number[c] for c in ids], dtype=np.intp)
+    n_clusters = len(number)
     if n_clusters < 2:
         raise DegenerateDataError(
             "cluster-robust covariance needs at least two clusters"
@@ -1323,16 +1312,21 @@ def loocv(
     more than two SDs from the holdout mean, and the single most divergent
     holdout per parameter.
 
-    A saturation form's holdouts (``simple``, ``asymptotic``,
-    ``arch-fe``) are the rows of one scan of the whole table, and each runs,
+    The holdouts take ``wnls_fit``'s path, ``_optima``, as G tables of one
+    fit: each candidate point is scored once on the whole table, S x G
+    curve values for S points, and each holdout's first lowest point
+    starts its run, all G as one batch. A saturation form's holdouts
+    (``simple``, ``asymptotic``, ``arch-fe``) scan alpha, and each runs,
     bit for bit, what the default ``wnls_fit`` runs on the table without
-    that workload, all in one batch. The sigmoid's holdouts each iterate
-    their lowest-SSE grid start, all in one batch, and one whose run misses
-    its optimum reruns its own grid, one at a time in table order; each is,
-    bit for bit, ``wnls_fit`` of its table from that start, and its default
-    fit up to rounding. So no batch holds more problems than the larger of
-    the holdouts and one grid. The first holdout that fails, in table
-    order, raises that fit's NonConvergenceError.
+    that workload. The sigmoid's holdouts score its start grid at the
+    exact points, a start whose round trip through the holdout's constants
+    leaves the map's domain scoring +inf, and each run starts at its
+    pick's round trip; one that misses its optimum reruns its own grid,
+    one at a time in table order. Each is, bit for bit, ``wnls_fit`` of
+    its table from that start, and its default fit up to rounding. So no
+    batch holds more problems than the larger of the holdouts and one
+    grid. The first holdout that fails, in table order, raises that fit's
+    NonConvergenceError.
     """
     config = config or FitConfig()
     workloads = table.workloads()
@@ -1349,12 +1343,10 @@ def loocv(
     keep = cols + (cols >= np.arange(g)[:, None])
     objective = _Objective(spec, fixed, free, table, keep)
     _check_identified(spec, free, objective.x, objective.arch)
-    tol, max_iter = config.convergence_tol, config.max_iterations
-    if spec.scan is not None and free == spec.shape:
-        whole = _Objective(spec, fixed, free, table, np.arange(g)[None])
-        optima = _scanned_optima(objective, whole, stage_form, tol, max_iter)
-    else:
-        optima = _optima(objective, stage_form, tol, max_iter)
+    optima = _optima(
+        objective, _Objective(spec, fixed, free, table, np.arange(g)[None]),
+        stage_form, config.convergence_tol, config.max_iterations,
+    )
     per_holdout = {
         wid: {n: float(v) for n, v in zip(free, optima[0][h])}
         for h, wid in enumerate(workloads)

@@ -1086,22 +1086,42 @@ def _stage1_sse(table, form, estimates, config):
     return float(np.sum(e * e) + np.sum(table.within_ss / table.n))
 
 
+def _round_trip_pick(table, config, starts=None):
+    """Index of the first distinct sigmoid stage-1 start (``starts``, by
+    default the form table's) with the lowest SSE on ``table`` when each
+    is scored at its own round trip, with the distinct starts (x0, k). By
+    this module's own formulas: k is raised to its floor, the point is
+    mapped to the linear predictor's (c0, c1) = ((mean - x0) / k, sd / k)
+    over the table's intensities and back, and a round trip outside the
+    map's domain (c1 <= 0 or k < K_FLOOR) scores +inf."""
+    grid = list(dict.fromkeys(
+        (float(s["x0"]), float(s["k"]))
+        for s in (FORMS[ModelForm.SIGMOID].starts() if starts is None
+                  else starts)
+    ))
+    mean, sd = table.x.mean(), table.x.std()
+    sse = []
+    for x0, k in grid:
+        k = max(k, model.K_FLOOR)
+        c0, c1 = (mean - x0) / k, sd / k
+        k = sd / c1
+        if not (c1 > 0.0 and k >= model.K_FLOOR):
+            sse.append(np.inf)
+            continue
+        sse.append(_stage1_sse(
+            table, ModelForm.SIGMOID, {"x0": mean - c0 * k, "k": k}, config
+        ))
+    sse = np.array(sse)
+    sse[np.isnan(sse)] = np.inf
+    return int(np.argmin(sse)), grid
+
+
 def _lowest_sse_start(table, form, config):
     """The start ``loocv`` iterates for a holdout whose table is ``table``:
-    the first point of its stage-1 start grid with the lowest SSE, picked
-    by ``fit._lowest_sse_starts`` on a one-table objective (user scale)."""
-    stage_form, fixed, free = fitmod._stage1_constraints(form, config)
-    spec = FORMS[stage_form]
-    objective = fitmod._Objective(
-        spec, fixed, free, table, np.arange(len(table.x))[None]
-    )
-    pick, _ = fitmod._lowest_sse_starts(
-        objective, *fitmod._start_points(objective)
-    )
-    grid = list(dict.fromkeys(
-        tuple(float(s[n]) for n in free) for s in spec.starts()
-    ))
-    return dict(zip(free, grid[int(pick[0])]))
+    the first point of its stage-1 start grid with the lowest SSE at its
+    round trip (``_round_trip_pick``), on the user scale."""
+    index, grid = _round_trip_pick(table, config)
+    return dict(zip(FORMS[form].shape, grid[index]))
 
 
 def _percentile_starts(x):
@@ -1263,14 +1283,14 @@ class TestBatchedLoocv:
         grid, _, _ = _grid_run(
             table.drop([wid]), form, _stage1_fixed(config), FORMS[form].shape
         )
-        choose = fitmod._lowest_sse_starts
+        pick = fitmod._scan_best
 
-        def ridge_start(objective, theta0, rows, counts):
-            picks, resid = choose(objective, theta0, rows, counts)
-            picks[h] = np.flatnonzero(rows == h)[0]  # the grid's first
-            return picks, resid
+        def ridge_start(sse):
+            picks = pick(sse)
+            picks[h] = 0  # the grid's first
+            return picks
 
-        monkeypatch.setattr(fitmod, "_lowest_sse_starts", ridge_start)
+        monkeypatch.setattr(fitmod, "_scan_best", ridge_start)
         batches = _batches(monkeypatch)
         got = loocv(table, form, config)
         # the holdouts' batch, then that holdout's grid once
@@ -1298,15 +1318,14 @@ class TestBatchedLoocv:
             )[0]
             for h in forced
         }
-        choose = fitmod._lowest_sse_starts
+        pick = fitmod._scan_best
 
-        def ridge_start(objective, theta0, rows, counts):
-            picks, resid = choose(objective, theta0, rows, counts)
-            for h in forced:
-                picks[h] = np.flatnonzero(rows == h)[0]  # the grid's first
-            return picks, resid
+        def ridge_start(sse):
+            picks = pick(sse)
+            picks[list(forced)] = 0  # the grid's first
+            return picks
 
-        monkeypatch.setattr(fitmod, "_lowest_sse_starts", ridge_start)
+        monkeypatch.setattr(fitmod, "_scan_best", ridge_start)
         batches = _batches(monkeypatch)
         got = loocv(table, form, config)
         grid = len(FORMS[form].starts())
@@ -1447,13 +1466,12 @@ class TestOneStartPerFit:
         assert ridge.items() <= FORMS[form].starts()[0].items()
         grid, grid_sse, ok = _grid_run(table, form, fixed, shape)
         assert ok
-        choose = fitmod._lowest_sse_starts
+        pick = fitmod._scan_best
 
-        def ridge_start(objective, theta0, rows, counts):
-            picks, resid = choose(objective, theta0, rows, counts)
-            return np.zeros_like(picks), resid  # the grid's first
+        def ridge_start(sse):
+            return np.zeros_like(pick(sse))  # the grid's first
 
-        monkeypatch.setattr(fitmod, "_lowest_sse_starts", ridge_start)
+        monkeypatch.setattr(fitmod, "_scan_best", ridge_start)
         batches = _batches(monkeypatch)
         got = wnls_fit(table, form, fixed, shape, compute_se=False)
         assert batches == [1, len(FORMS[form].starts())]
@@ -1489,6 +1507,190 @@ class TestOneStartPerFit:
                 value, rel=1e-12, abs=0.0
             ), name
         assert stage1.weighted_sse <= grid_sse * (1.0 + 1e-12)
+
+
+def _holdout_objectives(table, form, config):
+    """``loocv``'s stage-1 objective of ``form`` on the G holdouts of
+    ``table``, and its objective on the whole table."""
+    stage_form, fixed, free = fitmod._stage1_constraints(form, config)
+    spec = FORMS[stage_form]
+    g = len(table.workload_ids)
+    keep = np.array([np.delete(np.arange(g), h) for h in range(g)])
+    return (
+        fitmod._Objective(spec, fixed, free, table, keep),
+        fitmod._Objective(spec, fixed, free, table, np.arange(g)[None]),
+    )
+
+
+def _picks(monkeypatch):
+    """Spy on ``fit._scan_best``: the list of the picks it returns."""
+    seen = []
+    pick = fitmod._scan_best
+
+    def spy(sse):
+        seen.append(pick(sse))
+        return seen[-1]
+
+    monkeypatch.setattr(fitmod, "_scan_best", spy)
+    return seen
+
+
+def step_workload_dataset():
+    """Eight workloads at idle below x = 13 and at the stress ceiling
+    above it, two samples each. Without workload w1 (x = 12.1) the table's
+    intensities have an SD whose round trip sd / (sd / K_FLOOR) falls
+    below K_FLOOR."""
+    xs = [11.6, 12.1, 12.6, 16.2, 13.8, 16.8, 12.0, 16.3]
+    return make_dataset([
+        (f"w{j}", x, Architecture_LLM,
+         [(1.8 if x < 13.0 else 8.4) + d for d in (-0.05, 0.05)])
+        for j, x in enumerate(xs)
+    ])
+
+
+def _run_starts(monkeypatch):
+    """Spy on ``fit._gauss_newton``: per run, its objective, start points,
+    tables, start residual rows and user-scale start points."""
+    runs = []
+    gauss_newton = fitmod._gauss_newton
+
+    def kernel(*args):
+        runs.append(args[:5])
+        return gauss_newton(*args)
+
+    monkeypatch.setattr(fitmod, "_gauss_newton", kernel)
+    return runs
+
+
+def _assert_runs_start_at_round_trips(runs):
+    """Each run starts at its points' round trip through its own tables'
+    constants, with those points' residual rows, bit for bit."""
+    assert runs
+    for objective, theta0, rows, resid0, user0 in runs:
+        user = objective.user(theta0, rows)
+        assert np.array_equal(user0, user)
+        assert np.array_equal(resid0, objective.residual(theta0, rows, user))
+
+
+class TestOnePick:
+    """Every table's candidate points are scored once, on the whole table,
+    and its first lowest point alone starts a run."""
+
+    @pytest.mark.parametrize(
+        "data", ["desk-all", "desk-excluded", "many", "sixty"]
+    )
+    def test_each_holdouts_pick_is_its_own_round_trip_pick(
+        self, data, desk_dataset, desk_exclusion_policy,
+        many_workload_dataset, monkeypatch,
+    ):
+        # the sigmoid's holdouts score its grid at the exact points on the
+        # whole table, and pick what each holdout's own scoring at the
+        # points' round trips picks
+        table = {
+            "desk-all": lambda: desk_dataset,
+            "desk-excluded": lambda: apply_exclusions(
+                desk_dataset, desk_exclusion_policy
+            ),
+            "many": lambda: many_workload_dataset,
+            "sixty": sixty_workload_dataset,
+        }[data]()
+        config = FitConfig()
+        seen = _picks(monkeypatch)
+        loocv(table, ModelForm.SIGMOID, config)
+        (picks,) = seen
+        want = [
+            _round_trip_pick(table.drop([wid]), config)[0]
+            for wid in table.workloads()
+        ]
+        assert picks.tolist() == want
+
+    def test_a_start_outside_a_holdouts_domain_scores_inf(
+        self, monkeypatch
+    ):
+        # a start at k's floor fits the step best, but its round trip
+        # through holdout w1's constants leaves the map's domain, so that
+        # holdout picks the other start
+        table = step_workload_dataset()
+        config = FitConfig()
+        starts = [{"x0": 13.0, "k": model.K_FLOOR}, {"x0": 13.0, "k": 1.0}]
+        objective, whole = _holdout_objectives(
+            table, ModelForm.SIGMOID, config
+        )
+        seen = _picks(monkeypatch)
+        # a step has no optimum inside k's bound: the runs stop at the
+        # floor, after the picks are made
+        with pytest.raises(NonConvergenceError):
+            fitmod._optima(
+                objective, whole, ModelForm.SIGMOID, 1e-8, 200, starts
+            )
+        (picks,) = seen
+        want = [
+            _round_trip_pick(table.drop([wid]), config, starts)[0]
+            for wid in table.workloads()
+        ]
+        assert want == [0, 1, 0, 0, 0, 0, 0, 0]
+        assert picks.tolist() == want
+
+    def test_start_scoring_evaluates_the_whole_table_once(
+        self, monkeypatch
+    ):
+        # the sigmoid's 60 holdouts score its ten starts as 10 rows of the
+        # 60 workloads, and evaluate only the 60 picked starts on their own
+        # 59 workloads; scoring every holdout's grid is 600 rows of 59
+        calls = []
+        residual = fitmod._Objective.residual
+        gauss_newton = fitmod._gauss_newton
+
+        def spy(self, theta, *args):
+            calls.append((len(theta), self.x.shape[-1]))
+            return residual(self, theta, *args)
+
+        def kernel(*args):
+            calls.append("kernel")
+            return gauss_newton(*args)
+
+        monkeypatch.setattr(fitmod._Objective, "residual", spy)
+        monkeypatch.setattr(fitmod, "_gauss_newton", kernel)
+        loocv(sixty_workload_dataset(), ModelForm.SIGMOID)
+        assert calls[:calls.index("kernel")] == [(10, 60), (60, 59)]
+
+    @pytest.mark.parametrize("exclude", [False, True])
+    @pytest.mark.parametrize("call", ["loocv", "two_stage_fit"])
+    def test_each_run_starts_at_its_round_trip(
+        self, call, exclude, desk_dataset, desk_exclusion_policy,
+        monkeypatch,
+    ):
+        # every kernel run of the sigmoid starts from its start's round
+        # trip through its own table's constants, with that point's
+        # residual row, bit for bit
+        runs = _run_starts(monkeypatch)
+        policy = desk_exclusion_policy if exclude else ()
+        if call == "loocv":
+            loocv(apply_exclusions(desk_dataset, policy), ModelForm.SIGMOID)
+        else:
+            two_stage_fit(
+                desk_dataset, ModelForm.SIGMOID, FitConfig(exclusions=policy)
+            )
+        _assert_runs_start_at_round_trips(runs)
+
+    def test_a_given_start_runs_from_its_round_trip(
+        self, desk_dataset, desk_exclusion_policy, monkeypatch
+    ):
+        # on the excluded desk table, at beta = 6.6 kW, the round trip of
+        # (17, 0.1) has other residuals than the start itself, and the run
+        # starts from the round trip's
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        start = np.array([[17.0, 0.1]])
+        runs = _run_starts(monkeypatch)
+        wnls_fit(
+            table, ModelForm.SIGMOID, {"p_idle_kw": 1.8, "beta_comp_kw": 6.6},
+            ("x0", "k"), starts=[{"x0": 17.0, "k": 0.1}], compute_se=False,
+        )
+        ((objective, _, rows, resid0, _),) = runs
+        assert not np.array_equal(
+            resid0, objective.residual(start, rows, start)
+        )
+        _assert_runs_start_at_round_trips(runs)
 
 
 SATURATION_FORMS = (
@@ -1628,7 +1830,7 @@ class TestScanCertificate:
 
 def _run(objective, theta0, rows, tol, max_iter):
     """``fit._gauss_newton`` from ``theta0``, given its residual rows and
-    user-scale points as ``fit._lowest_sse_starts`` scores them."""
+    user-scale points as ``fit._optima`` starts a run from them."""
     user0 = objective.user(theta0, rows)
     return fitmod._gauss_newton(
         objective, theta0, rows,

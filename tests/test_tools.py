@@ -141,18 +141,24 @@ class TestDiffNumbers:
 
 def test_dump_numbers_on_the_desk_set(tmp_path, capsys):
     dump = dump_numbers.dump(str(desk_manifest()), str(desk_exclusions()))
-    assert set(dump) == {"two_stage_fit", "loocv"}
+    assert set(dump) == {"two_stage_fit", "loocv", "wnls_fit"}
     forms = {
         "two_stage_fit": {f.value for f in ModelForm},
         "loocv": {f.value for f in dump_numbers.LOOCV_FORMS},
+        "wnls_fit": {"asymptotic", "simple"},
     }
+    # on all nine desk workloads the joint (beta_comp_kw, alpha) fit has no
+    # interior optimum (both grow without bound from the default starts),
+    # so it raises, and the dump pins its message
+    raised = {("wnls_fit", "all", "asymptotic")}
     for section, labels in dump.items():
         assert set(labels) == {"all", "excluded"}
-        for results in labels.values():
+        for label, results in labels.items():
             assert set(results) == forms[section]
             for form, result in results.items():
-                # a fit or scan that raised would print as a string
-                assert isinstance(result, dict), (section, form, result)
+                # a fit or scan that raised prints as a string
+                kind = str if (section, label, form) in raised else dict
+                assert isinstance(result, kind), (section, form, result)
     # every number within 1e-12 relative of the pinned dump: a change that
     # moves a fit or LOOCV number regenerates the file, with
     #   PYTHONPATH=src python3 tools/dump_numbers.py \

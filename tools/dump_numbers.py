@@ -13,7 +13,12 @@ policy, the bundled desk set's (``nodepower.data``) or a set written by
   both stages;
 * ``loocv`` of the ``asymptotic``, ``sigmoid`` and ``simple`` forms on the
   table with and without the exclusions: every holdout's estimates, their
-  mean, SD and coefficient of variation, and the flags.
+  mean, SD and coefficient of variation, and the flags;
+* two ``wnls_fit`` stages from start points, on the table with and
+  without the exclusions: ``asymptotic``'s (beta_comp_kw, alpha) jointly
+  from the default starts, idle fixed at 1.8 kW, and ``simple``'s alpha at
+  the stage-1 anchors from the starts 10^x at the 10th, 30th, 50th, 70th
+  and 90th percentiles of the table's intensities x.
 
 A fit or scan that raises prints as its error type and message.
 """
@@ -26,8 +31,12 @@ import json
 import sys
 import warnings
 
+import numpy as np
+
 from nodepower import ingest
-from nodepower.fit import FitConfig, apply_exclusions, loocv, two_stage_fit
+from nodepower.fit import (
+    FitConfig, apply_exclusions, loocv, two_stage_fit, wnls_fit,
+)
 from nodepower.model import ModelForm
 
 LOOCV_FORMS = (
@@ -58,9 +67,9 @@ def _hex(value: object) -> object:
     raise TypeError(f"cannot dump {type(value).__name__}")
 
 
-def _run(call, *args) -> object:
+def _run(call, *args, **kwargs) -> object:
     try:
-        return _hex(call(*args))
+        return _hex(call(*args, **kwargs))
     except Exception as error:  # noqa: BLE001 - an error is a result here
         return f"{type(error).__name__}: {error}"
 
@@ -69,13 +78,31 @@ def _loocv(table, policy, form) -> object:
     return loocv(apply_exclusions(table, policy), form)
 
 
+def _wnls_fits(table) -> dict:
+    """The two stage fits from start points that no two-stage fit runs."""
+    config = FitConfig()
+    idle = {"p_idle_kw": config.stage1_p_idle_kw}
+    q = np.percentile(table.x, (10, 30, 50, 70, 90))
+    return {
+        ModelForm.LOG_ASYMPTOTIC.value: _run(
+            wnls_fit, table, ModelForm.LOG_ASYMPTOTIC, idle,
+            ("beta_comp_kw", "alpha"),
+        ),
+        ModelForm.SIMPLE_ASYMPTOTIC.value: _run(
+            wnls_fit, table, ModelForm.SIMPLE_ASYMPTOTIC,
+            {**idle, "beta_comp_kw": config.stage1_beta_kw}, ("alpha",),
+            starts=[{"alpha": 10.0 ** v} for v in q],
+        ),
+    }
+
+
 def dump(manifest: str, exclusions: str) -> dict:
     with warnings.catch_warnings():
         # a workload's operation count may disagree with its recorded
         # reference; the warning is not a number
         warnings.simplefilter("ignore")
         _, table = ingest.load_and_assemble(manifest)
-    out: dict = {"two_stage_fit": {}, "loocv": {}}
+    out: dict = {"two_stage_fit": {}, "loocv": {}, "wnls_fit": {}}
     for label, policy in (
         ("all", ()), ("excluded", ingest.load_exclusions(exclusions)),
     ):
@@ -88,6 +115,7 @@ def dump(manifest: str, exclusions: str) -> dict:
             form.value: _run(_loocv, table, policy, form)
             for form in LOOCV_FORMS
         }
+        out["wnls_fit"][label] = _wnls_fits(apply_exclusions(table, policy))
     return out
 
 
