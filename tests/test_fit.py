@@ -1904,11 +1904,8 @@ def _reference_gauss_newton(objective, theta0, rows, tol, max_iter):
 def _loocv_batch(table, form):
     """Every (holdout, start) problem of ``loocv``'s stage-1 batch:
     objective, theta0 and rows."""
-    stage_form, fixed, free = fitmod._stage1_constraints(form, FitConfig())
-    spec = FORMS[stage_form]
+    objective, _ = _holdout_objectives(table, form, FitConfig())
     g = len(table.workload_ids)
-    keep = np.array([np.delete(np.arange(g), h) for h in range(g)])
-    objective = fitmod._Objective(spec, fixed, free, table, keep)
     if form is not ModelForm.SIMPLE_ASYMPTOTIC:
         theta0, rows, _ = fitmod._start_points(objective)
         return objective, theta0, rows
