@@ -145,6 +145,9 @@ class WorkloadRecord:
             raise ValueError("interconnect_total_kw must be >= 0")
         if not self.duration_h > 0:
             raise ValueError("duration_h must be positive")
+        for name in ("interconnect_total_kw", "duration_h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.reference_flops is not None and not self.reference_flops > 0:
             raise ValueError("reference_flops must be positive")
         for trace in self.traces:

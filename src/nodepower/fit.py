@@ -60,21 +60,19 @@ has curvature, take the Gauss-Newton step (a hybrid method: Fletcher & Xu
 holdouts', is one array problem in one loop: the parameters of B problems
 form a (B, p) array, each problem halves its own step, is clipped to its
 own bounds and stops on its own, and both steps are solved in closed form
-from one Gram-Schmidt. Each iteration takes the live
-problems a call at a time: their derivatives and their steps, then the
-scales 1, 1/2, 1/4, ... one at a time, each evaluation holding one
-candidate per problem of the call that no scale has moved yet. Most
-problems move at the full step and the rest seldom need a second halving,
-so one scale per evaluation is all the halving backtrack (Dennis &
-Schnabel, section 6.3) takes. Memory is bounded per evaluation, not per
-problem: no curve or derivative evaluation, halvings and the optimum tests
-of the winners included, takes more than ``BATCH_ELEMENTS`` problems x
-workloads, so a large batch makes more calls, not larger ones. A batch
-holds at most the larger of G holdouts and one grid of S starts, and
-carries each problem's residual row and user-scale point between
-iterations, so that no point's residuals are evaluated, or its parameters
-mapped back to the user scale, twice. Every reduction runs along one
-problem's row, so each problem is bit-identical to a run on its own.
+from one Gram-Schmidt. Each iteration evaluates the live problems'
+derivatives and steps in one call, then tries the scales 1, 1/2, 1/4, ...
+one at a time, each evaluation holding one candidate per problem that no
+scale has moved yet. Most problems move at the full step and the rest
+seldom need a second halving, so one scale per evaluation is all the
+halving backtrack (Dennis & Schnabel, section 6.3) takes. A batch holds at
+most the larger of G holdouts and one grid of S starts, so no curve or
+derivative evaluation, the scoring and the optimum tests included, holds
+more rows than that or the scan's points. A batch carries each problem's
+residual row and user-scale point between iterations, so that no point's
+residuals are evaluated, or its parameters mapped back to the user scale,
+twice. Every reduction runs along one problem's row, so each problem is
+bit-identical to a run on its own.
 Every stage, with one free parameter or two, converges in one way only: a
 small final step (none for the exact solution), at a full-rank Jacobian,
 with a relative offset of at most 1e-3; the step and the offset test
@@ -248,7 +246,6 @@ OFFSET_TOL = 1e-3  # Bates & Watts' suggested relative-offset threshold
 # step scales 2^-j tried per iteration, one per evaluation, before a
 # problem stops
 MAX_HALVINGS = 40
-BATCH_ELEMENTS = 8192  # problems x workloads per curve or derivative call
 SCAN_POINTS = 201  # evenly spaced points of a one-parameter scan
 _EPS = float(np.finfo(float).eps)
 
@@ -518,31 +515,6 @@ def _step(
     )
 
 
-def _per_call(objective: _Objective) -> int:
-    """Problems per curve or derivative evaluation: ``BATCH_ELEMENTS``
-    problems x workloads, at least one problem."""
-    return max(1, BATCH_ELEMENTS // objective.x.shape[-1])
-
-
-def _residuals(
-    objective: _Objective, theta: np.ndarray, rows: np.ndarray,
-    user: np.ndarray | None = None,
-) -> np.ndarray:
-    """Residual rows of B problems, (B, n), in calls of at most
-    ``_per_call`` problems, from their user-scale points ``user`` when
-    given."""
-    size = _per_call(objective)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if user is None:
-            user = objective.user(theta, rows)
-        return np.concatenate([
-            objective.residual(
-                theta[i:i + size], rows[i:i + size], user[i:i + size]
-            )
-            for i in range(0, len(theta), size)
-        ])
-
-
 def _gauss_newton(
     objective: _Objective,
     theta0: np.ndarray,
@@ -571,21 +543,16 @@ def _gauss_newton(
     an optimizer map). Returns theta (B, p), SSE (B,), the converged flags
     (B,), the residual rows (B, n) and the user-scale points (B, p).
 
-    Every problem of the batch iterates in one loop. An iteration takes
-    the live problems in calls of at most ``BATCH_ELEMENTS`` // n problems
-    (n workloads each): each call evaluates their derivatives and their
-    steps, then tries one scale at a time, 1, 1/2, 1/4 and so on, on the
-    problems of the call that no scale has yet moved, one candidate per
-    problem per evaluation; most problems move at the full step. Between
-    iterations the loop carries each problem's point, its residual row
-    (B, n) and its user-scale point, so that no point is mapped back to
-    the user scale twice.
+    Every problem of the batch iterates in one loop. Each iteration
+    evaluates the live problems' derivatives and steps in one call, then
+    tries one scale at a time, 1, 1/2, 1/4 and so on, on the problems that
+    no scale has yet moved, one candidate per problem per evaluation; most
+    problems move at the full step. Between iterations the loop carries
+    each problem's point, its residual row (B, n) and its user-scale point,
+    so that no point is mapped back to the user scale twice. Problems are
+    independent and every sum runs along one problem's row, so each is
+    bit-identical alone and in any batch.
     """
-    # Problems are independent and every sum runs along one problem's row,
-    # so each is bit-identical alone and in any call. A call holds about
-    # ten (problems, n) arrays at once (the curve, its gradient, the step):
-    # hence the bound per call.
-    size = _per_call(objective)
     lower, upper = (
         np.broadcast_to(b, theta0.shape)
         for b in (bounds or (objective.lower, np.inf))
@@ -597,50 +564,45 @@ def _gauss_newton(
     # a step or candidate that overflows or divides by zero is non-finite,
     # which the rules below read as a stop or a rejection
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        live = np.arange(len(theta))  # problems still iterating
+        todo = np.arange(len(theta))  # problems still iterating
         for _ in range(max_iter):
             going = np.zeros(len(theta), dtype=bool)  # moved, not converged
-            for i in range(0, len(live), size):
-                todo = live[i:i + size]
-                at, at_rows = theta[todo], rows[todo]
-                lo, hi = lower[todo], upper[todo]
-                step = _step(
-                    objective, at, at_rows, resid[todo], user[todo]
-                )
-                limit = sse[todo] * (1.0 + 1e-14) + 1e-300
-                keep = np.isfinite(step).all(axis=-1)  # still trying
-                for j in range(MAX_HALVINGS):
-                    if not keep.all():
-                        todo, at, at_rows, limit, step, lo, hi = (
-                            a[keep]
-                            for a in (todo, at, at_rows, limit, step, lo, hi)
-                        )
-                        if not todo.size:
-                            break
-                    cand = np.minimum(np.maximum(at + 0.5 ** j * step, lo), hi)
-                    cand_user = objective.user(cand, at_rows)
-                    cand_resid = objective.residual(cand, at_rows, cand_user)
-                    cand_sse = objective.sse(cand_resid, at_rows)
-                    hit = cand_sse <= limit
-                    small = _relative_change(cand, at) < tol
-                    keep, moved = ~hit, todo
-                    if keep.any():
-                        moved, cand, cand_user, cand_resid, cand_sse, small = (
-                            a[hit] for a in (
-                                todo, cand, cand_user, cand_resid, cand_sse,
-                                small,
-                            )
-                        )
-                    theta[moved] = cand
-                    user[moved] = cand_user
-                    resid[moved] = cand_resid
-                    sse[moved] = cand_sse
-                    converged[moved[small]] = True
-                    going[moved[~small]] = True
-                    if not keep.any():
+            at, at_rows = theta[todo], rows[todo]
+            lo, hi = lower[todo], upper[todo]
+            step = _step(objective, at, at_rows, resid[todo], user[todo])
+            limit = sse[todo] * (1.0 + 1e-14) + 1e-300
+            keep = np.isfinite(step).all(axis=-1)  # still trying
+            for j in range(MAX_HALVINGS):
+                if not keep.all():
+                    todo, at, at_rows, limit, step, lo, hi = (
+                        a[keep]
+                        for a in (todo, at, at_rows, limit, step, lo, hi)
+                    )
+                    if not todo.size:
                         break
-            live = np.flatnonzero(going)
-            if not live.size:
+                cand = np.minimum(np.maximum(at + 0.5 ** j * step, lo), hi)
+                cand_user = objective.user(cand, at_rows)
+                cand_resid = objective.residual(cand, at_rows, cand_user)
+                cand_sse = objective.sse(cand_resid, at_rows)
+                hit = cand_sse <= limit
+                small = _relative_change(cand, at) < tol
+                keep, moved = ~hit, todo
+                if keep.any():
+                    moved, cand, cand_user, cand_resid, cand_sse, small = (
+                        a[hit] for a in (
+                            todo, cand, cand_user, cand_resid, cand_sse, small,
+                        )
+                    )
+                theta[moved] = cand
+                user[moved] = cand_user
+                resid[moved] = cand_resid
+                sse[moved] = cand_sse
+                converged[moved[small]] = True
+                going[moved[~small]] = True
+                if not keep.any():
+                    break
+            todo = np.flatnonzero(going)
+            if not todo.size:
                 break
     return theta, sse, converged, resid, user
 
@@ -741,17 +703,15 @@ def _tested(
     the runs that are. A run is at an optimum only if it stopped on a small
     step (``converged``) at a full-rank Jacobian with a relative offset of
     at most ``OFFSET_TOL`` (``_at_optimum``), whatever the number of free
-    parameters."""
+    parameters. The runs that stopped on a small step take one derivative
+    evaluation together; none where no run did."""
     ok = converged.copy()
     jacobian = np.empty((len(ok), resid.shape[-1], theta.shape[-1]))
     # a run can also stop on a small step where the Jacobian has rank 1,
     # as at a sigmoid's edge c1 -> 0+ (a curve flat over the data), or
-    # short of the optimum. The runs share calls, as many as the kernel's
-    # bound lets.
-    runs = np.flatnonzero(ok)
-    size = _per_call(objective)
-    for i in range(0, len(runs), size):
-        w = runs[i:i + size]
+    # short of the optimum
+    w = np.flatnonzero(ok)
+    if w.size:
         J = objective.derivatives(theta[w], tables[w], user[w])[0]
         # (n, p) per run in C order, as np.column_stack builds it
         jacobian[w] = np.stack(J, axis=-1)
@@ -779,14 +739,14 @@ def _scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The weighted SSE (S, T) of S user-scale points ``user`` on each of
     ``objective``'s T tables, NaN read as +inf, and their residual rows on
-    ``whole``'s one table, (S, G), from one evaluation there. ``objective``
+    ``whole``'s one table, (S, G), from one evaluation there of S rows. ``objective``
     is ``whole`` or its G holdouts, whose residuals are the whole table's
     (a curve value at a workload depends on the point alone). Holdout h's
     SSE is the sum of its squares before h plus the sum after h, plus its
     within part, never the total less row h's, which cancels where the
     other rows fit closely."""
     rows = np.zeros(len(user), dtype=int)
-    resid = _residuals(whole, user, rows, user)  # theta is not read
+    resid = whole.residual(user, rows, user)  # theta is not read
     if objective is whole:
         sse = whole.sse(resid, rows)[:, None]
     else:
@@ -836,6 +796,8 @@ def _optima(
     """
     spec, free = objective.spec, objective.free
     scan = starts is None and spec.scan is not None and free == spec.shape
+    # a point, step or candidate outside the curve's or the map's domain
+    # is non-finite, which scores +inf, or stops or rejects a run
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if scan:
             lo, hi = spec.scan
@@ -850,48 +812,51 @@ def _optima(
                 points = _user_starts(objective, starts)
             sse, resid = _scores(objective, whole, points)
             sse[np.isnan(user).any(axis=-1).reshape(-1, len(sse)).T] = np.inf
-    best = _scan_best(sse)
-    tables = np.arange(len(best))
-    pick = best if scan else tables * len(sse) + best
-    if scan or objective is whole:
-        resid0 = resid[best[:, None], objective.keep]
-    else:
-        resid0 = _residuals(objective, theta[pick], tables, user[pick])
-    bounds = None
-    if scan:
-        bounds = tuple(
-            theta[np.clip(best + d, 0, SCAN_POINTS - 1)] for d in (-1, 1)
+        best = _scan_best(sse)
+        tables = np.arange(len(best))
+        pick = best if scan else tables * len(sse) + best
+        if scan or objective is whole:
+            resid0 = resid[best[:, None], objective.keep]
+        else:
+            resid0 = objective.residual(theta[pick], tables, user[pick])
+        bounds = None
+        if scan:
+            bounds = tuple(
+                theta[np.clip(best + d, 0, SCAN_POINTS - 1)] for d in (-1, 1)
+            )
+        at, optimum, converged, resid, at_user = _gauss_newton(
+            objective, theta[pick], tables, resid0, user[pick], tol, max_iter,
+            bounds,
         )
-    at, optimum, converged, resid, at_user = _gauss_newton(
-        objective, theta[pick], tables, resid0, user[pick], tol, max_iter,
-        bounds,
-    )
-    ok, jacobian = _tested(objective, tables, at, converged, resid, at_user)
-    edge = above = np.zeros(len(tables), dtype=bool)
-    if scan:
-        edge = ~((lo < at[:, 0]) & (at[:, 0] < hi))
-        above = optimum > sse.min(axis=0) * (1.0 + 1e-12)
-    for t in np.flatnonzero(edge | above | ~ok):
-        if edge[t] or above[t]:
-            where = "on the edge of" if edge[t] else "above a point of"
-            raise NonConvergenceError(
-                f"{form.value} fit's optimum lies {where} its scan over "
-                f"[{lo:g}, {hi:g}]"
-            )
-        # a list of one start would rerun the run that just failed
-        if not scan and len(sse) > 1:
-            s = rows == t
-            runs = _gauss_newton(
-                objective, theta[s], rows[s],
-                _residuals(objective, theta[s], rows[s], user[s]), user[s],
-                tol, max_iter,
-            )
-            _, optimum[t], ok[t], resid[t], at_user[t], jacobian[t] = (
-                a[0] for a in _winners(objective, rows[s], [len(sse)], *runs)
-            )
-        if not ok[t]:
-            raise _not_converged(form, max_iter)
-    return at_user, optimum, resid, jacobian
+        ok, jacobian = _tested(
+            objective, tables, at, converged, resid, at_user
+        )
+        edge = above = np.zeros(len(tables), dtype=bool)
+        if scan:
+            edge = ~((lo < at[:, 0]) & (at[:, 0] < hi))
+            above = optimum > sse.min(axis=0) * (1.0 + 1e-12)
+        for t in np.flatnonzero(edge | above | ~ok):
+            if edge[t] or above[t]:
+                where = "on the edge of" if edge[t] else "above a point of"
+                raise NonConvergenceError(
+                    f"{form.value} fit's optimum lies {where} its scan over "
+                    f"[{lo:g}, {hi:g}]"
+                )
+            # a list of one start would rerun the run that just failed
+            if not scan and len(sse) > 1:
+                s = rows == t
+                runs = _gauss_newton(
+                    objective, theta[s], rows[s],
+                    objective.residual(theta[s], rows[s], user[s]), user[s],
+                    tol, max_iter,
+                )
+                _, optimum[t], ok[t], resid[t], at_user[t], jacobian[t] = (
+                    a[0]
+                    for a in _winners(objective, rows[s], [len(sse)], *runs)
+                )
+            if not ok[t]:
+                raise _not_converged(form, max_iter)
+        return at_user, optimum, resid, jacobian
 
 
 def _not_converged(form: ModelForm, max_iterations: int) -> Exception:

@@ -77,6 +77,12 @@ class ScenarioSpec:
             raise ValueError("per_node_swing_kw must be non-negative")
         if self.swing_window_ms <= 0:
             raise ValueError("swing_window_ms must be positive")
+        for name in (
+            "duration_days", "per_node_power_kw", "pue",
+            "per_node_swing_kw", "swing_window_ms",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.loss_convention not in LOSS_CONVENTIONS:
             raise ValueError(
                 f"loss_convention must be one of {LOSS_CONVENTIONS}, "
@@ -87,6 +93,8 @@ class ScenarioSpec:
                 raise ValueError(
                     f"carbon intensity {name!r} must be positive"
                 )
+            if not math.isfinite(value):
+                raise ValueError(f"carbon intensity {name!r} must be finite")
 
     @property
     def total_gpus(self) -> int:

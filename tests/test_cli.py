@@ -374,6 +374,23 @@ def _manifest_with_trace(tmp_path, trace):
     return ["fit", "--manifest", manifest, "--out", str(tmp_path / "o")]
 
 
+def _edited_manifest(tmp_path, old, new):
+    """A manifest of the one desk workload whose config is edited."""
+    return _written(
+        tmp_path, "manifest.csv",
+        f"config,trace\n{_edited_config(tmp_path, old, new)},"
+        f"{desk_dir() / 'traces' / 'smc-resnet-2-1.csv'}\n",
+    )
+
+
+def _edited_spec(tmp_path, old, new):
+    assert old in SCENARIO_INI
+    return [
+        "scenario", "--spec",
+        _written(tmp_path, "s.ini", SCENARIO_INI.replace(old, new)),
+    ]
+
+
 _TRACE_HEADER = b"workload_id,node_id,elapsed_s,power_kw\n"
 _TYPO = "workload_id,reason\nsmc-llama-70b-8,leakge\n"
 
@@ -472,6 +489,27 @@ BAD_INPUT = {
             t, "interconnect_total_kw = 0.0", "interconnect_total_kw = nan"
         ),
     ],
+    "interconnect-inf-fit": lambda t: [
+        "fit", "--manifest", _edited_manifest(
+            t, "interconnect_total_kw = 0.0", "interconnect_total_kw = inf"
+        ), "--out", str(t / "o"),
+    ],
+    "duration-inf-evaluate": lambda t: [
+        "evaluate", "--preset", "arch-fe", "--manifest", _edited_manifest(
+            t, "duration_h = 0.22", "duration_h = inf"
+        ), "--out", str(t / "o"),
+    ],
+    "spec-pue-inf": lambda t: _edited_spec(t, "pue = 1.1", "pue = inf"),
+    "spec-pue-nan": lambda t: _edited_spec(t, "pue = 1.1", "pue = nan"),
+    "spec-duration-inf": lambda t: _edited_spec(
+        t, "duration_days = 90", "duration_days = inf"
+    ),
+    "spec-swing-nan": lambda t: _edited_spec(
+        t, "per_node_swing_kw = 2.4", "per_node_swing_kw = nan"
+    ),
+    "spec-intensity-inf": lambda t: _edited_spec(
+        t, "grid_average = 428", "grid_average = inf"
+    ),
     "intensity-below-one-operation-per-node": lambda t: [
         "predict", "--preset", "arch-fe", "--config", _edited_config(
             t, "flops_per_image_gflops = 3.6",
@@ -494,6 +532,17 @@ BAD_INPUT = {
     ],
 }
 
+# a non-finite value is named by its field, before anything reads it
+NON_FINITE = {
+    "interconnect-inf-fit": "interconnect_total_kw must be finite",
+    "duration-inf-evaluate": "duration_h must be finite",
+    "spec-pue-inf": "pue must be finite",
+    "spec-pue-nan": "pue must be finite",
+    "spec-duration-inf": "duration_days must be finite",
+    "spec-swing-nan": "per_node_swing_kw must be finite",
+    "spec-intensity-inf": "carbon intensity 'grid_average' must be finite",
+}
+
 # these crashed with a traceback before their readers raised typed errors;
 # a fresh interpreter shows one again
 IN_A_SUBPROCESS = ("model-unknown-parameter", "spec-without-section-header")
@@ -513,6 +562,7 @@ def test_bad_input_exits_3_with_one_line(case, tmp_path, capsys):
         rc, err = main(argv), capsys.readouterr().err
     assert rc == 3, err
     assert err.startswith("nodepower: error: input: "), err
+    assert NON_FINITE.get(case, "") in err, err
     assert err.count("\n") == 1 and err.endswith("\n"), err
 
 

@@ -432,12 +432,13 @@ def hot_workload_dataset():
     return make_dataset(groups)
 
 
-def sixty_workload_dataset():
-    """60 workloads of both architectures, 5 to 29 samples each, around
-    the arch-fe curve with a magnitude per architecture."""
-    rng = np.random.default_rng(60)
+def arch_fe_dataset(workloads):
+    """``workloads`` workloads of both architectures, 5 to 29 samples each,
+    around the arch-fe curve with a magnitude per architecture (the
+    benchmark generator's truth), seeded by their count."""
+    rng = np.random.default_rng(workloads)
     groups = []
-    for j in range(60):
+    for j in range(workloads):
         arch = Architecture_LLM if j % 2 else Architecture_CNN
         x = float(rng.uniform(11.5, 17.0))
         beta = 6.89 if arch == Architecture_LLM else 4.0
@@ -455,7 +456,7 @@ class TestSandwich:
         self, form, data, desk_dataset, desk_exclusion_policy, monkeypatch
     ):
         config = FitConfig()
-        table = sixty_workload_dataset()
+        table = arch_fe_dataset(60)
         if data == "desk":
             config = FitConfig(exclusions=desk_exclusion_policy)
             table = desk_dataset
@@ -1180,21 +1181,27 @@ def _assert_first_holdouts_message(table, form):
 
 class TestBatchedLoocv:
     @pytest.mark.parametrize(
-        "form", (*LOOCV_FORMS, ModelForm.SIMPLE_ASYMPTOTIC),
-        ids=lambda f: f.value,
+        "data, form",
+        [
+            (data, form)
+            for data in ("desk", "many", "sixty")
+            for form in (*LOOCV_FORMS, ModelForm.SIMPLE_ASYMPTOTIC)
+        ] + [("one-fifty", form) for form in LOOCV_FORMS],
+        ids=lambda v: v.value if isinstance(v, ModelForm) else v,
     )
-    @pytest.mark.parametrize("data", ["desk", "many", "sixty"])
     def test_each_holdout_equals_its_own_stage1_fit(
         self, form, data, desk_dataset, many_workload_dataset
     ):
         # bit for bit the holdout table's stage-1 fit: for a saturation
         # form its default fit (a scan and a run from its best point), for
         # the sigmoid a fit from the holdout's lowest-SSE grid start; and
-        # within rounding of the fit from its whole grid
+        # within rounding of the fit from its whole grid. 150 workloads
+        # make one LOOCV batch of 150 holdouts of 149 rows each
         table = {
             "desk": lambda: desk_dataset,
             "many": lambda: many_workload_dataset,
-            "sixty": sixty_workload_dataset,
+            "sixty": lambda: arch_fe_dataset(60),
+            "one-fifty": lambda: arch_fe_dataset(150),
         }[data]()
         config = FitConfig()
         rep = loocv(table, form, config)
@@ -1255,7 +1262,7 @@ class TestBatchedLoocv:
             own = fitmod._Objective(
                 spec, fixed, free, held, np.arange(len(held.x))[None]
             )
-            sse = own.sse(fitmod._residuals(own, grid, rows), rows)
+            sse = own.sse(own.residual(grid, rows), rows)
             np.testing.assert_allclose(
                 sums[:, h], sse, rtol=len(workloads) * fitmod._EPS, atol=0.0,
                 err_msg=wid,
@@ -1390,12 +1397,9 @@ class TestBatchedLoocv:
     ):
         _assert_first_holdouts_message(desk_dataset, form)
 
-    def test_each_problem_alone_matches_the_batch(
-        self, desk_dataset, monkeypatch
-    ):
+    def test_each_problem_alone_matches_the_batch(self, desk_dataset):
         # every (holdout, start) problem of the desk sigmoid LOOCV, run as a
-        # batch of one or in slices of three, is bit-identical to its row of
-        # the whole batch
+        # batch of one, is bit-identical to its row of the whole batch
         config = FitConfig()
         table = desk_dataset
         spec = FORMS[ModelForm.SIGMOID]
@@ -1412,10 +1416,6 @@ class TestBatchedLoocv:
             )
             for got, want in zip(one, batch):
                 assert np.array_equal(got, want[i:i + 1]), i
-        monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", 3 * (g - 1))
-        sliced = _kernel(objective, theta0, rows, 1e-8, 200)
-        for got, want in zip(sliced, batch):
-            assert np.array_equal(got, want)
 
     def test_no_runtime_warnings(self, desk_dataset, desk_exclusion_policy):
         table = apply_exclusions(desk_dataset, desk_exclusion_policy)
@@ -1492,7 +1492,7 @@ class TestOneStartPerFit:
                 desk_dataset, desk_exclusion_policy
             ),
             "many": lambda: many_workload_dataset,
-            "sixty": sixty_workload_dataset,
+            "sixty": lambda: arch_fe_dataset(60),
         }[data]()
         config = FitConfig()
         stage1 = two_stage_fit(table, form, config).stage1
@@ -1592,7 +1592,7 @@ class TestOnePick:
                 desk_dataset, desk_exclusion_policy
             ),
             "many": lambda: many_workload_dataset,
-            "sixty": sixty_workload_dataset,
+            "sixty": lambda: arch_fe_dataset(60),
         }[data]()
         config = FitConfig()
         seen = _picks(monkeypatch)
@@ -1651,7 +1651,7 @@ class TestOnePick:
 
         monkeypatch.setattr(fitmod._Objective, "residual", spy)
         monkeypatch.setattr(fitmod, "_gauss_newton", kernel)
-        loocv(sixty_workload_dataset(), ModelForm.SIGMOID)
+        loocv(arch_fe_dataset(60), ModelForm.SIGMOID)
         assert calls[:calls.index("kernel")] == [(10, 60), (60, 59)]
 
     @pytest.mark.parametrize("exclude", [False, True])
@@ -1831,11 +1831,11 @@ class TestScanCertificate:
 def _run(objective, theta0, rows, tol, max_iter):
     """``fit._gauss_newton`` from ``theta0``, given its residual rows and
     user-scale points as ``fit._optima`` starts a run from them."""
-    user0 = objective.user(theta0, rows)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        user0 = objective.user(theta0, rows)
+        resid0 = objective.residual(theta0, rows, user0)
     return fitmod._gauss_newton(
-        objective, theta0, rows,
-        fitmod._residuals(objective, theta0, rows, user0), user0,
-        tol, max_iter,
+        objective, theta0, rows, resid0, user0, tol, max_iter
     )
 
 
@@ -1845,20 +1845,9 @@ def _kernel(objective, theta0, rows, tol, max_iter):
 
 
 def _reference_gauss_newton(objective, theta0, rows, tol, max_iter):
-    """The kernel's rule in its plainest form: fixed slices of the batch,
-    each iterated alone, with one curve evaluation per halving on every
-    live problem of the slice. Kept as the oracle for ``fit._gauss_newton``,
-    with the kernel's own step, ``fit._step``."""
-    size = max(1, fitmod.BATCH_ELEMENTS // objective.x.shape[-1])
-    if len(theta0) > size:
-        parts = [
-            _reference_gauss_newton(
-                objective, theta0[i:i + size], rows[i:i + size], tol,
-                max_iter,
-            )
-            for i in range(0, len(theta0), size)
-        ]
-        return tuple(np.concatenate(a) for a in zip(*parts))
+    """The kernel's rule in its plainest form, with one curve evaluation
+    per halving on every live problem of the batch. Kept as the oracle for
+    ``fit._gauss_newton``, with the kernel's own step, ``fit._step``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lower = objective.lower
         theta = np.maximum(theta0, lower)
@@ -1946,14 +1935,15 @@ def _call_rows(monkeypatch, method="residual"):
 
 
 class TestBatchedHalving:
-    @pytest.mark.parametrize("one_problem_per_call", [False, True])
+    # each id keeps the "-False" of the one-problem-per-call case the
+    # kernel no longer has, so that the ids stay stable
     @pytest.mark.parametrize(
         "problem",
         ["loocv-sigmoid", "loocv-asymptotic", "loocv-simple", "ridge"],
+        ids=lambda p: f"{p}-False",
     )
     def test_bit_identical_to_one_halving_per_call(
-        self, problem, one_problem_per_call, desk_dataset,
-        desk_exclusion_policy, monkeypatch,
+        self, problem, desk_dataset, desk_exclusion_policy,
     ):
         if problem == "ridge":
             batch = _ridge_batch(
@@ -1962,39 +1952,15 @@ class TestBatchedHalving:
         else:
             form = ModelForm.from_string(problem.removeprefix("loocv-"))
             batch = _loocv_batch(desk_dataset, form)
-        if one_problem_per_call:
-            # a slice of one problem: every call holds one candidate row
-            monkeypatch.setattr(
-                fitmod, "BATCH_ELEMENTS", batch[0].x.shape[-1]
-            )
         want = _reference_gauss_newton(*batch, 1e-8, 200)
         got = _kernel(*batch, 1e-8, 200)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         # the residual rows it returns are those of its final points
         objective, _, rows = batch
-        assert np.array_equal(
-            got[3], fitmod._residuals(objective, got[0], rows)
-        )
+        assert np.array_equal(got[3], objective.residual(got[0], rows))
         if problem == "ridge":
             assert not got[2].any()
-
-    @pytest.mark.parametrize("batch_elements", [None, 24])
-    def test_no_call_exceeds_the_slice_bound(
-        self, batch_elements, desk_dataset, desk_exclusion_policy,
-        monkeypatch,
-    ):
-        if batch_elements is not None:
-            monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", batch_elements)
-        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
-        objective, theta0, rows = _loocv_batch(table, ModelForm.SIGMOID)
-        bound = max(1, fitmod.BATCH_ELEMENTS // objective.x.shape[-1])
-        seen = _call_rows(monkeypatch)
-        _kernel(objective, theta0, rows, 1e-8, 200)
-        assert max(seen) <= bound
-        # one candidate per problem: no call holds more rows than the
-        # batch has problems
-        assert max(seen) <= len(theta0)
 
     def test_residual_calls_within_budget(
         self, desk_dataset, desk_exclusion_policy, monkeypatch
@@ -2019,7 +1985,7 @@ class TestBatchedHalving:
 
 
 # ---------------------------------------------------------------------------
-# every problem of a batch in one loop, each evaluation bounded
+# every problem of a batch in one loop, each evaluation one call
 # ---------------------------------------------------------------------------
 
 LOOCV_BATCH_FORMS = (*LOOCV_FORMS, ModelForm.SIMPLE_ASYMPTOTIC)
@@ -2034,57 +2000,32 @@ class TestOneLoop:
         self, form, exclude, desk_dataset, desk_exclusion_policy,
         monkeypatch,
     ):
-        # the whole of loocv, the kernel and the optimum tests of its
-        # winners: no curve or derivative evaluation takes more than
-        # BATCH_ELEMENTS // n problems
+        # the whole of loocv and of the two-stage fit, the kernel and the
+        # optimum tests of their winners: no curve or derivative evaluation
+        # holds more rows than the larger of the G holdouts and the
+        # candidates, a scan or a start grid
         table = desk_dataset
         if exclude:
             table = apply_exclusions(desk_dataset, desk_exclusion_policy)
-        monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", 24)
-        bound = 24 // (len(table.workload_ids) - 1)
+        spec = FORMS[form]
+        candidates = (
+            fitmod.SCAN_POINTS if spec.scan else len(spec.shape_starts)
+        )
+        bound = max(len(table.workload_ids), candidates)
         residual = _call_rows(monkeypatch, "residual")
         derivatives = _call_rows(monkeypatch, "derivatives")
         loocv(table, form)
+        two_stage_fit(table, form)
+        assert max(residual) == candidates
         assert max(residual) <= bound
         assert max(derivatives) <= bound
 
-    # each id keeps the "-None" of the per-loop bound the kernel no longer
-    # has, so that the ids stay stable
-    @pytest.mark.parametrize("batch", [1, 3, 7], ids=lambda b: f"{b}-None")
-    @pytest.mark.parametrize(
-        "form", LOOCV_BATCH_FORMS, ids=lambda f: f.value
-    )
-    def test_loocv_bit_identical_at_any_bound(
-        self, form, batch, desk_dataset, monkeypatch
-    ):
-        # BATCH_ELEMENTS at small multiples of the n workloads of a holdout
-        want = loocv(desk_dataset, form)
-        objective, theta0, rows = _loocv_batch(desk_dataset, form)
-        runs = {
-            m: _kernel(objective, theta0, rows, 1e-8, m)
-            for m in (3, 200)
-        }
-        n = len(desk_dataset.workload_ids) - 1
-        monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", batch * n)
-        got = loocv(desk_dataset, form)
-        assert got.per_holdout == want.per_holdout
-        assert (got.mean, got.sd) == (want.mean, want.sd)
-        for max_iter, runs_want in runs.items():
-            runs_got = _kernel(
-                objective, theta0, rows, 1e-8, max_iter
-            )
-            for g, w in zip(runs_got, runs_want):
-                assert np.array_equal(g, w, equal_nan=True), max_iter
-
     def test_derivative_calls_within_budget(self, desk_dataset, monkeypatch):
-        # desk sigmoid LOOCV at three problems per call: 223 derivative
-        # evaluations in one loop; 286 when each slice of three problems
-        # ran its own loop
-        g = len(desk_dataset.workload_ids)
-        monkeypatch.setattr(fitmod, "BATCH_ELEMENTS", 3 * (g - 1))
+        # desk sigmoid LOOCV: 8 derivative evaluations, one per iteration
+        # of the holdouts' batch and one for the optimum tests
         seen = _call_rows(monkeypatch, "derivatives")
         loocv(desk_dataset, ModelForm.SIGMOID)
-        assert len(seen) <= 250
+        assert len(seen) <= 10
 
 
 class TestOneConvergenceRule:

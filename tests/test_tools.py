@@ -145,7 +145,7 @@ def test_dump_numbers_on_the_desk_set(tmp_path, capsys):
     forms = {
         "two_stage_fit": {f.value for f in ModelForm},
         "loocv": {f.value for f in dump_numbers.LOOCV_FORMS},
-        "wnls_fit": {"asymptotic", "simple"},
+        "wnls_fit": {"asymptotic", "arch-fe", "simple"},
     }
     # on all nine desk workloads the joint (beta_comp_kw, alpha) fit has no
     # interior optimum (both grow without bound from the default starts),

@@ -14,11 +14,14 @@ policy, the bundled desk set's (``nodepower.data``) or a set written by
 * ``loocv`` of the ``asymptotic``, ``sigmoid`` and ``simple`` forms on the
   table with and without the exclusions: every holdout's estimates, their
   mean, SD and coefficient of variation, and the flags;
-* two ``wnls_fit`` stages from start points, on the table with and
+* three ``wnls_fit`` stages from start points, on the table with and
   without the exclusions: ``asymptotic``'s (beta_comp_kw, alpha) jointly
-  from the default starts, idle fixed at 1.8 kW, and ``simple``'s alpha at
-  the stage-1 anchors from the starts 10^x at the 10th, 30th, 50th, 70th
-  and 90th percentiles of the table's intensities x.
+  from the default starts, idle fixed at 1.8 kW; ``arch-fe``'s
+  (beta_llm_kw, alpha) jointly from the default starts, idle fixed at
+  the stage-2 value (``FitConfig().stage2_p_idle_kw``) and beta_cnn_kw at
+  ``reference.BETA_CNN_KW``; and ``simple``'s alpha at the stage-1
+  anchors from the starts 10^x at the 10th, 30th, 50th, 70th and 90th
+  percentiles of the table's intensities x.
 
 A fit or scan that raises prints as its error type and message.
 """
@@ -38,6 +41,7 @@ from nodepower.fit import (
     FitConfig, apply_exclusions, loocv, two_stage_fit, wnls_fit,
 )
 from nodepower.model import ModelForm
+from nodepower.reference import BETA_CNN_KW
 
 LOOCV_FORMS = (
     ModelForm.LOG_ASYMPTOTIC, ModelForm.SIGMOID, ModelForm.SIMPLE_ASYMPTOTIC,
@@ -79,7 +83,7 @@ def _loocv(table, policy, form) -> object:
 
 
 def _wnls_fits(table) -> dict:
-    """The two stage fits from start points that no two-stage fit runs."""
+    """The three stage fits from start points that no two-stage fit runs."""
     config = FitConfig()
     idle = {"p_idle_kw": config.stage1_p_idle_kw}
     q = np.percentile(table.x, (10, 30, 50, 70, 90))
@@ -87,6 +91,11 @@ def _wnls_fits(table) -> dict:
         ModelForm.LOG_ASYMPTOTIC.value: _run(
             wnls_fit, table, ModelForm.LOG_ASYMPTOTIC, idle,
             ("beta_comp_kw", "alpha"),
+        ),
+        ModelForm.LOG_ASYMPTOTIC_ARCH_FE.value: _run(
+            wnls_fit, table, ModelForm.LOG_ASYMPTOTIC_ARCH_FE,
+            {"p_idle_kw": config.stage2_p_idle_kw, "beta_cnn_kw": BETA_CNN_KW},
+            ("beta_llm_kw", "alpha"),
         ),
         ModelForm.SIMPLE_ASYMPTOTIC.value: _run(
             wnls_fit, table, ModelForm.SIMPLE_ASYMPTOTIC,
