@@ -1962,6 +1962,34 @@ class TestBatchedHalving:
         if problem == "ridge":
             assert not got[2].any()
 
+    @pytest.mark.parametrize("slice_elements", [None, 24])
+    def test_no_call_exceeds_the_slice_bound(
+        self, slice_elements, desk_dataset, desk_exclusion_policy,
+        monkeypatch,
+    ):
+        # the kernel evaluates whatever batch it is given in one call: run
+        # whole (None) or by a caller in slices of slice_elements // n
+        # problems, no call holds more rows than its slice, and the sliced
+        # runs are bit-identical to the whole one
+        table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        objective, theta0, rows = _loocv_batch(table, ModelForm.SIGMOID)
+        whole = _kernel(objective, theta0, rows, 1e-8, 200)
+        size = len(theta0)
+        if slice_elements is not None:
+            size = max(1, slice_elements // objective.x.shape[-1])
+        assert size <= len(theta0)
+        seen = _call_rows(monkeypatch)
+        parts = []
+        for lo in range(0, len(theta0), size):
+            seen.clear()
+            parts.append(_kernel(
+                objective, theta0[lo:lo + size], rows[lo:lo + size],
+                1e-8, 200,
+            ))
+            assert max(seen) <= min(size, len(theta0) - lo)
+        for i, w in enumerate(whole):
+            assert np.array_equal(np.concatenate([p[i] for p in parts]), w)
+
     def test_residual_calls_within_budget(
         self, desk_dataset, desk_exclusion_policy, monkeypatch
     ):
