@@ -33,25 +33,27 @@ parameters: Golub & Pereyra 1973, *SIAM J. Numer. Anal.* 10:413):
   least-squares step from one derivative evaluation solves it exactly; the
   same Jacobian serves the offset test and the standard errors;
 * every other stage scores its candidate points once and runs the kernel
-  below from each table's first lowest one: a scan of ``SCAN_POINTS``
-  evenly spaced points of the form table's scan domain, on the optimizer's
-  scale, where the one free parameter is the form's lone shape parameter
-  (stage 1 of those three forms: alpha) and no starts are given, the run
-  bounded by its point's scan neighbours; else (the sigmoid's two stages,
-  and any caller-given starts) a start grid, a table whose run misses its
-  optimum rerunning its whole grid. The scan certifies the result: an
-  optimum on the domain's edge, or above any scan point, raises
-  NonConvergenceError. ``loocv``'s G holdouts take the same path as G
-  tables of one fit: every candidate is scored once on the whole table,
-  S x G curve values for S points, and the G runs are one batch.
+  below from each table's first lowest one. Where the free parameters are
+  the form's shape parameters and no starts are given (every stage 1),
+  the candidates are the form table's scan: alpha's ``SCAN_POINTS``
+  evenly spaced points on the optimizer's scale, the run bounded by its
+  point's scan neighbours, or the sigmoid's ``GRID_POINTS`` x
+  ``GRID_POINTS`` grid on the user scale, x0 evenly spaced over [0, 30]
+  and k log-spaced over [K_FLOOR, 100]. The scan certifies the result: an
+  optimum that does not lie strictly inside the domain, or lies above any
+  scan point, raises NonConvergenceError. Otherwise (the sigmoid's stage
+  2, a joint fit of a magnitude and alpha, and caller-given starts) the
+  candidates are a start grid, and a run that misses its optimum reruns
+  the whole grid. ``loocv``'s G holdouts take the scan's path as G tables
+  of one fit: every scan point is scored once on the whole table, S x G
+  curve values for S points, and the G runs are one batch.
 
 The kernel is a damped hybrid of Newton and Gauss-Newton steps with
-analytic derivatives and a fixed multi-start grid over the shape
-parameters (the objective has a mild ridge; restarts are cheaper than
-cleverness). The sigmoid is a large-residual problem, on which
-Gauss-Newton alone converges only linearly (Dennis & Schnabel, *Numerical
-Methods for Unconstrained Optimization*, section 10.2) and stops on its
-step test short of the optimum. So each iteration also takes the
+analytic derivatives, run from the lowest point of a scan or a start
+grid. The sigmoid is a large-residual problem, on which Gauss-Newton alone
+converges only linearly (Dennis & Schnabel, *Numerical Methods for
+Unconstrained Optimization*, section 10.2) and stops on its step test
+short of the optimum. So each iteration also takes the
 curvature S = sum_i r_i hess f_i from the same shape evaluation as the
 Jacobian, and a problem whose H = J'J - S is positive definite takes the
 Newton step H^-1 J'r; the others, and every stage where no free parameter
@@ -105,6 +107,7 @@ problem's table.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
@@ -246,7 +249,8 @@ OFFSET_TOL = 1e-3  # Bates & Watts' suggested relative-offset threshold
 # step scales 2^-j tried per iteration, one per evaluation, before a
 # problem stops
 MAX_HALVINGS = 40
-SCAN_POINTS = 201  # evenly spaced points of a one-parameter scan
+SCAN_POINTS = 201  # points of a one-parameter scan
+GRID_POINTS = 11  # points on each axis of a two-parameter scan
 _EPS = float(np.finfo(float).eps)
 
 
@@ -607,14 +611,16 @@ def _gauss_newton(
     return theta, sse, converged, resid, user
 
 
-def _user_starts(
+def _start_points(
     objective: _Objective,
     starts: Sequence[Mapping[str, float]] | None = None,
-) -> np.ndarray:
-    """The user-scale start points, (S, p): ``starts``, by default the
-    form table's, one per distinct point on the free parameters, raised to
-    their lower bounds. Raises ValueError where there is none (``simple``'s
-    form table has no default grid)."""
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Every table's start points on the optimizer's scale, (S, p), the
+    table of each, (S,), and the count per table: ``starts``, by default
+    the form table's, one per distinct point on the free parameters,
+    raised to their lower bounds on the user scale and mapped through every
+    table's constants in one call. Raises ValueError where there is none
+    (``simple``'s and the sigmoid's form table have no default grid)."""
     spec, free = objective.spec, objective.free
     points = np.array(list(dict.fromkeys(
         tuple(float(s[n]) for n in free)
@@ -622,17 +628,8 @@ def _user_starts(
     )), dtype=float)
     if not len(points):
         raise ValueError(f"no start points for {', '.join(free)}: give starts")
-    return np.maximum(points, [spec.lower.get(n, -np.inf) for n in free])
-
-
-def _start_points(
-    objective: _Objective,
-    starts: Sequence[Mapping[str, float]] | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Every table's start points on the optimizer's scale, (S, p), the
-    table of each, (S,), and the count per table: ``_user_starts`` for
-    every table, mapped through every table's constants in one call."""
-    points, tables = _user_starts(objective, starts), len(objective.x)
+    points = np.maximum(points, [spec.lower.get(n, -np.inf) for n in free])
+    tables = len(objective.x)
     rows = np.repeat(np.arange(tables), len(points))
     theta = objective.internal(np.tile(points, (tables, 1)), rows)
     return theta, rows, [len(points)] * tables
@@ -739,12 +736,12 @@ def _scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The weighted SSE (S, T) of S user-scale points ``user`` on each of
     ``objective``'s T tables, NaN read as +inf, and their residual rows on
-    ``whole``'s one table, (S, G), from one evaluation there of S rows. ``objective``
-    is ``whole`` or its G holdouts, whose residuals are the whole table's
-    (a curve value at a workload depends on the point alone). Holdout h's
-    SSE is the sum of its squares before h plus the sum after h, plus its
-    within part, never the total less row h's, which cancels where the
-    other rows fit closely."""
+    ``whole``'s one table, (S, G), from one evaluation there of S rows.
+    ``objective`` is ``whole`` or its G holdouts, whose residuals are the
+    whole table's (a curve value at a workload depends on the point
+    alone). Holdout h's SSE is the sum of its squares before h plus the sum
+    after h, plus its within part, never the total less row h's, which
+    cancels where the other rows fit closely."""
     rows = np.zeros(len(user), dtype=int)
     resid = whole.residual(user, rows, user)  # theta is not read
     if objective is whole:
@@ -766,6 +763,18 @@ def _scan_best(sse: np.ndarray) -> np.ndarray:
     return np.argmin(sse, axis=0)
 
 
+@functools.cache
+def _scan_points(scan: tuple) -> np.ndarray:
+    """Every combination of a form table's scan axes' points, (S, p),
+    ``SCAN_POINTS`` on one axis and ``GRID_POINTS`` on each of two; built
+    once per scan, read-only."""
+    count = SCAN_POINTS if len(scan) == 1 else GRID_POINTS
+    axes = [space(lo, hi, count) for lo, hi, space in scan]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    points.flags.writeable = False
+    return points.reshape(-1, len(scan))
+
+
 def _optima(
     objective: _Objective, whole: _Objective, form: ModelForm, tol: float,
     max_iter: int, starts: Sequence[Mapping[str, float]] | None = None,
@@ -775,84 +784,78 @@ def _optima(
     Jacobian d curve / d theta (T, n, p). The T tables are ``whole``'s one
     table (``objective`` is ``whole``), or its T holdouts.
 
-    The candidates are a scan, ``SCAN_POINTS`` evenly spaced points of the
-    form table's scan domain on the optimizer's scale (whose map reads no
-    table constants), where the one free parameter is the form's lone
-    shape parameter and no ``starts`` are given; else the start grid,
-    ``starts`` or the form table's, each mapped through its own table's
-    constants and back. ``_scores`` scores them all in one evaluation on
-    the whole table, S x G curve values: a holdout's grid at its exact
-    points, +inf where the round trip leaves the map's domain.
+    Where the free parameters are the form's shape parameters and no
+    ``starts`` are given, the candidates are the form table's scan
+    (``_scan_points``), on the user scale where the optimizer map reads
+    table constants and else on the optimizer's, so that it is the same
+    for every table. Otherwise (one table) they are the start grid,
+    ``starts`` or the form table's, mapped to the optimizer's scale and
+    back. ``_scores`` scores them in one evaluation on the whole table.
 
-    Each table's first lowest point (``_scan_best``) starts one run of
-    ``_gauss_newton``, all T as one batch, from its residual row,
-    gathered from the scores where they are its own (a scan, or one
-    table). A scan's run is bounded by its point's scan neighbours, and an
-    optimum on the domain's edge or above a scan point (beyond 1e-12
-    relative) raises NonConvergenceError for ``form``. A start grid's
-    table whose run fails ``_tested`` reruns its whole grid as one batch,
-    one table at a time in table order, and keeps its ``_winners``. The
-    first table that fails, in table order, raises.
+    Each table's first lowest point (``_scan_best``), mapped through its
+    own table's constants, starts one run of ``_gauss_newton`` from its
+    residual row there, all T as one batch. A run from a scan on the
+    optimizer's scale is bounded by its point's scan neighbours. A scan's
+    optimum not strictly inside the domain, or above a scan point (beyond
+    1e-12 relative), raises NonConvergenceError for ``form``. A start
+    grid's run that fails ``_tested`` reruns the whole grid as one batch
+    and keeps its ``_winners``. The first table that fails, in table
+    order, raises.
     """
     spec, free = objective.spec, objective.free
     scan = starts is None and spec.scan is not None and free == spec.shape
+    on_user = scan and bool(objective.constants)
     # a point, step or candidate outside the curve's or the map's domain
     # is non-finite, which scores +inf, or stops or rejects a run
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if scan:
-            lo, hi = spec.scan
-            theta = np.linspace(lo, hi, SCAN_POINTS)[:, None]
-            user = whole.user(theta, np.zeros(SCAN_POINTS, dtype=int))
-            sse, resid = _scores(objective, whole, user)
-        else:
-            theta, rows, _ = _start_points(objective, starts)
-            user = objective.user(theta, rows)
-            points = user
-            if objective is not whole:  # a holdout scores the exact points
-                points = _user_starts(objective, starts)
-            sse, resid = _scores(objective, whole, points)
-            sse[np.isnan(user).any(axis=-1).reshape(-1, len(sse)).T] = np.inf
+        points = (
+            _scan_points(spec.scan) if scan
+            else _start_points(objective, starts)[0]
+        )
+        rows = np.zeros(len(points), dtype=int)
+        user = points if on_user else whole.user(points, rows)
+        sse, scored = _scores(objective, whole, user)
         best = _scan_best(sse)
         tables = np.arange(len(best))
-        pick = best if scan else tables * len(sse) + best
-        if scan or objective is whole:
-            resid0 = resid[best[:, None], objective.keep]
-        else:
-            resid0 = objective.residual(theta[pick], tables, user[pick])
-        bounds = None
-        if scan:
-            bounds = tuple(
-                theta[np.clip(best + d, 0, SCAN_POINTS - 1)] for d in (-1, 1)
-            )
+        start = points[best]
+        if on_user:
+            start = objective.internal(user[best], tables)
+        bounds = None if on_user or not scan else tuple(
+            points[np.clip(best + d, 0, len(points) - 1)] for d in (-1, 1)
+        )
         at, optimum, converged, resid, at_user = _gauss_newton(
-            objective, theta[pick], tables, resid0, user[pick], tol, max_iter,
-            bounds,
+            objective, start, tables, scored[best[:, None], objective.keep],
+            user[best], tol, max_iter, bounds,
         )
         ok, jacobian = _tested(
             objective, tables, at, converged, resid, at_user
         )
         edge = above = np.zeros(len(tables), dtype=bool)
         if scan:
-            edge = ~((lo < at[:, 0]) & (at[:, 0] < hi))
+            inside = [
+                (lo < c) & (c < hi) for (lo, hi, _), c in
+                zip(spec.scan, (at_user if on_user else at).T)
+            ]
+            edge = ~np.all(inside, axis=0)
             above = optimum > sse.min(axis=0) * (1.0 + 1e-12)
         for t in np.flatnonzero(edge | above | ~ok):
             if edge[t] or above[t]:
                 where = "on the edge of" if edge[t] else "above a point of"
+                domain = " x ".join(
+                    f"[{lo:g}, {hi:g}]" for lo, hi, _ in spec.scan
+                )
                 raise NonConvergenceError(
                     f"{form.value} fit's optimum lies {where} its scan over "
-                    f"[{lo:g}, {hi:g}]"
+                    f"{domain}"
                 )
             # a list of one start would rerun the run that just failed
-            if not scan and len(sse) > 1:
-                s = rows == t
+            if not scan and len(points) > 1:
                 runs = _gauss_newton(
-                    objective, theta[s], rows[s],
-                    objective.residual(theta[s], rows[s], user[s]), user[s],
-                    tol, max_iter,
+                    objective, points, rows, scored, user, tol, max_iter
                 )
                 _, optimum[t], ok[t], resid[t], at_user[t], jacobian[t] = (
                     a[0]
-                    for a in _winners(objective, rows[s], [len(sse)], *runs)
+                    for a in _winners(objective, rows, [len(points)], *runs)
                 )
             if not ok[t]:
                 raise _not_converged(form, max_iter)
@@ -913,13 +916,15 @@ def wnls_fit(
       exactly; ``starts`` is not read;
     * otherwise ``_optima`` on the one table: every candidate point is
       scored once, and the first with the lowest weighted SSE (NaN read
-      as +inf) starts one run of the kernel. The candidates are a scan of
-      ``SCAN_POINTS`` evenly spaced points of the form table's scan
-      domain, on the optimizer's scale, for the form's one shape
-      parameter alone with the default starts (alpha of ``simple``,
-      ``asymptotic`` and ``arch-fe``), the run bounded by its point's
-      scan neighbours; else (caller-given starts, the sigmoid's
-      two-parameter stages) the start grid.
+      as +inf) starts one run of the kernel. With the form's shape
+      parameters free and no starts given, the candidates are the form
+      table's scan: for alpha (``simple``, ``asymptotic``, ``arch-fe``)
+      ``SCAN_POINTS`` evenly spaced points of its domain on the
+      optimizer's scale, the run bounded by its point's scan neighbours;
+      for the sigmoid's (x0, k) a ``GRID_POINTS`` x ``GRID_POINTS`` grid
+      on the user scale, x0 evenly spaced over [0, 30] and k log-spaced
+      over [K_FLOOR, 100]. Else (caller-given starts, a joint fit of a
+      magnitude and alpha, the sigmoid's stage 2) the start grid.
 
     Parameters
     ----------
@@ -932,12 +937,13 @@ def wnls_fit(
     starts : sequence of mappings, optional
         Start points (user scale) for the kernel. Defaults to the form
         table's start points taken on the free parameters, duplicates
-        dropped: the multi-start grid when the shape is free, one start
-        otherwise. Each is scored at its round trip through the optimizer's
-        scale. If the run of the lowest is not at an optimum, all the
-        starts iterate as one batch, and of those that reach the lowest SSE
-        (within 1e-12 relative) the first wins. A scanned stage given
-        starts runs the kernel from them instead of its scan.
+        dropped (``simple`` and the sigmoid have none, so a stage of
+        theirs that is not their scan needs starts). Each is scored at its
+        round trip through the optimizer's scale. If the run of the lowest
+        is not at an optimum, all the starts iterate as one batch, and of
+        those that reach the lowest SSE (within 1e-12 relative) the first
+        wins. A scanned stage given starts runs the kernel from them
+        instead of its scan.
     compute_se : bool
         Attach cluster-robust standard errors. Point estimates are
         independent of this flag.
@@ -1278,19 +1284,13 @@ def loocv(
     holdout per parameter.
 
     The holdouts take ``wnls_fit``'s path, ``_optima``, as G tables of one
-    fit: each candidate point is scored once on the whole table, S x G
-    curve values for S points, and each holdout's first lowest point
-    starts its run, all G as one batch. A saturation form's holdouts
-    (``simple``, ``asymptotic``, ``arch-fe``) scan alpha, and each runs,
-    bit for bit, what the default ``wnls_fit`` runs on the table without
-    that workload. The sigmoid's holdouts score its start grid at the
-    exact points, a start whose round trip through the holdout's constants
-    leaves the map's domain scoring +inf, and each run starts at its
-    pick's round trip; one that misses its optimum reruns its own grid,
-    one at a time in table order. Each is, bit for bit, ``wnls_fit`` of
-    its table from that start, and its default fit up to rounding. So no
-    batch holds more problems than the larger of the holdouts and one
-    grid. The first holdout that fails, in table order, raises that fit's
+    fit: each point of the form table's scan (alpha's, or the sigmoid's
+    (x0, k) grid on the user scale) is scored once on the whole table,
+    S x G curve values for S points, and each holdout's first lowest point
+    starts its run, mapped through the holdout's own constants, all G as
+    one batch. So each holdout is, bit for bit, the default ``wnls_fit``
+    of the table without that workload, certified by its scan as that fit
+    is. The first holdout that fails, in table order, raises that fit's
     NonConvergenceError.
     """
     config = config or FitConfig()

@@ -12,9 +12,9 @@ node power in kW as p_idle + beta * g(x; shape), with one of two shapes:
 magnitudes (one beta, or one per architecture), the shape function, which
 parameters each fit stage estimates, which may be negative, the scale the
 fit iterates the shape on (``OptimizerMap``), the lower bounds, the
-shape start points of the fit's multi-start kernel (none for ``simple``)
-and the domain the fit scans a lone shape parameter over; the parameter
-order, the curve, its gradient and its second derivatives follow.
+shape start points of the fit's multi-start kernel and the domain the fit
+scans the shape over; the parameter order, the curve, its gradient and
+its second derivatives follow.
 Prediction, validation and ``nodepower.fit`` read it. The form names are
 ``ModelForm``, which lives in ``nodepower.files`` so the CLI can offer
 them without numpy.
@@ -116,11 +116,14 @@ class PowerParams:
 
 K_FLOOR = 1e-3       # sigmoid steepness bound: stops collapse to a step
 ALPHA_FLOOR = 1e-6   # positivity guard for the log-scale saturation constant
-# the domains the fit scans alpha over, on its own scale: the half-power
-# log10 intensity alpha up to 100, and the raw-operations form's log10 alpha
-# over [0, 40]; the bundled and generated sets' workloads lie at x = 10-18
-_ALPHA_SCAN = (ALPHA_FLOOR, 100.0)
-_LOG10_ALPHA_SCAN = (0.0, 40.0)
+# the domains the fit scans the shape over, one axis (lo, hi, spacing) per
+# shape parameter: the half-power log10 intensity alpha up to 100, the
+# raw-operations form's log10 alpha over [0, 40], and the sigmoid's
+# midpoint x0 over [0, 30] by its steepness k, log-spaced from its floor
+# to 100; the bundled and generated sets' workloads lie at x = 10-18
+_ALPHA_SCAN = ((ALPHA_FLOOR, 100.0, np.linspace),)
+_LOG10_ALPHA_SCAN = ((0.0, 40.0, np.linspace),)
+_SIGMOID_SCAN = ((0.0, 30.0, np.linspace), (K_FLOOR, 100.0, np.geomspace))
 
 
 # Each shape g is a function of one argument w: the saturation ratio of
@@ -194,12 +197,6 @@ _START_BETA_KW = 6.6
 
 
 _LOG_ALPHA_STARTS = tuple({"alpha": a} for a in (1.0, 3.0, 5.0, 8.0, 12.0))
-
-
-_SIGMOID_STARTS = tuple(
-    {"x0": m, "k": k}
-    for m in (9.0, 11.0, 13.0, 15.0, 17.0) for k in (0.1, 1.0)
-)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +315,10 @@ class FormSpec:
     stage2_free: tuple[str, ...]   # estimated in stage 2
     stage1_form: ModelForm         # the form stage 1 fits
     # the shape parameters' start points (user scale) for the fit's
-    # multi-start kernel, which no default stage of a scanned form reads;
-    # ``simple`` has none, so a kernel fit of its alpha takes given starts
-    shape_starts: tuple[dict[str, float], ...]
+    # multi-start kernel, read by a fit that frees the shape with another
+    # parameter and gives no starts; ``simple`` and ``sigmoid`` have none,
+    # so such a fit of theirs takes given starts
+    shape_starts: tuple[dict[str, float], ...] = ()
     raw_operations: bool = False   # g reads 10^x rather than x
     positive_x: bool = True        # defined for x > 0 only
     signed: tuple[str, ...] = ()   # may be zero or negative
@@ -328,10 +326,11 @@ class FormSpec:
     # parameters are the map's; the user scale otherwise
     optimizer_map: OptimizerMap | None = None
     lower: Mapping[str, float] = field(default_factory=dict)  # user scale
-    # a stage whose one free parameter is the form's only shape parameter
-    # scans this domain, on the fit's scale (``nodepower.fit.wnls_fit``,
-    # and ``loocv``'s holdouts as rows of one scan)
-    scan: tuple[float, float] | None = None
+    # a stage whose free parameters are the form's shape parameters scans
+    # this domain, one axis (lo, hi, spacing) per parameter, on the user
+    # scale where the optimizer map reads table constants, else the fit's
+    # (``nodepower.fit.wnls_fit``; ``loocv``'s holdouts as rows of one scan)
+    scan: tuple[tuple[float, float, Callable], ...] | None = None
 
     @property
     def per_arch(self) -> dict[str, str]:
@@ -546,7 +545,6 @@ FORMS: dict[ModelForm, FormSpec] = {
         shape=("alpha",),
         stage2_free=("beta_comp_kw",),
         stage1_form=ModelForm.SIMPLE_ASYMPTOTIC,
-        shape_starts=(),
         raw_operations=True,
         # alpha spans six decades: Newton steps on the raw axis are useless
         optimizer_map=_log10_map("alpha"),
@@ -582,11 +580,11 @@ FORMS: dict[ModelForm, FormSpec] = {
         # steepness is re-estimated alongside the magnitude in stage 2
         stage2_free=("beta_comp_kw", "k"),
         stage1_form=ModelForm.SIGMOID,
-        shape_starts=_SIGMOID_STARTS,
         positive_x=False,
         signed=("x0",),
         optimizer_map=_LINEAR_PREDICTOR,
         lower={"k": K_FLOOR},
+        scan=_SIGMOID_SCAN,
     ),
 }
 

@@ -859,6 +859,14 @@ class TestTableFromTraces:
             assert table.n[i] == 2 * once.n[i]
 
 
+# the sigmoid's stage-1 start grid before its scan, kept as caller-given
+# starts for the tests of the start-grid path
+SIGMOID_STARTS = [
+    {"x0": m, "k": k}
+    for m in (9.0, 11.0, 13.0, 15.0, 17.0) for k in (0.1, 1.0)
+]
+
+
 # ---------------------------------------------------------------------------
 # the stage-1 fit reaches the optimum of a dense grid
 # ---------------------------------------------------------------------------
@@ -908,7 +916,7 @@ class TestMultiStart:
         fixed = {"p_idle_kw": 1.8, "beta_comp_kw": 6.6}
         shape = FORMS[form].shape
         single = []
-        for s in FORMS[form].starts():
+        for s in SIGMOID_STARTS:
             try:
                 single.append(wnls_fit(
                     table, form, fixed, shape, starts=[s], compute_se=False
@@ -919,7 +927,9 @@ class TestMultiStart:
         first = next(
             r for r in single if r.weighted_sse <= lowest * (1.0 + 1e-12)
         )
-        multi = wnls_fit(table, form, fixed, shape, compute_se=False)
+        multi = wnls_fit(
+            table, form, fixed, shape, starts=SIGMOID_STARTS, compute_se=False
+        )
         assert multi.estimates == first.estimates
 
 
@@ -1046,6 +1056,7 @@ def householder_offset(r, J, floor):
 # ---------------------------------------------------------------------------
 
 LOOCV_FORMS = (ModelForm.LOG_ASYMPTOTIC, ModelForm.SIGMOID)
+LOOCV_BATCH_FORMS = (*LOOCV_FORMS, ModelForm.SIMPLE_ASYMPTOTIC)
 
 
 @pytest.fixture(scope="module")
@@ -1087,49 +1098,20 @@ def _stage1_sse(table, form, estimates, config):
     return float(np.sum(e * e) + np.sum(table.within_ss / table.n))
 
 
-def _round_trip_pick(table, config, starts=None):
-    """Index of the first distinct sigmoid stage-1 start (``starts``, by
-    default the form table's) with the lowest SSE on ``table`` when each
-    is scored at its own round trip, with the distinct starts (x0, k). By
-    this module's own formulas: k is raised to its floor, the point is
-    mapped to the linear predictor's (c0, c1) = ((mean - x0) / k, sd / k)
-    over the table's intensities and back, and a round trip outside the
-    map's domain (c1 <= 0 or k < K_FLOOR) scores +inf."""
-    grid = list(dict.fromkeys(
-        (float(s["x0"]), float(s["k"]))
-        for s in (FORMS[ModelForm.SIGMOID].starts() if starts is None
-                  else starts)
-    ))
-    mean, sd = table.x.mean(), table.x.std()
-    sse = []
-    for x0, k in grid:
-        k = max(k, model.K_FLOOR)
-        c0, c1 = (mean - x0) / k, sd / k
-        k = sd / c1
-        if not (c1 > 0.0 and k >= model.K_FLOOR):
-            sse.append(np.inf)
-            continue
-        sse.append(_stage1_sse(
-            table, ModelForm.SIGMOID, {"x0": mean - c0 * k, "k": k}, config
-        ))
-    sse = np.array(sse)
-    sse[np.isnan(sse)] = np.inf
-    return int(np.argmin(sse)), grid
-
-
-def _lowest_sse_start(table, form, config):
-    """The start ``loocv`` iterates for a holdout whose table is ``table``:
-    the first point of its stage-1 start grid with the lowest SSE at its
-    round trip (``_round_trip_pick``), on the user scale."""
-    index, grid = _round_trip_pick(table, config)
-    return dict(zip(FORMS[form].shape, grid[index]))
-
-
 def _percentile_starts(x):
     """The simple form's alpha starts on a table's intensities ``x``: the
     raw operations at their 10th to 90th percentiles."""
     qs = (10, 30, 50, 70, 90)
     return [{"alpha": 10.0 ** q} for q in np.percentile(x, qs)]
+
+
+def _grid_starts(table, form):
+    """The start grid of a stage-1 grid run of ``form`` on ``table``: the
+    simple form's percentile starts, the sigmoid's ``SIGMOID_STARTS``, and
+    the form table's (None) for the others."""
+    if form is ModelForm.SIMPLE_ASYMPTOTIC:
+        return _percentile_starts(table.x)
+    return SIGMOID_STARTS if form is ModelForm.SIGMOID else None
 
 
 def _grid_run(table, form, fixed, free, starts=None):
@@ -1186,19 +1168,25 @@ class TestBatchedLoocv:
             (data, form)
             for data in ("desk", "many", "sixty")
             for form in (*LOOCV_FORMS, ModelForm.SIMPLE_ASYMPTOTIC)
-        ] + [("one-fifty", form) for form in LOOCV_FORMS],
+        ] + [
+            (data, form)
+            for data in ("one-fifty", "desk-excluded") for form in LOOCV_FORMS
+        ],
         ids=lambda v: v.value if isinstance(v, ModelForm) else v,
     )
     def test_each_holdout_equals_its_own_stage1_fit(
-        self, form, data, desk_dataset, many_workload_dataset
+        self, form, data, desk_dataset, desk_exclusion_policy,
+        many_workload_dataset,
     ):
-        # bit for bit the holdout table's stage-1 fit: for a saturation
-        # form its default fit (a scan and a run from its best point), for
-        # the sigmoid a fit from the holdout's lowest-SSE grid start; and
-        # within rounding of the fit from its whole grid. 150 workloads
-        # make one LOOCV batch of 150 holdouts of 149 rows each
+        # bit for bit the holdout table's default stage-1 fit (a scan and a
+        # run from its best point), and within rounding of the fit from its
+        # whole start grid. 150 workloads make one LOOCV batch of 150
+        # holdouts of 149 rows each
         table = {
             "desk": lambda: desk_dataset,
+            "desk-excluded": lambda: apply_exclusions(
+                desk_dataset, desk_exclusion_policy
+            ),
             "many": lambda: many_workload_dataset,
             "sixty": lambda: arch_fe_dataset(60),
             "one-fifty": lambda: arch_fe_dataset(150),
@@ -1209,17 +1197,10 @@ class TestBatchedLoocv:
         fixed, shape = _stage1_fixed(config), FORMS[form].shape
         for wid, estimates in rep.per_holdout.items():
             held = table.drop([wid])
-            starts = None
-            if form is ModelForm.SIGMOID:
-                starts = [_lowest_sse_start(held, form, config)]
-            alone = wnls_fit(
-                held, form, fixed, shape, compute_se=False, starts=starts,
-            )
+            alone = wnls_fit(held, form, fixed, shape, compute_se=False)
             assert estimates == alone.estimates, wid
             grid, grid_sse, _ = _grid_run(
-                held, form, fixed, shape,
-                _percentile_starts(held.x)
-                if form is ModelForm.SIMPLE_ASYMPTOTIC else None,
+                held, form, fixed, shape, _grid_starts(held, form)
             )
             for name in shape:
                 assert estimates[name] == pytest.approx(
@@ -1228,10 +1209,13 @@ class TestBatchedLoocv:
             assert alone.weighted_sse <= grid_sse * (1.0 + 1e-12)
 
     @pytest.mark.parametrize(
-        "form", [ModelForm.LOG_ASYMPTOTIC, ModelForm.SIMPLE_ASYMPTOTIC],
-        ids=lambda f: f.value,
+        "data, form",
+        [
+            (data, form) for data in ("desk", "hot")
+            for form in (ModelForm.LOG_ASYMPTOTIC, ModelForm.SIMPLE_ASYMPTOTIC)
+        ] + [("desk", ModelForm.SIGMOID)],
+        ids=lambda v: v.value if isinstance(v, ModelForm) else v,
     )
-    @pytest.mark.parametrize("data", ["desk", "hot"])
     def test_holdout_scan_sums_match_each_holdouts_own_scan(
         self, form, data, desk_dataset, monkeypatch
     ):
@@ -1252,97 +1236,56 @@ class TestBatchedLoocv:
         loocv(table, form, config)
         (sums,) = seen
         workloads = table.workloads()
-        assert sums.shape == (fitmod.SCAN_POINTS, len(workloads))
         stage_form, fixed, free = fitmod._stage1_constraints(form, config)
         spec = FORMS[stage_form]
-        grid = np.linspace(*spec.scan, fitmod.SCAN_POINTS)[:, None]
-        rows = np.zeros(len(grid), dtype=int)
         for h, wid in enumerate(workloads):
             held = table.drop([wid])
             own = fitmod._Objective(
                 spec, fixed, free, held, np.arange(len(held.x))[None]
             )
-            sse = own.sse(own.residual(grid, rows), rows)
+            user = _scan_user(own)
+            assert sums.shape == (len(user), len(workloads))
+            rows = np.zeros(len(user), dtype=int)
+            sse = own.sse(own.residual(user, rows, user), rows)
             np.testing.assert_allclose(
                 sums[:, h], sse, rtol=len(workloads) * fitmod._EPS, atol=0.0,
                 err_msg=wid,
             )
             assert np.argmin(sums[:, h]) == np.argmin(sse), wid
 
-    def test_a_holdout_off_the_optimum_reruns_its_grid(
+    def test_a_holdout_off_the_optimum_raises(
         self, desk_dataset, monkeypatch
     ):
-        # one holdout starts at the ridge start of TestRelativeOffset, which
-        # stops unconverged; that holdout alone iterates its whole grid
+        # two holdouts, and then the whole table, start at the scan point
+        # (9, 0.1), the ridge start of TestRelativeOffset, which stops
+        # unconverged above the scan's minimum: each raises, the LOOCV from
+        # its one batch of G runs, with no rerun
         config = FitConfig()
         table = desk_dataset
         form = ModelForm.SIGMOID
-        want = loocv(table, form, config)
-        h = 3
-        wid = table.workloads()[h]
-        ridge = {"x0": 9.0, "k": 0.1}
-        assert ridge.items() <= FORMS[form].starts()[0].items()
-        with pytest.raises(NonConvergenceError):
+        ridge = 3 * fitmod.GRID_POINTS + 4
+        user = _scan_user(_holdout_objectives(table, form, config)[1])
+        assert user[ridge] == pytest.approx([9.0, 0.1], rel=1e-15)
+        pick = fitmod._scan_best
+
+        def ridge_start(sse):
+            picks = pick(sse)
+            # two of the LOOCV's holdouts, or the one table of a fit
+            picks[[2, 5] if len(picks) > 1 else 0] = ridge
+            return picks
+
+        monkeypatch.setattr(fitmod, "_scan_best", ridge_start)
+        batches = _batches(monkeypatch)
+        with pytest.raises(NonConvergenceError, match="above a point of its"):
+            loocv(table, form, config)
+        assert batches == [len(table.workloads())]
+        batches.clear()
+        with pytest.raises(NonConvergenceError, match="above a point of its"):
             wnls_fit(
-                table.drop([wid]), form, _stage1_fixed(config),
-                FORMS[form].shape, starts=[ridge], compute_se=False,
+                table, form, _stage1_fixed(config), FORMS[form].shape,
+                compute_se=False,
             )
-        grid, _, _ = _grid_run(
-            table.drop([wid]), form, _stage1_fixed(config), FORMS[form].shape
-        )
-        pick = fitmod._scan_best
-
-        def ridge_start(sse):
-            picks = pick(sse)
-            picks[h] = 0  # the grid's first
-            return picks
-
-        monkeypatch.setattr(fitmod, "_scan_best", ridge_start)
-        batches = _batches(monkeypatch)
-        got = loocv(table, form, config)
-        # the holdouts' batch, then that holdout's grid once
-        grid_size = len(FORMS[form].starts())
-        assert batches == [len(table.workloads()), grid_size]
-        assert got.per_holdout[wid] == grid
-        for other in table.workloads():
-            if other != wid:
-                assert got.per_holdout[other] == want.per_holdout[other]
-
-    def test_reruns_bounded_by_one_grid(self, desk_dataset, monkeypatch):
-        # two holdouts start at the ridge start and miss their optimum; each
-        # reruns its own grid alone, so no kernel batch holds more than the
-        # larger of the G holdouts and one grid of S starts
-        config = FitConfig()
-        table = desk_dataset
-        form = ModelForm.SIGMOID
-        want = loocv(table, form, config)
-        workloads = table.workloads()
-        forced = (2, 5)
-        grids = {
-            h: _grid_run(
-                table.drop([workloads[h]]), form, _stage1_fixed(config),
-                FORMS[form].shape,
-            )[0]
-            for h in forced
-        }
-        pick = fitmod._scan_best
-
-        def ridge_start(sse):
-            picks = pick(sse)
-            picks[list(forced)] = 0  # the grid's first
-            return picks
-
-        monkeypatch.setattr(fitmod, "_scan_best", ridge_start)
-        batches = _batches(monkeypatch)
-        got = loocv(table, form, config)
-        grid = len(FORMS[form].starts())
-        assert max(batches) <= max(len(workloads), grid) == 10
-        assert batches == [len(workloads), grid, grid]  # a rerun each
-        for h, wid in enumerate(workloads):
-            if h in forced:
-                assert got.per_holdout[wid] == grids[h], wid
-            else:
-                assert got.per_holdout[wid] == want.per_holdout[wid], wid
+        assert batches == [1]
 
     @pytest.mark.parametrize("form", LOOCV_FORMS, ids=lambda f: f.value)
     def test_desk_holdouts_at_most_grid_minimum(self, form, desk_dataset):
@@ -1398,8 +1341,9 @@ class TestBatchedLoocv:
         _assert_first_holdouts_message(desk_dataset, form)
 
     def test_each_problem_alone_matches_the_batch(self, desk_dataset):
-        # every (holdout, start) problem of the desk sigmoid LOOCV, run as a
-        # batch of one, is bit-identical to its row of the whole batch
+        # every (holdout, start) problem of the desk sigmoid LOOCV from its
+        # former start grid, run as a batch of one, is bit-identical to its
+        # row of the whole batch
         config = FitConfig()
         table = desk_dataset
         spec = FORMS[ModelForm.SIGMOID]
@@ -1408,7 +1352,7 @@ class TestBatchedLoocv:
         objective = fitmod._Objective(
             spec, _stage1_fixed(config), spec.shape, table, keep
         )
-        theta0, rows, _ = fitmod._start_points(objective)
+        theta0, rows, _ = fitmod._start_points(objective, SIGMOID_STARTS)
         batch = _kernel(objective, theta0, rows, 1e-8, 200)
         for i in range(len(theta0)):
             one = _kernel(
@@ -1437,8 +1381,9 @@ class TestBatchedLoocv:
 
 
 class TestOneStartPerFit:
-    """A fit iterates one start, the first lowest-SSE point of its grid,
-    and reruns the whole grid only when that run misses its optimum."""
+    """A fit iterates one start, the first lowest-SSE point of its scan or
+    grid, and a grid reruns whole only when that run misses its
+    optimum."""
 
     @pytest.mark.parametrize("form", list(ModelForm), ids=lambda f: f.value)
     def test_desk_stage1_runs_one_problem(
@@ -1457,14 +1402,17 @@ class TestOneStartPerFit:
     def test_a_miss_reruns_the_grid_once(
         self, desk_dataset, desk_exclusion_policy, monkeypatch
     ):
-        # the fit starts at the ridge start of TestRelativeOffset, which
-        # stops unconverged; it then iterates its whole grid, once
+        # a fit from given starts starts at the ridge start of
+        # TestRelativeOffset, which stops unconverged; it then iterates its
+        # whole grid, once
         table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         form = ModelForm.SIGMOID
         fixed, shape = _stage1_fixed(FitConfig()), FORMS[form].shape
         ridge = {"x0": 9.0, "k": 0.1}
-        assert ridge.items() <= FORMS[form].starts()[0].items()
-        grid, grid_sse, ok = _grid_run(table, form, fixed, shape)
+        assert ridge.items() <= SIGMOID_STARTS[0].items()
+        grid, grid_sse, ok = _grid_run(
+            table, form, fixed, shape, SIGMOID_STARTS
+        )
         assert ok
         pick = fitmod._scan_best
 
@@ -1473,8 +1421,10 @@ class TestOneStartPerFit:
 
         monkeypatch.setattr(fitmod, "_scan_best", ridge_start)
         batches = _batches(monkeypatch)
-        got = wnls_fit(table, form, fixed, shape, compute_se=False)
-        assert batches == [1, len(FORMS[form].starts())]
+        got = wnls_fit(
+            table, form, fixed, shape, starts=SIGMOID_STARTS, compute_se=False
+        )
+        assert batches == [1, len(SIGMOID_STARTS)]
         assert got.estimates == grid
         assert got.weighted_sse == grid_sse
 
@@ -1498,8 +1448,7 @@ class TestOneStartPerFit:
         stage1 = two_stage_fit(table, form, config).stage1
         grid, grid_sse, ok = _grid_run(
             table, *fitmod._stage1_constraints(form, config),
-            _percentile_starts(table.x)
-            if form is ModelForm.SIMPLE_ASYMPTOTIC else None,
+            _grid_starts(table, form),
         )
         assert ok
         for name, value in grid.items():
@@ -1507,6 +1456,21 @@ class TestOneStartPerFit:
                 value, rel=1e-12, abs=0.0
             ), name
         assert stage1.weighted_sse <= grid_sse * (1.0 + 1e-12)
+
+
+def _scan_user(objective):
+    """The user-scale points of the stage-1 scan of ``objective``'s form,
+    by this module's own reading of the form table: alpha's
+    ``SCAN_POINTS`` on the fit's scale, mapped to the user scale, and the
+    sigmoid's ``GRID_POINTS`` x ``GRID_POINTS``, x0 by x0, on the user
+    scale."""
+    spec = objective.spec
+    if len(spec.scan) == 1:
+        ((lo, hi, space),) = spec.scan
+        theta = space(lo, hi, fitmod.SCAN_POINTS)[:, None]
+        return objective.user(theta, np.zeros(len(theta), dtype=int))
+    axes = [space(lo, hi, fitmod.GRID_POINTS) for lo, hi, space in spec.scan]
+    return np.array(list(itertools.product(*axes)))
 
 
 def _holdout_objectives(table, form, config):
@@ -1537,9 +1501,8 @@ def _picks(monkeypatch):
 
 def step_workload_dataset():
     """Eight workloads at idle below x = 13 and at the stress ceiling
-    above it, two samples each. Without workload w1 (x = 12.1) the table's
-    intensities have an SD whose round trip sd / (sd / K_FLOOR) falls
-    below K_FLOOR."""
+    above it, two samples each: a step, which a sigmoid fits ever better
+    as k falls to its floor."""
     xs = [11.6, 12.1, 12.6, 16.2, 13.8, 16.8, 12.0, 16.3]
     return make_dataset([
         (f"w{j}", x, Architecture_LLM,
@@ -1563,13 +1526,32 @@ def _run_starts(monkeypatch):
 
 
 def _assert_runs_start_at_round_trips(runs):
-    """Each run starts at its points' round trip through its own tables'
-    constants, with those points' residual rows, bit for bit."""
+    """Each run starts at one point on both scales, with that point's
+    residual rows, bit for bit: a scan point on the user scale and its
+    image through its own table's constants where the run iterates on the
+    sigmoid's map (stage 1), else a start's round trip."""
     assert runs
     for objective, theta0, rows, resid0, user0 in runs:
-        user = objective.user(theta0, rows)
-        assert np.array_equal(user0, user)
-        assert np.array_equal(resid0, objective.residual(theta0, rows, user))
+        if objective.map is not None:
+            assert np.array_equal(objective.internal(user0, rows), theta0)
+            assert set(map(tuple, user0)) <= set(
+                map(tuple, _scan_user(objective))
+            )
+        else:
+            assert np.array_equal(user0, objective.user(theta0, rows))
+        assert np.array_equal(resid0, objective.residual(theta0, rows, user0))
+
+
+def _scan_picks(table, config):
+    """Index of the first point of the sigmoid's stage-1 scan with the
+    lowest SSE on ``table``, by this module's own formulas."""
+    objective = _holdout_objectives(table, ModelForm.SIGMOID, config)[1]
+    user = _scan_user(objective)
+    z = (table.x - user[:, :1]) / user[:, 1:]
+    e = table.mean_kw - config.stage1_p_idle_kw - (
+        config.stage1_beta_kw * expit(z)
+    )
+    return int(np.argmin(np.sum(e * e, axis=-1)))
 
 
 class TestOnePick:
@@ -1583,9 +1565,10 @@ class TestOnePick:
         self, data, desk_dataset, desk_exclusion_policy,
         many_workload_dataset, monkeypatch,
     ):
-        # the sigmoid's holdouts score its grid at the exact points on the
-        # whole table, and pick what each holdout's own scoring at the
-        # points' round trips picks
+        # the sigmoid's holdouts score its scan on the whole table, and
+        # pick what each holdout's own scoring of the scan picks (the name
+        # is that of the start grid, which each holdout scored at its
+        # points' round trips)
         table = {
             "desk-all": lambda: desk_dataset,
             "desk-excluded": lambda: apply_exclusions(
@@ -1599,44 +1582,33 @@ class TestOnePick:
         loocv(table, ModelForm.SIGMOID, config)
         (picks,) = seen
         want = [
-            _round_trip_pick(table.drop([wid]), config)[0]
-            for wid in table.workloads()
+            _scan_picks(table.drop([wid]), config) for wid in table.workloads()
         ]
         assert picks.tolist() == want
 
-    def test_a_start_outside_a_holdouts_domain_scores_inf(
-        self, monkeypatch
-    ):
-        # a start at k's floor fits the step best, but its round trip
-        # through holdout w1's constants leaves the map's domain, so that
-        # holdout picks the other start
-        table = step_workload_dataset()
-        config = FitConfig()
-        starts = [{"x0": 13.0, "k": model.K_FLOOR}, {"x0": 13.0, "k": 1.0}]
-        objective, whole = _holdout_objectives(
-            table, ModelForm.SIGMOID, config
-        )
+    def test_a_step_raises_on_the_edge_of_its_scan(self, monkeypatch):
+        # without w4 (x = 13.8) the step's best scan point is (15, K_FLOOR),
+        # where the logistic is 0 or 1 to rounding at every workload; the
+        # run cannot leave it, and the fit raises on the scan's edge
+        table = step_workload_dataset().drop(["w4"])
         seen = _picks(monkeypatch)
-        # a step has no optimum inside k's bound: the runs stop at the
-        # floor, after the picks are made
-        with pytest.raises(NonConvergenceError):
-            fitmod._optima(
-                objective, whole, ModelForm.SIGMOID, 1e-8, 200, starts
+        with pytest.raises(NonConvergenceError, match="on the edge of its"):
+            wnls_fit(
+                table, ModelForm.SIGMOID, _stage1_fixed(FitConfig()),
+                ("x0", "k"), compute_se=False,
             )
         (picks,) = seen
-        want = [
-            _round_trip_pick(table.drop([wid]), config, starts)[0]
-            for wid in table.workloads()
-        ]
-        assert want == [0, 1, 0, 0, 0, 0, 0, 0]
-        assert picks.tolist() == want
+        user = _scan_user(_holdout_objectives(
+            table, ModelForm.SIGMOID, FitConfig()
+        )[1])
+        assert user[picks[0]].tolist() == [15.0, model.K_FLOOR]
 
     def test_start_scoring_evaluates_the_whole_table_once(
         self, monkeypatch
     ):
-        # the sigmoid's 60 holdouts score its ten starts as 10 rows of the
-        # 60 workloads, and evaluate only the 60 picked starts on their own
-        # 59 workloads; scoring every holdout's grid is 600 rows of 59
+        # the sigmoid's 60 holdouts score its 121 scan points as 121 rows
+        # of the 60 workloads and evaluate nothing else before their runs;
+        # scoring every holdout's scan is 7,260 rows of 59
         calls = []
         residual = fitmod._Objective.residual
         gauss_newton = fitmod._gauss_newton
@@ -1652,7 +1624,8 @@ class TestOnePick:
         monkeypatch.setattr(fitmod._Objective, "residual", spy)
         monkeypatch.setattr(fitmod, "_gauss_newton", kernel)
         loocv(arch_fe_dataset(60), ModelForm.SIGMOID)
-        assert calls[:calls.index("kernel")] == [(10, 60), (60, 59)]
+        scan = fitmod.GRID_POINTS ** 2
+        assert calls[:calls.index("kernel")] == [(scan, 60)]
 
     @pytest.mark.parametrize("exclude", [False, True])
     @pytest.mark.parametrize("call", ["loocv", "two_stage_fit"])
@@ -1660,9 +1633,9 @@ class TestOnePick:
         self, call, exclude, desk_dataset, desk_exclusion_policy,
         monkeypatch,
     ):
-        # every kernel run of the sigmoid starts from its start's round
-        # trip through its own table's constants, with that point's
-        # residual row, bit for bit
+        # every kernel run of the sigmoid starts from one point on both
+        # scales, with that point's residual row, bit for bit: stage 1
+        # from a scan point, stage 2 from its one start
         runs = _run_starts(monkeypatch)
         policy = desk_exclusion_policy if exclude else ()
         if call == "loocv":
@@ -1686,11 +1659,12 @@ class TestOnePick:
             table, ModelForm.SIGMOID, {"p_idle_kw": 1.8, "beta_comp_kw": 6.6},
             ("x0", "k"), starts=[{"x0": 17.0, "k": 0.1}], compute_se=False,
         )
-        ((objective, _, rows, resid0, _),) = runs
+        ((objective, theta0, rows, resid0, user0),) = runs
         assert not np.array_equal(
             resid0, objective.residual(start, rows, start)
         )
-        _assert_runs_start_at_round_trips(runs)
+        assert np.array_equal(user0, objective.user(theta0, rows))
+        assert np.array_equal(resid0, objective.residual(theta0, rows, user0))
 
 
 SATURATION_FORMS = (
@@ -1707,8 +1681,7 @@ def _scan_sses(table, form, config):
     objective = fitmod._Objective(
         FORMS[stage_form], fixed, free, table, np.arange(len(table.x))[None]
     )
-    grid = np.linspace(*FORMS[stage_form].scan, fitmod.SCAN_POINTS)
-    alpha = objective.user(grid[:, None], np.zeros(len(grid), int))[:, 0]
+    alpha = _scan_user(objective)[:, 0]
     sse = [
         _stage1_sse(table, form, {"alpha": float(a)}, config) for a in alpha
     ]
@@ -1783,6 +1756,40 @@ class TestScanCertificate:
         with pytest.raises(NonConvergenceError, match="above a point"):
             loocv(table, form, FitConfig())
 
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_sigmoid_results_at_most_a_dense_grid_of_its_domain(
+        self, exclude, desk_dataset, desk_exclusion_policy
+    ):
+        # the sigmoid's stage 1 and every LOOCV holdout against a 201 x 201
+        # grid of its scan's domain, x0 evenly spaced over [0, 30] and k
+        # log-spaced over [K_FLOOR, 100], by this module's own formulas
+        config = FitConfig()
+        table = desk_dataset
+        if exclude:
+            table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        x0 = np.linspace(0.0, 30.0, 201)[:, None, None]
+        k = np.geomspace(model.K_FLOOR, 100.0, 201)[None, :, None]
+
+        def grid_min(t):
+            curve = config.stage1_p_idle_kw + config.stage1_beta_kw * expit(
+                (t.x - x0) / k
+            )
+            sse = np.sum((t.mean_kw - curve) ** 2, axis=-1)
+            return float(sse.min() + np.sum(t.within_ss / t.n))
+
+        form = ModelForm.SIGMOID
+        fit = wnls_fit(
+            table, form, _stage1_fixed(config), FORMS[form].shape,
+            compute_se=False,
+        )
+        assert fit.weighted_sse <= grid_min(table) * (1.0 + 1e-12)
+        rep = loocv(table, form, config)
+        assert list(rep.per_holdout) == list(table.workloads())
+        for wid, estimates in rep.per_holdout.items():
+            held = table.drop([wid])
+            sse = _stage1_sse(held, form, estimates, config)
+            assert sse <= grid_min(held) * (1.0 + 1e-12), wid
+
     def test_a_kernel_fit_of_simple_needs_given_starts(self, desk_dataset):
         # the simple form's alpha is scanned wherever it is fitted alone;
         # to fit it with a magnitude the caller gives the start points
@@ -1796,29 +1803,51 @@ class TestScanCertificate:
         )
         assert fit.converged
 
-    def test_scanned_maps_read_no_table_constants(self, desk_dataset):
+    def test_scanned_maps_read_no_table_constants(
+        self, desk_dataset, desk_exclusion_policy, monkeypatch
+    ):
         # LOOCV scores every holdout from one scan of the whole table, which
-        # holds only where the scale the scan runs on is the same for every
-        # table
-        x = desk_dataset.x[None]
-        for spec in FORMS.values():
-            if spec.scan is not None and spec.optimizer_map is not None:
-                assert spec.optimizer_map.constants(x) == ()
+        # holds only where the points scored are the same for every table:
+        # the scan lies on the fit's scale where the form's map reads no
+        # table constants, and on the user scale where it does (the
+        # sigmoid's)
+        scored = []
+        scores = fitmod._scores
+
+        def spy(objective, whole, user):
+            scored.append(user.copy())
+            return scores(objective, whole, user)
+
+        monkeypatch.setattr(fitmod, "_scores", spy)
+        tables = (
+            desk_dataset, apply_exclusions(desk_dataset, desk_exclusion_policy)
+        )
+        for form in (*SATURATION_FORMS, ModelForm.SIGMOID):
+            scored.clear()
+            for table in tables:
+                wnls_fit(
+                    table, *fitmod._stage1_constraints(form, FitConfig()),
+                    compute_se=False,
+                )
+            first, second = scored
+            assert np.array_equal(first, second), form
 
     @pytest.mark.parametrize(
-        "form", SATURATION_FORMS, ids=lambda f: f.value
+        "form", (*SATURATION_FORMS, ModelForm.SIGMOID), ids=lambda f: f.value
     )
     def test_a_best_point_on_the_domain_edge_raises(
         self, form, desk_dataset, desk_exclusion_policy, monkeypatch
     ):
-        # a domain that ends one unit (one decade on the simple form's
-        # log10 scale) below the optimum, alpha = 5.44 or 10^12.34
+        # a domain whose first axis ends one unit (one decade on the simple
+        # form's log10 scale) below the optimum, alpha = 5.44 or 10^12.34,
+        # or below the sigmoid's x0 = 9.82
         table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         stage_form = fitmod._stage1_constraints(form, FitConfig())[0]
         spec = FORMS[stage_form]
-        end = 11.3 if spec.optimizer_map is not None else 4.4
+        end = {"simple": 11.3, "sigmoid": 9.0}.get(form.value, 4.4)
+        (lo, _, space), *rest = spec.scan
         monkeypatch.setitem(
-            FORMS, stage_form, replace(spec, scan=(spec.scan[0], end))
+            FORMS, stage_form, replace(spec, scan=((lo, end, space), *rest))
         )
         with pytest.raises(NonConvergenceError, match="on the edge"):
             two_stage_fit(table, form, FitConfig())
@@ -1896,7 +1925,9 @@ def _loocv_batch(table, form):
     objective, _ = _holdout_objectives(table, form, FitConfig())
     g = len(table.workload_ids)
     if form is not ModelForm.SIMPLE_ASYMPTOTIC:
-        theta0, rows, _ = fitmod._start_points(objective)
+        theta0, rows, _ = fitmod._start_points(
+            objective, _grid_starts(table, form)
+        )
         return objective, theta0, rows
     # the simple form has no default grid: each holdout's percentile starts
     user = np.array([
@@ -1993,31 +2024,33 @@ class TestBatchedHalving:
     def test_residual_calls_within_budget(
         self, desk_dataset, desk_exclusion_policy, monkeypatch
     ):
-        # the desk sigmoid's LOOCV takes 11 curve evaluations of 122
-        # residual rows in all, and its fit 15 of 24 (7 in stage 2); one
+        # after the one evaluation that scores the 121 points of its scan,
+        # the desk sigmoid's LOOCV takes 5 curve evaluations of 32 residual
+        # rows in all, and its fit 12 of 12 (7 in stage 2); from the
+        # former ten-point start grid they took 11 of 59 and 14 of 14, one
         # evaluation per problem and halving needed 301 and 360 on the
         # (x0, k) scale, and halving calls that tried several scales per
         # problem took 387 and 62 rows
         table = apply_exclusions(desk_dataset, desk_exclusion_policy)
+        scan = fitmod.GRID_POINTS ** 2
         seen = _call_rows(monkeypatch)
         loocv(table, ModelForm.SIGMOID)
+        assert seen[0] == scan
         assert len(seen) <= 80
-        assert sum(seen) <= 150
+        assert sum(seen[1:]) <= 150
         seen.clear()
         two_stage_fit(
             desk_dataset, ModelForm.SIGMOID,
             FitConfig(exclusions=desk_exclusion_policy),
         )
+        assert seen[0] == scan
         assert len(seen) <= 65
-        assert sum(seen) <= 30
+        assert sum(seen[1:]) <= 30
 
 
 # ---------------------------------------------------------------------------
 # every problem of a batch in one loop, each evaluation one call
 # ---------------------------------------------------------------------------
-
-LOOCV_BATCH_FORMS = (*LOOCV_FORMS, ModelForm.SIMPLE_ASYMPTOTIC)
-
 
 class TestOneLoop:
     @pytest.mark.parametrize("exclude", [False, True])
@@ -2036,9 +2069,9 @@ class TestOneLoop:
         if exclude:
             table = apply_exclusions(desk_dataset, desk_exclusion_policy)
         spec = FORMS[form]
-        candidates = (
-            fitmod.SCAN_POINTS if spec.scan else len(spec.shape_starts)
-        )
+        candidates = {1: fitmod.SCAN_POINTS, 2: fitmod.GRID_POINTS ** 2}[
+            len(spec.scan)
+        ]
         bound = max(len(table.workload_ids), candidates)
         residual = _call_rows(monkeypatch, "residual")
         derivatives = _call_rows(monkeypatch, "derivatives")
@@ -2153,9 +2186,7 @@ def _stage1_objective(table, form):
     objective = fitmod._Objective(
         spec, fixed, free, table, np.arange(len(table.x))[None]
     )
-    starts = None
-    if form is ModelForm.SIMPLE_ASYMPTOTIC:
-        starts = _percentile_starts(table.x)
+    starts = _grid_starts(table, form)
     return objective, fitmod._start_points(objective, starts)[0]
 
 
@@ -2361,7 +2392,7 @@ class TestOptimizerMap:
         objective = _sigmoid_stage1(table)
         x = table.x
         mean, sd = x.mean(), x.std()
-        starts = FORMS[ModelForm.SIGMOID].starts()
+        starts = SIGMOID_STARTS
         theta, rows, _ = fitmod._start_points(objective, starts)
         user = np.array([[s["x0"], s["k"]] for s in starts])
         np.testing.assert_allclose(
@@ -2463,7 +2494,7 @@ class TestOptimizerMap:
         objective = _sigmoid_stage1(table)
         edge = table.x.std() / model.K_FLOOR
         ends = {}
-        for start in FORMS[ModelForm.SIGMOID].starts():
+        for start in SIGMOID_STARTS:
             theta0, rows, _ = fitmod._start_points(objective, [start])
             theta, _, converged, _ = _kernel(
                 objective, theta0, rows, 1e-8, 200

@@ -164,8 +164,42 @@ def test_dump_numbers_on_the_desk_set(tmp_path, capsys):
     #   PYTHONPATH=src python3 tools/dump_numbers.py \
     #     src/nodepower/data/desk/manifest.csv \
     #     src/nodepower/data/desk/exclusions.csv > tests/desk-numbers.json
-    # and says why in CHANGES.md
+    # and says why in CHANGES.md. The numbers gate against a parent
+    # checkout PARENT is two commands, run from this checkout: the dump of
+    # the desk set and the bench/gen.py sets, once with each checkout's
+    # src, then the comparison of the two directories,
+    #   PYTHONPATH=PARENT/src python3 tools/dump_numbers.py --gate A &&
+    #     PYTHONPATH=src python3 tools/dump_numbers.py --gate B
+    #   python3 tools/diff_numbers.py A B --rel 1e-12
     path = tmp_path / "desk.json"
     path.write_text(json.dumps(dump))
     rc = diff_numbers.main([str(DESK_NUMBERS), str(path), "--rel", "1e-12"])
     assert rc == 0, capsys.readouterr().out
+
+
+def test_gate_writes_one_dump_per_set(tmp_path, capsys):
+    # the gate's dump of one generated set is the dump of that set's
+    # manifest and exclusions, and diff_numbers compares two gate
+    # directories file by file
+    assert dump_numbers.GEN.is_file()
+    dump_numbers.gate(tmp_path / "a", [("wide", 1)])
+    (path,) = (tmp_path / "a").iterdir()
+    assert path.name == "wide-1.json"
+    numbers = json.loads(path.read_text())
+    assert set(numbers) == {"two_stage_fit", "loocv", "wnls_fit"}
+    sigmoid = numbers["loocv"]["excluded"]["sigmoid"]
+    assert len(sigmoid["per_holdout"]) == 58
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "wide-1.json").write_text(path.read_text())
+    args = [str(tmp_path / "a"), str(tmp_path / "b")]
+    assert diff_numbers.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "wide-1/loocv/excluded/sigmoid: identical" in lines
+    assert "wide-1/loocv: identical" in lines
+    # a file that one side lacks compares as empty, and differs
+    (tmp_path / "b" / "desk.json").write_text(path.read_text())
+    assert diff_numbers.main([*args, "--rel", "1e-3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("desk/loocv: differs at desk/loocv/")
+               for line in lines)
+    assert "wide-1/loocv: identical" in lines

@@ -3,7 +3,10 @@
     python3 tools/diff_numbers.py A B [--rel TOL]
 
 A and B are the JSON files ``tools/dump_numbers.py`` printed for two
-checkouts on the same inputs. For each fit or scan in them (a path such as
+checkouts on the same inputs, or two directories its ``--gate`` wrote, in
+which case each file is compared with its namesake, a file that one side
+lacks comparing as empty, and every printed path starts with the file's
+name less ``.json``. For each fit or scan in them (a path such as
 ``loocv/excluded/sigmoid``), and then for each of the two sections,
 ``two_stage_fit`` and ``loocv``, it prints ``identical`` when every value
 below that path is equal, or else the largest relative difference of two
@@ -22,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 DEPTH = 3  # section / exclusions / form
 
@@ -87,19 +91,31 @@ def main(argv: list[str]) -> int:
         help="largest relative difference that exits 0 (default: exact)",
     )
     args = parser.parse_args(argv)
-    a, b = (
-        json.loads(open(p, encoding="utf-8").read()) for p in (args.a, args.b)
-    )
-    worst = compare(a, b)
-    for group in sorted(worst, key=lambda g: (g.count("/") == 0, g)):
-        diff, where = worst[group]
-        if diff == 0.0:
-            print(f"{group}: identical")
-        elif math.isinf(diff):
-            print(f"{group}: differs at {where}")
-        else:
-            print(f"{group}: {diff:.2g} at {where}")
-    return 0 if all(d <= args.rel for d, _ in worst.values()) else 1
+    a, b = (_dumps(Path(p)) for p in (args.a, args.b))
+    ok = True
+    for name in sorted(a.keys() | b.keys()):
+        worst = compare(a.get(name, {}), b.get(name, {}))
+        for group in sorted(worst, key=lambda g: (g.count("/") == 0, g)):
+            diff, where = worst[group]
+            if diff == 0.0:
+                print(f"{name}{group}: identical")
+            elif math.isinf(diff):
+                print(f"{name}{group}: differs at {name}{where}")
+            else:
+                print(f"{name}{group}: {diff:.2g} at {name}{where}")
+        ok &= all(d <= args.rel for d, _ in worst.values())
+    return 0 if ok else 1
+
+
+def _dumps(path: Path) -> dict[str, dict]:
+    """{prefix: dump}: one file under the prefix "", or a directory's
+    ``*.json`` files, each under its name less ``.json`` and a slash."""
+    if not path.is_dir():
+        return {"": json.loads(path.read_text(encoding="utf-8"))}
+    return {
+        f"{p.stem}/": json.loads(p.read_text(encoding="utf-8"))
+        for p in sorted(path.glob("*.json"))
+    }
 
 
 if __name__ == "__main__":

@@ -1,12 +1,18 @@
 """Print every number the calibration produces, for a bit-identity check.
 
     PYTHONPATH=src python3 tools/dump_numbers.py MANIFEST EXCLUSIONS
+    PYTHONPATH=src python3 tools/dump_numbers.py --gate DIR
 
 Run it with a checkout's ``src`` on ``PYTHONPATH``, once per checkout, and
-compare the two outputs: they are equal exactly when every number is equal
-to the last bit. MANIFEST and EXCLUSIONS are a manifest and an exclusion
-policy, the bundled desk set's (``nodepower.data``) or a set written by
-``bench/gen.py``. The output is JSON, with every float as ``float.hex``:
+compare the two outputs with ``tools/diff_numbers.py``: they are equal
+exactly when every number is equal to the last bit. MANIFEST and
+EXCLUSIONS are a manifest and an exclusion policy, the bundled desk set's
+(``nodepower.data``) or a set written by ``bench/gen.py``. ``--gate DIR``
+writes one dump per set of the numbers gate into DIR: ``desk.json`` for
+the desk set, and ``large-1.json`` to ``large-3.json`` and ``wide-1.json``
+to ``wide-8.json`` for the sets ``bench/gen.py`` generates with those
+seeds, in a temporary directory. The output is JSON, with every float as
+``float.hex``:
 
 * each form's ``two_stage_fit``, with and without the exclusions: the
   estimates, robust SEs, t and p values, weighted SSE and covariance of
@@ -30,13 +36,17 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import importlib.util
 import json
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 
 from nodepower import ingest
+from nodepower.data import desk_exclusions, desk_manifest
 from nodepower.fit import (
     FitConfig, apply_exclusions, loocv, two_stage_fit, wnls_fit,
 )
@@ -46,6 +56,13 @@ from nodepower.reference import BETA_CNN_KW
 LOOCV_FORMS = (
     ModelForm.LOG_ASYMPTOTIC, ModelForm.SIGMOID, ModelForm.SIMPLE_ASYMPTOTIC,
 )
+# the numbers gate's sets: (kind, seed) of bench/gen.py, or the desk set
+GATE_SETS = (
+    ("desk", None),
+    *(("large", seed) for seed in (1, 2, 3)),
+    *(("wide", seed) for seed in range(1, 9)),
+)
+GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
 
 def _hex(value: object) -> object:
@@ -128,11 +145,37 @@ def dump(manifest: str, exclusions: str) -> dict:
     return out
 
 
+def _text(numbers: dict) -> str:
+    return json.dumps(numbers, indent=1, sort_keys=True) + "\n"
+
+
+def gate(directory: Path, sets=GATE_SETS) -> None:
+    """Write the dump of each of ``sets`` into ``directory``, as
+    ``desk.json`` or ``KIND-SEED.json``, generating each ``bench/gen.py``
+    set in a temporary directory."""
+    spec = importlib.util.spec_from_file_location("bench_gen", GEN)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    directory.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        for kind, seed in sets:
+            name, inputs = "desk", (desk_manifest(), desk_exclusions())
+            if kind != "desk":
+                name = f"{kind}-{seed}"
+                made = gen.generate(kind, seed, Path(scratch) / name)
+                inputs = (made.manifest, made.exclusions)
+            numbers = dump(*(str(p) for p in inputs))
+            (directory / f"{name}.json").write_text(_text(numbers))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    print(json.dumps(dump(*argv), indent=1, sort_keys=True))
+    if argv[0] == "--gate":
+        gate(Path(argv[1]))
+    else:
+        sys.stdout.write(_text(dump(*argv)))
     return 0
 
 
