@@ -157,12 +157,12 @@ def gate(directory: Path, sets=GATE_SETS) -> None:
     gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     directory.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as tmp:
         for kind, seed in sets:
             name, inputs = "desk", (desk_manifest(), desk_exclusions())
             if kind != "desk":
                 name = f"{kind}-{seed}"
-                made = gen.generate(kind, seed, Path(scratch) / name)
+                made = gen.generate(kind, seed, Path(tmp) / name)
                 inputs = (made.manifest, made.exclusions)
             numbers = dump(*(str(p) for p in inputs))
             (directory / f"{name}.json").write_text(_text(numbers))
