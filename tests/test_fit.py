@@ -1253,32 +1253,36 @@ class TestBatchedLoocv:
             )
             assert np.argmin(sums[:, h]) == np.argmin(sse), wid
 
-    def test_a_holdout_off_the_optimum_raises(
-        self, desk_dataset, monkeypatch
-    ):
-        # two holdouts, and then the whole table, start at the scan point
-        # (9, 0.1), the ridge start of TestRelativeOffset, which stops
-        # unconverged above the scan's minimum: each raises, the LOOCV from
-        # its one batch of G runs, with no rerun
-        config = FitConfig()
-        table = desk_dataset
+    @staticmethod
+    def _start_on_the_ridge(table, monkeypatch, holdouts):
+        """Start the given LOOCV holdouts, or the one table of a fit, at the
+        scan point (9, 0.1), the ridge start of TestRelativeOffset, which
+        stops unconverged above the scan's minimum; spy on the batches."""
         form = ModelForm.SIGMOID
         ridge = 3 * fitmod.GRID_POINTS + 4
-        user = _scan_user(_holdout_objectives(table, form, config)[1])
+        user = _scan_user(_holdout_objectives(table, form, FitConfig())[1])
         assert user[ridge] == pytest.approx([9.0, 0.1], rel=1e-15)
         pick = fitmod._scan_best
 
         def ridge_start(sse):
             picks = pick(sse)
-            # two of the LOOCV's holdouts, or the one table of a fit
-            picks[[2, 5] if len(picks) > 1 else 0] = ridge
+            picks[list(holdouts) if len(picks) > 1 else 0] = ridge
             return picks
 
         monkeypatch.setattr(fitmod, "_scan_best", ridge_start)
-        batches = _batches(monkeypatch)
+        return _batches(monkeypatch)
+
+    def test_a_holdout_off_the_optimum_raises(
+        self, desk_dataset, monkeypatch
+    ):
+        # one holdout, and then the whole table, start on the ridge: each
+        # raises rather than rerunning a start grid
+        config = FitConfig()
+        table = desk_dataset
+        form = ModelForm.SIGMOID
+        batches = self._start_on_the_ridge(table, monkeypatch, [2])
         with pytest.raises(NonConvergenceError, match="above a point of its"):
             loocv(table, form, config)
-        assert batches == [len(table.workloads())]
         batches.clear()
         with pytest.raises(NonConvergenceError, match="above a point of its"):
             wnls_fit(
@@ -1286,6 +1290,18 @@ class TestBatchedLoocv:
                 compute_se=False,
             )
         assert batches == [1]
+
+    def test_holdouts_off_the_optimum_run_one_batch(
+        self, desk_dataset, monkeypatch
+    ):
+        # two holdouts start on the ridge and miss their optimum: the LOOCV
+        # runs its one batch of G holdouts and no rerun before it raises
+        config = FitConfig()
+        table = desk_dataset
+        batches = self._start_on_the_ridge(table, monkeypatch, [2, 5])
+        with pytest.raises(NonConvergenceError, match="above a point of its"):
+            loocv(table, ModelForm.SIGMOID, config)
+        assert batches == [len(table.workloads())]
 
     @pytest.mark.parametrize("form", LOOCV_FORMS, ids=lambda f: f.value)
     def test_desk_holdouts_at_most_grid_minimum(self, form, desk_dataset):
